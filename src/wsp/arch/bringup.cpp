@@ -1,5 +1,8 @@
 #include "wsp/arch/bringup.hpp"
 
+#include <algorithm>
+#include <map>
+
 #include "wsp/common/error.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/testinfra/dap_chain.hpp"
@@ -18,15 +21,24 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
   report.faulty_tiles = faults.fault_count();
 
   // --- 1. JTAG screening: one chain per row, progressive unrolling ---
+  // A row's screen stops at its first faulty tile, so its TCK count depends
+  // only on that index: simulate one row per distinct index.
+  std::map<std::ptrdiff_t, std::uint64_t> tcks_by_first_fault;
   for (int row = 0; row < config.array_height; ++row) {
     std::vector<bool> row_faults;
-    row_faults.reserve(static_cast<std::size_t>(config.array_width));
     for (int x = 0; x < config.array_width; ++x)
       row_faults.push_back(faults.is_faulty({x, row}));
-    testinfra::WaferTestChain chain(config.array_width,
-                                    config.cores_per_tile, row_faults);
-    if (options.use_broadcast_loading) chain.set_broadcast(true);
-    (void)chain.locate_first_faulty(&report.screening_tcks);
+    const auto [it, fresh] = tcks_by_first_fault.try_emplace(
+        std::find(row_faults.begin(), row_faults.end(), true) -
+            row_faults.begin(),
+        0);
+    if (fresh) {
+      testinfra::WaferTestChain chain(config.array_width,
+                                      config.cores_per_tile, row_faults);
+      if (options.use_broadcast_loading) chain.set_broadcast(true);
+      (void)chain.locate_first_faulty(&it->second);
+    }
+    report.screening_tcks += it->second;
   }
 
   // --- 2. clock setup ---
@@ -59,19 +71,9 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
 
   // Single-system-image check: every usable pair routable, directly or
   // through one relay.
-  const noc::NetworkSelector selector(report.usable);
-  report.single_system_image = true;
-  const auto usable_tiles = report.usable.healthy_tiles();
-  for (std::size_t i = 0;
-       i < usable_tiles.size() && report.single_system_image; ++i) {
-    for (std::size_t j = 0; j < usable_tiles.size(); ++j) {
-      if (i == j) continue;
-      if (!selector.plan(usable_tiles[i], usable_tiles[j]).reachable) {
-        report.single_system_image = false;
-        break;
-      }
-    }
-  }
+  const noc::PairReachability census =
+      noc::NetworkSelector(report.usable).reachable_pairs();
+  report.single_system_image = census.reachable == census.pairs;
 
   // --- 5. boot-time estimate ---
   report.boot_load = testinfra::memory_load_time(

@@ -21,5 +21,10 @@ class Error : public std::runtime_error {
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
+/// Literal-message overload: builds the std::string only on failure, so a
+/// passing check on a hot path costs one branch.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
 
 }  // namespace wsp

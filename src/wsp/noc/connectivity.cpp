@@ -1,21 +1,35 @@
 #include "wsp/noc/connectivity.hpp"
 
+#include "wsp/common/error.hpp"
+
 namespace wsp::noc {
 
 ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults)
+    : ConnectivityAnalyzer(faults, LinkFaultSet(faults.grid())) {}
+
+ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults,
+                                           const LinkFaultSet& links)
     : faults_(faults),
       width_(faults.grid().width()),
       height_(faults.grid().height()) {
+  require(links.grid().width() == width_ && links.grid().height() == height_,
+          "link fault set grid mismatch");
   const auto n = faults.grid().tile_count();
   row_run_.assign(n, -1);
   col_run_.assign(n, -1);
 
+  // A run continues from `prev` into `c` only while the link between them
+  // is alive both ways; `forward` is the direction prev -> c.
+  const auto joined = [&](TileCoord prev, TileCoord c, Direction forward) {
+    return !links.is_failed(prev, forward) &&
+           !links.is_failed(c, opposite(forward));
+  };
   int next_run = 0;
   for (int y = 0; y < height_; ++y) {
     bool in_run = false;
     for (int x = 0; x < width_; ++x) {
       if (faults_.is_healthy({x, y})) {
-        if (!in_run) {
+        if (!in_run || !joined({x - 1, y}, {x, y}, Direction::East)) {
           ++next_run;
           in_run = true;
         }
@@ -29,7 +43,7 @@ ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults)
     bool in_run = false;
     for (int y = 0; y < height_; ++y) {
       if (faults_.is_healthy({x, y})) {
-        if (!in_run) {
+        if (!in_run || !joined({x, y - 1}, {x, y}, Direction::North)) {
           ++next_run;
           in_run = true;
         }

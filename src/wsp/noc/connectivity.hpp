@@ -11,7 +11,9 @@
 // `ConnectivityAnalyzer` answers pair-connectivity queries in O(1) after an
 // O(tiles) preprocessing pass: a DoR path is healthy iff its row segment
 // and its column segment each lie inside a single maximal healthy run of
-// that row/column, so two run-id lookups decide each path.
+// that row/column, so two run-id lookups decide each path.  Given failed
+// links, a run also ends at every link that has failed in either
+// direction, so the same lookups decide link-aware paths.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +29,9 @@ namespace wsp::noc {
 class ConnectivityAnalyzer {
  public:
   explicit ConnectivityAnalyzer(const FaultMap& faults);
+  /// Link-aware: a path is connected only if it also crosses no link that
+  /// has failed in either travel direction.
+  ConnectivityAnalyzer(const FaultMap& faults, const LinkFaultSet& links);
 
   bool xy_connected(TileCoord src, TileCoord dst) const;
   bool yx_connected(TileCoord src, TileCoord dst) const;
@@ -42,7 +47,7 @@ class ConnectivityAnalyzer {
   int height_;
   // Maximal healthy-run ids; -1 on faulty tiles.  Two tiles in the same
   // row (column) are joined by a healthy straight segment iff their run
-  // ids match.
+  // ids match.  Runs break at faulty tiles and at failed links.
   std::vector<int> row_run_;  // indexed y*width+x
   std::vector<int> col_run_;  // indexed x*height+y
 

@@ -1,6 +1,7 @@
 #include "wsp/noc/noc_system.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
@@ -10,28 +11,12 @@
 
 namespace wsp::noc {
 
-namespace {
-
-/// Direction of the single-step move a -> b (adjacent tiles).
-Direction direction_between(TileCoord a, TileCoord b) {
-  if (b.x > a.x) return Direction::East;
-  if (b.x < a.x) return Direction::West;
-  if (b.y > a.y) return Direction::North;
-  return Direction::South;
-}
-
-}  // namespace
-
 NetworkSelector::NetworkSelector(const FaultMap& faults)
-    : analyzer_(faults), links_(faults.grid()) {}
+    : analyzer_(faults) {}
 
 NetworkSelector::NetworkSelector(const FaultMap& faults,
                                  const LinkFaultSet& links)
-    : analyzer_(faults), links_(links) {
-  require(links.grid().width() == faults.grid().width() &&
-              links.grid().height() == faults.grid().height(),
-          "link fault set grid mismatch");
-}
+    : analyzer_(faults, links) {}
 
 void NetworkSelector::rebind(const FaultMap& faults,
                              const LinkFaultSet& links) {
@@ -42,30 +27,17 @@ void NetworkSelector::rebind(const FaultMap& faults,
   require(links.grid().width() == old.width() &&
               links.grid().height() == old.height(),
           "rebind: link fault set grid mismatch");
-  analyzer_ = ConnectivityAnalyzer(faults);
-  links_ = links;
+  analyzer_ = ConnectivityAnalyzer(faults, links);
   cache_.clear();
   ++generation_;
 }
 
 bool NetworkSelector::segment_clear(TileCoord a, TileCoord b,
                                     NetworkKind kind) const {
-  const bool tiles_ok = kind == NetworkKind::XY
-                            ? analyzer_.xy_connected(a, b)
-                            : analyzer_.yx_connected(a, b);
-  if (!tiles_ok) return false;
-  if (links_.empty()) return true;
-  // The request runs a -> b on `kind`; the response runs b -> a on the
-  // complement, over the same tiles in reverse.  Both travel directions of
-  // every link on the path must therefore be alive.
-  const std::vector<TileCoord> path = dor_path(a, b, kind);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const Direction d = direction_between(path[i], path[i + 1]);
-    if (links_.is_failed(path[i], d) ||
-        links_.is_failed(path[i + 1], opposite(d)))
-      return false;
-  }
-  return true;
+  // The analyzer's runs already end at failed links, so one lookup covers
+  // both the request a -> b and its complementary response b -> a.
+  return kind == NetworkKind::XY ? analyzer_.xy_connected(a, b)
+                                 : analyzer_.yx_connected(a, b);
 }
 
 RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
@@ -98,41 +70,61 @@ RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
     return plan;
   }
 
-  // No direct path on either network: relay through an intermediate tile.
-  auto relay_via = [&](TileCoord mid) -> bool {
-    if (mid == src || mid == dst) return false;
+  // No direct path on either network: relay through the healthy
+  // intermediate with the fewest added hops (lowest index on ties) whose
+  // two segments are both clear.
+  const TileGrid& grid = faults.grid();
+  const int direct = hop_distance(src, dst);
+  int best_added = std::numeric_limits<int>::max();
+  for (std::size_t i = 0; i < grid.tile_count(); ++i) {
+    const TileCoord mid = grid.coord_of(i);
+    if (faults.is_faulty(mid) || mid == src || mid == dst) continue;
+    const int added = hop_distance(src, mid) + hop_distance(mid, dst) - direct;
+    if (added >= best_added) continue;
     const auto first = choose(src, mid);
-    const auto second = choose(mid, dst);
-    if (!first || !second) return false;
+    const auto second = first ? choose(mid, dst) : std::nullopt;
+    if (!second) continue;
     plan.waypoints = {src, mid, dst};
     plan.segment_networks = {*first, *second};
     plan.reachable = true;
     plan.relayed = true;
-    return true;
-  };
-  if (const auto mid = find_intermediate(faults, src, dst)) {
-    if (relay_via(*mid)) return plan;
-  }
-  // find_intermediate only knows about tile faults; with failed links its
-  // candidate may sit on a broken row/column.  Search the remaining
-  // intermediates link-aware, in added-hop order (index as tiebreak) so
-  // the plan stays deterministic and minimal.
-  if (!links_.empty()) {
-    const int direct = hop_distance(src, dst);
-    std::vector<std::pair<int, std::size_t>> candidates;
-    faults.grid().for_each([&](TileCoord c) {
-      if (faults.is_faulty(c) || c == src || c == dst) return;
-      candidates.emplace_back(hop_distance(src, c) + hop_distance(c, dst) -
-                                  direct,
-                              faults.grid().index_of(c));
-    });
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [added, index] : candidates) {
-      (void)added;
-      if (relay_via(faults.grid().coord_of(index))) return plan;
-    }
+    best_added = added;
   }
   return plan;
+}
+
+PairReachability NetworkSelector::reachable_pairs() const {
+  const FaultMap& faults = analyzer_.faults();
+  const std::vector<TileCoord> healthy = faults.healthy_tiles();
+  const std::size_t n = healthy.size();
+  const std::size_t words = (n + 63) / 64;
+  // direct[i] is the bit row of tile i: bit j set when i and j share a
+  // clear DoR path.  The relation is symmetric (XY a -> b and YX b -> a
+  // cover the same tiles, and links are checked both ways), so the upper
+  // triangle fills both halves.
+  std::vector<std::uint64_t> direct(n * words, 0);
+  const auto row = [&](std::size_t i) { return direct.data() + i * words; };
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (segment_clear(healthy[i], healthy[j], NetworkKind::XY) ||
+          segment_clear(healthy[i], healthy[j], NetworkKind::YX)) {
+        row(i)[j / 64] |= std::uint64_t{1} << (j % 64);
+        row(j)[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+
+  // A pair without a direct path is relayable iff some third tile is
+  // directly connected to both: the two bit rows intersect (the diagonal
+  // is clear, so neither endpoint can be its own relay).
+  PairReachability r;
+  r.pairs = n > 1 ? n * (n - 1) : 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      bool ok = (row(i)[j / 64] >> (j % 64)) & 1u;
+      for (std::size_t w = 0; !ok && w < words; ++w)
+        ok = (row(i)[w] & row(j)[w]) != 0;
+      if (ok) r.reachable += 2;
+    }
+  return r;
 }
 
 RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {

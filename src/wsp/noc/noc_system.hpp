@@ -49,6 +49,13 @@ struct RoutePlan {
   bool relayed = false;
 };
 
+/// All-pairs census: ordered pairs of distinct healthy tiles, and how many
+/// of them NetworkSelector::plan() finds reachable (directly or relayed).
+struct PairReachability {
+  std::size_t pairs = 0;
+  std::size_t reachable = 0;
+};
+
 /// Kernel-software network selection from the fault map (Sec. VI).
 ///
 /// Plans are memoised per (src, dst) pair; `rebind()` adopts a new fault
@@ -66,6 +73,11 @@ class NetworkSelector {
   /// any one pair always uses a single network (in-order delivery).
   RoutePlan plan(TileCoord src, TileCoord dst) const;
 
+  /// Counts the pairs plan() would find reachable: O(tiles^2) run-id
+  /// lookups plus O(tiles / 64) word operations per pair without a direct
+  /// path (see DESIGN.md).  Leaves the plan cache untouched.
+  PairReachability reachable_pairs() const;
+
   /// Adopts a new fault state (runtime fault injection) and drops all
   /// cached plans.  The grids must match the original fault map's.
   void rebind(const FaultMap& faults, const LinkFaultSet& links);
@@ -76,18 +88,17 @@ class NetworkSelector {
   /// Number of rebinds so far; bumping it is what invalidates the cache.
   std::uint64_t generation() const { return generation_; }
 
+  /// Link-aware connectivity of the bound fault state.
   const ConnectivityAnalyzer& connectivity() const { return analyzer_; }
-  const LinkFaultSet& links() const { return links_; }
 
  private:
   ConnectivityAnalyzer analyzer_;
-  LinkFaultSet links_;
   std::uint64_t generation_ = 0;
   mutable std::unordered_map<std::uint64_t, RoutePlan> cache_;
 
   /// True when the request path a->b on `kind` is healthy tile-wise *and*
   /// crosses no failed link in either travel direction (the response rides
-  /// the complementary network back over the same tiles).
+  /// the complementary network back over the same tiles).  O(1).
   bool segment_clear(TileCoord a, TileCoord b, NetworkKind kind) const;
   RoutePlan compute_plan(TileCoord src, TileCoord dst) const;
 };

@@ -122,9 +122,10 @@ DegradationReport DegradationCampaign::run() const {
       ber_scratch.set_ber(e.tile, e.link, e.magnitude);
     noc.set_link_ber(ber_scratch);
   };
-  // Kept alive for the whole trial when coupling is on: the cached
-  // multigrid hierarchy and the warm-start seed below are what make the
-  // per-epoch re-solves cheap.
+  // Kept alive for the whole trial when coupling is on: the hoisted plane
+  // stencil and the warm-start seed below are what make the per-epoch
+  // re-solves cheap (the planes still solve by SOR, the SolverConfig
+  // default).
   std::optional<pdn::WaferPdn> wafer_pdn;
   if (integrity_on) {
     wafer_pdn.emplace(config, options_.pdn.pdn);
@@ -353,23 +354,13 @@ DegradationReport DegradationCampaign::run() const {
   report.trajectory.push_back({noc.now(), report.final_usable});
 
   // --- post-burst fabric census ------------------------------------------
-  const std::vector<TileCoord> survivors = injector.faults().healthy_tiles();
-  std::size_t reachable_pairs = 0;
-  std::size_t total_pairs = 0;
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    for (std::size_t j = 0; j < survivors.size(); ++j) {
-      if (i == j) continue;
-      ++total_pairs;
-      if (noc.selector().plan(survivors[i], survivors[j]).reachable)
-        ++reachable_pairs;
-    }
-  }
+  const noc::PairReachability census = noc.selector().reachable_pairs();
   report.pair_reachability_pct =
-      total_pairs ? 100.0 * static_cast<double>(reachable_pairs) /
-                        static_cast<double>(total_pairs)
-                  : 100.0;
+      census.pairs ? 100.0 * static_cast<double>(census.reachable) /
+                         static_cast<double>(census.pairs)
+                   : 100.0;
   report.single_system_image =
-      total_pairs > 0 && reachable_pairs == total_pairs;
+      census.pairs > 0 && census.reachable == census.pairs;
 
   // --- re-bring-up on the degraded wafer ---------------------------------
   bool has_edge_gen = false;

@@ -716,5 +716,58 @@ TEST(DegradationCampaign, CoupledEpochResolveIsDeterministicAndDiverges) {
   EXPECT_NE(coupled.options_fingerprint(), standalone.options_fingerprint());
 }
 
+// ------------------------------------------------- golden report digests
+
+/// CRC-32 over the saved reports, in order.
+std::uint32_t report_crc(const std::vector<DegradationReport>& reports) {
+  ckpt::Writer w;
+  for (const DegradationReport& r : reports) save_report(w, r);
+  return ckpt::crc32(w.bytes().data(), w.bytes().size());
+}
+
+TEST(DegradationCampaign, GoldenReportDigestsPinCensusAndRebringup) {
+  // Pins every saved report byte — the post-burst pair census, the
+  // single-system-image verdicts and the re-bring-up summary (JTAG
+  // screening TCKs included) — for a small fixed campaign, so any rework
+  // of the census or bring-up machinery must reproduce them exactly.
+  CampaignOptions o = small_campaign(23);
+  o.config = SystemConfig::reduced(16, 16);
+  o.run_cycles = 400;
+  o.fault_horizon = 300;
+  o.mix.tile_deaths = 6;
+  o.mix.link_failures = 4;
+  o.mix.ldo_brownouts = 0;
+  o.mix.packet_corruptions = 0;
+  const std::vector<DegradationReport> random =
+      DegradationCampaign(o).run_trials(2);
+
+  // Scripted faults: (4,4)<->(10,10) loses both corner tiles, so that
+  // pair set needs a relay; corner (0,0) loses both outgoing links, so it
+  // is cut off from every other tile and the image splits.
+  FaultSchedule s;
+  s.add({100, RuntimeFaultKind::TileDeath, {10, 4}, Direction::North});
+  s.add({150, RuntimeFaultKind::TileDeath, {4, 10}, Direction::North});
+  s.add({200, RuntimeFaultKind::LinkFailure, {0, 0}, Direction::East});
+  s.add({250, RuntimeFaultKind::LinkFailure, {0, 0}, Direction::North});
+  o.schedule = s;
+  const std::vector<DegradationReport> scripted =
+      DegradationCampaign(o).run_trials(2);
+  ASSERT_EQ(random.size(), 2u);
+  ASSERT_EQ(scripted.size(), 2u);
+  for (const DegradationReport& r : random) {
+    EXPECT_EQ(r.events.size(), 10u);
+    EXPECT_TRUE(r.single_system_image);
+    ASSERT_TRUE(r.rebringup.has_value());
+  }
+  for (const DegradationReport& r : scripted) {
+    EXPECT_FALSE(r.single_system_image);
+    EXPECT_LT(r.pair_reachability_pct, 100.0);
+    ASSERT_TRUE(r.rebringup.has_value());
+  }
+
+  EXPECT_EQ(report_crc(random), 0x17b8cc0cu);
+  EXPECT_EQ(report_crc(scripted), 0x91fddf7cu);
+}
+
 }  // namespace
 }  // namespace wsp::resilience
