@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_json.hpp"
-#include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/odd_even.hpp"
 #include "wsp/noc/traffic.hpp"
@@ -152,19 +151,18 @@ void print_fault_relaying() {
 }
 
 /// Cross-PR wall-clock tracking for the cycle-level NoC simulation: one
-/// fixed seeded workload per array size, min-of-N (the NoC stepper itself
-/// is serial; threads records the exec pool configuration for context).
+/// fixed seeded workload per array size, min-of-N.  The stepper is serial,
+/// so every row runs on one thread whatever the pool size.
 void run_json_measurements(bool quick) {
   wsp::bench::JsonReporter json("noc_traffic");
   const int repeats = quick ? 2 : 5;
   const std::uint64_t cycles = quick ? 200 : 800;
   for (const int n : {8, 16, 32}) {
-    if (quick && n == 32) continue;
     wsp::bench::Measurement m;
     m.name = "noc_uniform_traffic_" + std::to_string(n) + "x" +
              std::to_string(n);
     m.iterations = static_cast<int>(cycles);
-    m.threads = exec::shared_threads();
+    m.threads = 1;
     m.wall_ms = wsp::bench::min_wall_ms(
         [&] {
           NocSystem noc{FaultMap(TileGrid(n, n))};

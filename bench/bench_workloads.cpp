@@ -1,12 +1,12 @@
 // Workload benches: the tenant-class traffic generators (collectives,
 // layer pipelines, spiking bursts, graph waves) driving the full 32x32
 // dual-mesh NoC through the wsp::workloads seam — wall time, per-class
-// delivery latency percentiles, and the thread x shard bit-identity gate —
+// delivery latency percentiles, and the thread-count bit-identity gate —
 // plus the Sec. II graph kernels (BFS, SSSP, PageRank) the paper ran on
 // its reduced-size emulated system.
 //
 // Exit code is non-zero when any generator class's delivery-trace digest
-// diverges across thread or shard counts: the injection streams are
+// diverges across thread counts: the injection streams are
 // defined to be deterministic, so a divergence is a correctness bug, not
 // noise.
 #include <benchmark/benchmark.h>
@@ -55,7 +55,7 @@ WorkloadSpec bench_spec(WorkloadClass cls) {
 
 /// One generator class through the seam on a fault-free 32x32 wafer:
 /// wall time per thread count plus the digest bit-identity gate across
-/// thread x shard combinations.
+/// thread counts.
 int run_generator_classes(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 3;
   const std::uint64_t cycles = quick ? 256 : 1024;
@@ -91,17 +91,7 @@ int run_generator_classes(bool quick, wsp::bench::JsonReporter& json) {
         serial_ms = ms;
         base_digest = result.delivery_digest;
       }
-      // Shard sweep at this thread count: the mesh partition must not
-      // leak into the delivery trace.
-      bool identical = result.delivery_digest == base_digest;
-      for (const int shards : {2, 8}) {
-        noc::NocOptions nopt;
-        nopt.mesh.shards = shards;
-        noc::NocSystem noc(faults, nopt);
-        auto gen = make_generator(spec, config, faults);
-        identical &= run_workload_traffic(noc, *gen, cycles)
-                         .delivery_digest == base_digest;
-      }
+      const bool identical = result.delivery_digest == base_digest;
       if (!identical) rc = 1;
       std::printf("%-15s %8d %12.2f %10llu %8llu %8llu %8llu %10s\n",
                   to_string(cls), threads, ms,
@@ -124,7 +114,7 @@ int run_generator_classes(bool quick, wsp::bench::JsonReporter& json) {
   if (rc != 0)
     std::fprintf(stderr,
                  "FAIL: a generator class's delivery trace diverged across "
-                 "thread/shard counts\n");
+                 "thread counts\n");
   std::printf("\n");
   return rc;
 }

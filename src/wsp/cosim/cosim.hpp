@@ -198,7 +198,7 @@ class CosimLoop {
   const workloads::TrafficGenerator& generator() const { return *gen_; }
   /// Round-trip latencies of every transaction completed so far (issue
   /// order-independent: appended in completion order, which is itself
-  /// bit-identical across thread/shard counts).  Checkpoint state, so a
+  /// bit-identical across thread counts).  Checkpoint state, so a
   /// resumed run reports the same percentiles an uninterrupted one does.
   const std::vector<std::uint64_t>& latencies() const { return latencies_; }
   /// Nearest-rank latency percentiles + counts over latencies(), published

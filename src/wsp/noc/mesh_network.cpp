@@ -6,24 +6,10 @@
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
-#include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/odd_even.hpp"
 #include "wsp/obs/trace.hpp"
 
 namespace wsp::noc {
-
-namespace {
-
-/// Default column-band count: one band per ~4 columns so a full-wafer
-/// 32x32 mesh splits eight ways, while small test grids stay single-band
-/// (one band means the phased stepper runs inline with no pool dispatch).
-/// Pure function of the grid width — never of the thread count.
-int default_shards(int width) {
-  if (width < 16) return 1;
-  return std::clamp(width / 4, 1, 16);
-}
-
-}  // namespace
 
 MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
                          const MeshOptions& options,
@@ -59,7 +45,6 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
   require(options.link_latency >= 1, "links take at least one cycle");
   require(options.integrity.max_retransmits >= 0,
           "retransmit budget cannot be negative");
-  require(options.shards >= 0, "shard count cannot be negative");
 
   const std::size_t n = grid_.tile_count();
   q_slots_.assign(n * kPortCount * cap_, 0);
@@ -88,24 +73,14 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
     }
   }
 
-  const int w = static_cast<int>(grid_.width());
-  int s = options.shards > 0 ? options.shards : default_shards(w);
-  s = std::clamp(s, 1, std::max(1, w));
-  shards_ = static_cast<std::size_t>(s);
-  shard_x0_.resize(shards_ + 1);
-  for (std::size_t i = 0; i <= shards_; ++i)
-    shard_x0_[i] = static_cast<int>(static_cast<std::size_t>(w) * i / shards_);
-  scratch_.resize(shards_);
-  metrics_->gauge(prefix + "shards").set(static_cast<double>(shards_));
-
   if (options_.integrity.enabled) {
     link_errors_.assign(n, {});
     link_traversals_.assign(n, {});
     tx_seq_.assign(n, {});
     rx_seq_.assign(n, {});
     link_next_free_.assign(n, {});
-    // One independent stream per directed link, so the order shards happen
-    // to sample channels in can never change what any one link draws.
+    // One independent stream per directed link, so the order tiles land in
+    // can never change what any one link draws.
     link_rng_.reserve(n * 4);
     const std::uint64_t base = options.integrity.seed ^
                                (static_cast<std::uint64_t>(kind) << 32);
@@ -196,8 +171,7 @@ bool MeshNetwork::inject(const Packet& packet) {
 }
 
 MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
-                                                       std::uint64_t now,
-                                                       ShardScratch& sc) {
+                                                       std::uint64_t now) {
   const auto port = static_cast<std::size_t>(t.dst_port);
 
   if (options_.integrity.enabled) {
@@ -208,10 +182,10 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
         // The channel flipped at least one of the 100 wire bits.
         if (rng.uniform() < kCrcEscapeProbability) {
           // Aliased to a valid codeword: delivered with poisoned payload.
-          ++sc.d_crc_escapes;
+          ctr_.crc_escapes->add();
           pool_[t.pkt].payload ^= 1;
         } else {
-          ++sc.d_crc_detected;
+          ctr_.crc_detected->add();
           ++link_errors_[t.src_tile][t.dir];
           if (options_.integrity.retransmit &&
               t.retransmits < static_cast<std::uint8_t>(
@@ -220,10 +194,8 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
             // frame (one NACK flight + one resend flight) and every frame
             // behind it on the same link, preserving per-link order.  The
             // downstream credit stays reserved for the whole retry.
-            ++sc.d_link_retransmits;
-            ++sc.d_link_traversals;
-            // Charged to the landing tile (the unique writer in this
-            // phase); the sender's tile may belong to another shard.
+            ctr_.link_retransmits->add();
+            ctr_.link_traversals->add();
             ++tile_activity_[t.dst_tile].retransmits;
             ++link_traversals_[t.src_tile][t.dir];
             ++t.retransmits;
@@ -242,12 +214,11 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
           // Budget exhausted (or retransmission disabled): drop here and
           // let the end-to-end timeout recover.  Both ends skip the lost
           // sequence number as part of the final NACK handshake.
-          ++sc.d_link_error_drops;
+          ctr_.link_error_drops->add();
           rx_seq_[t.dst_tile][port] =
               static_cast<std::uint8_t>((t.seq + 1) & 0xF);
           --link_[static_cast<std::size_t>(t.src_tile) * 4 + t.dir].pending;
-          --sc.d_in_flight;
-          sc.freed.push_back(t.pkt);
+          pool_release(t.pkt);
           return ChannelOutcome::Dropped;
         }
       }
@@ -255,10 +226,9 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
     // Receiver-side sequence check keeps delivery idempotent: anything but
     // the expected number is a stale replay and is rejected.
     if (t.seq != rx_seq_[t.dst_tile][port]) {
-      ++sc.d_dup_dropped;
+      ctr_.dup_dropped->add();
       --link_[static_cast<std::size_t>(t.src_tile) * 4 + t.dir].pending;
-      --sc.d_in_flight;
-      sc.freed.push_back(t.pkt);
+      pool_release(t.pkt);
       return ChannelOutcome::Dropped;
     }
     rx_seq_[t.dst_tile][port] = static_cast<std::uint8_t>((t.seq + 1) & 0xF);
@@ -269,65 +239,52 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
   return ChannelOutcome::Accept;
 }
 
-void MeshNetwork::phase_land(int s) {
+void MeshNetwork::land() {
   const std::uint64_t now = ctr_.cycles->value;
-  ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
-  const int w = static_cast<int>(grid_.width());
-  const int h = static_cast<int>(grid_.height());
-  const int x0 = shard_x0_[static_cast<std::size_t>(s)];
-  const int x1 = shard_x0_[static_cast<std::size_t>(s) + 1];
+  const std::size_t n = grid_.tile_count();
 
-  for (int y = 0; y < h; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      const std::size_t t =
-          static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-          static_cast<std::size_t>(x);
-      // Drain every due transfer on each incoming link.  Arrivals on one
-      // link are monotone, so the per-ring scan stops at the first future
-      // frame; a Retried outcome re-queues at now + 2*latency, which also
-      // fails the `<= now` test and ends the scan.  A frame arriving at a
-      // tile that died while it was on the wire is lost here.
-      for (std::size_t p = 0; p < 4; ++p) {
-        const std::int32_t r = in_ring_[t * 4 + p];
-        if (r < 0) continue;
-        const auto link = static_cast<std::size_t>(r);
-        while (link_[link].count != 0 &&
-               ring_front(link).arrival_cycle <= now) {
-          LinkTransfer tr = ring_front(link);
-          ring_pop(link);
-          if (tile_faulty_[t]) {
-            if (options_.integrity.enabled)
-              rx_seq_[t][p] = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
-            --link_[link].pending;
-            ++sc.d_dropped_at_fault;
-            --sc.d_in_flight;
-            sc.freed.push_back(tr.pkt);
-            continue;
-          }
-          channel_admit(tr, now, sc);
+  for (std::size_t t = 0; t < n; ++t) {
+    // Drain every due transfer on each incoming link.  Arrivals on one
+    // link are monotone, so the per-ring scan stops at the first future
+    // frame; a Retried outcome re-queues at now + 2*latency, which also
+    // fails the `<= now` test and ends the scan.  A frame arriving at a
+    // tile that died while it was on the wire is lost here.
+    for (std::size_t p = 0; p < 4; ++p) {
+      const std::int32_t r = in_ring_[t * 4 + p];
+      if (r < 0) continue;
+      const auto link = static_cast<std::size_t>(r);
+      while (link_[link].count != 0 &&
+             ring_front(link).arrival_cycle <= now) {
+        LinkTransfer tr = ring_front(link);
+        ring_pop(link);
+        if (tile_faulty_[t]) {
+          if (options_.integrity.enabled)
+            rx_seq_[t][p] = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
+          --link_[link].pending;
+          ctr_.dropped_at_fault->add();
+          pool_release(tr.pkt);
+          continue;
         }
-        // Freeze this cycle's credit snapshot on the upstream link record.
-        // Its unique source router reads (and on grant, decrements) it
-        // during phase_route; a slot freed by this cycle's pops becomes
-        // visible to the sender one cycle later.
-        link_[link].space = static_cast<std::uint16_t>(
-            cap_ - tiles_[t].q_size[p] - link_[link].pending);
+        channel_admit(tr, now);
       }
+      // Freeze this cycle's credit snapshot on the upstream link record.
+      // Its source router reads (and on grant, decrements) it during
+      // route; a slot freed by this cycle's pops becomes visible to the
+      // sender one cycle later.
+      link_[link].space = static_cast<std::uint16_t>(
+          cap_ - tiles_[t].q_size[p] - link_[link].pending);
     }
   }
 }
 
-void MeshNetwork::phase_route(int s) {
+void MeshNetwork::route(std::vector<Packet>& ejected) {
   const std::uint64_t now = ctr_.cycles->value;
-  ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
   const int w = static_cast<int>(grid_.width());
   const int h = static_cast<int>(grid_.height());
-  const int x0 = shard_x0_[static_cast<std::size_t>(s)];
-  const int x1 = shard_x0_[static_cast<std::size_t>(s) + 1];
   const bool have_table = have_route9_;
 
   for (int y = 0; y < h; ++y) {
-    for (int x = x0; x < x1; ++x) {
+    for (int x = 0; x < w; ++x) {
       const std::size_t t =
           static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
           static_cast<std::size_t>(x);
@@ -366,10 +323,9 @@ void MeshNetwork::phase_route(int s) {
             // The single DoR direction is dead (the kernel's fault-map
             // discipline exists to prevent this).
             want[in] = -1;
-            sc.freed.push_back(q_front_idx(t, in));
+            pool_release(q_front_idx(t, in));
             q_pop(t, in);
-            ++sc.d_dropped_at_fault;
-            --sc.d_in_flight;
+            ctr_.dropped_at_fault->add();
             continue;
           }
           if (link_[t * 4 + r].space > 0) {
@@ -414,10 +370,9 @@ void MeshNetwork::phase_route(int s) {
           }
         }
         if (!any_healthy) {
-          sc.freed.push_back(q_front_idx(t, in));
+          pool_release(q_front_idx(t, in));
           q_pop(t, in);
-          ++sc.d_dropped_at_fault;
-          --sc.d_in_flight;
+          ctr_.dropped_at_fault->add();
         }
       }
 
@@ -449,13 +404,13 @@ void MeshNetwork::phase_route(int s) {
 
         if (out == static_cast<std::size_t>(Port::Local)) {
           pool_[idx].delivered_cycle = now;
-          sc.ejected.emplace_back(static_cast<std::uint32_t>(t), idx);
-          ++sc.d_ejected;
-          --sc.d_in_flight;
+          ejected.push_back(pool_[idx]);
+          pool_release(idx);
+          ctr_.ejected->add();
         } else {
           ++link_[t * 4 + out].pending;
           --link_[t * 4 + out].space;
-          ++sc.d_link_traversals;
+          ctr_.link_traversals->add();
           ++tile_activity_[t].traversals;
           LinkTransfer tr;
           tr.arrival_cycle =
@@ -485,76 +440,12 @@ void MeshNetwork::phase_route(int s) {
   }
 }
 
-void MeshNetwork::phase_commit(std::vector<Packet>& ejected) {
-  std::size_t total = 0;
-  for (ShardScratch& sc : scratch_) {
-    ctr_.ejected->add(sc.d_ejected);
-    ctr_.dropped_at_fault->add(sc.d_dropped_at_fault);
-    ctr_.link_traversals->add(sc.d_link_traversals);
-    ctr_.crc_detected->add(sc.d_crc_detected);
-    ctr_.crc_escapes->add(sc.d_crc_escapes);
-    ctr_.link_retransmits->add(sc.d_link_retransmits);
-    ctr_.link_error_drops->add(sc.d_link_error_drops);
-    ctr_.dup_dropped->add(sc.d_dup_dropped);
-    in_flight_ = static_cast<std::size_t>(
-        static_cast<std::int64_t>(in_flight_) + sc.d_in_flight);
-    sc.d_ejected = sc.d_dropped_at_fault = sc.d_link_traversals = 0;
-    sc.d_crc_detected = sc.d_crc_escapes = sc.d_link_retransmits = 0;
-    sc.d_link_error_drops = sc.d_dup_dropped = 0;
-    sc.d_in_flight = 0;
-    for (const std::uint32_t f : sc.freed) pool_free_.push_back(f);
-    sc.freed.clear();
-    total += sc.ejected.size();
-  }
-
-  if (total > 0) {
-    // Only the Local port ejects and each output grants once per cycle, so
-    // tile indices are unique: sorting restores the global tile order the
-    // serial sweep produced (shards interleave per row).
-    if (shards_ == 1) {
-      for (const auto& [tile, pkt] : scratch_[0].ejected) {
-        ejected.push_back(pool_[pkt]);
-        pool_free_.push_back(pkt);
-      }
-      scratch_[0].ejected.clear();
-    } else {
-      eject_merge_.clear();
-      for (ShardScratch& sc : scratch_) {
-        for (const auto& e : sc.ejected) eject_merge_.push_back(e);
-        sc.ejected.clear();
-      }
-      std::sort(eject_merge_.begin(), eject_merge_.end(),
-                [](const std::pair<std::uint32_t, std::uint32_t>& a,
-                   const std::pair<std::uint32_t, std::uint32_t>& b) {
-                  return a.first < b.first;
-                });
-      for (const auto& [tile, pkt] : eject_merge_) {
-        ejected.push_back(pool_[pkt]);
-        pool_free_.push_back(pkt);
-      }
-    }
-  }
-
-  ctr_.cycles->add();
-  assert(conservation_holds());
-}
-
 void MeshNetwork::step(std::vector<Packet>& ejected) {
   WSP_TRACE_SPAN("noc.mesh.step");
-  const int s = shard_count();
-  if (s > 1 && !exec::ThreadPool::on_worker_thread()) {
-    exec::ThreadPool& pool = exec::shared_pool();
-    pool.run_chunks(static_cast<std::size_t>(s), [this](std::size_t c) {
-      phase_land(static_cast<int>(c));
-    });
-    pool.run_chunks(static_cast<std::size_t>(s), [this](std::size_t c) {
-      phase_route(static_cast<int>(c));
-    });
-  } else {
-    for (int c = 0; c < s; ++c) phase_land(c);
-    for (int c = 0; c < s; ++c) phase_route(c);
-  }
-  phase_commit(ejected);
+  land();
+  route(ejected);
+  ctr_.cycles->add();
+  assert(conservation_holds());
 }
 
 std::size_t MeshNetwork::recount_in_flight() const {
@@ -586,10 +477,9 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
       for (std::size_t i = 0; i < sz; ++i) {
         std::size_t slot = static_cast<std::size_t>(ts.q_head[p]) + i;
         if (slot >= cap_) slot -= cap_;
-        pool_free_.push_back(q_slots_[qbase(t, p) + slot]);
+        pool_release(q_slots_[qbase(t, p) + slot]);
       }
       ctr_.purged_in_dead_router->add(sz);
-      in_flight_ -= sz;
       ts.q_size[p] = 0;
       ts.q_head[p] = 0;
     }
@@ -604,9 +494,8 @@ std::optional<std::uint64_t> MeshNetwork::corrupt_head_packet(TileCoord tile) {
     if (tiles_[t].q_size[p] == 0) continue;
     const std::uint32_t idx = q_front_idx(t, p);
     const std::uint64_t id = pool_[idx].id;
-    pool_free_.push_back(idx);
+    pool_release(idx);
     q_pop(t, p);
-    --in_flight_;
     ctr_.corrupted->add();
     return id;
   }
@@ -716,7 +605,7 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(kind_));
   // Behavioural options are part of the schema: resuming under different
   // queue capacities or a different channel model would not reproduce the
-  // saver's future.  (`shards` is excluded on purpose — see header.)
+  // saver's future.
   w.i32(options_.input_queue_capacity);
   w.i32(options_.link_latency);
   w.b(options_.adaptive_odd_even);

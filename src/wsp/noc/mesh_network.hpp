@@ -25,34 +25,26 @@
 // poisoned payload and counted — detected-not-silent, quantified.
 //
 // ---------------------------------------------------------------------------
-// Sharded stepping (see DESIGN.md "Sharded NoC simulation")
+// Cycle semantics (see DESIGN.md "NoC cycle semantics")
 //
-// The mesh is partitioned into fixed column bands — a pure function of the
-// grid width and the configured shard count, never of the thread count —
-// and each cycle runs as two data-parallel phases separated by barriers:
+// step() runs one cycle as two passes over the tiles in tile-index order,
+// then advances the cycle counter:
 //
-//   phase_land   per shard: pop every due LinkTransfer off the per-link
-//                rings whose destination tile lies in the shard, run it
-//                through the BER channel (per-link RNG streams), push it
-//                into the destination input queue, then refresh the
-//                shard's credit snapshot (free slots per input port).
-//   phase_route  per shard: arbitrate every router in the shard against
-//                the frozen credit snapshot; grants pop the local input
-//                queue and push onto the *outgoing* per-link ring.
-//   phase_commit serial: fold the per-shard counter deltas in shard
-//                order, merge per-shard ejections into global tile-index
-//                order, advance the cycle counter.
+//   land   pop every due LinkTransfer off each tile's incoming link rings,
+//          run it through the BER channel (per-link RNG streams), push it
+//          into the destination input queue, then freeze the credit
+//          snapshot (free slots per input port) on the upstream link.
+//   route  arbitrate every router against the frozen credit snapshot;
+//          grants pop the local input queue and push onto the outgoing
+//          link ring, or eject through the Local port.
 //
-// Every mutable word has exactly one writer per phase (a directed link's
-// ring is popped only by its destination shard in phase_land and pushed
-// only by its source shard in phase_route; a credit word is decremented
-// only by the unique upstream router), so the result is bit-identical for
-// every thread count *and* every shard count.  Router arbitration reads
-// only the frozen start-of-cycle credit snapshot: a slot freed by a pop
-// becomes visible to the upstream sender one cycle later, which is also
-// how real credit-return wires behave.  The pre-sharding stepper instead
-// let routers late in the serial sweep observe pops made earlier in the
-// same sweep — a sweep-order artifact this refactor removes.
+// Router arbitration reads only the frozen start-of-cycle credit snapshot:
+// a slot freed by a pop becomes visible to the upstream sender one cycle
+// later, which is also how real credit-return wires behave.  Within a pass
+// no tile reads what another tile writes (a link's ring is popped only by
+// its destination's land and pushed only by its source's route), and each
+// link samples its own RNG stream, so visit order cannot change the
+// result; tile-index order only fixes the order of ejections.
 #pragma once
 
 #include <array>
@@ -92,11 +84,6 @@ struct MeshOptions {
   /// wsp/noc/odd_even.hpp).  Deadlock-free without virtual channels; the
   /// adaptivity steers around congestion and faulty tiles.
   bool adaptive_odd_even = false;
-  /// Column-band shard count for the parallel stepper; 0 picks one band
-  /// per ~4 columns (capped at 16).  The partition is a pure function of
-  /// (grid width, this value) and the simulation result is bit-identical
-  /// for every shard count — the knob only tunes parallel grain.
-  int shards = 0;
   /// Hop-level BER channel + CRC/NACK protocol (off by default).
   LinkIntegrityOptions integrity{};
 };
@@ -105,9 +92,7 @@ struct MeshOptions {
 /// (wsp::cosim).  Totals since construction, never reset: an epoch driver
 /// diffs successive snapshots, so resuming from a checkpoint reproduces the
 /// same deltas.  `retransmits` are charged to the *landing* tile of the
-/// corrupted hop (the receiver pays the NACK/resend cost) — that tile is
-/// uniquely owned by the landing shard, which is what keeps the increment
-/// race-free under the unique-writer-per-phase discipline.
+/// corrupted hop (the receiver pays the NACK/resend cost).
 struct TileActivity {
   std::uint64_t injections = 0;   ///< packets entering at this source
   std::uint64_t traversals = 0;   ///< link grants leaving this tile
@@ -161,38 +146,19 @@ class MeshNetwork {
   /// nothing) when the local FIFO is full or the tile is faulty.
   bool inject(const Packet& packet);
 
-  /// Advances one cycle; appends packets ejected at their destination this
-  /// cycle to `ejected`.  The buffer is append-only and identity-agnostic:
+  /// Advances one cycle (land, route, commit; see the header comment);
+  /// appends packets ejected at their destination this cycle to `ejected`
+  /// in tile-index order.  The buffer is append-only and identity-agnostic:
   /// callers may (and should) reuse one cleared-not-shrunk vector across
   /// cycles — results are identical either way.
   void step(std::vector<Packet>& ejected);
-
-  // --- sharded stepping interface -----------------------------------------
-  // step() is sugar for: phase_land for every shard, barrier, phase_route
-  // for every shard, barrier, phase_commit.  NocSystem drives the phases
-  // directly so both meshes' shards share one thread-pool dispatch.  The
-  // two land/route phase calls of one cycle may run concurrently across
-  // shards; commit is serial.
-
-  /// Number of column-band shards (>= 1; pure function of grid + options).
-  int shard_count() const { return static_cast<int>(shards_); }
-  /// Lands due transfers into shard `s`'s tiles and refreshes its credit
-  /// snapshot.  Safe to run concurrently with other shards' phase_land.
-  void phase_land(int s);
-  /// Arbitrates shard `s`'s routers against the frozen credit snapshot.
-  /// Safe to run concurrently with other shards' phase_route; requires
-  /// every shard's phase_land of this cycle to have completed.
-  void phase_route(int s);
-  /// Folds per-shard deltas (shard order), merges ejections into global
-  /// tile-index order onto `ejected`, advances the cycle.  Serial.
-  void phase_commit(std::vector<Packet>& ejected);
 
   /// Total packets buffered in routers or in flight on links.
   std::size_t in_flight() const { return in_flight_; }
 
   /// Test support: recounts in-flight packets the slow way (input queues +
   /// per-link rings).  Equal to in_flight() whenever the mesh is between
-  /// cycles — the cross-shard packet-conservation invariant.
+  /// cycles — the packet-conservation invariant.
   std::size_t recount_in_flight() const;
 
   /// Adopts a new fault state mid-run (runtime fault injection).  Packets
@@ -243,14 +209,11 @@ class MeshNetwork {
   /// mutable state — packet pool, input queues, per-link rings, packed
   /// credit words, per-link RNG streams, retransmit protocol state, BER
   /// map, fault state and counters — so a load followed by step() is
-  /// bit-identical to never having stopped, at every thread and shard
-  /// count.  Derived tables (route9, link_ok_, neighbour maps) are
-  /// rebuilt, not stored.  load_state targets a mesh constructed over the
-  /// same grid, kind and behavioural options as the saver; anything else
-  /// throws ckpt::Error (TopologyMismatch / SchemaMismatch).  The shard
-  /// count is deliberately *not* part of the schema: results are
-  /// shard-count-invariant, so a snapshot may be resumed under a
-  /// different parallel grain.
+  /// bit-identical to never having stopped.  Derived tables (route9,
+  /// link_ok_, neighbour maps) are rebuilt, not stored.  load_state targets
+  /// a mesh constructed over the same grid, kind and behavioural options as
+  /// the saver; anything else throws ckpt::Error (TopologyMismatch /
+  /// SchemaMismatch).
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -288,25 +251,6 @@ class MeshNetwork {
     obs::Counter* dup_dropped = nullptr;
   };
 
-  /// Per-shard accumulators: counter deltas, this cycle's ejections, and
-  /// pool slots freed by drops, all folded serially (in shard order) by
-  /// phase_commit so the registry, in_flight_ and the pool free list are
-  /// only ever written single-threaded.  Ejections carry their tile index
-  /// so the merge restores global tile order.
-  struct ShardScratch {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> ejected;  // (tile, pool idx)
-    std::vector<std::uint32_t> freed;  ///< pool slots released by drops
-    std::uint64_t d_ejected = 0;
-    std::uint64_t d_dropped_at_fault = 0;
-    std::uint64_t d_link_traversals = 0;
-    std::uint64_t d_crc_detected = 0;
-    std::uint64_t d_crc_escapes = 0;
-    std::uint64_t d_link_retransmits = 0;
-    std::uint64_t d_link_error_drops = 0;
-    std::uint64_t d_dup_dropped = 0;
-    std::int64_t d_in_flight = 0;
-  };
-
   // Route-table codes for route9_[tile * 9 + case]:
   //   0..3  forward out that Direction (the link is currently usable)
   //   4     eject (here == dst)
@@ -326,17 +270,15 @@ class MeshNetwork {
   /// packets actually in flight (tens of KB at realistic loads) instead of
   /// the multi-MB queue/ring slabs that dominated cache misses when the
   /// slabs stored whole Packets.  Slots are allocated only by inject()
-  /// (serial, between cycles — the vector never reallocates inside a
-  /// phase) and freed serially by phase_commit in shard order; a pool
-  /// entry is written during a phase only by the shard that owns the
-  /// packet's current position, preserving the unique-writer property.
+  /// (between cycles) and released the moment their packet leaves the
+  /// mesh; the order of free slots is internal and never observable.
   std::vector<Packet> pool_;
   std::vector<std::uint32_t> pool_free_;
 
   /// All per-tile router state one arbitration pass reads, packed into a
-  /// single cache line so the phase_route want/grant loops touch one line
-  /// per router instead of five parallel arrays.  Written only by the
-  /// shard that owns the tile (land pushes into its queues, route pops).
+  /// single cache line so the route want/grant loops touch one line per
+  /// router instead of five parallel arrays (land pushes into its queues,
+  /// route pops).
   /// route9: precomputed DoR decision per sign-pair case — dimension-order
   /// routing only reads (sign(dst.x - x), sign(dst.y - y)), so the full
   /// (src, dst) table factors into 9 cases with link health folded in,
@@ -364,10 +306,9 @@ class MeshNetwork {
   /// are 32 contiguous bytes.  `pending` counts credits reserved by
   /// granted-but-not-landed transfers; `space` is the frozen free-slot
   /// snapshot of the *downstream* input FIFO the sender arbitrates
-  /// against.  Per field the unique-writer-per-phase property holds:
-  /// phase_land (destination shard) pops the ring and refreshes
-  /// pending/space, phase_route (source shard) pushes the ring and
-  /// consumes space.
+  /// against.  Land (at the destination) pops the ring and refreshes
+  /// pending/space; route (at the source) pushes the ring and consumes
+  /// space.
   struct LinkState {
     std::uint16_t head = 0;     ///< ring head slot
     std::uint16_t count = 0;    ///< frames in flight on the link
@@ -395,16 +336,7 @@ class MeshNetwork {
   /// odd-even, which routes dynamically.
   bool have_route9_ = false;
 
-  // Shard layout (fixed at construction):
-  std::size_t shards_ = 1;
-  std::vector<int> shard_x0_;  ///< shards_+1 column boundaries
-  std::vector<ShardScratch> scratch_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> eject_merge_;
-
-  /// Per-tile activity totals (injections serial; traversals written only
-  /// by the routing shard that owns the tile; retransmits only by the
-  /// landing shard that owns the destination tile).
-  std::vector<TileActivity> tile_activity_;
+  std::vector<TileActivity> tile_activity_;  ///< indexed by tile
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -413,8 +345,8 @@ class MeshNetwork {
 
   // Link-integrity state (allocated only when integrity is enabled).
   LinkBerMap ber_;
-  /// One channel-sampling stream per directed link: sampling order across
-  /// links then cannot matter, which is what lets shards land concurrently.
+  /// One channel-sampling stream per directed link: what a link draws
+  /// depends only on the frames crossing it, never on tile visit order.
   std::vector<Rng> link_rng_;
   std::vector<std::array<std::uint64_t, 4>> link_errors_;
   std::vector<std::array<std::uint64_t, 4>> link_traversals_;
@@ -433,6 +365,11 @@ class MeshNetwork {
     }
     pool_.push_back(p);
     return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  /// Releases the slot of a packet that left the mesh (ejected or lost).
+  void pool_release(std::uint32_t idx) {
+    pool_free_.push_back(idx);
+    --in_flight_;
   }
 
   std::size_t qbase(std::size_t tile, std::size_t port) const {
@@ -489,6 +426,9 @@ class MeshNetwork {
   }
 
   void rebuild_topology();
+  /// The two passes of step(), each over every tile in index order.
+  void land();
+  void route(std::vector<Packet>& ejected);
 
   enum class ChannelOutcome {
     Accept,   ///< survived the channel (possibly as a counted escape)
@@ -497,8 +437,7 @@ class MeshNetwork {
   };
   /// Runs the landing transfer through the BER channel + CRC + sequence
   /// protocol.  May re-queue `t` at the head of its link ring (Retried).
-  ChannelOutcome channel_admit(LinkTransfer t, std::uint64_t now,
-                               ShardScratch& sc);
+  ChannelOutcome channel_admit(LinkTransfer t, std::uint64_t now);
 };
 
 }  // namespace wsp::noc

@@ -5,7 +5,6 @@
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
-#include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/routing.hpp"
 #include "wsp/obs/trace.hpp"
 
@@ -352,7 +351,7 @@ void NocSystem::step(std::vector<CompletedTransaction>& done) {
   WSP_TRACE_SPAN("noc.step");
   // Cycle-boundary BER swap: a map staged by set_link_ber becomes visible
   // to both meshes here, before any packet moves this cycle — never
-  // mid-cycle between shard phases (see the set_link_ber contract).
+  // mid-cycle between the two meshes (see the set_link_ber contract).
   if (staged_ber_) {
     xy_.set_link_ber(*staged_ber_);
     yx_.set_link_ber(*staged_ber_);
@@ -382,40 +381,10 @@ void NocSystem::step(std::vector<CompletedTransaction>& done) {
     }
   }
 
-  // Step both meshes through the sharded phase protocol with one fused
-  // pool dispatch per phase: chunk c covers an XY shard for c < sx and a
-  // YX shard otherwise, so every shard of both networks lands (then
-  // routes) inside a single barrier.  Commits run serially, XY before YX —
-  // the same ejection order the sequential xy_.step(); yx_.step() had.
-  const std::size_t sx = static_cast<std::size_t>(xy_.shard_count());
-  const std::size_t sy = static_cast<std::size_t>(yx_.shard_count());
-  if (sx + sy > 2 && !exec::ThreadPool::on_worker_thread()) {
-    exec::ThreadPool& pool = exec::shared_pool();
-    pool.run_chunks(sx + sy, [&](std::size_t c) {
-      if (c < sx)
-        xy_.phase_land(static_cast<int>(c));
-      else
-        yx_.phase_land(static_cast<int>(c - sx));
-    });
-    pool.run_chunks(sx + sy, [&](std::size_t c) {
-      if (c < sx)
-        xy_.phase_route(static_cast<int>(c));
-      else
-        yx_.phase_route(static_cast<int>(c - sx));
-    });
-  } else {
-    for (std::size_t c = 0; c < sx; ++c)
-      xy_.phase_land(static_cast<int>(c));
-    for (std::size_t c = 0; c < sy; ++c)
-      yx_.phase_land(static_cast<int>(c));
-    for (std::size_t c = 0; c < sx; ++c)
-      xy_.phase_route(static_cast<int>(c));
-    for (std::size_t c = 0; c < sy; ++c)
-      yx_.phase_route(static_cast<int>(c));
-  }
+  // The meshes are independent; XY ejections precede YX ones.
   eject_scratch_.clear();
-  xy_.phase_commit(eject_scratch_);
-  yx_.phase_commit(eject_scratch_);
+  xy_.step(eject_scratch_);
+  yx_.step(eject_scratch_);
   for (const Packet& p : eject_scratch_) handle_ejection(p, done);
   process_timeouts();
   ++cycle_;

@@ -237,7 +237,7 @@ class NocSystem {
   /// Defined swap semantics vs in-flight packets: the staged map is
   /// adopted at the *next cycle boundary* (the top of the following
   /// step()), never mid-cycle — so every link samples one coherent map per
-  /// cycle regardless of shard/thread interleaving, and an epoch driver
+  /// cycle, and an epoch driver
   /// that calls this between steps gets an exact epoch-boundary swap.
   /// Calling it again before the next step simply replaces the staged map
   /// (last writer wins).  The grids must match (throws wsp::Error).

@@ -856,7 +856,6 @@ std::uint32_t DegradationCampaign::options_fingerprint() const {
   w.i32(n.mesh.input_queue_capacity);
   w.i32(n.mesh.link_latency);
   w.b(n.mesh.adaptive_odd_even);
-  // n.mesh.shards deliberately excluded: pure parallel grain.
   w.b(n.mesh.integrity.enabled);
   w.b(n.mesh.integrity.retransmit);
   w.i32(n.mesh.integrity.max_retransmits);

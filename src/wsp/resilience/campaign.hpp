@@ -218,9 +218,8 @@ class DegradationCampaign {
       const CampaignCheckpointOptions& ckpt) const;
 
   /// CRC-32 over the serialised behavioural options (config, schedule/mix,
-  /// traffic, NoC, PDN and link-health parameters; the mesh shard count is
-  /// excluded — it only tunes parallel grain).  The campaign identity a
-  /// checkpoint or shard file must match to be resumed or merged.
+  /// traffic, NoC, PDN and link-health parameters).  The campaign identity
+  /// a checkpoint or shard file must match to be resumed or merged.
   std::uint32_t options_fingerprint() const;
 
  private:

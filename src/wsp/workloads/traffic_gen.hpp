@@ -213,7 +213,7 @@ struct WorkloadRunResult {
   /// CRC-32 over the delivery trace: every transaction completed during
   /// the run (and its drain), serialised in completion order as
   /// (src, dst, issue_cycle, complete_cycle, relayed).  The golden-trace
-  /// regression constant — bit-identical across thread and shard counts.
+  /// regression constant — bit-identical across thread counts.
   std::uint32_t delivery_digest = 0;
   std::uint64_t injections = 0;  ///< injections the generator emitted
 };

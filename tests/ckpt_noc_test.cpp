@@ -6,8 +6,8 @@
 // the re-serialised state (every counter, ring, RNG stream and credit
 // word goes through the comparison).  The NoC is exercised at 16x16 and
 // 32x32 with runtime faults and link-integrity BER in the window between
-// snapshot and comparison, and — because the stepper shards onto the
-// shared pool — the equality is asserted at thread counts 1, 2 and 8.
+// snapshot and comparison, and the equality is asserted at thread counts
+// 1, 2 and 8.
 // MeshNetwork, ClockSelector, ResistiveGrid, FaultInjector and the obs
 // metric types get the same round-trip treatment, plus the typed-error
 // paths for topology/schema mismatches.

@@ -1,11 +1,11 @@
 // Thread-count invariance: the determinism contract of the parallel
 // execution layer, asserted end to end.  The red-black PDN solve, the
 // whole-wafer PDN/thermal reports, the Monte Carlo campaign reports, and
-// the sharded NoC stepper must be bit-identical at threads = 1, 2, 8 —
-// the contract that keeps every seeded experiment replayable regardless
-// of the host machine.  The NoC adds a second axis: the column-band
-// shard count is a tuning knob, so results must also be bit-identical
-// across shard counts (see DESIGN.md "Sharded NoC simulation").
+// the NoC stepper must be bit-identical at threads = 1, 2, 8 — the
+// contract that keeps every seeded experiment replayable regardless of
+// the host machine.  The NoC runs are also pinned to golden CRCs, so the
+// cycle semantics themselves (see DESIGN.md "NoC cycle semantics") cannot
+// drift unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
 #include "wsp/exec/thread_pool.hpp"
@@ -227,7 +228,7 @@ TEST(ParallelInvariance, CampaignTrialsMatchSequentialSingleRuns) {
   }
 }
 
-// ------------------------------------------------- sharded NoC invariance
+// ------------------------------------------------------------ NoC stepper
 
 /// Flattened observable output of one seeded mesh workload: the full
 /// delivery trace (order included) plus every counter.  Two runs are "the
@@ -256,34 +257,49 @@ std::vector<std::uint64_t> flatten(const noc::MeshStats& s) {
           s.link_retransmits, s.link_error_drops, s.dup_dropped};
 }
 
-/// Drives one MeshNetwork with a seeded random workload for 400 cycles:
-/// random fault map, optional uniform BER, configurable shard count.
-/// Checks the per-cycle packet-conservation invariant as it goes and
-/// returns the flattened observable output.
-MeshRunResult run_mesh_workload(int shards, std::size_t fault_count,
+/// CRC-32 over the trace then the counters, serialised little-endian so
+/// the golden constants are host-independent.
+std::uint32_t crc_of(const MeshRunResult& r) {
+  ckpt::Writer w;
+  for (const std::uint64_t v : r.trace) w.u64(v);
+  for (const std::uint64_t v : r.stats) w.u64(v);
+  return ckpt::crc32(w.bytes().data(), w.size());
+}
+
+std::uint32_t crc_of(const std::string& s) {
+  return ckpt::crc32(reinterpret_cast<const std::uint8_t*>(s.data()),
+                     s.size());
+}
+
+/// Drives one XY MeshNetwork on an n x n grid with a seeded random
+/// workload for 400 cycles (`per_cycle` injection attempts per cycle for
+/// the first 300): random fault map, optional uniform BER.  Checks the
+/// per-cycle packet-conservation invariant as it goes and returns the
+/// flattened observable output.
+MeshRunResult run_mesh_workload(int n, int per_cycle, std::size_t fault_count,
                                 double ber, std::uint64_t seed) {
-  const TileGrid grid(12, 12);
+  const TileGrid grid(n, n);
   Rng fault_rng(seed);
   const FaultMap faults =
       FaultMap::random_with_count(grid, fault_count, fault_rng);
   noc::MeshOptions opt;
-  opt.shards = shards;
   opt.integrity.enabled = ber > 0.0;
   noc::MeshNetwork mesh(faults, noc::NetworkKind::XY, opt);
   if (ber > 0.0) mesh.set_link_ber(noc::LinkBerMap::uniform(grid, ber));
 
+  const auto side = static_cast<std::uint64_t>(n);
   Rng rng(seed ^ 0xABCDull);
   std::vector<noc::Packet> ejected;
   std::uint64_t next_id = 1;
   MeshRunResult out;
   for (std::uint64_t cycle = 0; cycle < 400; ++cycle) {
     if (cycle < 300) {
-      for (int k = 0; k < 4; ++k) {
+      for (int k = 0; k < per_cycle; ++k) {
         noc::Packet p;
-        p.src = {static_cast<int>(rng.below(12)),
-                 static_cast<int>(rng.below(12))};
-        p.dst = {static_cast<int>(rng.below(12)),
-                 static_cast<int>(rng.below(12))};
+        p.src = {static_cast<int>(rng.below(side)),
+                 static_cast<int>(rng.below(side))};
+        p.dst = {static_cast<int>(rng.below(side)),
+                 static_cast<int>(rng.below(side))};
         p.payload = rng();
         p.injected_cycle = cycle;
         p.id = next_id;
@@ -296,109 +312,79 @@ MeshRunResult run_mesh_workload(int shards, std::size_t fault_count,
     // Per-cycle packet conservation: the incremental in-flight counter
     // must agree with a from-scratch recount of every queue and link
     // ring, and the global conservation identity must hold.
-    EXPECT_EQ(mesh.in_flight(), mesh.recount_in_flight())
-        << "cycle " << cycle << " shards " << shards;
-    EXPECT_TRUE(mesh.conservation_holds())
-        << "cycle " << cycle << " shards " << shards;
+    EXPECT_EQ(mesh.in_flight(), mesh.recount_in_flight()) << "cycle " << cycle;
+    EXPECT_TRUE(mesh.conservation_holds()) << "cycle " << cycle;
   }
   out.stats = flatten(mesh.stats());
   return out;
 }
 
-TEST(ShardedNocInvariance, BitIdenticalAcrossShardAndThreadCounts) {
-  // Property sweep: random fault maps x BER settings, each simulated at
-  // every (shard count x thread count) combination.  The delivery trace
-  // (order included), every counter, and the per-cycle conservation
-  // invariant must match the serial single-shard reference exactly.
+TEST(NocStepper, MeshTraceAndStatsMatchGoldens) {
+  // Random fault maps x BER settings, each pinned to the CRC of its
+  // delivery trace (order included) and every counter.  The constants
+  // were recorded with the former column-band stepper (one band at 12x12,
+  // eight at 32x32, every thread count agreeing), so they pin the
+  // frozen-credit land -> route -> commit semantics, the per-link BER
+  // streams and the tile-order ejections across the move to one serial
+  // pass.
   struct Case {
+    int n;
+    int per_cycle;
     std::size_t faults;
     double ber;
     std::uint64_t seed;
+    std::uint32_t golden;
   };
   const Case cases[] = {
-      {0, 0.0, 11},      // clean wafer, integrity off
-      {5, 0.0, 22},      // faulty tiles, integrity off
-      {0, 1e-4, 33},     // noisy links, retransmit protocol active
-      {7, 1e-3, 44},     // faults + heavy noise together
+      {12, 4, 0, 0.0, 11, 0x745b8ab1u},   // clean wafer, integrity off
+      {12, 4, 5, 0.0, 22, 0xd646fb86u},   // faulty tiles, integrity off
+      {12, 4, 0, 1e-4, 33, 0xa2c28ce7u},  // noisy links, retransmits active
+      {12, 4, 7, 1e-3, 44, 0xff583d74u},  // faults + heavy noise together
+      {32, 24, 20, 1e-3, 55, 0x9756ab33u},  // full wafer, all of the above
   };
   for (const Case& c : cases) {
-    exec::set_shared_threads(1);
-    const MeshRunResult reference =
-        run_mesh_workload(/*shards=*/1, c.faults, c.ber, c.seed);
-    ASSERT_FALSE(reference.trace.empty());
-    for (const int shards : {2, 3, 8}) {
-      for (const int threads : {1, 2, 8}) {
-        exec::set_shared_threads(threads);
-        const MeshRunResult run =
-            run_mesh_workload(shards, c.faults, c.ber, c.seed);
-        EXPECT_EQ(run.trace, reference.trace)
-            << "seed " << c.seed << " shards " << shards << " threads "
-            << threads;
-        EXPECT_EQ(run.stats, reference.stats)
-            << "seed " << c.seed << " shards " << shards << " threads "
-            << threads;
-      }
-    }
+    const auto runs = at_thread_counts(
+        [&] { return run_mesh_workload(c.n, c.per_cycle, c.faults, c.ber,
+                                       c.seed); });
+    ASSERT_FALSE(runs[0].trace.empty());
+    EXPECT_EQ(crc_of(runs[0]), c.golden)
+        << c.n << "x" << c.n << " seed " << c.seed << ": actual 0x"
+        << std::hex << crc_of(runs[0]);
+    EXPECT_EQ(runs[1], runs[0]) << "seed " << c.seed << " threads 2";
+    EXPECT_EQ(runs[2], runs[0]) << "seed " << c.seed << " threads 8";
   }
-  exec::set_shared_threads(0);
 }
 
-std::vector<std::uint64_t> flatten(const noc::NocStats& s) {
-  return {s.issued,   s.completed,   s.unreachable, s.relayed,
-          s.latency_sum, s.latency_max, s.timeouts};
-}
-
-/// The "noc.*.shards" gauges record the *configured* shard count — they
-/// are the one registry entry allowed to differ across shard counts.
-/// Zero them so the rest of the report can be compared byte for byte.
-std::string normalize_shards_gauge(std::string json) {
-  for (const std::string key :
-       {std::string("\"noc.xy.shards\":"), std::string("\"noc.yx.shards\":")}) {
-    const std::size_t pos = json.find(key);
-    if (pos == std::string::npos) continue;
-    std::size_t end = pos + key.size();
-    while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
-    json.replace(pos + key.size(), end - (pos + key.size()), "0");
-  }
-  return json;
-}
-
-TEST(ShardedNocInvariance, NocSystemTrafficAndRegistryBitIdentical) {
-  // Full-system check: seeded traffic through NocSystem (both meshes,
-  // fused shard dispatch) with a bound MetricsRegistry.  The traffic
-  // report, NocStats, and the registry's serialised RunReport must be
-  // byte-identical across shard and thread counts.
+TEST(NocStepper, NocSystemTrafficAndRegistryMatchGolden) {
+  // Full-system check: seeded traffic through NocSystem (both meshes plus
+  // the request/response layer) with a bound MetricsRegistry.  The
+  // registry's serialised RunReport is pinned to a CRC recorded with the
+  // former column-band stepper, and must not move with the thread count.
   Rng fault_rng(99);
   const FaultMap faults =
       FaultMap::random_with_count(TileGrid(16, 16), 4, fault_rng);
 
-  const auto run_at = [&](int shards) {
-    noc::NocOptions opt;
-    opt.mesh.shards = shards;
+  const auto runs = at_thread_counts([&] {
     obs::MetricsRegistry registry;
-    noc::NocSystem noc{faults, opt, &registry};
+    noc::NocSystem noc{faults, noc::NocOptions{}, &registry};
     Rng rng(5);
     noc::TrafficConfig cfg;
     cfg.injection_rate = 0.02;
     const noc::TrafficReport r = noc::run_traffic(noc, cfg, 300, rng);
-    obs::RunReport report("sharded-invariance");
+    obs::RunReport report("noc-stepper");
     report.add_metrics("noc", registry);
-    return std::tuple{r.issued, r.completed, r.unreachable, r.mean_latency,
-                      flatten(noc.stats()),
-                      normalize_shards_gauge(report.to_json())};
-  };
-
-  exec::set_shared_threads(1);
-  const auto reference = run_at(1);
-  for (const int shards : {2, 4, 8}) {
-    const auto runs = at_thread_counts([&] { return run_at(shards); });
-    EXPECT_EQ(runs[0], reference) << "shards " << shards;
-    EXPECT_EQ(runs[1], reference) << "shards " << shards;
-    EXPECT_EQ(runs[2], reference) << "shards " << shards;
-  }
+    return std::tuple{r.issued, r.completed, report.to_json()};
+  });
+  const auto& [issued, completed, json] = runs[0];
+  EXPECT_EQ(issued, 1504u);
+  EXPECT_EQ(completed, 1504u);
+  EXPECT_EQ(crc_of(json), 0xd186152fu)
+      << "actual 0x" << std::hex << crc_of(json);
+  EXPECT_EQ(runs[1], runs[0]);
+  EXPECT_EQ(runs[2], runs[0]);
 }
 
-TEST(ShardedNocInvariance, EjectionBufferReuseMatchesFreshBuffers) {
+TEST(NocStepper, EjectionBufferReuseMatchesFreshBuffers) {
   // Regression for the ejection-vector reuse contract: step() documents
   // that callers may reuse one cleared-not-shrunk buffer across cycles.
   // Run the same seeded workload twice — once handing step() a fresh
@@ -446,15 +432,13 @@ TEST(ShardedNocInvariance, EjectionBufferReuseMatchesFreshBuffers) {
   EXPECT_EQ(with_reuse.stats, with_fresh.stats);
 }
 
-TEST(ShardedNocInvariance, ConservationHoldsAcrossRuntimeFaults) {
+TEST(NocStepper, ConservationHoldsAcrossRuntimeFaults) {
   // Conservation must survive mid-run fault injection (queue purges free
   // their packets exactly once): kill a tile every 50 cycles and recheck
   // the recount identity each time.
   const TileGrid grid(12, 12);
   FaultMap faults(grid);
-  noc::MeshOptions opt;
-  opt.shards = 4;
-  noc::MeshNetwork mesh(faults, noc::NetworkKind::XY, opt);
+  noc::MeshNetwork mesh(faults, noc::NetworkKind::XY);
 
   Rng rng(31);
   std::vector<noc::Packet> ejected;

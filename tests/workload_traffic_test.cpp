@@ -1,5 +1,5 @@
 // Workload traffic generator tests: golden delivery-trace digests per
-// generator class, bit-identical invariance across thread x shard counts,
+// generator class (16x16, and 32x32 at every thread count),
 // checkpoint mid-phase kill-and-resume, and the generator invariants
 // (analytic phase schedules, fault avoidance, seed determinism, run-split
 // composition) — plus the coupled CosimLoop running every class on the
@@ -81,13 +81,10 @@ WorkloadSpec spec_for(WorkloadClass cls) {
   return s;
 }
 
-std::uint32_t run_digest(WorkloadClass cls, int n, std::uint64_t cycles,
-                         int shards = 1, const FaultMap* faults = nullptr) {
+std::uint32_t run_digest(WorkloadClass cls, int n, std::uint64_t cycles) {
   const SystemConfig config = SystemConfig::reduced(n, n);
-  const FaultMap fm = faults ? *faults : FaultMap(config.grid());
-  noc::NocOptions nopt;
-  nopt.mesh.shards = shards;
-  noc::NocSystem noc(fm, nopt);
+  const FaultMap fm(config.grid());
+  noc::NocSystem noc(fm);
   auto gen = make_generator(spec_for(cls), config, fm);
   return run_workload_traffic(noc, *gen, cycles).delivery_digest;
 }
@@ -120,21 +117,30 @@ TEST(GoldenTrace, DeliveryDigestsMatchCheckedInConstants) {
   }
 }
 
-// --- thread x shard invariance ----------------------------------------------
+// --- full-wafer goldens at every thread count ------------------------------
 
-TEST(Invariance, DigestIdenticalAcrossThreadsAndShards) {
-  for (const WorkloadClass cls : kAllClasses) {
-    const std::uint32_t base = run_digest(cls, 32, 192, /*shards=*/1);
-    for (const int threads : {1, 2, 8}) {
-      for (const int shards : {1, 2, 8}) {
-        exec::set_shared_threads(threads);
-        const std::uint32_t d = run_digest(cls, 32, 192, shards);
-        EXPECT_EQ(d, base) << to_string(cls) << " diverged at threads="
-                           << threads << " shards=" << shards;
-      }
+// Recorded with the former column-band NoC stepper (eight bands at 32x32),
+// so they also pin that the serial stepper kept its cycle semantics.
+const GoldenDigest kGolden32x32x192[] = {
+    {WorkloadClass::Synthetic, 0x5856860cu},
+    {WorkloadClass::AllReduceRing, 0x193e5ec7u},
+    {WorkloadClass::HaloExchange, 0xace65e97u},
+    {WorkloadClass::LayerPipeline, 0x8377c40du},
+    {WorkloadClass::SpikingBurst, 0x141133dbu},
+    {WorkloadClass::GraphWave, 0xbbc382d0u},
+};
+
+TEST(Invariance, Golden32x32DigestsAtEveryThreadCount) {
+  for (const int threads : {1, 2, 8}) {
+    exec::set_shared_threads(threads);
+    for (const GoldenDigest& g : kGolden32x32x192) {
+      const std::uint32_t actual = run_digest(g.cls, 32, 192);
+      EXPECT_EQ(actual, g.digest)
+          << to_string(g.cls) << " at threads=" << threads
+          << ": actual digest 0x" << std::hex << actual;
     }
-    exec::set_shared_threads(0);
   }
+  exec::set_shared_threads(0);
 }
 
 // --- checkpoint kill-and-resume ---------------------------------------------
