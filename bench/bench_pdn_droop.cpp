@@ -1,14 +1,14 @@
 // Experiment F2 — Figure 2: edge power delivery and the voltage droop
 // profile from 2.5 V at the wafer edge to ~1.4 V at the center at peak
-// draw, plus an activity sweep, solver micro-benchmarks, the parallel
-// red-black solver scaling study, the multigrid-vs-SOR solver suite, and
-// the batched multi-RHS suite (all recorded in BENCH_pdn_droop.json).
+// draw, plus an activity sweep, solver micro-benchmarks, the wafer-solve
+// thread scaling study, the multigrid solver suite, and the batched
+// multi-RHS suite (all recorded in BENCH_pdn_droop.json).
 //
-// Exit status is non-zero on any divergence: a parallel solve that differs
-// from the serial baseline by even one bit, a multigrid solve that differs
-// across thread counts or disagrees with SOR beyond tolerance, or a
-// solve_batch result that differs from solving the same right-hand sides
-// sequentially.  CI runs this with --quick and fails the build on any of
+// Exit status is non-zero on any divergence: a wafer solve that differs
+// from the 1-thread baseline by even one bit, a multigrid solve that
+// differs across thread counts or misses the closed-form strip solution,
+// or a solve_batch result that differs from solving the same right-hand
+// sides sequentially.  CI runs this with --quick and fails the build on any of
 // those.
 #include <benchmark/benchmark.h>
 
@@ -78,9 +78,9 @@ std::vector<double> voltage_vector(const PdnReport& r) {
   return v;
 }
 
-/// Red-black parallel solver scaling on the 64x64 wafer PDN solve: wall
-/// time and speedup per thread count, plus the determinism check — the
-/// voltage vector must be bit-identical at every thread count.
+/// Thread scaling of the 64x64 wafer PDN solve: wall time and speedup per
+/// thread count, plus the determinism check — the voltage vector must be
+/// bit-identical at every thread count.
 int run_parallel_scaling(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 5;
 
@@ -88,7 +88,7 @@ int run_parallel_scaling(bool quick, wsp::bench::JsonReporter& json) {
   WaferPdnOptions opt;
   opt.nodes_per_tile = 1;  // 64x64 solver nodes
 
-  std::printf("== parallel red-black SOR scaling (64x64 wafer PDN solve) ==\n");
+  std::printf("== thread scaling (64x64 wafer PDN solve) ==\n");
   std::printf("%8s %12s %10s %12s\n", "threads", "wall ms", "speedup",
               "identical");
 
@@ -167,49 +167,57 @@ ResistiveGrid make_plane(int n) {
   return g;
 }
 
-/// Multigrid vs SOR on the synthetic 64x64 plane: warm and cold wall time,
-/// iteration counts and sweep-equivalent cost at one thread, plus the
-/// correctness gates — the two methods must agree within tolerance and the
-/// multigrid solve must be bit-identical at every thread count.
+/// Closed-form strip check: with only the x=0 and x=n-1 columns held at V0
+/// and a uniform sink s per node, every row of an n x n plane is the
+/// discrete parabola V_k = V0 - (s/2g) k (n-1-k).  Returns the max
+/// |solved - exact| over all nodes.
+double strip_closed_form_error(int n, const SolverConfig& cfg) {
+  constexpr double kV0 = 2.5;
+  constexpr double kSink = 0.02;
+  constexpr double kG = 5.0;
+  ResistiveGrid g(n, n);
+  g.fill_conductances(kG, kG);
+  for (int y = 0; y < n; ++y) {
+    g.set_dirichlet(0, y, kV0);
+    g.set_dirichlet(n - 1, y, kV0);
+    for (int x = 1; x < n - 1; ++x) g.set_current_sink(x, y, kSink);
+  }
+  if (!g.solve(cfg).converged) return INFINITY;
+  double max_err = 0.0;
+  for (int y = 0; y < n; ++y)
+    for (int k = 0; k < n; ++k)
+      max_err = std::max(
+          max_err, std::fabs(g.voltage(k, y) -
+                             (kV0 - kSink / (2.0 * kG) * k * (n - 1 - k))));
+  return max_err;
+}
+
+/// Multigrid solver suite on the synthetic 64x64 plane: warm and cold wall
+/// time, V-cycle count and sweep-equivalent cost at one thread, plus the
+/// correctness gates — a tight solve of the 64x64 strip must match its
+/// closed form, and the plane solve must be bit-identical at every thread
+/// count.
 int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 3 : 7;
   int rc = 0;
 
   exec::set_shared_threads(1);
-  ResistiveGrid sor_grid = make_plane(64);
   ResistiveGrid mg_grid = make_plane(64);
+  const SolverConfig mg_cfg;
 
-  SolverConfig sor_cfg;  // defaults: red-black SOR, tol 1e-7
-  SolverConfig mg_cfg;
-  mg_cfg.method = SolverMethod::Multigrid;
+  std::printf("== multigrid solver (64x64 plane, 1 thread, tol %.0e) ==\n",
+              mg_cfg.tol);
 
-  std::printf("== multigrid vs SOR (64x64 plane, 1 thread, tol %.0e) ==\n",
-              sor_cfg.tol);
-
-  SolveStats sor_stats, mg_stats;
-  const double sor_ms = wsp::bench::min_wall_ms(
-      [&] {
-        sor_grid.reset_voltages(0.0);
-        sor_stats = sor_grid.solve(sor_cfg);
-      },
-      repeats, 1);
-  {
-    wsp::bench::Measurement m;
-    m.name = "pdn_solver_sor_64x64";
-    m.wall_ms = sor_ms;
-    m.threads = 1;
-    m.speedup_vs_serial = 1.0;  // the baseline the multigrid rows beat
-    json.add(m);
-  }
+  SolveStats mg_stats;
   const double mg_ms = json.measure(
       "pdn_solver_multigrid_64x64", 1,
       [&] {
         mg_grid.reset_voltages(0.0);
         mg_stats = mg_grid.solve(mg_cfg);
       },
-      repeats, 1, 1, sor_ms);
+      repeats, 1);
   // Cold start: grid construction plus hierarchy build plus the solve —
-  // what a one-shot caller pays.  No serial counterpart.
+  // what a one-shot caller pays.
   const double cold_ms = json.measure(
       "pdn_solver_multigrid_cold_64x64", 1,
       [&] {
@@ -218,21 +226,14 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
       },
       repeats, 1);
 
-  std::printf("%12s %10s %12s %12s\n", "method", "wall ms", "iterations",
+  std::printf("%12s %10s %12s %12s\n", "solve", "wall ms", "V-cycles",
               "sweep-equiv");
-  std::printf("%12s %10.3f %12d %12.1f\n", "sor", sor_ms, sor_stats.iterations,
-              sor_stats.fine_sweep_equivalents);
-  std::printf("%12s %10.3f %12d %12.1f\n", "multigrid", mg_ms,
+  std::printf("%12s %10.3f %12d %12.1f\n", "warm", mg_ms,
               mg_stats.iterations, mg_stats.fine_sweep_equivalents);
-  std::printf("%12s %10.3f %12s %12s\n", "mg (cold)", cold_ms, "-", "-");
-  std::printf("speedup %.2fx wall, %.1fx fewer sweep-equivalents\n",
-              sor_ms / mg_ms,
-              sor_stats.fine_sweep_equivalents /
-                  mg_stats.fine_sweep_equivalents);
+  std::printf("%12s %10.3f %12s %12s\n", "cold", cold_ms, "-", "-");
 
-  if (!sor_stats.converged || !mg_stats.converged) {
-    std::fprintf(stderr, "FAIL: solver did not converge (sor %d, mg %d)\n",
-                 sor_stats.converged, mg_stats.converged);
+  if (!mg_stats.converged) {
+    std::fprintf(stderr, "FAIL: multigrid solve did not converge\n");
     rc = 1;
   }
   if (mg_stats.iterations > 12) {
@@ -243,26 +244,18 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
     rc = 1;
   }
 
-  // Voltage agreement: both methods solved tight must land on the same
-  // solution well inside the operating tolerance.
-  SolverConfig tight_sor = sor_cfg;
-  tight_sor.tol = 1e-9;
-  SolverConfig tight_mg = mg_cfg;
-  tight_mg.tol = 1e-9;
-  sor_grid.reset_voltages(0.0);
-  sor_grid.solve(tight_sor);
-  mg_grid.reset_voltages(0.0);
-  mg_grid.solve(tight_mg);
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < sor_grid.node_count(); ++i)
-    max_diff = std::max(
-        max_diff, std::fabs(sor_grid.voltages()[i] - mg_grid.voltages()[i]));
-  std::printf("multigrid-vs-SOR max voltage diff at tol 1e-9: %.2e V\n",
-              max_diff);
-  if (!(max_diff <= 1e-7)) {
+  // Correctness against the closed form, solved tight.
+  SolverConfig tight = mg_cfg;
+  tight.tol = 1e-11;
+  const double strip_err = strip_closed_form_error(64, tight);
+  std::printf("64x64 strip vs closed-form parabola, max error at tol 1e-11: "
+              "%.2e V\n",
+              strip_err);
+  if (!(strip_err <= 1e-8)) {
     std::fprintf(stderr,
-                 "FAIL: multigrid disagrees with SOR by %.3e V (> 1e-7)\n",
-                 max_diff);
+                 "FAIL: multigrid strip solve misses the closed form by "
+                 "%.3e V (> 1e-8)\n",
+                 strip_err);
     rc = 1;
   }
 
@@ -305,8 +298,7 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
   ResistiveGrid grid = make_plane(64);
   const std::size_t nodes = grid.node_count();
 
-  SolverConfig cfg;
-  cfg.method = SolverMethod::Multigrid;
+  const SolverConfig cfg;
 
   // Distinct right-hand sides: the base draw scaled per map, plus a moving
   // hotspot so no two maps share a solution.

@@ -110,7 +110,7 @@ class TraceSpan {
 
 #define WSP_OBS_CONCAT_INNER(a, b) a##b
 #define WSP_OBS_CONCAT(a, b) WSP_OBS_CONCAT_INNER(a, b)
-/// Scoped trace span: `WSP_TRACE_SPAN("pdn.sor.solve");`
+/// Scoped trace span: `WSP_TRACE_SPAN("pdn.grid.solve");`
 #define WSP_TRACE_SPAN(name) \
   ::wsp::obs::TraceSpan WSP_OBS_CONCAT(wsp_trace_span_, __LINE__)(name)
 

@@ -4,16 +4,11 @@
 #include <cmath>
 
 #include "wsp/common/error.hpp"
-#include "wsp/exec/parallel_for.hpp"
 #include "wsp/obs/trace.hpp"
 
 namespace wsp::pdn {
 
 namespace {
-// Minimum stencil nodes per parallel chunk in the transfer/residual loops —
-// same break-even reasoning as the sweep grain in resistive_grid.cpp.
-constexpr std::size_t kNodeGrain = 256;
-
 // Coarse size of an axis of `n` nodes: every other node, both boundary
 // lines always kept (so Dirichlet edges survive on every level and grid
 // sizes need not be 2^k+1).  n == 2 cannot coarsen further.
@@ -68,52 +63,11 @@ MultigridHierarchy::AxisMap MultigridHierarchy::make_axis_map(int fine_n,
 }
 
 void MultigridHierarchy::build_stencil(Level& level) {
-  // Mirror of ResistiveGrid::rebuild_stencil for a coarse (error-equation)
-  // level: shunt references are 0 V, so shunt_flow is identically zero and
-  // the shunt conductance appears only in the diagonal.
-  const int w = level.width;
-  const int h = level.height;
-  auto east = [&](int x, int y) {
-    return level.g_east[static_cast<std::size_t>(y) * (w - 1) + x];
-  };
-  auto north = [&](int x, int y) {
-    return level.g_north[static_cast<std::size_t>(y) * w + x];
-  };
-  level.stencil[0].clear();
-  level.stencil[1].clear();
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const auto i = static_cast<std::size_t>(y) * w + x;
-      if (level.dirichlet[i]) continue;
-      ResistiveGrid::StencilNode n{};
-      n.node = static_cast<std::uint32_t>(i);
-      for (int k = 0; k < 4; ++k) {
-        n.nbr[k] = static_cast<std::uint32_t>(i);
-        n.g[k] = 0.0;
-      }
-      if (x > 0) {
-        n.g[0] = east(x - 1, y);
-        n.nbr[0] = static_cast<std::uint32_t>(i - 1);
-      }
-      if (x < w - 1) {
-        n.g[1] = east(x, y);
-        n.nbr[1] = static_cast<std::uint32_t>(i + 1);
-      }
-      if (y > 0) {
-        n.g[2] = north(x, y - 1);
-        n.nbr[2] = static_cast<std::uint32_t>(i - w);
-      }
-      if (y < h - 1) {
-        n.g[3] = north(x, y);
-        n.nbr[3] = static_cast<std::uint32_t>(i + w);
-      }
-      n.shunt_flow = 0.0;
-      n.gsum = n.g[0] + n.g[1] + n.g[2] + n.g[3] + level.shunt_g[i];
-      if (n.gsum <= 0.0) continue;  // isolated on this level
-      n.inv_gsum = 1.0 / n.gsum;
-      level.stencil[(x + y) & 1].push_back(n);
-    }
-  }
+  // Coarse levels carry error equations: shunt references are 0 V, so
+  // shunts appear only in the diagonal.
+  ResistiveGrid::build_stencil(level.width, level.height, level.g_east,
+                               level.g_north, level.shunt_g, nullptr,
+                               level.dirichlet, level.stencil);
   level.active.clear();
   for (int color = 0; color < 2; ++color)
     for (const auto& s : level.stencil[color]) level.active.push_back(s.node);
@@ -263,7 +217,8 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
 }
 
 MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine,
-                                       int coarsest_nodes) {
+                                       int coarsest_nodes)
+    : coarsest_nodes_(coarsest_nodes) {
   WSP_TRACE_SPAN("pdn.mg.build");
   require(coarsest_nodes >= 4, "multigrid coarsest level needs >= 4 nodes");
   Level l0;
@@ -271,6 +226,15 @@ MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine,
   l0.height = fine.height();
   l0.g_east = fine.g_east_;
   l0.g_north = fine.g_north_;
+  // Floating regions sit outside the fine stencil; cutting their edges
+  // makes every coarse level see them as isolated nodes too.
+  const std::vector<char> grounded = fine.grounded_nodes();
+  for (int y = 0; y < l0.height; ++y)
+    for (int x = 0; x < l0.width; ++x) {
+      if (grounded[fine.index(x, y)]) continue;
+      if (x < l0.width - 1) l0.g_east[fine.east_index(x, y)] = 0.0;
+      if (y < l0.height - 1) l0.g_north[fine.north_index(x, y)] = 0.0;
+    }
   l0.shunt_g = fine.shunt_g_;
   l0.dirichlet = fine.dirichlet_;
   // The fine level smooths the *original* equation (shunt references keep
@@ -298,7 +262,7 @@ void MultigridHierarchy::build_direct_solver() {
   // nodes.  The operator is a grounded resistor network's conductance
   // matrix: symmetric, diagonally dominant, positive definite as long as
   // every active component reaches a Dirichlet node or shunt — exactly the
-  // condition for any solver (SOR included) to have a unique solution.
+  // condition for the nodal system to have a unique solution at all.
   const Level& bottom = levels_.back();
   const auto nodes = static_cast<std::size_t>(bottom.width) * bottom.height;
   direct_index_.assign(nodes, -1);
@@ -372,18 +336,8 @@ namespace {
 // which no path ever dirties.
 void residual_color(const std::vector<ResistiveGrid::StencilNode>& st,
                     const double* v, const double* sink, double* r) {
-  exec::parallel_for(
-      st.size(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t k = b; k < e; ++k) {
-          const auto& s = st[k];
-          const double flow = s.g[0] * v[s.nbr[0]] + s.g[1] * v[s.nbr[1]] +
-                              s.g[2] * v[s.nbr[2]] + s.g[3] * v[s.nbr[3]] +
-                              s.shunt_flow;
-          r[s.node] = flow - s.gsum * v[s.node] - sink[s.node];
-        }
-      },
-      kNodeGrain);
+  for (const auto& s : st)
+    r[s.node] = s.flow(v) - s.gsum * v[s.node] - sink[s.node];
 }
 }  // namespace
 
@@ -404,17 +358,13 @@ void MultigridHierarchy::restrict_values(const Level& coarse,
   const std::int32_t* off = coarse.restrict_off.data();
   const std::int32_t* idx = coarse.restrict_idx.data();
   const double* w = coarse.restrict_w.data();
-  exec::parallel_for(
-      static_cast<std::size_t>(coarse.width) * coarse.height,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t ci = b; ci < e; ++ci) {
-          double acc = 0.0;
-          for (std::int32_t j = off[ci]; j < off[ci + 1]; ++j)
-            acc += w[j] * fine_vals[idx[j]];
-          coarse_out[ci] = sign * acc;
-        }
-      },
-      kNodeGrain);
+  const auto nodes = static_cast<std::size_t>(coarse.width) * coarse.height;
+  for (std::size_t ci = 0; ci < nodes; ++ci) {
+    double acc = 0.0;
+    for (std::int32_t j = off[ci]; j < off[ci + 1]; ++j)
+      acc += w[j] * fine_vals[idx[j]];
+    coarse_out[ci] = sign * acc;
+  }
 }
 
 double MultigridHierarchy::prolong_correct(const Level& coarse,
@@ -423,28 +373,21 @@ double MultigridHierarchy::prolong_correct(const Level& coarse,
                                            double* fine_v) const {
   // Bilinear interpolation of the coarse error into the fine level's
   // active nodes only — isolated fine nodes keep their untouched values,
-  // matching the SOR solver's behaviour exactly.  Uses the flattened
+  // exactly as the smoother leaves them.  Uses the flattened
   // per-node gather built at coarsening time.
   const std::int32_t* idx = coarse.prolong_idx.data();
   const double* w = coarse.prolong_w.data();
-  const std::uint32_t* active = fine.active.data();
-  return exec::parallel_reduce<double>(
-      fine.active.size(), 0.0,
-      [&](std::size_t b, std::size_t e) {
-        double local = 0.0;
-        for (std::size_t k = b; k < e; ++k) {
-          const auto node = active[k];
-          const auto p = 4 * static_cast<std::size_t>(node);
-          const double c = w[p + 0] * coarse_v[idx[p + 0]] +
-                           w[p + 1] * coarse_v[idx[p + 1]] +
-                           w[p + 2] * coarse_v[idx[p + 2]] +
-                           w[p + 3] * coarse_v[idx[p + 3]];
-          fine_v[node] += c;
-          local = std::max(local, std::abs(c));
-        }
-        return local;
-      },
-      [](double a, double b) { return std::max(a, b); }, kNodeGrain);
+  double max_c = 0.0;
+  for (const std::uint32_t node : fine.active) {
+    const auto p = 4 * static_cast<std::size_t>(node);
+    const double c = w[p + 0] * coarse_v[idx[p + 0]] +
+                     w[p + 1] * coarse_v[idx[p + 1]] +
+                     w[p + 2] * coarse_v[idx[p + 2]] +
+                     w[p + 3] * coarse_v[idx[p + 3]];
+    fine_v[node] += c;
+    max_c = std::max(max_c, std::abs(c));
+  }
+  return max_c;
 }
 
 double MultigridHierarchy::solve_direct(Workspace& ws, const double* rhs,

@@ -1,16 +1,15 @@
-// Geometric multigrid hierarchy for the resistive-plane solver.
+// Geometric multigrid hierarchy: the resistive-plane solver's only solve
+// path.
 //
-// Red-black SOR is an O(n^1.5) algorithm on an n-node plane: its optimal
-// over-relaxation factor approaches 2 as the grid grows, so the sweep count
-// climbs with resolution and BENCH_pdn_droop.json showed the parallel sweeps
-// barely breaking even — the win left on the table was algorithmic.  A
-// geometric V-cycle attacks each error wavelength on the level where it is
-// high-frequency: a few red-black sweeps per level kill the local error,
-// the residual is restricted to a half-resolution grid, and the recursion
-// bottoms out in a dense Cholesky solve on a handful of nodes.  Convergence
-// per cycle is grid-size-independent (~0.05-0.1 contraction), so a
-// converged solve costs a constant ~30-40 fine-sweep equivalents where SOR
-// needs hundreds and growing.
+// A single-level relaxation (Gauss-Seidel/SOR) is an O(n^1.5) algorithm on
+// an n-node plane: its sweep count climbs with resolution because only
+// neighbouring nodes exchange information per sweep.  A geometric V-cycle
+// attacks each error wavelength on the level where it is high-frequency: a
+// red-black sweep per level kills the local error, the residual is
+// restricted to a half-resolution grid, and the recursion bottoms out in a
+// dense Cholesky solve on a handful of nodes.  Convergence per cycle is
+// grid-size-independent (~0.05-0.1 contraction), so a converged solve costs
+// a constant ~25-35 fine-sweep equivalents at any resolution.
 //
 // Construction is purely topological — conductances, shunts and the
 // Dirichlet set — so ResistiveGrid caches the hierarchy exactly like its
@@ -31,13 +30,13 @@
 // current mismatch — an extensive quantity — into the coarse control
 // volume, so the coarse problem is again a well-posed resistor grid.
 //
-// Determinism: every level smooths with ResistiveGrid::sweep_color (the
-// parallel red-black kernel whose chunking is a pure function of the node
-// count), residual/restriction/prolongation are disjoint-write
-// parallel_for loops, and the coarsest solve is a serial back-substitution
-// — so a V-cycle is bit-identical for every thread count, and inside a
-// solve_batch worker the nested parallel constructs degrade to inline
-// serial execution with the same chunk boundaries.
+// Determinism: a V-cycle runs serially on the calling thread — every
+// level smooths with ResistiveGrid::sweep_color, and the residual,
+// transfer and coarsest-solve passes are plain loops — so it is
+// bit-identical for every thread count.  Intra-solve parallelism never
+// paid: the 64x64 wafer solve ran slower at 2, 4 and 8 threads than at 1
+// (DESIGN.md "Multigrid PDN").  The pool works one level up instead,
+// across solve_batch right-hand sides and campaign trials.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +58,7 @@ class MultigridHierarchy {
   /// cached hierarchy on every topology edit).  `coarsest_nodes` bounds
   /// the direct-solve level.  Throws wsp::Error if the coarsest operator
   /// is not positive definite (an ungrounded grid — no Dirichlet node or
-  /// shunt reaches it), which SOR would fail to converge on too.
+  /// shunt reaches it), whose nodal system has no unique solution.
   MultigridHierarchy(const ResistiveGrid& fine, int coarsest_nodes);
 
   /// Per-solve scratch: residual and coarse-level solution/rhs vectors.
@@ -89,6 +88,7 @@ class MultigridHierarchy {
   double fmg_bootstrap(Workspace& ws, double* v, const double* sink,
                        const SolverConfig& config) const;
 
+  int coarsest_nodes() const { return coarsest_nodes_; }
   int levels() const { return static_cast<int>(levels_.size()); }
   int level_width(int level) const { return levels_[level].width; }
   int level_height(int level) const { return levels_[level].height; }
@@ -167,6 +167,7 @@ class MultigridHierarchy {
   double solve_direct(Workspace& ws, const double* rhs, double sign,
                       double* v) const;
 
+  int coarsest_nodes_;
   std::vector<Level> levels_;  // [0] mirrors the fine grid's topology
 
   // Dense Cholesky of the coarsest level over its active (non-Dirichlet,

@@ -12,12 +12,22 @@
 namespace wsp::pdn {
 
 namespace {
-// Minimum stencil nodes per parallel chunk.  A sweep node costs ~10 flops,
-// so below this the dispatch handshake outweighs the work; grids whose
-// per-color count falls under one grain (anything smaller than ~23x23)
-// solve entirely on the calling thread.  At 256 the 64x64 wafer grid still
-// fans out to 8 chunks per color — enough for an 8-thread pool.
-constexpr std::size_t kSweepGrain = 256;
+// One red-black half-sweep; with kResidual it also stores each node's
+// post-update residual to r (see sweep_color_residual).
+template <bool kResidual>
+double relax_color(const std::vector<ResistiveGrid::StencilNode>& nodes,
+                   double omega, double* v, const double* sink, double* r) {
+  double max_update = 0.0;
+  for (const ResistiveGrid::StencilNode& s : nodes) {
+    const double v_new = (s.flow(v) - sink[s.node]) * s.inv_gsum;
+    const double old = v[s.node];
+    const double updated = old + omega * (v_new - old);
+    max_update = std::max(max_update, std::abs(updated - old));
+    v[s.node] = updated;
+    if constexpr (kResidual) r[s.node] = s.gsum * (v_new - updated);
+  }
+  return max_update;
+}
 }  // namespace
 
 ResistiveGrid::ResistiveGrid(int width, int height)
@@ -94,22 +104,49 @@ void ResistiveGrid::set_shunt(int x, int y, double siemens, double v_ref) {
   invalidate_topology();
 }
 
-double ResistiveGrid::chebyshev_omega(int width, int height) {
-  const double rho =
-      0.5 * (std::cos(3.14159265358979323846 / width) +
-             std::cos(3.14159265358979323846 / height));
-  const double omega = 2.0 / (1.0 + std::sqrt(1.0 - rho * rho));
-  // Clamp into the open stability interval for degenerate estimates.
-  return std::min(std::max(omega, 1.0), 1.999);
+std::vector<char> ResistiveGrid::grounded_nodes() const {
+  // Flood fill over conducting edges from every Dirichlet or shunted node.
+  std::vector<char> grounded(node_count(), 0);
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < grounded.size(); ++i)
+    if (dirichlet_[i] || shunt_g_[i] > 0.0) {
+      grounded[i] = 1;
+      stack.push_back(i);
+    }
+  const auto w = static_cast<std::size_t>(width_);
+  auto visit = [&](std::size_t j, double g) {
+    if (g > 0.0 && !grounded[j]) {
+      grounded[j] = 1;
+      stack.push_back(j);
+    }
+  };
+  while (!stack.empty()) {
+    const std::size_t i = stack.back();
+    stack.pop_back();
+    const int x = static_cast<int>(i % w);
+    const int y = static_cast<int>(i / w);
+    if (x > 0) visit(i - 1, g_east_[east_index(x - 1, y)]);
+    if (x < width_ - 1) visit(i + 1, g_east_[east_index(x, y)]);
+    if (y > 0) visit(i - w, g_north_[north_index(x, y - 1)]);
+    if (y < height_ - 1) visit(i + w, g_north_[north_index(x, y)]);
+  }
+  return grounded;
 }
 
-void ResistiveGrid::rebuild_stencil() {
-  stencil_[0].clear();
-  stencil_[1].clear();
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      const auto i = index(x, y);
-      if (dirichlet_[i]) continue;
+void ResistiveGrid::build_stencil(int width, int height,
+                                  std::span<const double> g_east,
+                                  std::span<const double> g_north,
+                                  std::span<const double> shunt_g,
+                                  const double* shunt_v,
+                                  std::span<const char> skip,
+                                  std::vector<StencilNode> (&out)[2]) {
+  out[0].clear();
+  out[1].clear();
+  const auto w = static_cast<std::size_t>(width);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const std::size_t i = static_cast<std::size_t>(y) * w + x;
+      if (skip[i]) continue;
       StencilNode n{};
       n.node = static_cast<std::uint32_t>(i);
       // Absent neighbours alias the node itself with g = 0: the flow term
@@ -119,28 +156,39 @@ void ResistiveGrid::rebuild_stencil() {
         n.g[k] = 0.0;
       }
       if (x > 0) {
-        n.g[0] = g_east_[east_index(x - 1, y)];
+        n.g[0] = g_east[static_cast<std::size_t>(y) * (w - 1) + x - 1];
         n.nbr[0] = static_cast<std::uint32_t>(i - 1);
       }
-      if (x < width_ - 1) {
-        n.g[1] = g_east_[east_index(x, y)];
+      if (x < width - 1) {
+        n.g[1] = g_east[static_cast<std::size_t>(y) * (w - 1) + x];
         n.nbr[1] = static_cast<std::uint32_t>(i + 1);
       }
       if (y > 0) {
-        n.g[2] = g_north_[north_index(x, y - 1)];
-        n.nbr[2] = static_cast<std::uint32_t>(i - width_);
+        n.g[2] = g_north[i - w];
+        n.nbr[2] = static_cast<std::uint32_t>(i - w);
       }
-      if (y < height_ - 1) {
-        n.g[3] = g_north_[north_index(x, y)];
-        n.nbr[3] = static_cast<std::uint32_t>(i + width_);
+      if (y < height - 1) {
+        n.g[3] = g_north[i];
+        n.nbr[3] = static_cast<std::uint32_t>(i + w);
       }
-      n.shunt_flow = shunt_g_[i] * shunt_v_[i];
-      n.gsum = n.g[0] + n.g[1] + n.g[2] + n.g[3] + shunt_g_[i];
+      n.shunt_flow = shunt_v != nullptr ? shunt_g[i] * shunt_v[i] : 0.0;
+      n.gsum = n.g[0] + n.g[1] + n.g[2] + n.g[3] + shunt_g[i];
       if (n.gsum <= 0.0) continue;  // isolated node: leave as-is
       n.inv_gsum = 1.0 / n.gsum;
-      stencil_[(x + y) & 1].push_back(n);
+      out[(x + y) & 1].push_back(n);
     }
   }
+}
+
+void ResistiveGrid::rebuild_stencil() {
+  // A region no Dirichlet node or shunt reaches has no unique solution
+  // (its level floats): like an isolated node it stays out of the solve
+  // and keeps its current values.
+  std::vector<char> skip = grounded_nodes();
+  for (std::size_t i = 0; i < skip.size(); ++i)
+    skip[i] = dirichlet_[i] || !skip[i];
+  build_stencil(width_, height_, g_east_, g_north_, shunt_g_, shunt_v_.data(),
+                skip, stencil_);
   stencil_valid_ = true;
 }
 
@@ -151,7 +199,8 @@ void ResistiveGrid::invalidate_topology() {
 
 void ResistiveGrid::prepare_solvers(const SolverConfig& config) {
   if (!stencil_valid_) rebuild_stencil();
-  if (config.method == SolverMethod::Multigrid && hierarchy_ == nullptr)
+  if (hierarchy_ == nullptr ||
+      hierarchy_->coarsest_nodes() != config.coarsest_nodes)
     hierarchy_ = std::make_unique<MultigridHierarchy>(*this,
                                                       config.coarsest_nodes);
 }
@@ -159,85 +208,31 @@ void ResistiveGrid::prepare_solvers(const SolverConfig& config) {
 double ResistiveGrid::sweep_color(const std::vector<StencilNode>& nodes,
                                   double omega, double* v,
                                   const double* sink) {
-  WSP_TRACE_SPAN("pdn.sor.sweep");
-  // Every node of one color reads only other-color neighbours (and its own
-  // previous value) and writes only itself, so chunks are data-independent
-  // and the half-sweep is bit-identical for any thread count.  The grain
-  // keeps sub-1k-node grids (campaign-sized) on the serial inline path —
-  // two pool dispatches per sweep would dwarf the arithmetic there.
-  return exec::parallel_reduce<double>(
-      nodes.size(), 0.0,
-      [&](std::size_t b, std::size_t e) {
-        double local_max = 0.0;
-        for (std::size_t k = b; k < e; ++k) {
-          const StencilNode& s = nodes[k];
-          const double flow = s.g[0] * v[s.nbr[0]] + s.g[1] * v[s.nbr[1]] +
-                              s.g[2] * v[s.nbr[2]] + s.g[3] * v[s.nbr[3]] +
-                              s.shunt_flow;
-          const double v_new = (flow - sink[s.node]) * s.inv_gsum;
-          const double old = v[s.node];
-          const double updated = old + omega * (v_new - old);
-          local_max = std::max(local_max, std::abs(updated - old));
-          v[s.node] = updated;
-        }
-        return local_max;
-      },
-      [](double a, double b) { return std::max(a, b); }, kSweepGrain);
+  WSP_TRACE_SPAN("pdn.grid.sweep");
+  return relax_color<false>(nodes, omega, v, sink, nullptr);
 }
 
 double ResistiveGrid::sweep_color_residual(const std::vector<StencilNode>& nodes,
                                            double omega, double* v,
                                            const double* sink, double* r) {
-  // Identical to sweep_color, but also stores each node's post-update
-  // residual.  On a 5-point stencil the neighbours of a node are all the
-  // other color, so once this (second) half-sweep runs, flow is final and
+  // On a 5-point stencil the neighbours of a node are all the other color,
+  // so once this (second) half-sweep runs, flow is final and
   // r = flow - gsum * v_new - sink = gsum * (v_gs - v_new) falls out of
   // values already in registers — the multigrid cycle gets the residual of
   // this color for free instead of re-walking the stencil.
-  return exec::parallel_reduce<double>(
-      nodes.size(), 0.0,
-      [&](std::size_t b, std::size_t e) {
-        double local_max = 0.0;
-        for (std::size_t k = b; k < e; ++k) {
-          const StencilNode& s = nodes[k];
-          const double flow = s.g[0] * v[s.nbr[0]] + s.g[1] * v[s.nbr[1]] +
-                              s.g[2] * v[s.nbr[2]] + s.g[3] * v[s.nbr[3]] +
-                              s.shunt_flow;
-          const double v_new = (flow - sink[s.node]) * s.inv_gsum;
-          const double old = v[s.node];
-          const double updated = old + omega * (v_new - old);
-          local_max = std::max(local_max, std::abs(updated - old));
-          v[s.node] = updated;
-          r[s.node] = s.gsum * (v_new - updated);
-        }
-        return local_max;
-      },
-      [](double a, double b) { return std::max(a, b); }, kSweepGrain);
+  return relax_color<true>(nodes, omega, v, sink, r);
 }
 
 double ResistiveGrid::max_kcl_residual(std::span<const double> v,
                                        std::span<const double> sink) const {
   // True nodal current residual: |sum_j g_ij (v_j - v_i) + shunt - sink_i|,
   // amperes — zero at the exact solution of every balanced node.
-  auto color_max = [&](const std::vector<StencilNode>& nodes) {
-    return exec::parallel_reduce<double>(
-        nodes.size(), 0.0,
-        [&](std::size_t b, std::size_t e) {
-          double local_max = 0.0;
-          for (std::size_t k = b; k < e; ++k) {
-            const StencilNode& s = nodes[k];
-            const double flow = s.g[0] * v[s.nbr[0]] +
-                                s.g[1] * v[s.nbr[1]] +
-                                s.g[2] * v[s.nbr[2]] +
-                                s.g[3] * v[s.nbr[3]] + s.shunt_flow;
-            const double r = flow - s.gsum * v[s.node] - sink[s.node];
-            local_max = std::max(local_max, std::abs(r));
-          }
-          return local_max;
-        },
-        [](double a, double b) { return std::max(a, b); }, kSweepGrain);
-  };
-  return std::max(color_max(stencil_[0]), color_max(stencil_[1]));
+  double max_r = 0.0;
+  for (const auto& nodes : stencil_)
+    for (const StencilNode& s : nodes)
+      max_r = std::max(max_r, std::abs(s.flow(v.data()) -
+                                       s.gsum * v[s.node] - sink[s.node]));
+  return max_r;
 }
 
 void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
@@ -247,7 +242,7 @@ void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
     return;
   }
   metrics_.solves = &registry->counter(prefix + "solves");
-  metrics_.sweeps = &registry->counter(prefix + "sweeps");
+  metrics_.iterations = &registry->counter(prefix + "iterations");
   metrics_.converged = &registry->counter(prefix + "converged");
   metrics_.residual_a = &registry->gauge(prefix + "residual_a");
   metrics_.max_delta_v = &registry->gauge(prefix + "max_delta_v");
@@ -256,44 +251,17 @@ void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
 void ResistiveGrid::record_solve(const SolveStats& stats) {
   if (metrics_.solves == nullptr) return;
   metrics_.solves->add();
-  metrics_.sweeps->add(static_cast<std::uint64_t>(stats.iterations));
+  metrics_.iterations->add(static_cast<std::uint64_t>(stats.iterations));
   if (stats.converged) metrics_.converged->add();
   metrics_.residual_a->set(stats.residual);
   metrics_.max_delta_v->set(stats.max_delta_v);
 }
 
-SolveStats ResistiveGrid::solve_sor_on(std::span<double> v,
-                                       std::span<const double> sink,
-                                       double tol, int max_iterations,
-                                       double omega) {
-  WSP_TRACE_SPAN("pdn.sor.solve");
-  if (omega <= 0.0) omega = chebyshev_omega(width_, height_);
-  require(omega > 0.0 && omega < 2.0, "SOR omega must be in (0,2)");
-
-  SolveStats stats;
-  for (int it = 0; it < max_iterations; ++it) {
-    const double red_delta =
-        sweep_color(stencil_[0], omega, v.data(), sink.data());
-    const double black_delta =
-        sweep_color(stencil_[1], omega, v.data(), sink.data());
-    const double max_delta = std::max(red_delta, black_delta);
-    stats.iterations = it + 1;
-    stats.max_delta_v = max_delta;
-    if (max_delta < tol) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.fine_sweep_equivalents = stats.iterations;
-  stats.residual = max_kcl_residual(v, sink);
-  return stats;
-}
-
-SolveStats ResistiveGrid::solve_multigrid_on(std::span<double> v,
-                                             std::span<const double> sink,
-                                             const SolverConfig& config) {
-  WSP_TRACE_SPAN("pdn.mg.solve");
-  require(config.tol > 0.0, "multigrid tol must be positive");
+SolveStats ResistiveGrid::solve_on(std::span<double> v,
+                                   std::span<const double> sink,
+                                   const SolverConfig& config) {
+  WSP_TRACE_SPAN("pdn.grid.solve");
+  require(config.tol > 0.0, "solver tol must be positive");
   MultigridHierarchy::Workspace ws = hierarchy_->make_workspace();
   SolveStats stats;
   double bootstrap_equivalents = 0.0;
@@ -344,20 +312,9 @@ SolveStats ResistiveGrid::solve_multigrid_on(std::span<double> v,
   return stats;
 }
 
-SolveStats ResistiveGrid::solve(double tol, int max_iterations, double omega) {
-  if (!stencil_valid_) rebuild_stencil();
-  const SolveStats stats = solve_sor_on(v_, sink_, tol, max_iterations, omega);
-  record_solve(stats);
-  return stats;
-}
-
 SolveStats ResistiveGrid::solve(const SolverConfig& config) {
   prepare_solvers(config);
-  const SolveStats stats =
-      config.method == SolverMethod::Multigrid
-          ? solve_multigrid_on(v_, sink_, config)
-          : solve_sor_on(v_, sink_, config.tol, config.max_iterations,
-                         config.omega);
+  const SolveStats stats = solve_on(v_, sink_, config);
   record_solve(stats);
   return stats;
 }
@@ -382,20 +339,15 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
       if (dirichlet_[i]) r.v[i] = v_[i];
   }
 
-  // One task per right-hand side (grain 1).  Inside a pool worker, the
-  // nested sweeps and reductions execute inline with the same chunk
-  // boundaries as a 1-thread run, so each RHS's result is bit-identical to
-  // a sequential solve(config) — regardless of thread count or how the
+  // One task per right-hand side (grain 1).  Each solve is serial and
+  // touches only its own RHS and workspace, so its result is bit-identical
+  // to a sequential solve(config) — regardless of thread count or how the
   // batch is distributed.
   exec::parallel_for(
       rhs.size(),
       [&](std::size_t b, std::size_t e) {
-        for (std::size_t k = b; k < e; ++k) {
-          stats[k] = config.method == SolverMethod::Multigrid
-                         ? solve_multigrid_on(rhs[k].v, rhs[k].sink, config)
-                         : solve_sor_on(rhs[k].v, rhs[k].sink, config.tol,
-                                        config.max_iterations, config.omega);
-        }
+        for (std::size_t k = b; k < e; ++k)
+          stats[k] = solve_on(rhs[k].v, rhs[k].sink, config);
       },
       1);
 

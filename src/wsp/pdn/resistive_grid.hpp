@@ -8,20 +8,19 @@
 // 1.4 V at the center of the wafer at peak draw.
 //
 // This class solves the nodal equations of a rectangular resistor grid with
-// Dirichlet (fixed-voltage) nodes and nodal current sinks.  Two solvers are
-// available behind SolverConfig: red-black (checkerboard-ordered)
-// successive over-relaxation, and a geometric multigrid V-cycle (see
-// multigrid.hpp) that uses the same red-black sweep as its smoother at
-// every level.  Nodes of one color only ever read the other color's values
-// within a half-sweep, so the two half-sweeps parallelise over the
-// wsp::exec pool while staying bit-identical for every thread count.  The
-// loop-invariant per-node work (neighbour indices, conductance sums) is
-// hoisted into a stencil built once per topology change, and the multigrid
-// hierarchy is cached under the same invalidation rule — sink updates
-// never touch either, which is what makes solve_batch() able to amortize
-// one setup across many right-hand sides.  It is deliberately
-// self-contained so it can also model other planes (e.g. the thermal
-// heat-spreader model).
+// Dirichlet (fixed-voltage) nodes and nodal current sinks by geometric
+// multigrid V-cycles with a full-multigrid start (see multigrid.hpp).  Every
+// level smooths with a red-black (checkerboard-ordered) relaxation sweep:
+// nodes of one color only ever read the other color's values within a
+// half-sweep, so the update is independent of traversal order.  A solve
+// runs serially on its calling thread; solve_batch() fans right-hand sides
+// over the wsp::exec pool.  The loop-invariant per-node work
+// (neighbour indices, conductance sums) is hoisted into a stencil built once
+// per topology change, and the multigrid hierarchy is cached under the same
+// invalidation rule — sink updates never touch either, which is what makes
+// solve_batch() able to amortize one setup across many right-hand sides.
+// It is deliberately self-contained so it can also model other planes (e.g.
+// the thermal heat-spreader model).
 #pragma once
 
 #include <cstddef>
@@ -44,60 +43,46 @@ class MultigridHierarchy;
 
 /// Result of a grid solve.
 struct SolveStats {
-  int iterations = 0;     ///< SOR sweeps, or multigrid V-cycles, executed
+  int iterations = 0;     ///< multigrid V-cycles (FMG start included)
   /// Max |Kirchhoff current-law residual| over non-Dirichlet nodes at exit,
   /// amperes: how much current each nodal balance fails to conserve.
   double residual = 0.0;
-  /// Max relaxed voltage update at the final sweep (SOR) or over the final
-  /// V-cycle (multigrid), volts — the quantity `tol` is compared against.
+  /// Max update applied to any node over the final V-cycle, volts — the
+  /// quantity `tol` is compared against.
   double max_delta_v = 0.0;
   bool converged = false;
-  /// Total smoothing/relaxation work in units of one full fine-grid sweep
-  /// (red + black): equals `iterations` for SOR; for multigrid it folds
-  /// every level's sweeps, residual and transfer passes in, weighted by
-  /// level size.  The cross-method cost currency.
+  /// Total smoothing work in units of one full fine-grid red+black sweep:
+  /// every level's sweeps, residual and transfer passes, weighted by level
+  /// size.
   double fine_sweep_equivalents = 0.0;
 };
 
-/// Which algorithm ResistiveGrid::solve(const SolverConfig&) runs.
-enum class SolverMethod {
-  Sor,        ///< red-black SOR with Chebyshev-optimal omega
-  Multigrid,  ///< geometric V-cycles with red-black smoothing
-};
-
-/// Solver selection and tuning, plumbed from WaferPdnOptions /
-/// ThermalOptions down to the grid.  Defaults reproduce the historical
-/// `solve(tol, max_iterations, omega)` behaviour exactly.
+/// Multigrid tuning, plumbed from WaferPdnOptions / ThermalOptions down to
+/// the grid.
 struct SolverConfig {
-  SolverMethod method = SolverMethod::Sor;
   /// Convergence threshold on the max per-node update, volts.
   double tol = 1e-7;
-  /// SOR only: sweep cap.
-  int max_iterations = 200000;
-  /// SOR only: over-relaxation factor; <= 0 selects chebyshev_omega().
-  double omega = 0.0;
-  /// Multigrid only: V-cycle cap.  Convergence is grid-size-independent,
-  /// so a converged solve takes ~6-10 cycles regardless of resolution.
+  /// V-cycle cap.  Convergence is grid-size-independent, so a converged
+  /// solve takes ~6-10 cycles regardless of resolution.
   int cycles = 60;
-  /// Multigrid only: red-black smoothing sweeps before/after coarse-grid
-  /// correction at every level.  V(1,1) with a mild over-relaxation
-  /// measured fastest to converge across 16x16-128x128 wafer planes (the
-  /// per-cycle contraction is ~0.04, so extra sweeps per cycle buy less
-  /// than they cost).
+  /// Red-black smoothing sweeps before/after coarse-grid correction at
+  /// every level.  V(1,1) with a mild over-relaxation measured fastest to
+  /// converge across 16x16-128x128 wafer planes (the per-cycle contraction
+  /// is ~0.04, so extra sweeps per cycle buy less than they cost).
   int pre_smooth = 1;
   int post_smooth = 1;
-  /// Multigrid only: smoothing over-relaxation.  Unlike the standalone SOR
-  /// omega this stays near 1 — the smoother's job is killing high-frequency
-  /// error, not propagating information across the grid.
+  /// Smoothing over-relaxation.  It stays near 1: the smoother's job is
+  /// killing high-frequency error, not propagating information across the
+  /// grid — the coarse levels do that.
   double smooth_omega = 1.10;
-  /// Multigrid only: start with a full-multigrid bootstrap — restrict the
-  /// seed's residual to the coarsest level, solve there, and interpolate
-  /// back up with one V-cycle per level.  Costs a fraction of a V-cycle
-  /// and typically saves 2-3 of them; a warm seed just shrinks the
-  /// bootstrap correction, so warm-start batches still benefit.
+  /// Start with a full-multigrid bootstrap — restrict the seed's residual
+  /// to the coarsest level, solve there, and interpolate back up with one
+  /// V-cycle per level.  Costs a fraction of a V-cycle and typically saves
+  /// 2-3 of them; a warm seed just shrinks the bootstrap correction, so
+  /// warm-start batches still benefit.
   bool fmg = true;
-  /// Multigrid only: stop coarsening once a level has at most this many
-  /// nodes and solve it with a dense Cholesky factorization instead.
+  /// Stop coarsening once a level has at most this many nodes and solve it
+  /// with a dense Cholesky factorization instead.
   int coarsest_nodes = 64;
 };
 
@@ -166,25 +151,13 @@ class ResistiveGrid {
   /// plate at ambient temperature.
   void set_shunt(int x, int y, double siemens, double v_ref);
 
-  /// Chebyshev-optimal over-relaxation factor for a width x height grid:
-  /// omega* = 2 / (1 + sqrt(1 - rho_J^2)) with the 5-point Jacobi spectral
-  /// radius estimate rho_J = (cos(pi/width) + cos(pi/height)) / 2.
-  static double chebyshev_omega(int width, int height);
-
-  /// Solves the nodal system by red-black SOR on the shared exec pool.
-  /// `tol` is the max per-node relaxed voltage change that counts as
-  /// converged; `omega` <= 0 selects chebyshev_omega(width, height).
-  /// The previous solution (if any) seeds the iteration.  Bit-identical
-  /// for every thread count.
-  SolveStats solve(double tol = 1e-7, int max_iterations = 200000,
-                   double omega = 0.0);
-
-  /// Solves with the configured method.  SolverMethod::Multigrid builds
-  /// (and caches) a MultigridHierarchy from the current topology; the
-  /// cache is invalidated by conductance/Dirichlet/shunt changes but
+  /// Solves the nodal system by multigrid V-cycles.  The first solve
+  /// builds (and caches) a MultigridHierarchy from the current topology;
+  /// the cache is invalidated by conductance/Dirichlet/shunt changes but
   /// survives sink updates, so repeated solves against one topology pay
-  /// the setup cost once.  Bit-identical for every thread count.
-  SolveStats solve(const SolverConfig& config);
+  /// the setup cost once.  The previous solution (if any) seeds the
+  /// iteration.  Bit-identical for every thread count.
+  SolveStats solve(const SolverConfig& config = {});
 
   /// Solves many independent right-hand sides against this one topology,
   /// fanning them across the exec pool (one hierarchy/stencil amortized
@@ -199,12 +172,12 @@ class ResistiveGrid {
                    const SolverConfig& config = {});
 
   /// Binds solver metrics into `registry` under `prefix`: counters
-  /// <prefix>solves / <prefix>sweeps / <prefix>converged and gauges
+  /// <prefix>solves / <prefix>iterations / <prefix>converged and gauges
   /// <prefix>residual_a / <prefix>max_delta_v, updated at the end of every
   /// solve().  Pass nullptr to unbind (the default state: no recording).
   /// The registry must outlive the grid.
   void bind_metrics(obs::MetricsRegistry* registry,
-                    const std::string& prefix = "pdn.sor.");
+                    const std::string& prefix = "pdn.grid.");
 
   double voltage(int x, int y) const { return v_[index(x, y)]; }
   const std::vector<double>& voltages() const { return v_; }
@@ -252,14 +225,30 @@ class ResistiveGrid {
     double shunt_flow;     // shunt_g * shunt_v
     double gsum;           // diagonal: sum of g[] + shunt_g
     double inv_gsum;
+
+    /// Current the neighbours and the shunt push into the node at `v`.
+    double flow(const double* v) const {
+      return g[0] * v[nbr[0]] + g[1] * v[nbr[1]] + g[2] * v[nbr[2]] +
+             g[3] * v[nbr[3]] + shunt_flow;
+    }
   };
 
-  /// One red-black half-sweep of SOR over `nodes`, updating `v` in place
-  /// against `sink`; returns the max |relaxed update|.  Runs on the shared
-  /// exec pool (bit-identical at any thread count; inline when nested
-  /// inside a pool worker, which is how solve_batch keeps per-RHS tasks
-  /// independent).  Shared by the standalone SOR solver and every
-  /// multigrid level's smoother.
+  /// Builds the two-color stencil ([0] = red, x+y even) of a width x
+  /// height grid from its edge conductances (east/north layouts as in
+  /// ResistiveGrid) and shunts, leaving out `skip`ped nodes and nodes with
+  /// no conductance at all.  A null `shunt_v` puts every shunt reference
+  /// at 0 V, as on the multigrid's error-equation levels.  Shared by the
+  /// fine grid and every multigrid level.
+  static void build_stencil(int width, int height,
+                            std::span<const double> g_east,
+                            std::span<const double> g_north,
+                            std::span<const double> shunt_g,
+                            const double* shunt_v, std::span<const char> skip,
+                            std::vector<StencilNode> (&out)[2]);
+
+  /// One red-black half-sweep of over-relaxed Gauss-Seidel over `nodes`,
+  /// updating `v` in place against `sink`; returns the max |relaxed
+  /// update|.  Every multigrid level's smoother.
   static double sweep_color(const std::vector<StencilNode>& nodes,
                             double omega, double* v, const double* sink);
 
@@ -284,31 +273,29 @@ class ResistiveGrid {
   std::vector<double> v_;
   std::vector<StencilNode> stencil_[2];  // [0] = red (x+y even), [1] = black
   bool stencil_valid_ = false;
-  // Cached multigrid hierarchy: built on first Multigrid solve, reused
-  // until the topology changes (same invalidation sites as the stencil;
+  // Cached multigrid hierarchy: built on the first solve, reused until the
+  // topology changes (same invalidation sites as the stencil;
   // sink updates preserve it).
   std::unique_ptr<MultigridHierarchy> hierarchy_;
 
   // Registry-backed solver metrics (all null while unbound).
   struct Metrics {
     obs::Counter* solves = nullptr;
-    obs::Counter* sweeps = nullptr;     ///< SOR iterations, both colors
+    obs::Counter* iterations = nullptr; ///< V-cycles, FMG start included
     obs::Counter* converged = nullptr;  ///< solves that met tol
     obs::Gauge* residual_a = nullptr;   ///< last solve's max KCL residual
     obs::Gauge* max_delta_v = nullptr;  ///< last solve's final update
   } metrics_;
 
+  /// Per node: 1 if a conducting path reaches a Dirichlet node or shunt.
+  std::vector<char> grounded_nodes() const;
   void rebuild_stencil();
   // Out-of-line: resets hierarchy_, which is incomplete here.
   void invalidate_topology();
-  /// Stencil + hierarchy brought up to date for the current topology
-  /// (hierarchy only when `config` asks for Multigrid).
+  /// Stencil + hierarchy brought up to date for the current topology.
   void prepare_solvers(const SolverConfig& config);
-  SolveStats solve_sor_on(std::span<double> v, std::span<const double> sink,
-                          double tol, int max_iterations, double omega);
-  SolveStats solve_multigrid_on(std::span<double> v,
-                                std::span<const double> sink,
-                                const SolverConfig& config);
+  SolveStats solve_on(std::span<double> v, std::span<const double> sink,
+                      const SolverConfig& config);
   void record_solve(const SolveStats& stats);
   double max_kcl_residual() const { return max_kcl_residual(v_, sink_); }
   double max_kcl_residual(std::span<const double> v,

@@ -32,9 +32,8 @@ struct ThermalOptions {
   double cooling_w_m2k = 2000.0;
   double ambient_c = 25.0;
   double junction_limit_c = 105.0;
-  /// Nodal-solver selection for the duality solve.  The default keeps the
-  /// historical SOR behaviour at the tighter thermal tolerance; Multigrid
-  /// pays off on finely-discretised wafers exactly as it does for the PDN.
+  /// Multigrid tuning for the duality solve, at a tighter tolerance than
+  /// the PDN's.
   SolverConfig solver{.tol = 1e-8};
 };
 

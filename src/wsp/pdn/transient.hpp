@@ -90,7 +90,7 @@ struct WaferTransientResult {
 /// TileGrid::index_of order) gets its own steady-state plane solve.  Valid
 /// when the epoch duration is long against the plane RC (~ns), which holds
 /// for NoC-activity epochs (~us).  All epochs share `pdn`'s one cached
-/// topology and are solved as a single WaferPdn::solve_batch — the
+/// multigrid hierarchy and are solved as a single WaferPdn::solve_batch — the
 /// PDN<->NoC coupling loop (activity -> power map -> droop -> BER) calls
 /// this once per coupling window instead of issuing per-epoch solves.
 /// Deterministic: results are bit-identical at any thread count.

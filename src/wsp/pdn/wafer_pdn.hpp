@@ -43,9 +43,9 @@ struct WaferPdnOptions {
   std::array<bool, 4> powered_edges{true, true, true, true};
   LoadModel load_model = LoadModel::ConstantCurrent;
   LdoParams ldo{};
-  /// Plane-solver selection and tuning (SOR vs multigrid).  The grid
-  /// topology is fixed per WaferPdn, so the multigrid hierarchy is built
-  /// once and amortized over every solve / batch / brownout re-solve.
+  /// Plane-solver (multigrid) tuning.  The grid topology is fixed per
+  /// WaferPdn, so the multigrid hierarchy is built once and amortized over
+  /// every solve / batch / brownout re-solve.
   SolverConfig solver{};
 };
 

@@ -122,10 +122,9 @@ DegradationReport DegradationCampaign::run() const {
       ber_scratch.set_ber(e.tile, e.link, e.magnitude);
     noc.set_link_ber(ber_scratch);
   };
-  // Kept alive for the whole trial when coupling is on: the hoisted plane
-  // stencil and the warm-start seed below are what make the per-epoch
-  // re-solves cheap (the planes still solve by SOR, the SolverConfig
-  // default).
+  // Kept alive for the whole trial when coupling is on: the cached
+  // multigrid hierarchy and the warm-start seed below are what make the
+  // per-epoch re-solves cheap.
   std::optional<pdn::WaferPdn> wafer_pdn;
   if (integrity_on) {
     wafer_pdn.emplace(config, options_.pdn.pdn);
@@ -884,6 +883,13 @@ std::uint32_t DegradationCampaign::options_fingerprint() const {
   w.f64(p.pdn.ldo.quiescent_a);
   w.f64(p.pdn.ldo.max_load_a);
   w.f64(p.pdn.ldo.line_regulation);
+  w.f64(p.pdn.solver.tol);
+  w.i32(p.pdn.solver.cycles);
+  w.i32(p.pdn.solver.pre_smooth);
+  w.i32(p.pdn.solver.post_smooth);
+  w.f64(p.pdn.solver.smooth_omega);
+  w.b(p.pdn.solver.fmg);
+  w.i32(p.pdn.solver.coarsest_nodes);
   w.f64(p.activity);
   w.f64(p.brownout_load_factor);
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/types.h>
@@ -316,7 +317,8 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   EXPECT_EQ(a.options_fingerprint(), b.options_fingerprint())
       << "identical options, identical identity";
   // Pinned: a checkpoint written by an earlier build must keep resuming.
-  EXPECT_EQ(a.options_fingerprint(), 0x9c3b5e51u)
+  // (Last moved when the plane-solver fields joined the fingerprint.)
+  EXPECT_EQ(a.options_fingerprint(), 0x88cddd73u)
       << "actual 0x" << std::hex << a.options_fingerprint();
 
   CampaignOptions changed = small_campaign();
@@ -328,6 +330,31 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   reseeded.seed = 12;
   EXPECT_NE(DegradationCampaign(reseeded).options_fingerprint(),
             a.options_fingerprint());
+}
+
+TEST(CampaignCkpt, FingerprintCoversEverySolverField) {
+  // The plane solver's tuning changes coupled-epoch voltages, so a snapshot
+  // or shard written under one SolverConfig must not resume or merge under
+  // another: perturbing any single field has to move the fingerprint.
+  const std::uint32_t base =
+      DegradationCampaign(small_campaign()).options_fingerprint();
+  const std::vector<std::pair<const char*, void (*)(pdn::SolverConfig&)>>
+      perturbations = {
+          {"tol", [](pdn::SolverConfig& s) { s.tol *= 0.5; }},
+          {"cycles", [](pdn::SolverConfig& s) { ++s.cycles; }},
+          {"pre_smooth", [](pdn::SolverConfig& s) { ++s.pre_smooth; }},
+          {"post_smooth", [](pdn::SolverConfig& s) { ++s.post_smooth; }},
+          {"smooth_omega",
+           [](pdn::SolverConfig& s) { s.smooth_omega = 1.0; }},
+          {"fmg", [](pdn::SolverConfig& s) { s.fmg = !s.fmg; }},
+          {"coarsest_nodes",
+           [](pdn::SolverConfig& s) { s.coarsest_nodes *= 2; }},
+      };
+  for (const auto& [field, perturb] : perturbations) {
+    CampaignOptions o = small_campaign();
+    perturb(o.pdn.pdn.solver);
+    EXPECT_NE(DegradationCampaign(o).options_fingerprint(), base) << field;
+  }
 }
 
 TEST(CampaignCkpt, ReportSerialisationRoundTripsEverySummaryInput) {

@@ -305,7 +305,7 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
   };
 
   pdn::ResistiveGrid grid = build();
-  grid.solve(1e-6);
+  grid.solve(pdn::SolverConfig{.tol = 1e-6});
   ckpt::Writer w;
   grid.save_state(w);
 
@@ -318,8 +318,8 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
   // The restored solution seeds the next solve: tightening the tolerance
   // from the snapshot must cost both grids the same iteration count and
   // land on bit-identical voltages.
-  const pdn::SolveStats sa = grid.solve(1e-10);
-  const pdn::SolveStats sb = resumed.solve(1e-10);
+  const pdn::SolveStats sa = grid.solve(pdn::SolverConfig{.tol = 1e-10});
+  const pdn::SolveStats sb = resumed.solve(pdn::SolverConfig{.tol = 1e-10});
   EXPECT_EQ(sb.iterations, sa.iterations);
   EXPECT_EQ(sb.residual, sa.residual);
   EXPECT_EQ(resumed.voltages(), grid.voltages());
@@ -332,9 +332,10 @@ TEST(PdnCkpt, GridResumesWithSolutionSeed) {
 TEST(PdnCkpt, GridResumesUnderMultigrid) {
   // The multigrid hierarchy is derived state: never serialised, rebuilt on
   // demand after a restore.  A snapshot taken mid-campaign must therefore
-  // resume byte-for-byte under SolverMethod::Multigrid too — same cycle
-  // count, same voltages — with the resumed grid paying only a hierarchy
-  // rebuild, not a different iteration history.
+  // resume byte-for-byte under a non-default hierarchy too (coarsened down
+  // to 4 nodes, no FMG start) — same cycle count, same voltages — with the
+  // resumed grid paying only a hierarchy rebuild, not a different
+  // iteration history.
   auto build = [] {
     pdn::ResistiveGrid g(24, 24);
     g.fill_conductances(2.0, 1.5);
@@ -345,8 +346,9 @@ TEST(PdnCkpt, GridResumesUnderMultigrid) {
     return g;
   };
   pdn::SolverConfig cfg;
-  cfg.method = pdn::SolverMethod::Multigrid;
   cfg.tol = 1e-6;
+  cfg.fmg = false;
+  cfg.coarsest_nodes = 4;
 
   pdn::ResistiveGrid grid = build();
   EXPECT_TRUE(grid.solve(cfg).converged);

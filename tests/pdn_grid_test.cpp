@@ -1,5 +1,10 @@
-// Tests for the resistive-grid nodal solver against hand-solvable circuits.
+// Tests for the resistive-grid nodal solver against hand-solvable circuits
+// and closed-form discrete solutions.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "wsp/common/error.hpp"
 #include "wsp/pdn/resistive_grid.hpp"
@@ -20,7 +25,7 @@ TEST(ResistiveGrid, VoltageDividerTwoNodes) {
   g.fill_conductances(1.0, 0.0);  // horizontal chain only
   g.set_dirichlet(0, 0, 1.0);
   g.set_dirichlet(2, 0, 0.0);
-  const SolveStats stats = g.solve(1e-10);
+  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-10});
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-8);
 }
@@ -32,7 +37,7 @@ TEST(ResistiveGrid, OhmsLawSingleSink) {
   g.set_conductance_east(0, 0, 2.0);
   g.set_dirichlet(0, 0, 1.0);
   g.set_current_sink(1, 0, 1.0);
-  const SolveStats stats = g.solve(1e-12);
+  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-12});
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-9);
   // KCL at the supply: it must deliver exactly the sink current.
@@ -53,7 +58,7 @@ TEST(ResistiveGrid, SymmetricLoadGivesSymmetricSolution) {
     g.set_dirichlet(8, y, 1.0);
   }
   g.set_current_sink(4, 4, 0.1);
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
   // 4-fold symmetry of the Laplace solution.
   EXPECT_NEAR(g.voltage(3, 4), g.voltage(5, 4), 1e-8);
   EXPECT_NEAR(g.voltage(4, 3), g.voltage(4, 5), 1e-8);
@@ -73,7 +78,7 @@ TEST(ResistiveGrid, MaximumPrincipleNoSinks) {
     g.set_dirichlet(x, 0, 1.0);
     g.set_dirichlet(x, 5, 2.0);
   }
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
   for (int y = 1; y < 5; ++y)
     for (int x = 0; x < 6; ++x) {
       EXPECT_GE(g.voltage(x, y), 1.0 - 1e-9);
@@ -91,7 +96,7 @@ TEST(ResistiveGrid, CurrentConservationManySinks) {
       g.set_current_sink(x, y, 0.01);
       total_load += 0.01;
     }
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
   EXPECT_NEAR(g.total_supply_current(), total_load, 1e-5);
 }
 
@@ -103,7 +108,7 @@ TEST(ResistiveGrid, DeeperNodesDroopMore) {
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.0);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.001);
-  ASSERT_TRUE(g.solve(1e-11).converged);
+  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
   for (int y = 1; y < 7; ++y)
     EXPECT_GT(g.voltage(4, y), g.voltage(4, y + 1));
 }
@@ -113,24 +118,24 @@ TEST(ResistiveGrid, SolverSeedsFromPreviousSolution) {
   g.fill_conductances(1.0, 1.0);
   for (int x = 0; x < 10; ++x) g.set_dirichlet(x, 0, 1.0);
   g.set_current_sink(5, 5, 0.01);
-  const SolveStats cold = g.solve(1e-10);
+  const SolveStats cold = g.solve(SolverConfig{.tol = 1e-10});
   ASSERT_TRUE(cold.converged);
   // Re-solving the identical system from the converged state is ~free.
-  const SolveStats warm = g.solve(1e-10);
+  const SolveStats warm = g.solve(SolverConfig{.tol = 1e-10});
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2);
 }
 
 TEST(ResistiveGrid, ResidualReportsKirchhoffCurrentLaw) {
   // SolveStats.residual is the max nodal current-balance error in amperes
-  // (not the omega-scaled update delta).  Recompute KCL by hand at every
+  // (not the per-cycle voltage update).  Recompute KCL by hand at every
   // non-Dirichlet node and compare.
   ResistiveGrid g(8, 8);
   g.fill_conductances(2.0, 3.0);
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.5);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.002);
-  const SolveStats stats = g.solve(1e-12);
+  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-12});
   ASSERT_TRUE(stats.converged);
 
   double max_kcl = 0.0;
@@ -153,48 +158,40 @@ TEST(ResistiveGrid, ResidualReportsKirchhoffCurrentLaw) {
   EXPECT_LT(stats.max_delta_v, 1e-12);
 }
 
-TEST(ResistiveGrid, ChebyshevOmegaBeatsHandTunedConstant) {
-  // The auto omega derived from the grid dimensions must converge in
-  // (meaningfully) fewer sweeps than the legacy hand-tuned 1.9, which
-  // over-relaxes smaller grids badly.
-  const double omega_auto = ResistiveGrid::chebyshev_omega(16, 16);
-  EXPECT_GT(omega_auto, 1.0);
-  EXPECT_LT(omega_auto, 2.0);
-
-  // The configuration the estimate models (and the wafer's primary
-  // workload): supply on all four edges, loads in the interior.
-  auto iterations_with = [](double omega) {
-    ResistiveGrid g(16, 16);
-    g.fill_conductances(1.0, 1.0);
-    for (int x = 0; x < 16; ++x) {
-      g.set_dirichlet(x, 0, 1.0);
-      g.set_dirichlet(x, 15, 1.0);
+TEST(ResistiveGrid, StripMatchesDiscreteParabola) {
+  // Closed form: with only the x=0 and x=W-1 columns held at V0 and a
+  // uniform sink s on every other node, no current flows vertically and
+  // each row is the discrete parabola V_k = V0 - (s/2g) k (W-1-k) — its
+  // second difference is exactly s/g, so it satisfies every nodal balance.
+  // Sizes cover the direct-solve-only, two-level and deep hierarchies.
+  constexpr double kV0 = 2.5;
+  constexpr double kSink = 0.004;
+  constexpr double kG = 3.0;
+  for (const auto& [w, h] : {std::pair{5, 3}, std::pair{17, 8},
+                            std::pair{40, 9}, std::pair{64, 64}}) {
+    ResistiveGrid g(w, h);
+    g.fill_conductances(kG, 0.7);
+    double total_sink = 0.0;
+    for (int y = 0; y < h; ++y) {
+      g.set_dirichlet(0, y, kV0);
+      g.set_dirichlet(w - 1, y, kV0);
+      for (int x = 1; x < w - 1; ++x) {
+        g.set_current_sink(x, y, kSink);
+        total_sink += kSink;
+      }
     }
-    for (int y = 0; y < 16; ++y) {
-      g.set_dirichlet(0, y, 1.0);
-      g.set_dirichlet(15, y, 1.0);
-    }
-    for (int y = 1; y < 15; ++y)
-      for (int x = 1; x < 15; ++x) g.set_current_sink(x, y, 1e-3);
-    const SolveStats s = g.solve(1e-10, 200000, omega);
-    EXPECT_TRUE(s.converged);
-    return s.iterations;
-  };
-
-  const int auto_iters = iterations_with(0.0);   // 0 = Chebyshev default
-  const int tuned_iters = iterations_with(1.9);  // the old constant
-  EXPECT_LT(auto_iters, tuned_iters / 2);
-}
-
-TEST(ResistiveGrid, ChebyshevOmegaGrowsWithGridSize) {
-  // Larger grids have slower Jacobi modes and need stronger
-  // over-relaxation: omega* is monotone in the grid dimension.
-  double prev = 1.0;
-  for (const int n : {4, 8, 16, 32, 64, 128}) {
-    const double omega = ResistiveGrid::chebyshev_omega(n, n);
-    EXPECT_GT(omega, prev);
-    EXPECT_LT(omega, 2.0);
-    prev = omega;
+    ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-12}).converged)
+        << w << "x" << h;
+    double max_err = 0.0;
+    for (int y = 0; y < h; ++y)
+      for (int k = 0; k < w; ++k) {
+        const double exact = kV0 - kSink / (2.0 * kG) * k * (w - 1 - k);
+        max_err = std::max(max_err, std::abs(g.voltage(k, y) - exact));
+      }
+    EXPECT_LT(max_err, 1e-9) << w << "x" << h;
+    // Power balance: the edge columns supply exactly what the sinks draw.
+    EXPECT_NEAR(g.total_supply_current(), total_sink, 1e-9 * total_sink)
+        << w << "x" << h;
   }
 }
 
@@ -203,7 +200,7 @@ TEST(ResistiveGrid, InvalidArgumentsThrow) {
   EXPECT_THROW(g.set_conductance_east(3, 0, 1.0), Error);  // off the edge
   EXPECT_THROW(g.set_conductance_north(0, 3, 1.0), Error);
   EXPECT_THROW(g.set_conductance_east(0, 0, -1.0), Error);
-  EXPECT_THROW(g.solve(1e-9, 100, 2.5), Error);  // omega out of range
+  EXPECT_THROW(g.solve(SolverConfig{.tol = 0.0}), Error);
 }
 
 }  // namespace
