@@ -12,11 +12,20 @@
 #include "wsp/noc/traffic.hpp"
 #include "wsp/obs/report.hpp"
 #include "wsp/obs/trace.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace {
 
 using namespace wsp;
 using namespace wsp::noc;
+
+/// `cycles` cycles of the synthetic `cfg` stream seeded `seed`, driven and
+/// drained by the workload traffic driver.
+TrafficReport run_synthetic(NocSystem& noc, const TrafficConfig& cfg,
+                            std::uint64_t cycles, std::uint64_t seed) {
+  const auto gen = workloads::make_synthetic(cfg, noc.faults(), Rng(seed));
+  return workloads::run_workload_traffic(noc, *gen, cycles).report;
+}
 
 /// Drives one raw mesh network (no request/response layer) with random
 /// single-packet traffic and returns (delivered, mean latency).
@@ -91,10 +100,9 @@ void print_load_sweep() {
               "throughput", "mean lat", "p50", "p95", "p99", "max");
   for (const double rate : {0.005, 0.01, 0.02, 0.04, 0.08, 0.16}) {
     NocSystem noc{FaultMap(TileGrid(16, 16))};
-    Rng rng(5);
     TrafficConfig cfg;
     cfg.injection_rate = rate;
-    const TrafficReport r = run_traffic(noc, cfg, 800, rng);
+    const TrafficReport r = run_synthetic(noc, cfg, 800, 5);
     std::printf("%12.3f %12.3f %14.3f %12.1f %8llu %8llu %8llu %8llu\n",
                 rate, r.offered_load, r.throughput, r.mean_latency,
                 static_cast<unsigned long long>(r.p50_latency),
@@ -113,12 +121,11 @@ void print_pattern_comparison() {
         TrafficPattern::BitComplement, TrafficPattern::Hotspot,
         TrafficPattern::NearNeighbor}) {
     NocSystem noc{FaultMap(TileGrid(16, 16))};
-    Rng rng(11);
     TrafficConfig cfg;
     cfg.pattern = pattern;
     cfg.injection_rate = 0.02;
     cfg.hotspot = {8, 8};
-    const TrafficReport r = run_traffic(noc, cfg, 800, rng);
+    const TrafficReport r = run_synthetic(noc, cfg, 800, 11);
     std::printf("%-16s %14.3f %14.1f\n", to_string(pattern), r.throughput,
                 r.mean_latency);
   }
@@ -134,10 +141,9 @@ void print_fault_relaying() {
     const FaultMap faults =
         FaultMap::random_with_count(TileGrid(32, 32), n, seed_rng);
     NocSystem noc{faults};
-    Rng rng(3);
     TrafficConfig cfg;
     cfg.injection_rate = 0.002;
-    const TrafficReport r = run_traffic(noc, cfg, 500, rng);
+    const TrafficReport r = run_synthetic(noc, cfg, 500, 3);
     std::printf("%8zu %10llu %10llu %12llu %14.1f %12llu\n", n,
                 static_cast<unsigned long long>(r.issued),
                 static_cast<unsigned long long>(r.completed),
@@ -166,10 +172,9 @@ void run_json_measurements(bool quick) {
     m.wall_ms = wsp::bench::min_wall_ms(
         [&] {
           NocSystem noc{FaultMap(TileGrid(n, n))};
-          Rng rng(5);
           TrafficConfig cfg;
           cfg.injection_rate = 0.02;
-          const TrafficReport r = run_traffic(noc, cfg, cycles, rng);
+          const TrafficReport r = run_synthetic(noc, cfg, cycles, 5);
           benchmark::DoNotOptimize(r.completed);
         },
         repeats, 1);
@@ -181,10 +186,9 @@ void run_json_measurements(bool quick) {
   // 16x16 reference run (fixed seed, so every field is deterministic).
   obs::MetricsRegistry registry;
   NocSystem noc{FaultMap(TileGrid(16, 16)), NocOptions{}, &registry};
-  Rng rng(5);
   TrafficConfig cfg;
   cfg.injection_rate = 0.02;
-  const TrafficReport r = run_traffic(noc, cfg, cycles, rng);
+  const TrafficReport r = run_synthetic(noc, cfg, cycles, 5);
 
   obs::RunReport report("noc_traffic");
   for (const wsp::bench::Measurement& m : json.results())
@@ -207,21 +211,11 @@ void run_json_measurements(bool quick) {
 void BM_NocCyclesPerSecond(benchmark::State& state) {
   NocSystem noc{FaultMap(TileGrid(static_cast<int>(state.range(0)),
                                   static_cast<int>(state.range(0))))};
-  Rng rng(1);
   TrafficConfig cfg;
   cfg.injection_rate = 0.02;
-  const FaultMap& faults = noc.selector().connectivity().faults();
-  const auto healthy = faults.healthy_tiles();
-  std::vector<CompletedTransaction> done;
-  for (auto _ : state) {
-    for (const TileCoord src : healthy) {
-      if (!rng.bernoulli(cfg.injection_rate)) continue;
-      const TileCoord dst = pick_destination(faults, src, cfg, rng);
-      if (!(dst == src)) (void)noc.issue(src, dst, PacketType::ReadRequest);
-    }
-    noc.step(done);
-    done.clear();
-  }
+  const auto gen = workloads::make_synthetic(cfg, noc.faults(), Rng(1));
+  workloads::TrafficDriver driver(noc, *gen);
+  for (auto _ : state) driver.step();
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NocCyclesPerSecond)->Arg(8)->Arg(16)->Arg(32);
@@ -230,8 +224,9 @@ BENCHMARK(BM_NocCyclesPerSecond)->Arg(8)->Arg(16)->Arg(32);
 
 int main(int argc, char** argv) {
   const bool quick = wsp::bench::consume_quick_flag(&argc, argv);
-  // WSP_TRACE=1 records every simulator span (noc.step, noc.traffic.run,
-  // exec.chunk, ...) and writes TRACE_noc_traffic.json on exit.
+  // WSP_TRACE=1 records every simulator span (noc.step,
+  // workloads.traffic.run, exec.chunk, ...) and writes TRACE_noc_traffic.json
+  // on exit.
   wsp::obs::ScopedTrace trace("noc_traffic");
   if (!quick) {
     print_load_sweep();

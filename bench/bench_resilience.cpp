@@ -4,7 +4,6 @@
 // cycle cost of arming the NoC timeout/retry machinery.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -13,8 +12,8 @@
 #include "wsp/clock/recovery.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/link_integrity.hpp"
-#include "wsp/noc/traffic.hpp"
 #include "wsp/resilience/campaign.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace {
 
@@ -203,25 +202,10 @@ void print_ber_sweep() {
       noc::NocSystem noc(FaultMap(grid), opt);
       noc.set_link_ber(noc::LinkBerMap::uniform(grid, ber));
 
-      Rng rng(7);
-      std::vector<noc::CompletedTransaction> done;
-      for (int c = 0; c < 3000; ++c) {
-        grid.for_each([&](TileCoord src) {
-          if (!rng.bernoulli(0.02)) return;
-          const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-          if (!(dst == src))
-            (void)noc.issue(src, dst, noc::PacketType::ReadRequest);
-        });
-        noc.step(done);
-      }
-      noc.drain(done);
-
-      std::vector<std::uint64_t> lat;
-      lat.reserve(done.size());
-      for (const auto& t : done) lat.push_back(t.latency());
-      std::sort(lat.begin(), lat.end());
+      const auto gen = workloads::make_synthetic({.injection_rate = 0.02},
+                                                 noc.faults(), Rng(7));
       const std::uint64_t p99 =
-          lat.empty() ? 0 : lat[lat.size() * 99 / 100];
+          workloads::run_workload_traffic(noc, *gen, 3000).report.p99_latency;
       const noc::NocStats st = noc.stats();
       std::printf("%10.0e %6s %12llu %10llu %10llu %8llu %10.1f %10llu\n",
                   ber, retx ? "on" : "off",
@@ -230,7 +214,6 @@ void print_ber_sweep() {
                   static_cast<unsigned long long>(st.timeouts),
                   static_cast<unsigned long long>(st.lost),
                   st.mean_latency(), static_cast<unsigned long long>(p99));
-      done.clear();
     }
   }
   std::printf("\n");
@@ -273,21 +256,10 @@ void BM_NocStepTimeoutMachinery(benchmark::State& state) {
   noc::NocOptions opt;
   opt.response_timeout = state.range(0) ? 512 : 0;
   noc::NocSystem noc(FaultMap(TileGrid(16, 16)), opt);
-  Rng rng(1);
-  noc::TrafficConfig cfg;
-  cfg.injection_rate = 0.02;
-  const auto healthy = noc.faults().healthy_tiles();
-  std::vector<noc::CompletedTransaction> done;
-  for (auto _ : state) {
-    for (const TileCoord src : healthy) {
-      if (!rng.bernoulli(cfg.injection_rate)) continue;
-      const TileCoord dst = pick_destination(noc.faults(), src, cfg, rng);
-      if (!(dst == src))
-        (void)noc.issue(src, dst, noc::PacketType::ReadRequest);
-    }
-    noc.step(done);
-    done.clear();
-  }
+  const auto gen = workloads::make_synthetic({.injection_rate = 0.02},
+                                             noc.faults(), Rng(1));
+  workloads::TrafficDriver driver(noc, *gen);
+  for (auto _ : state) driver.step();
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(state.range(0) ? "timeout armed" : "timeout off");
 }

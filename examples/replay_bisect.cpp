@@ -11,15 +11,16 @@
 // Determinism is what makes the replay faithful: the snapshot frame
 // captures the full NoC state (packet pool, per-link rings, credit words,
 // RNG streams, live transactions, deadlines) through
-// NocSystem::save_state, plus the traffic generator's RNG and the current
-// runtime fault map alongside it in the same frame.  The re-stepped window
-// is therefore bit-identical to the original run — proven at the end by
-// byte-comparing the re-serialised state at the failure cycle.
+// NocSystem::save_state, plus the current runtime fault map and the
+// traffic generator's state alongside it in the same frame.  The
+// re-stepped window is therefore bit-identical to the original run —
+// proven at the end by byte-comparing the re-serialised state at the
+// failure cycle.
 //
 //   ./replay_bisect              # quiet replay + bit-identity check
 //   WSP_TRACE=1 ./replay_bisect  # replay window traced
-#include <array>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "wsp/common/rng.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/obs/trace.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace {
 
@@ -46,27 +48,22 @@ void scripted_fault(wsp::FaultMap& faults) {
   for (int y = 4; y <= 11; ++y) faults.set_faulty({8, y}, true);
 }
 
-// One cycle of seeded random traffic from the usable tiles.
-void inject_traffic(wsp::noc::NocSystem& noc, const wsp::FaultMap& faults,
-                    wsp::Rng& rng) {
-  const wsp::TileGrid& grid = faults.grid();
-  grid.for_each([&](wsp::TileCoord src) {
-    if (faults.is_faulty(src)) return;
-    if (!rng.bernoulli(kInjectionRate)) return;
-    const wsp::TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-    if (dst == src || faults.is_faulty(dst)) return;
-    noc.issue(src, dst, wsp::noc::PacketType::ReadRequest);
-  });
+// Seeded uniform-random traffic from the usable tiles.
+std::unique_ptr<wsp::workloads::TrafficGenerator> random_traffic(
+    const wsp::FaultMap& faults) {
+  wsp::noc::TrafficConfig cfg;
+  cfg.injection_rate = kInjectionRate;
+  return wsp::workloads::make_synthetic(cfg, faults, wsp::Rng(2026));
 }
 
-// Snapshot frame: NoC state + traffic RNG + current fault map, one file.
-std::vector<std::uint8_t> snapshot(const wsp::noc::NocSystem& noc,
-                                   const wsp::Rng& rng,
-                                   const wsp::FaultMap& faults) {
+// Snapshot frame: NoC state + current fault map + generator state, one file.
+std::vector<std::uint8_t> snapshot(
+    const wsp::noc::NocSystem& noc, const wsp::FaultMap& faults,
+    const wsp::workloads::TrafficGenerator& gen) {
   wsp::ckpt::Writer w;
   noc.save_state(w);
-  for (std::uint64_t word : rng.state()) w.u64(word);
   wsp::ckpt::save_fault_map(w, faults);
+  gen.save_state(w);
   return wsp::ckpt::seal(kFrameKind, kFrameVersion, w);
 }
 
@@ -83,8 +80,8 @@ int main() {
   opt.max_retries = 1;         // so stranded transactions get declared lost
 
   noc::NocSystem noc(faults, opt);
-  Rng rng(2026);
-  std::vector<noc::CompletedTransaction> done;
+  const auto gen = random_traffic(faults);
+  workloads::TrafficDriver driver(noc, *gen);
 
   std::printf("== reference run: 16x16 dual-network NoC, %llu cycles, "
               "snapshot every %llu ==\n",
@@ -103,17 +100,17 @@ int main() {
 
   while (noc.now() < kRunCycles && !failure_cycle) {
     if (noc.now() % kSnapshotPeriod == 0)
-      snapshots.push_back({noc.now(), snapshot(noc, rng, faults)});
+      snapshots.push_back({noc.now(), snapshot(noc, faults, *gen)});
     if (noc.now() == kFaultCycle) {
       scripted_fault(faults);
       noc.apply_fault_state(faults);
+      gen->apply_fault_state(faults);
       std::printf("cycle %5llu: runtime fault — column wall killed, "
                   "%zu tiles unusable\n",
                   static_cast<unsigned long long>(noc.now()),
                   grid.tile_count() - faults.healthy_count());
     }
-    inject_traffic(noc, faults, rng);
-    noc.step(done);
+    driver.step();
     const std::uint64_t lost = noc.stats().lost;
     if (lost > prev_lost) {
       failure_cycle = noc.now();
@@ -152,11 +149,10 @@ int main() {
 
   noc::NocSystem replay(FaultMap(grid), opt);
   replay.load_state(r);
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  Rng replay_rng(1);
-  replay_rng.set_state(rng_state);
   FaultMap replay_faults = ckpt::load_fault_map(r, &grid);
+  const auto replay_gen = random_traffic(replay_faults);
+  replay_gen->load_state(r);
+  workloads::TrafficDriver replay_driver(replay, *replay_gen);
   std::printf("snapshot restored: cycle %llu, %zu transactions in flight\n",
               static_cast<unsigned long long>(replay.now()),
               replay.inflight_transactions());
@@ -168,9 +164,9 @@ int main() {
       if (replay.now() == kFaultCycle) {
         scripted_fault(replay_faults);
         replay.apply_fault_state(replay_faults);
+        replay_gen->apply_fault_state(replay_faults);
       }
-      inject_traffic(replay, replay_faults, replay_rng);
-      replay.step(done);
+      replay_driver.step();
     }
   }
 

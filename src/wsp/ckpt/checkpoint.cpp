@@ -63,8 +63,13 @@ const char* to_string(ErrorKind kind) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  return crc32_update(0, data, size);
+}
+
+std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
+                           std::size_t size) {
   const std::uint32_t* table = crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i)
     c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;

@@ -71,6 +71,12 @@ class Error : public wsp::Error {
 /// integrity check.  crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
+/// Streaming form: extends the finished CRC `crc` of some prefix by the
+/// next `size` bytes (start from 0).  Folding a byte string in any chunking
+/// gives crc32() of the whole string.
+std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
+                           std::size_t size);
+
 /// Four-character payload-kind tag, e.g. fourcc("NOCS").
 constexpr std::uint32_t fourcc(const char (&s)[5]) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(s[0])) |
@@ -101,6 +107,8 @@ class Writer {
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::size_t size() const { return bytes_.size(); }
+  /// Empties the sink, keeping its capacity for reuse.
+  void clear() { bytes_.clear(); }
 
  private:
   std::vector<std::uint8_t> bytes_;

@@ -144,6 +144,17 @@ std::vector<std::uint8_t> serialize_report(const CosimReport& report) {
 
 // --- CosimLoop --------------------------------------------------------------
 
+namespace {
+
+std::unique_ptr<workloads::TrafficGenerator> make_cosim_generator(
+    const CosimOptions& o, const FaultMap& faults) {
+  if (o.workload.cls == workloads::WorkloadClass::Synthetic)
+    return workloads::make_synthetic(o.traffic, faults, Rng(o.seed));
+  return workloads::make_generator(o.workload, o.config, faults);
+}
+
+}  // namespace
+
 CosimLoop::CosimLoop(const CosimOptions& options)
     : CosimLoop(options, FaultMap(options.config.grid())) {}
 
@@ -151,7 +162,9 @@ CosimLoop::CosimLoop(const CosimOptions& options, const FaultMap& faults)
     : options_(options),
       faults_(faults),
       noc_(faults_, options_.noc, &metrics_),
-      pdn_(options_.config, options_.pdn) {
+      pdn_(options_.config, options_.pdn),
+      gen_(make_cosim_generator(options_, faults_)),
+      driver_(noc_, *gen_) {
   options_.config.validate();
   require(options_.epoch_cycles >= 1, "cosim epoch must be >= 1 cycle");
   require(faults_.grid().width() == options_.config.grid().width() &&
@@ -160,15 +173,6 @@ CosimLoop::CosimLoop(const CosimOptions& options, const FaultMap& faults)
   require(options_.pdn.load_model == pdn::LoadModel::ConstantCurrent,
           "cosim requires LoadModel::ConstantCurrent (batched re-solve)");
   pdn_.bind_metrics(&metrics_);
-  // The workload generator.  Synthetic (the default) wraps the legacy
-  // traffic config + seed so pre-seam option sets reproduce the old
-  // injection stream bit for bit; any other class uses the spec verbatim.
-  workloads::WorkloadSpec spec = options_.workload;
-  if (spec.cls == workloads::WorkloadClass::Synthetic) {
-    spec.synthetic = options_.traffic;
-    spec.seed = options_.seed;
-  }
-  gen_ = workloads::make_generator(spec, options_.config, faults_);
   // Two warm-start seed buffers persisted across epochs: the coupled map
   // and the static idle-floor reference solved alongside it.
   seeds_.assign(2, {});
@@ -180,21 +184,8 @@ CosimLoop::CosimLoop(const CosimOptions& options, const FaultMap& faults)
   power_maps_[1] = static_power_;
 }
 
-void CosimLoop::inject_traffic() {
-  inject_buf_.clear();
-  gen_->emit(inject_buf_);
-  for (const workloads::Injection& inj : inject_buf_) {
-    if (inj.dst == inj.src) continue;
-    (void)noc_.issue(inj.src, inj.dst, inj.type, inj.payload);
-  }
-}
-
 void CosimLoop::step_cycle() {
-  inject_traffic();
-  done_.clear();
-  noc_.step(done_);
-  for (const noc::CompletedTransaction& t : done_)
-    latencies_.push_back(t.latency());
+  driver_.step();
   if (++cycle_in_epoch_ == options_.epoch_cycles) {
     cycle_in_epoch_ = 0;
     couple();
@@ -284,28 +275,17 @@ void CosimLoop::publish_gauges(const EpochReport& e) {
       .set(static_cast<double>(e.retransmits));
   // Per-class tail latency alongside the droop gauges, so one RunReport
   // section carries both halves of the workload/power story.
-  std::vector<std::uint64_t> sorted = latencies_;
+  const obs::Histogram& lat = driver_.latencies();
   metrics_.gauge("cosim.workload_p50_latency")
-      .set(static_cast<double>(obs::nearest_rank_percentile(sorted, 0.50)));
+      .set(static_cast<double>(lat.percentile(0.50)));
   metrics_.gauge("cosim.workload_p95_latency")
-      .set(static_cast<double>(obs::nearest_rank_percentile(sorted, 0.95)));
+      .set(static_cast<double>(lat.percentile(0.95)));
   metrics_.gauge("cosim.workload_p99_latency")
-      .set(static_cast<double>(obs::nearest_rank_percentile(sorted, 0.99)));
+      .set(static_cast<double>(lat.percentile(0.99)));
 }
 
 noc::TrafficReport CosimLoop::latency_summary() const {
-  noc::TrafficReport report;
-  report.cycles = noc_.now();
-  const noc::NocStats s = noc_.stats();
-  report.issued = s.issued;
-  report.completed = s.completed;
-  report.unreachable = s.unreachable;
-  report.offered_load =
-      report.cycles ? static_cast<double>(s.issued) / report.cycles : 0.0;
-  report.throughput =
-      report.cycles ? static_cast<double>(s.completed) / report.cycles : 0.0;
-  noc::finalize_latencies(report, latencies_);
-  return report;
+  return driver_.report(noc_.now());
 }
 
 CosimReport CosimLoop::report() const {
@@ -330,16 +310,16 @@ namespace {
 constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 // v2: the raw traffic-RNG words were replaced by the workload generator's
 // own tagged frame, and the completed-transaction latency record was added.
-constexpr std::uint32_t kCosimStateVersion = 2;
+// v3: the raw latency vector became the TrafficDriver frame (latency
+// histogram + delivery digest).
+constexpr std::uint32_t kCosimStateVersion = 3;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("CLOP"));
   gen_->save_state(w);
   w.u64(cycle_in_epoch_);
-  w.tag(ckpt::fourcc("WLAT"));
-  w.u64(latencies_.size());
-  for (const std::uint64_t l : latencies_) w.u64(l);
+  driver_.save_state(w);
   tracker_.save_state(w);
   w.tag(ckpt::fourcc("SEED"));
   w.u64(seeds_.size());
@@ -357,10 +337,7 @@ void CosimLoop::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("CLOP"), "cosim loop");
   gen_->load_state(r);
   cycle_in_epoch_ = r.u64();
-  r.expect_tag(ckpt::fourcc("WLAT"), "workload latencies");
-  const std::size_t n_lat = r.length(8);
-  latencies_.resize(n_lat);
-  for (std::uint64_t& l : latencies_) l = r.u64();
+  driver_.load_state(r);
   tracker_.load_state(r);
   r.expect_tag(ckpt::fourcc("SEED"), "warm-start seeds");
   const std::size_t n_seeds = r.length(8);

@@ -8,10 +8,10 @@
 // resulting retransmits are themselves traffic.  `CosimLoop` closes the
 // loop deterministically with an epoch-stepped relaxation:
 //
-//   every cycle   : inject workload traffic (wsp::workloads generators:
-//                   collectives, layer pipelines, spiking bursts, graph
-//                   waves, or the legacy synthetic patterns), step the
-//                   dual-mesh NoC
+//   every cycle   : one wsp::workloads::TrafficDriver step — emit the
+//                   workload's injections (collectives, layer pipelines,
+//                   spiking bursts, graph waves or the synthetic
+//                   patterns), issue them, step the dual-mesh NoC
 //                   (cheap per-tile activity counters accumulate for free)
 //   every N cycles: diff the activity counters against the previous epoch
 //                   -> per-tile power map -> re-solve the wafer PDN
@@ -21,21 +21,19 @@
 //                   adopts it at the next cycle boundary.
 //
 // Determinism: every stage is individually bit-identical for any thread
-// count (serial injection RNG, unique-writer mesh phases, batched
+// count (serial generator RNG, unique-writer mesh phases, batched
 // multigrid), the coupling points are fixed cycle boundaries, and the BER
 // swap is staged-not-immediate — so the whole loop is bit-identical at any
 // thread count and checkpoint-resumable mid-epoch.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
-#include "wsp/common/rng.hpp"
 #include "wsp/noc/link_integrity.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/noc/traffic.hpp"
@@ -111,12 +109,11 @@ struct CosimOptions {
   pdn::WaferPdnOptions pdn{};
   noc::NocOptions noc{};
   noc::TrafficConfig traffic{};
-  /// Workload driving the loop.  The default (Synthetic) reproduces the
-  /// legacy behaviour bit for bit: the generator wraps `traffic` seeded by
-  /// `seed` (the spec's own synthetic/seed fields are ignored for that
-  /// class).  Any other class runs the spec verbatim — all-reduce rings,
-  /// halo exchange, layer pipelines, spiking bursts or graph waves drive
-  /// the coupled loop instead of uniform-random injection.
+  /// Workload driving the loop.  For the Synthetic class (the default) the
+  /// generator runs `traffic` seeded by `seed` above; the spec's own
+  /// synthetic/seed fields are ignored.  Any other class runs the spec
+  /// verbatim: all-reduce rings, halo exchange, layer pipelines, spiking
+  /// bursts or graph waves.
   workloads::WorkloadSpec workload{};
 };
 
@@ -159,7 +156,8 @@ struct CosimReport {
 std::vector<std::uint8_t> serialize_report(const CosimReport& report);
 
 /// The deterministic coupled driver.  Owns the NoC, the PDN model, the
-/// traffic RNG and the warm-start seed buffers.
+/// workload generator and its TrafficDriver, and the warm-start seed
+/// buffers.
 class CosimLoop {
  public:
   /// Fault-free wafer.
@@ -196,13 +194,10 @@ class CosimLoop {
   /// The workload generator injecting every cycle's traffic.
   workloads::TrafficGenerator& generator() { return *gen_; }
   const workloads::TrafficGenerator& generator() const { return *gen_; }
-  /// Round-trip latencies of every transaction completed so far (issue
-  /// order-independent: appended in completion order, which is itself
-  /// bit-identical across thread counts).  Checkpoint state, so a
-  /// resumed run reports the same percentiles an uninterrupted one does.
-  const std::vector<std::uint64_t>& latencies() const { return latencies_; }
-  /// Nearest-rank latency percentiles + counts over latencies(), published
-  /// per workload class (report.cycles is the cycles run so far).
+  /// Counts and nearest-rank round-trip latency percentiles over every
+  /// transaction completed so far (report.cycles is the cycles run so
+  /// far).  The latency histogram is checkpoint state, so a resumed run
+  /// reports the same percentiles an uninterrupted one does.
   noc::TrafficReport latency_summary() const;
   /// Registry holding the NoC counters plus the per-epoch cosim gauges
   /// (cosim.epochs, cosim.min_supply_v, cosim.max_excess_droop_v,
@@ -212,11 +207,11 @@ class CosimLoop {
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// Checkpoint hooks: the workload generator's frame, epoch cursor,
-  /// latency record, activity snapshot, warm-start seeds, epoch reports
-  /// and the full NoC state round-trip, so
-  /// load + run is bit-identical to never having stopped — mid-epoch
-  /// included.  load_state targets a loop constructed with equal options
-  /// and faults; mismatches throw ckpt::Error.
+  /// traffic driver (latency histogram), activity snapshot, warm-start
+  /// seeds, epoch reports and the full NoC state round-trip, so load + run
+  /// is bit-identical to never having stopped — mid-epoch included.
+  /// load_state targets a loop constructed with equal options and faults;
+  /// mismatches throw ckpt::Error.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
   /// Frames save_state into a "COSM" container, written atomically.
@@ -233,6 +228,7 @@ class CosimLoop {
   noc::NocSystem noc_;
   pdn::WaferPdn pdn_;
   std::unique_ptr<workloads::TrafficGenerator> gen_;
+  workloads::TrafficDriver driver_;
   ActivityTracker tracker_;
   /// Warm-start seeds persisted across epochs: [0] coupled map, [1] static
   /// idle-floor reference (solved in the same batch for the excess-droop
@@ -246,11 +242,7 @@ class CosimLoop {
   pdn::PdnReport last_static_;
   std::vector<EpochReport> epochs_;
   std::uint64_t cycle_in_epoch_ = 0;
-  std::vector<noc::CompletedTransaction> done_;
-  std::vector<workloads::Injection> inject_buf_;
-  std::vector<std::uint64_t> latencies_;
 
-  void inject_traffic();
   void couple();  ///< the epoch-boundary coupling step
   void publish_gauges(const EpochReport& e);
 };

@@ -1,46 +1,17 @@
 #include "wsp/noc/traffic.hpp"
 
-#include <algorithm>
-
 #include "wsp/obs/metrics.hpp"
-#include "wsp/obs/trace.hpp"
 
 namespace wsp::noc {
 
 void finalize_latencies(TrafficReport& report,
-                        std::vector<std::uint64_t> latencies) {
-  report.latency_samples = latencies.size();
-  if (latencies.empty()) {
-    // No measured samples: every latency statistic is exactly zero.  The
-    // old code skipped the percentile block but still divided the sum by
-    // `completed`, which could be non-zero when only pre-window
-    // transactions completed — reporting a mean over samples it never saw.
-    report.mean_latency = 0.0;
-    report.p50_latency = 0;
-    report.p95_latency = 0;
-    report.p99_latency = 0;
-    report.max_latency = 0;
-    return;
-  }
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-  for (const std::uint64_t v : latencies) {
-    sum += v;
-    max = std::max(max, v);
-  }
-  // Mean over the measured samples, NOT over `completed`: completions of
-  // transactions issued before the window are counted by `completed` but
-  // contribute no latency sample, so dividing by `completed` deflated the
-  // mean on every warm-started run.
-  report.mean_latency =
-      static_cast<double>(sum) / static_cast<double>(latencies.size());
-  report.max_latency = max;
-  // Nearest-rank percentiles.  The old index `floor(p * (n-1))` collapsed
-  // small samples (n = 2 reported the MINIMUM as p95/p99) and biased every
-  // percentile low by one rank at common sizes.
-  report.p50_latency = obs::nearest_rank_percentile(latencies, 0.50);
-  report.p95_latency = obs::nearest_rank_percentile(latencies, 0.95);
-  report.p99_latency = obs::nearest_rank_percentile(latencies, 0.99);
+                        const obs::Histogram& latencies) {
+  report.latency_samples = latencies.count();
+  report.mean_latency = latencies.mean();
+  report.p50_latency = latencies.percentile(0.50);
+  report.p95_latency = latencies.percentile(0.95);
+  report.p99_latency = latencies.percentile(0.99);
+  report.max_latency = latencies.max();
 }
 
 const char* to_string(TrafficPattern p) {
@@ -88,51 +59,6 @@ TileCoord pick_destination(const FaultMap& faults, TileCoord src,
     }
   }
   return src;
-}
-
-TrafficReport run_traffic(NocSystem& noc, const TrafficConfig& config,
-                          std::uint64_t cycles, Rng& rng) {
-  const FaultMap& faults = noc.selector().connectivity().faults();
-  const std::vector<TileCoord> healthy = faults.healthy_tiles();
-
-  const NocStats before = noc.stats();
-  const std::uint64_t start = noc.now();
-  std::vector<CompletedTransaction> done;
-
-  WSP_TRACE_SPAN("noc.traffic.run");
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    for (const TileCoord src : healthy) {
-      if (!rng.bernoulli(config.injection_rate)) continue;
-      const TileCoord dst = pick_destination(faults, src, config, rng);
-      if (dst == src) continue;
-      (void)noc.issue(src, dst,
-                      rng.bernoulli(0.5) ? PacketType::ReadRequest
-                                         : PacketType::WriteRequest,
-                      rng(), static_cast<std::uint32_t>(rng()));
-    }
-    noc.step(done);
-  }
-  noc.drain(done);
-
-  const NocStats after = noc.stats();
-  TrafficReport report;
-  report.cycles = cycles;
-  report.issued = after.issued - before.issued;
-  report.completed = after.completed - before.completed;
-  report.unreachable = after.unreachable - before.unreachable;
-  report.offered_load =
-      cycles ? static_cast<double>(report.issued) / cycles : 0.0;
-  report.throughput =
-      cycles ? static_cast<double>(report.completed) / cycles : 0.0;
-
-  std::vector<std::uint64_t> latencies;
-  latencies.reserve(done.size());
-  for (const auto& t : done) {
-    if (t.issue_cycle < start) continue;
-    latencies.push_back(t.latency());
-  }
-  finalize_latencies(report, std::move(latencies));
-  return report;
 }
 
 }  // namespace wsp::noc

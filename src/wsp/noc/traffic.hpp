@@ -7,11 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
-#include "wsp/noc/noc_system.hpp"
+
+namespace wsp::obs {
+class Histogram;
+}  // namespace wsp::obs
 
 namespace wsp::noc {
 
@@ -50,18 +52,11 @@ struct TrafficReport {
   double offered_load = 0.0;  ///< issued transactions per cycle
 };
 
-/// Fills the latency fields of `report` from `latencies` (consumed):
-/// mean over the sample count, nearest-rank p50/p95/p99
-/// (rank = max(1, ceil(p*n)) — exact at every n, including n = 1 and 2),
-/// and max.  Zeroes all latency fields when the sample set is empty.
-void finalize_latencies(TrafficReport& report,
-                        std::vector<std::uint64_t> latencies);
-
-/// Runs `warm + measured` cycles of randomised traffic against `noc` and
-/// reports steady-state statistics over the measured window (plus a drain
-/// phase so every issued transaction completes).
-TrafficReport run_traffic(NocSystem& noc, const TrafficConfig& config,
-                          std::uint64_t cycles, Rng& rng);
+/// Fills the latency fields of `report` from `latencies`: count, mean
+/// over the samples (not over `completed`), nearest-rank p50/p95/p99
+/// (exact while the histogram retains every sample) and max.  An empty
+/// histogram zeroes them all.
+void finalize_latencies(TrafficReport& report, const obs::Histogram& latencies);
 
 /// Picks a destination for `src` under `config`.
 TileCoord pick_destination(const FaultMap& faults, TileCoord src,

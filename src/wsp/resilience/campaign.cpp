@@ -137,30 +137,43 @@ DegradationReport DegradationCampaign::run() const {
   std::vector<std::vector<double>> epoch_seed(1);
   noc::LinkHealthMonitor monitor(grid, options_.link_health);
 
-  noc::TrafficConfig traffic;
-  traffic.pattern = options_.pattern;
-  traffic.injection_rate = options_.injection_rate;
-
-  // Workload-driven trials: a non-Synthetic spec routes injection through
-  // its generator (seeded per trial, so Monte Carlo trials differ exactly
-  // as the synthetic path's trials do).  Synthetic keeps the inline loop
-  // below byte for byte — the trial RNG's draw interleaving with fault
-  // sampling is behavioural state existing campaigns depend on.
-  std::unique_ptr<workloads::TrafficGenerator> workload_gen;
-  if (options_.workload.cls != workloads::WorkloadClass::Synthetic) {
+  // The trial's traffic.  Synthetic draws from the trial RNG itself,
+  // handed over once the assembly faults and the schedule (its only other
+  // uses) are drawn.  Any other class is seeded workload.seed + trial
+  // seed, so Monte Carlo trials differ the same way.
+  std::unique_ptr<workloads::TrafficGenerator> gen;
+  if (options_.workload.cls == workloads::WorkloadClass::Synthetic) {
+    gen = workloads::make_synthetic({.pattern = options_.pattern,
+                                     .injection_rate = options_.injection_rate},
+                                    usable, std::move(rng));
+  } else {
     workloads::WorkloadSpec spec = options_.workload;
     spec.seed = spec.seed + options_.seed;
-    workload_gen = workloads::make_generator(spec, config, usable);
+    gen = workloads::make_generator(spec, config, usable);
   }
-  std::vector<workloads::Injection> workload_buf;
+  std::vector<std::uint64_t> outstanding;
+  workloads::TrafficDriver driver(noc, *gen, &outstanding);
 
   DegradationReport report;
   report.initial_usable = usable.healthy_count();
   report.trajectory.push_back({0, report.initial_usable});
 
-  std::vector<noc::CompletedTransaction> done;
-  std::vector<std::uint64_t> outstanding;
   std::vector<RecoveryTracker> trackers;
+  // Closes every tracker whose transactions have all resolved: the event
+  // recovered at the current cycle.
+  const auto settle_trackers = [&] {
+    for (auto it = trackers.begin(); it != trackers.end();) {
+      prune_resolved(it->ids, noc);
+      if (!it->ids.empty()) {
+        ++it;
+        continue;
+      }
+      EventOutcome& out = report.events[it->event_index];
+      out.recovery_cycles = noc.now() - out.applied_cycle;
+      out.recovered = true;
+      it = trackers.erase(it);
+    }
+  };
   // Usable count after the previous event (the injector mutates the map
   // *before* returning notices, so each event's cost is measured against
   // the running count, direct kill and collateral alike).
@@ -221,10 +234,11 @@ DegradationReport DegradationCampaign::run() const {
       if (n.kind != RuntimeFaultKind::PacketCorruption &&
           n.kind != RuntimeFaultKind::LinkBerDegradation) {
         noc.apply_fault_state(injector.faults(), injector.link_faults());
-        // The workload re-derives its phase geometry (ring membership,
-        // halo neighbours, stage routes, vertex owners) from the same
-        // settled fault state the NoC replans from.
-        if (workload_gen) workload_gen->apply_fault_state(injector.faults());
+        // The generator stops injecting from dead tiles and re-derives its
+        // phase geometry (ring membership, halo neighbours, stage routes,
+        // vertex owners) from the same settled fault state the NoC
+        // replans from.
+        gen->apply_fault_state(injector.faults());
       }
       // Rebind the BER map only after the fault *and* clock state have
       // settled: clock re-selection (TileDeath / ClockGenLoss) mutates the
@@ -242,30 +256,8 @@ DegradationReport DegradationCampaign::run() const {
       report.trajectory.push_back({noc.now(), out.usable_after});
     }
 
-    // Inject traffic from currently usable tiles.
-    if (workload_gen) {
-      workload_buf.clear();
-      workload_gen->emit(workload_buf);
-      for (const workloads::Injection& inj : workload_buf) {
-        if (inj.dst == inj.src) continue;
-        if (const auto id = noc.issue(inj.src, inj.dst, inj.type,
-                                      inj.payload))
-          outstanding.push_back(*id);
-      }
-    } else {
-      const FaultMap& current = injector.faults();
-      grid.for_each([&](TileCoord src) {
-        if (current.is_faulty(src)) return;
-        if (!rng.bernoulli(traffic.injection_rate)) return;
-        const TileCoord dst =
-            noc::pick_destination(current, src, traffic, rng);
-        if (dst == src) return;
-        if (const auto id = noc.issue(src, dst, noc::PacketType::ReadRequest))
-          outstanding.push_back(*id);
-      });
-    }
-
-    noc.step(done);
+    // Inject traffic from currently usable tiles and step the NoC.
+    driver.step();
 
     // Firmware link-health scrub: harvest the per-link error counters and
     // retire links whose observed error rate says they are dying, routing
@@ -299,17 +291,7 @@ DegradationReport DegradationCampaign::run() const {
     }
 
     prune_resolved(outstanding, noc);
-    for (auto it = trackers.begin(); it != trackers.end();) {
-      prune_resolved(it->ids, noc);
-      if (it->ids.empty()) {
-        EventOutcome& out = report.events[it->event_index];
-        out.recovery_cycles = noc.now() - out.applied_cycle;
-        out.recovered = true;
-        it = trackers.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    settle_trackers();
 
     if ((cycle + 1) % options_.trajectory_sample_period == 0)
       report.trajectory.push_back(
@@ -320,19 +302,11 @@ DegradationReport DegradationCampaign::run() const {
   {
     WSP_TRACE_SPAN("campaign.drain");
     const std::uint64_t drain_limit = noc.now() + options_.drain_cycles;
+    std::vector<noc::CompletedTransaction> done;
     while (noc.inflight_transactions() > 0 && noc.now() < drain_limit) {
+      done.clear();
       noc.step(done);
-      for (auto it = trackers.begin(); it != trackers.end();) {
-        prune_resolved(it->ids, noc);
-        if (it->ids.empty()) {
-          EventOutcome& out = report.events[it->event_index];
-          out.recovery_cycles = noc.now() - out.applied_cycle;
-          out.recovered = true;
-          it = trackers.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      settle_trackers();
     }
   }
   report.drained = noc.inflight_transactions() == 0;

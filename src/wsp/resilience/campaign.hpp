@@ -83,12 +83,14 @@ struct CampaignOptions {
   std::uint64_t cosim_epoch_cycles = 0;
   /// Activity -> power scaling for the coupled re-solve.
   cosim::ActivityScale cosim_scale{};
-  /// Workload driving each trial's traffic window.  Synthetic (the
-  /// default) keeps the classic inline injection loop — `pattern` /
-  /// `injection_rate` above, drawn from the trial RNG — bit for bit.  Any
-  /// other class routes injection through a wsp::workloads generator
-  /// (seeded workload.seed + trial seed, re-derived on every fault event
-  /// so collectives re-ring and pipelines re-route around dead tiles).
+  /// Workload driving each trial's traffic window through a
+  /// wsp::workloads::TrafficDriver.  For the Synthetic class (the default)
+  /// the generator runs `pattern` / `injection_rate` above on the trial
+  /// RNG, continuing it after the assembly faults and the schedule; the
+  /// spec's own synthetic/seed fields are ignored.  Any other class is
+  /// seeded workload.seed + trial seed.  Every topology event re-derives
+  /// the generator's fault state, so no tile injects after it dies and
+  /// collectives re-ring and pipelines re-route around dead tiles.
   workloads::WorkloadSpec workload{};
 };
 

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
-#include "wsp/obs/metrics.hpp"
+#include "wsp/obs/trace.hpp"
 #include "wsp/workloads/graph_apps.hpp"
 
 namespace wsp::workloads {
@@ -63,17 +64,15 @@ void save_spec(ckpt::Writer& w, const WorkloadSpec& s) {
 
 namespace {
 
-// --- synthetic (legacy patterns behind the seam) ----------------------------
+// --- synthetic (noc::TrafficConfig patterns) -------------------------------
 
-/// Wraps noc::TrafficConfig + a seeded Rng.  The draw order replicates the
-/// inline injection loop CosimLoop used before the seam existed — iterate
-/// the grid in linear order, one bernoulli per healthy tile, then
-/// pick_destination — so a Synthetic-driven CosimLoop reproduces the old
-/// traffic stream bit for bit.
+/// noc::TrafficConfig + an RNG: per cycle, iterate the grid in linear
+/// order, one bernoulli per healthy tile, then pick_destination.
 class SyntheticGenerator final : public TrafficGenerator {
  public:
-  SyntheticGenerator(const WorkloadSpec& spec, const FaultMap& faults)
-      : faults_(faults), config_(spec.synthetic), rng_(spec.seed) {}
+  SyntheticGenerator(const noc::TrafficConfig& config, const FaultMap& faults,
+                     Rng rng)
+      : faults_(faults), config_(config), rng_(std::move(rng)) {}
 
   const char* name() const override { return "synthetic"; }
 
@@ -708,7 +707,7 @@ std::unique_ptr<TrafficGenerator> make_generator(const WorkloadSpec& spec,
           "workload generator: fault map grid must match the config grid");
   switch (spec.cls) {
     case WorkloadClass::Synthetic:
-      return std::make_unique<SyntheticGenerator>(spec, faults);
+      return make_synthetic(spec.synthetic, faults, Rng(spec.seed));
     case WorkloadClass::AllReduceRing:
       return std::make_unique<AllReduceRingGenerator>(spec, faults);
     case WorkloadClass::HaloExchange:
@@ -723,69 +722,112 @@ std::unique_ptr<TrafficGenerator> make_generator(const WorkloadSpec& spec,
   throw wsp::Error("workload generator: unknown workload class");
 }
 
+std::unique_ptr<TrafficGenerator> make_synthetic(
+    const noc::TrafficConfig& config, const FaultMap& faults, Rng rng) {
+  return std::make_unique<SyntheticGenerator>(config, faults, std::move(rng));
+}
+
 // --- NocSystem driver -------------------------------------------------------
+
+TrafficDriver::TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen,
+                             std::vector<std::uint64_t>* issued_ids)
+    : noc_(noc),
+      gen_(gen),
+      issued_ids_(issued_ids),
+      start_cycle_(noc.now()),
+      start_(noc.stats()) {}
+
+void TrafficDriver::step() {
+  pending_.clear();
+  gen_.emit(pending_);
+  injections_ += pending_.size();
+  for (const Injection& inj : pending_) {
+    if (inj.dst == inj.src) continue;
+    const auto id = noc_.issue(inj.src, inj.dst, inj.type, inj.payload);
+    if (id && issued_ids_) issued_ids_->push_back(*id);
+  }
+  noc_.step(done_);
+  record();
+}
+
+void TrafficDriver::drain() {
+  noc_.drain(done_);
+  record();
+}
+
+void TrafficDriver::record() {
+  records_.clear();
+  for (const noc::CompletedTransaction& t : done_) {
+    records_.i32(t.src.x);
+    records_.i32(t.src.y);
+    records_.i32(t.dst.x);
+    records_.i32(t.dst.y);
+    records_.u64(t.issue_cycle);
+    records_.u64(t.complete_cycle);
+    records_.b(t.relayed);
+    if (t.issue_cycle >= start_cycle_) latency_.record(t.latency());
+  }
+  digest_ =
+      ckpt::crc32_update(digest_, records_.bytes().data(), records_.size());
+  done_.clear();
+}
+
+noc::TrafficReport TrafficDriver::report(std::uint64_t cycles) const {
+  const noc::NocStats now = noc_.stats();
+  noc::TrafficReport r;
+  r.cycles = cycles;
+  r.issued = now.issued - start_.issued;
+  r.completed = now.completed - start_.completed;
+  r.unreachable = now.unreachable - start_.unreachable;
+  r.offered_load = cycles ? static_cast<double>(r.issued) / cycles : 0.0;
+  r.throughput = cycles ? static_cast<double>(r.completed) / cycles : 0.0;
+  noc::finalize_latencies(r, latency_);
+  return r;
+}
+
+void TrafficDriver::save_state(ckpt::Writer& w) const {
+  w.tag(ckpt::fourcc("TDRV"));
+  w.u64(start_cycle_);
+  w.u64(start_.issued);
+  w.u64(start_.completed);
+  w.u64(start_.unreachable);
+  latency_.save_state(w);
+  w.u32(digest_);
+  w.u64(injections_);
+}
+
+void TrafficDriver::load_state(ckpt::Reader& r) {
+  r.expect_tag(ckpt::fourcc("TDRV"), "traffic driver");
+  start_cycle_ = r.u64();
+  start_.issued = r.u64();
+  start_.completed = r.u64();
+  start_.unreachable = r.u64();
+  latency_.load_state(r);
+  digest_ = r.u32();
+  injections_ = r.u64();
+}
 
 WorkloadRunResult run_workload_traffic(noc::NocSystem& noc,
                                        TrafficGenerator& gen,
                                        std::uint64_t cycles,
                                        obs::MetricsRegistry* registry,
                                        bool drain) {
-  const noc::NocStats before = noc.stats();
-  const std::uint64_t start = noc.now();
+  WSP_TRACE_SPAN("workloads.traffic.run");
+  TrafficDriver driver(noc, gen);
+  for (std::uint64_t c = 0; c < cycles; ++c) driver.step();
+  if (drain) driver.drain();
 
   WorkloadRunResult result;
-  ckpt::Writer trace;
-  std::vector<std::uint64_t> latencies;
-  std::vector<Injection> pending;
-  std::vector<noc::CompletedTransaction> done;
-  const auto record_done = [&] {
-    for (const noc::CompletedTransaction& t : done) {
-      trace.i32(t.src.x);
-      trace.i32(t.src.y);
-      trace.i32(t.dst.x);
-      trace.i32(t.dst.y);
-      trace.u64(t.issue_cycle);
-      trace.u64(t.complete_cycle);
-      trace.b(t.relayed);
-      if (t.issue_cycle >= start) latencies.push_back(t.latency());
-    }
-    done.clear();
-  };
-
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    pending.clear();
-    gen.emit(pending);
-    result.injections += pending.size();
-    for (const Injection& inj : pending)
-      (void)noc.issue(inj.src, inj.dst, inj.type, inj.payload);
-    noc.step(done);
-    record_done();
-  }
-  if (drain) {
-    noc.drain(done);
-    record_done();
-  }
-
-  const noc::NocStats after = noc.stats();
-  result.report.cycles = cycles;
-  result.report.issued = after.issued - before.issued;
-  result.report.completed = after.completed - before.completed;
-  result.report.unreachable = after.unreachable - before.unreachable;
-  result.report.offered_load =
-      cycles ? static_cast<double>(result.report.issued) / cycles : 0.0;
-  result.report.throughput =
-      cycles ? static_cast<double>(result.report.completed) / cycles : 0.0;
+  result.report = driver.report(cycles);
+  result.delivery_digest = driver.delivery_digest();
+  result.injections = driver.injections();
 
   if (registry) {
     const std::string prefix = std::string("workloads.") + gen.name();
     registry->counter(prefix + ".injected").add(result.injections);
     registry->counter(prefix + ".completed").add(result.report.completed);
-    obs::Histogram& h = registry->histogram(prefix + ".latency");
-    for (const std::uint64_t l : latencies) h.record(l);
+    registry->histogram(prefix + ".latency").merge(driver.latencies());
   }
-
-  result.delivery_digest = ckpt::crc32(trace.bytes().data(), trace.size());
-  finalize_latencies(result.report, std::move(latencies));
   return result;
 }
 

@@ -16,8 +16,11 @@
 //                      avalanches that flare and decay (neuromorphic);
 //   * graph waves    — BFS/SSSP frontier expansions replayed as per-level
 //                      message waves over the vertex partition;
-//   * synthetic      — the legacy uniform/hotspot patterns, wrapped so the
-//                      old behaviour is just another generator.
+//   * synthetic      — the noc::TrafficConfig patterns (uniform, transpose,
+//                      bit-complement, hotspot, near-neighbour).
+//
+// Every NoC traffic stream in the library comes from a generator and is
+// driven by TrafficDriver, the one emit -> issue -> step -> record loop.
 //
 // Determinism contract: a generator is a pure function of (spec, config,
 // fault map, cycles emitted so far).  emit() advances exactly one cycle, so
@@ -35,19 +38,13 @@
 #include <optional>
 #include <vector>
 
+#include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/noc/traffic.hpp"
-
-namespace wsp::ckpt {
-class Writer;
-class Reader;
-}  // namespace wsp::ckpt
-
-namespace wsp::obs {
-class MetricsRegistry;
-}  // namespace wsp::obs
+#include "wsp/obs/metrics.hpp"
 
 namespace wsp::workloads {
 
@@ -60,9 +57,8 @@ struct Injection {
   friend bool operator==(const Injection&, const Injection&) = default;
 };
 
-/// The seam NocSystem and CosimLoop consume in place of inline
-/// uniform-random injection.  See the file comment for the determinism
-/// contract every implementation honours.
+/// The one source of NoC traffic.  See the file comment for the
+/// determinism contract every implementation honours.
 class TrafficGenerator {
  public:
   virtual ~TrafficGenerator() = default;
@@ -96,7 +92,7 @@ class TrafficGenerator {
 // --- workload specification -------------------------------------------------
 
 enum class WorkloadClass : std::uint8_t {
-  Synthetic = 0,     ///< legacy noc::TrafficConfig patterns
+  Synthetic = 0,     ///< noc::TrafficConfig patterns
   AllReduceRing,     ///< reduce-scatter + all-gather over a tile ring
   HaloExchange,      ///< 4-direction ghost-cell swap every period
   LayerPipeline,     ///< compute/communicate phases across column stages
@@ -205,22 +201,72 @@ std::unique_ptr<TrafficGenerator> make_generator(const WorkloadSpec& spec,
                                                  const SystemConfig& config,
                                                  const FaultMap& faults);
 
+/// The Synthetic generator drawing from `rng` (taken as is, not re-seeded):
+/// per cycle, in grid order, one bernoulli(injection_rate) per healthy
+/// tile, then noc::pick_destination; self-addressed picks are skipped.
+/// make_generator passes Rng(spec.seed); a campaign trial hands over its
+/// own RNG once the assembly faults and the schedule are drawn from it.
+std::unique_ptr<TrafficGenerator> make_synthetic(
+    const noc::TrafficConfig& config, const FaultMap& faults, Rng rng);
+
 // --- the NocSystem driver ---------------------------------------------------
+
+/// The one traffic loop.  Each step() is one cycle: emit the generator's
+/// injections, issue them (self-addressed ones are dropped), step the NoC,
+/// then record what completed.  Recording keeps the round-trip latency of
+/// every transaction issued since construction in one histogram and folds
+/// every completion, in completion order, into a running CRC-32 of
+/// (src, dst, issue_cycle, complete_cycle, relayed): the delivery digest.
+/// When `issued_ids` is set, the id of every accepted issue is appended to
+/// it.  The NoC, generator and id vector are borrowed.
+class TrafficDriver {
+ public:
+  TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen,
+                std::vector<std::uint64_t>* issued_ids = nullptr);
+
+  void step();
+  /// Steps without injecting until nothing is in flight.
+  void drain();
+
+  /// The NoC's issue/completion counts since construction over `cycles`
+  /// cycles, with the latency fields filled from latencies().
+  noc::TrafficReport report(std::uint64_t cycles) const;
+  const obs::Histogram& latencies() const { return latency_; }
+  std::uint32_t delivery_digest() const { return digest_; }
+  std::uint64_t injections() const { return injections_; }
+
+  /// Checkpoint hooks: everything above (the construction-time baseline
+  /// included), so a resumed driver reports as if never stopped.
+  void save_state(ckpt::Writer& w) const;
+  void load_state(ckpt::Reader& r);
+
+ private:
+  void record();
+
+  noc::NocSystem& noc_;
+  TrafficGenerator& gen_;
+  std::vector<std::uint64_t>* issued_ids_;
+  std::uint64_t start_cycle_;
+  noc::NocStats start_;
+  obs::Histogram latency_;
+  std::uint32_t digest_ = 0;
+  std::uint64_t injections_ = 0;
+  std::vector<Injection> pending_;
+  std::vector<noc::CompletedTransaction> done_;
+  ckpt::Writer records_;  ///< one cycle's completions, reused
+};
 
 /// Result of driving a generator against a NocSystem.
 struct WorkloadRunResult {
   noc::TrafficReport report;  ///< latency percentiles over the run window
-  /// CRC-32 over the delivery trace: every transaction completed during
-  /// the run (and its drain), serialised in completion order as
-  /// (src, dst, issue_cycle, complete_cycle, relayed).  The golden-trace
-  /// regression constant — bit-identical across thread counts.
+  /// TrafficDriver's delivery digest over the run and its drain — the
+  /// golden-trace regression constant, bit-identical across thread counts.
   std::uint32_t delivery_digest = 0;
   std::uint64_t injections = 0;  ///< injections the generator emitted
 };
 
-/// Runs `cycles` cycles of `gen` against `noc` (then drains when `drain`),
-/// assembling latency percentiles over transactions issued in the window
-/// and the delivery-trace digest.  When `registry` is non-null the run
+/// Runs `cycles` TrafficDriver steps of `gen` against `noc` (then drains
+/// when `drain`) and reports them.  When `registry` is non-null the run
 /// also records per-class observability under "workloads.<name>.":
 /// the round-trip latency histogram (exact p50/p95/p99 via RunReport) and
 /// injected/completed counters.

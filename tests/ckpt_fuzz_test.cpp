@@ -14,7 +14,6 @@
 //      which turns "no UB" from a claim into a check.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -28,6 +27,7 @@
 #include "wsp/resilience/campaign.hpp"
 #include "wsp/resilience/fault_injector.hpp"
 #include "wsp/resilience/fault_schedule.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp {
 namespace {
@@ -73,36 +73,36 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     const resilience::FaultSchedule schedule =
         resilience::FaultSchedule::random(grid, mix, total, sched_rng);
 
+    const auto traffic = [](const FaultMap& faults, std::uint64_t seed) {
+      return workloads::make_synthetic({.injection_rate = 0.03}, faults,
+                                       Rng(seed));
+    };
     const auto drive = [&](noc::NocSystem& noc,
-                           resilience::FaultInjector& injector, Rng& rng,
+                           resilience::FaultInjector& injector,
+                           workloads::TrafficGenerator& gen,
                            std::uint64_t until) {
-      std::vector<noc::CompletedTransaction> done;
+      workloads::TrafficDriver driver(noc, gen);
       while (noc.now() < until) {
-        if (!injector.advance_to(noc.now()).empty())
+        if (!injector.advance_to(noc.now()).empty()) {
           noc.apply_fault_state(injector.faults(), injector.link_faults());
-        const FaultMap& faults = injector.faults();
-        grid.for_each([&](TileCoord src) {
-          if (faults.is_faulty(src) || !rng.bernoulli(0.03)) return;
-          const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-          if (dst == src || faults.is_faulty(dst)) return;
-          noc.issue(src, dst, noc::PacketType::ReadRequest);
-        });
-        noc.step(done);
+          gen.apply_fault_state(injector.faults());
+        }
+        driver.step();
       }
     };
 
     // Straight-through run, snapshotting at the random cycle.
     noc::NocSystem noc(FaultMap(grid), opt);
     resilience::FaultInjector injector(FaultMap(grid), schedule);
-    Rng rng(traffic_seed);
-    drive(noc, injector, rng, snap);
+    const auto gen = traffic(injector.faults(), traffic_seed);
+    drive(noc, injector, *gen, snap);
     ckpt::Writer w;
     noc.save_state(w);
     injector.save_state(w);
-    for (std::uint64_t word : rng.state()) w.u64(word);
+    gen->save_state(w);
     const std::vector<std::uint8_t> frame = ckpt::seal(ckpt::fourcc("FUZZ"),
                                                        1, w);
-    drive(noc, injector, rng, total);
+    drive(noc, injector, *gen, total);
 
     // Resume into fresh objects; the continuation must match bit for bit.
     const ckpt::Frame opened = ckpt::open_expect(frame, ckpt::fourcc("FUZZ"));
@@ -112,12 +112,10 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     resilience::FaultInjector resumed_injector(FaultMap(grid),
                                                resilience::FaultSchedule{});
     resumed_injector.load_state(r);
-    std::array<std::uint64_t, 4> rng_state{};
-    for (std::uint64_t& word : rng_state) word = r.u64();
+    const auto resumed_gen = traffic(resumed_injector.faults(), 1);
+    resumed_gen->load_state(r);
     ASSERT_TRUE(r.done());
-    Rng resumed_rng(1);
-    resumed_rng.set_state(rng_state);
-    drive(resumed, resumed_injector, resumed_rng, total);
+    drive(resumed, resumed_injector, *resumed_gen, total);
 
     ckpt::Writer expect, got;
     noc.save_state(expect);
@@ -139,16 +137,10 @@ TEST(CkptFuzz, BitFlippedFramesNeverEscapeTheOpener) {
   const TileGrid grid(8, 8);
   noc::NocOptions opt;
   noc::NocSystem noc(FaultMap(grid), opt);
-  Rng rng(21);
-  std::vector<noc::CompletedTransaction> done;
-  for (int c = 0; c < 300; ++c) {
-    grid.for_each([&](TileCoord src) {
-      if (!rng.bernoulli(0.05)) return;
-      const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-      if (dst != src) noc.issue(src, dst, noc::PacketType::ReadRequest);
-    });
-    noc.step(done);
-  }
+  const auto gen = workloads::make_synthetic({.injection_rate = 0.05},
+                                             noc.faults(), Rng(21));
+  workloads::TrafficDriver driver(noc, *gen);
+  for (int c = 0; c < 300; ++c) driver.step();
   ckpt::Writer w;
   noc.save_state(w);
   const std::vector<std::uint8_t> frame = ckpt::seal(ckpt::fourcc("NOCS"),

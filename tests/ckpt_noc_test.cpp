@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "wsp/pdn/resistive_grid.hpp"
 #include "wsp/resilience/fault_injector.hpp"
 #include "wsp/resilience/fault_schedule.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp {
 namespace {
@@ -40,17 +42,13 @@ std::vector<std::uint8_t> noc_bytes(const noc::NocSystem& noc) {
   return w.bytes();
 }
 
-// One cycle of seeded traffic from the usable tiles (same generator on
-// the reference and the resumed run; its Rng rides in the snapshot).
-void inject_traffic(noc::NocSystem& noc, const FaultMap& faults, Rng& rng,
-                    double rate) {
-  const TileGrid& grid = faults.grid();
-  grid.for_each([&](TileCoord src) {
-    if (faults.is_faulty(src) || !rng.bernoulli(rate)) return;
-    const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-    if (dst == src || faults.is_faulty(dst)) return;
-    noc.issue(src, dst, noc::PacketType::ReadRequest);
-  });
+// Seeded uniform-random traffic from the usable tiles (same generator on
+// the reference and the resumed run; its state rides in the snapshot).
+std::unique_ptr<workloads::TrafficGenerator> uniform_traffic(
+    const FaultMap& faults, double rate, std::uint64_t seed) {
+  noc::TrafficConfig cfg;
+  cfg.injection_rate = rate;
+  return workloads::make_synthetic(cfg, faults, Rng(seed));
 }
 
 struct ResumeResult {
@@ -70,25 +68,25 @@ ResumeResult run_snapshot_resume(int width, int height, std::uint64_t total,
   const std::uint64_t fault_cycle = snap_cycle + (total - snap_cycle) / 2;
 
   noc::NocSystem noc(faults, opt);
-  Rng rng(99);
-  std::vector<noc::CompletedTransaction> done;
+  const auto gen = uniform_traffic(faults, 0.02, 99);
+  workloads::TrafficDriver driver(noc, *gen);
   std::vector<std::uint8_t> snapshot_frame;
 
   for (std::uint64_t c = 0; c < total; ++c) {
     if (noc.now() == snap_cycle) {
       ckpt::Writer w;
       noc.save_state(w);
-      for (std::uint64_t word : rng.state()) w.u64(word);
       ckpt::save_fault_map(w, faults);
+      gen->save_state(w);
       snapshot_frame = ckpt::seal(ckpt::fourcc("TSNP"), 1, w);
     }
     if (noc.now() == fault_cycle) {
       for (int y = 1; y < height - 1; ++y)
         faults.set_faulty({width / 2, y}, true);
       noc.apply_fault_state(faults);
+      gen->apply_fault_state(faults);
     }
-    inject_traffic(noc, faults, rng, 0.02);
-    noc.step(done);
+    driver.step();
   }
 
   ResumeResult out;
@@ -100,11 +98,10 @@ ResumeResult run_snapshot_resume(int width, int height, std::uint64_t total,
   ckpt::Reader r(frame.payload);
   noc::NocSystem resumed(FaultMap(grid), opt);
   resumed.load_state(r);
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  Rng resumed_rng(1);
-  resumed_rng.set_state(rng_state);
   FaultMap resumed_faults = ckpt::load_fault_map(r, &grid);
+  const auto resumed_gen = uniform_traffic(resumed_faults, 0.02, 1);
+  resumed_gen->load_state(r);
+  workloads::TrafficDriver resumed_driver(resumed, *resumed_gen);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(resumed.now(), snap_cycle);
 
@@ -113,9 +110,9 @@ ResumeResult run_snapshot_resume(int width, int height, std::uint64_t total,
       for (int y = 1; y < height - 1; ++y)
         resumed_faults.set_faulty({width / 2, y}, true);
       resumed.apply_fault_state(resumed_faults);
+      resumed_gen->apply_fault_state(resumed_faults);
     }
-    inject_traffic(resumed, resumed_faults, resumed_rng, 0.02);
-    resumed.step(done);
+    resumed_driver.step();
   }
   out.resumed = noc_bytes(resumed);
   return out;
@@ -164,12 +161,9 @@ TEST(NocCkpt, CheckpointFileRoundTrip) {
   FaultMap faults(grid);
   noc::NocOptions opt;
   noc::NocSystem noc(faults, opt);
-  Rng rng(5);
-  std::vector<noc::CompletedTransaction> done;
-  for (int c = 0; c < 400; ++c) {
-    inject_traffic(noc, faults, rng, 0.05);
-    noc.step(done);
-  }
+  const auto gen = uniform_traffic(faults, 0.05, 5);
+  workloads::TrafficDriver driver(noc, *gen);
+  for (int c = 0; c < 400; ++c) driver.step();
 
   const std::string path = "CKPT_noc_file_test.wsp";
   noc.save_checkpoint(path);

@@ -54,6 +54,21 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(ckpt::crc32(&zero, 1), 0xD202EF8Du);
 }
 
+TEST(Crc32, ChunkedUpdateEqualsOneShot) {
+  const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
+  // Every split point of the check vector, including empty chunks.
+  for (std::size_t cut = 0; cut <= 9; ++cut) {
+    std::uint32_t crc = ckpt::crc32_update(0, check, cut);
+    crc = ckpt::crc32_update(crc, check + cut, 9 - cut);
+    EXPECT_EQ(crc, 0xCBF43926u) << "cut=" << cut;
+  }
+  std::uint32_t bytewise = 0;
+  for (std::size_t i = 0; i < 9; ++i)
+    bytewise = ckpt::crc32_update(bytewise, check + i, 1);
+  EXPECT_EQ(bytewise, 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32_update(0, nullptr, 0), 0u);
+}
+
 TEST(WriterReader, EveryPrimitiveRoundTrips) {
   ckpt::Writer w;
   w.u8(0xAB);

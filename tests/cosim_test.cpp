@@ -409,21 +409,15 @@ TEST(StagedBerSwap, MidRunSwapIsDeterministicAcrossThreads) {
     noc::NocOptions opt;
     opt.mesh.integrity.enabled = true;
     noc::NocSystem noc(faults, opt);
-    Rng rng(3);
     noc::TrafficConfig traffic;
     traffic.injection_rate = 0.1;
-    std::vector<noc::CompletedTransaction> done;
+    const auto gen = workloads::make_synthetic(traffic, faults, Rng(3));
+    workloads::TrafficDriver driver(noc, *gen);
     for (int cycle = 0; cycle < 120; ++cycle) {
-      cfg.grid().for_each([&](TileCoord src) {
-        if (!rng.bernoulli(traffic.injection_rate)) return;
-        const TileCoord dst =
-            noc::pick_destination(faults, src, traffic, rng);
-        if (dst == src) return;
-        (void)noc.issue(src, dst, noc::PacketType::ReadRequest);
-      });
+      // Staged before cycle 40's step, so that step adopts it.
       if (cycle == 40)
         noc.set_link_ber(noc::LinkBerMap::uniform(cfg.grid(), 1e-3));
-      noc.step(done);
+      driver.step();
     }
     ckpt::Writer w;
     noc.save_state(w);
@@ -479,6 +473,25 @@ TEST(CosimLoop, CheckpointRejectsForeignFrame) {
   ckpt::save_frame_file(file.path(), ckpt::fourcc("XXXX"), 1, w);
   CosimLoop loop(small_options());
   EXPECT_THROW(loop.load_checkpoint(file.path()), ckpt::Error);
+}
+
+TEST(CosimLoop, CheckpointRejectsStateVersion2) {
+  // Version 2 carried the raw latency vector where version 3 carries the
+  // traffic driver's histogram frame: a v2 COSM frame is refused by its
+  // header, before any payload byte is interpreted.
+  TempFile file("cosim_v2_test.ckpt");
+  CosimLoop source(small_options());
+  source.run(40);
+  ckpt::Writer w;
+  source.save_state(w);
+  ckpt::save_frame_file(file.path(), ckpt::fourcc("COSM"), 2, w);
+  CosimLoop loop(small_options());
+  try {
+    loop.load_checkpoint(file.path());
+    FAIL() << "version-2 snapshot accepted";
+  } catch (const ckpt::Error& e) {
+    EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch);
+  }
 }
 
 // ------------------------------------------------------------- warm start

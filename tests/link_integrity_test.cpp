@@ -19,6 +19,7 @@
 #include "wsp/resilience/fault_injector.hpp"
 #include "wsp/resilience/fault_schedule.hpp"
 #include "wsp/testinfra/link_scrub.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp {
 namespace {
@@ -265,29 +266,24 @@ TEST(LinkIntegrity, PacketConservationHoldsAcrossReplans) {
   noc::NocSystem noc(faults, opt);
   noc.set_link_ber(noc::LinkBerMap::uniform(grid, 5e-4));
 
-  Rng rng(23);
-  std::vector<noc::CompletedTransaction> done;
+  const auto gen =
+      workloads::make_synthetic({.injection_rate = 0.02}, faults, Rng(23));
+  workloads::TrafficDriver driver(noc, *gen);
   const std::vector<TileCoord> kills = {{2, 3}, {4, 1}, {1, 4}};
   std::size_t next_kill = 0;
   for (std::uint64_t c = 0; c < 3000; ++c) {
-    grid.for_each([&](TileCoord src) {
-      if (noc.faults().is_faulty(src)) return;
-      if (!rng.bernoulli(0.02)) return;
-      const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
-      if (dst == src || noc.faults().is_faulty(dst)) return;
-      noc.issue(src, dst, noc::PacketType::ReadRequest);
-    });
-    noc.step(done);
+    driver.step();
     ASSERT_TRUE(noc.packet_conservation_holds()) << "cycle " << c;
     if (c > 0 && c % 800 == 0 && next_kill < kills.size()) {
       // Mid-run replan: a tile dies, the selector cache is invalidated,
       // packets buffered inside it are purged — all still conserved.
       faults.set_faulty(kills[next_kill++], true);
       noc.apply_fault_state(faults);
+      gen->apply_fault_state(faults);
       ASSERT_TRUE(noc.packet_conservation_holds());
     }
   }
-  noc.drain(done);
+  driver.drain();
   EXPECT_TRUE(noc.packet_conservation_holds());
   EXPECT_EQ(noc.stats().replans, kills.size());
 }

@@ -7,6 +7,7 @@
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/noc/traffic.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp::noc {
 namespace {
@@ -279,12 +280,19 @@ TEST(NocSystem, RejectsResponseTypeAtIssue) {
 
 // ----------------------------------------------------------------- traffic
 
+/// `cycles` cycles of the synthetic `cfg` stream seeded `seed`, through
+/// the workload traffic driver (drained).
+TrafficReport run_synthetic(NocSystem& noc, const TrafficConfig& cfg,
+                            std::uint64_t cycles, std::uint64_t seed) {
+  const auto gen = workloads::make_synthetic(cfg, noc.faults(), Rng(seed));
+  return workloads::run_workload_traffic(noc, *gen, cycles).report;
+}
+
 TEST(Traffic, UniformRandomReportIsConsistent) {
   NocSystem noc(FaultMap(TileGrid(8, 8)));
-  Rng rng(5);
   TrafficConfig cfg;
   cfg.injection_rate = 0.01;
-  const TrafficReport r = run_traffic(noc, cfg, 500, rng);
+  const TrafficReport r = run_synthetic(noc, cfg, 500, 5);
   EXPECT_EQ(r.issued, r.completed + r.unreachable);
   EXPECT_EQ(r.unreachable, 0u);
   EXPECT_GT(r.mean_latency, 0.0);
@@ -303,18 +311,17 @@ TEST(Traffic, DualNetworksBeatSingleUnderLoad) {
   // against a single-network system built by only issuing XY requests —
   // approximated by halving the injection rate for the dual system).
   const TileGrid grid(8, 8);
-  Rng rng_a(7), rng_b(7);
   NocSystem dual{FaultMap(grid)};
   TrafficConfig heavy;
   heavy.injection_rate = 0.08;
-  const TrafficReport r_dual = run_traffic(dual, heavy, 600, rng_a);
+  const TrafficReport r_dual = run_synthetic(dual, heavy, 600, 7);
   // All traffic forced through one network by pairing each request with
   // its response on the complement but issuing every pair on XY: emulate
   // by doubling the rate on the dual system and comparing saturation.
   NocSystem stressed{FaultMap(grid)};
   TrafficConfig heavier = heavy;
   heavier.injection_rate = 0.16;
-  const TrafficReport r_stressed = run_traffic(stressed, heavier, 600, rng_b);
+  const TrafficReport r_stressed = run_synthetic(stressed, heavier, 600, 7);
   // Throughput keeps scaling before saturation: the dual fabric absorbed
   // 2x the offered load with sub-2x latency growth.
   EXPECT_GT(r_stressed.throughput, r_dual.throughput * 1.5);

@@ -247,10 +247,17 @@ TEST(Trace, EnabledSpansExportAsChromeEvents) {
 
 // ------------------------------------- satellite: TrafficReport percentiles
 
+Histogram histogram_of(const std::vector<std::uint64_t>& samples) {
+  Histogram h;
+  for (const std::uint64_t v : samples) h.record(v);
+  return h;
+}
+
 TEST(TrafficLatencies, EmptyZeroesEveryLatencyField) {
   noc::TrafficReport r;
   r.mean_latency = 99.0;  // stale values must be overwritten
-  noc::finalize_latencies(r, {});
+  r.max_latency = 99;
+  noc::finalize_latencies(r, Histogram{});
   EXPECT_EQ(r.latency_samples, 0u);
   EXPECT_DOUBLE_EQ(r.mean_latency, 0.0);
   EXPECT_EQ(r.p50_latency, 0u);
@@ -261,7 +268,7 @@ TEST(TrafficLatencies, EmptyZeroesEveryLatencyField) {
 
 TEST(TrafficLatencies, SingleSampleIsEveryStatistic) {
   noc::TrafficReport r;
-  noc::finalize_latencies(r, {7});
+  noc::finalize_latencies(r, histogram_of({7}));
   EXPECT_EQ(r.latency_samples, 1u);
   EXPECT_DOUBLE_EQ(r.mean_latency, 7.0);
   EXPECT_EQ(r.p50_latency, 7u);
@@ -274,7 +281,7 @@ TEST(TrafficLatencies, TwoSamplesTailIsTheLargerNotTheMinimum) {
   // Regression for the floor(p*(n-1)) indexing bug: at n=2 it reported the
   // minimum as p95/p99.
   noc::TrafficReport r;
-  noc::finalize_latencies(r, {10, 20});
+  noc::finalize_latencies(r, histogram_of({10, 20}));
   EXPECT_EQ(r.latency_samples, 2u);
   EXPECT_DOUBLE_EQ(r.mean_latency, 15.0);
   EXPECT_EQ(r.p50_latency, 10u);
@@ -291,7 +298,7 @@ TEST(TrafficLatencies, HundredSamplesExactValues) {
   // `completed` — a warm-started run (completed > samples) used to deflate
   // the mean.
   r.completed = 100000;
-  noc::finalize_latencies(r, lat);
+  noc::finalize_latencies(r, histogram_of(lat));
   EXPECT_EQ(r.latency_samples, 100u);
   EXPECT_DOUBLE_EQ(r.mean_latency, 50.5);
   EXPECT_EQ(r.p50_latency, 50u);

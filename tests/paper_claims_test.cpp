@@ -32,6 +32,7 @@
 #include "wsp/noc/traffic.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
 #include "wsp/testinfra/test_time.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp {
 namespace {
@@ -150,10 +151,11 @@ TEST(Fig7RelayingClaims, FaultsAddRelayingButEverythingStillCompletes) {
     const FaultMap faults =
         FaultMap::random_with_count(TileGrid(32, 32), n, seed_rng);
     noc::NocSystem noc{faults};
-    Rng rng(3);
     noc::TrafficConfig cfg;
     cfg.injection_rate = 0.002;
-    const noc::TrafficReport r = noc::run_traffic(noc, cfg, 500, rng);
+    const auto gen = workloads::make_synthetic(cfg, faults, Rng(3));
+    const noc::TrafficReport r =
+        workloads::run_workload_traffic(noc, *gen, 500).report;
 
     // Every issued transaction completes; none are unreachable.
     EXPECT_EQ(r.completed, r.issued) << "faults=" << n;
@@ -173,7 +175,7 @@ TEST(Fig7RelayingClaims, FaultsAddRelayingButEverythingStillCompletes) {
 
     if (n == 20) {
       // Golden point: at 20 faulty tiles ~11% of completed transactions
-      // needed relaying (model: 109 / 1006).  Accept 5..20% — the share
+      // needed relaying (model: 114 / 1007).  Accept 5..20% — the share
       // is seed-dependent but its magnitude is the paper's claim: a
       // minority protocol cost, not a cliff.
       const double share =

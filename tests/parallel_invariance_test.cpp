@@ -25,6 +25,7 @@
 #include "wsp/pdn/thermal.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
 #include "wsp/resilience/campaign.hpp"
+#include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp {
 namespace {
@@ -356,10 +357,10 @@ TEST(NocStepper, MeshTraceAndStatsMatchGoldens) {
 }
 
 TEST(NocStepper, NocSystemTrafficAndRegistryMatchGolden) {
-  // Full-system check: seeded traffic through NocSystem (both meshes plus
-  // the request/response layer) with a bound MetricsRegistry.  The
-  // registry's serialised RunReport is pinned to a CRC recorded with the
-  // former column-band stepper, and must not move with the thread count.
+  // Full-system check: seeded synthetic traffic through NocSystem (both
+  // meshes plus the request/response layer) with a bound MetricsRegistry.
+  // The registry's serialised RunReport is pinned to a CRC, and must not
+  // move with the thread count.
   Rng fault_rng(99);
   const FaultMap faults =
       FaultMap::random_with_count(TileGrid(16, 16), 4, fault_rng);
@@ -367,18 +368,19 @@ TEST(NocStepper, NocSystemTrafficAndRegistryMatchGolden) {
   const auto runs = at_thread_counts([&] {
     obs::MetricsRegistry registry;
     noc::NocSystem noc{faults, noc::NocOptions{}, &registry};
-    Rng rng(5);
     noc::TrafficConfig cfg;
     cfg.injection_rate = 0.02;
-    const noc::TrafficReport r = noc::run_traffic(noc, cfg, 300, rng);
+    const auto gen = workloads::make_synthetic(cfg, faults, Rng(5));
+    const noc::TrafficReport r =
+        workloads::run_workload_traffic(noc, *gen, 300).report;
     obs::RunReport report("noc-stepper");
     report.add_metrics("noc", registry);
     return std::tuple{r.issued, r.completed, report.to_json()};
   });
   const auto& [issued, completed, json] = runs[0];
-  EXPECT_EQ(issued, 1504u);
-  EXPECT_EQ(completed, 1504u);
-  EXPECT_EQ(crc_of(json), 0xd186152fu)
+  EXPECT_EQ(issued, 1516u);
+  EXPECT_EQ(completed, 1516u);
+  EXPECT_EQ(crc_of(json), 0xe90c2442u)
       << "actual 0x" << std::hex << crc_of(json);
   EXPECT_EQ(runs[1], runs[0]);
   EXPECT_EQ(runs[2], runs[0]);

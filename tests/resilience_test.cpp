@@ -767,6 +767,31 @@ TEST(DegradationCampaign, GoldenReportDigestsPinCensusAndRebringup) {
 
   EXPECT_EQ(report_crc(random), 0x17b8cc0cu);
   EXPECT_EQ(report_crc(scripted), 0x91fddf7cu);
+
+  // Non-uniform synthetic traffic under every fault class, with
+  // assembly-time faults, link integrity and coupled PDN epochs: pins the
+  // trial RNG's hand-over to the traffic generator after the schedule
+  // draws, and the generator tracking each mid-run tile loss.
+  CampaignOptions h;
+  h.config = SystemConfig::reduced(16, 16);
+  h.seed = 5;
+  h.run_cycles = 1200;
+  h.fault_horizon = 800;
+  h.injection_rate = 0.03;
+  h.pattern = noc::TrafficPattern::Hotspot;
+  h.initial_fault_probability = 0.03;
+  h.mix.tile_deaths = 4;
+  h.mix.link_failures = 2;
+  h.mix.ldo_brownouts = 1;
+  h.mix.packet_corruptions = 3;
+  h.mix.clock_gen_losses = 1;
+  h.mix.link_ber_degradations = 2;
+  h.noc.mesh.integrity.enabled = true;
+  h.cosim_epoch_cycles = 64;
+  const std::vector<DegradationReport> hotspot =
+      DegradationCampaign(h).run_trials(3);
+  ASSERT_EQ(hotspot.size(), 3u);
+  EXPECT_EQ(report_crc(hotspot), 0x4c92a620u);
 }
 
 }  // namespace
