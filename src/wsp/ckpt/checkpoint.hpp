@@ -33,11 +33,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "wsp/common/error.hpp"
 #include "wsp/common/fault_map.hpp"
+#include "wsp/common/fields.hpp"
 
 namespace wsp::ckpt {
 
@@ -246,5 +249,54 @@ FaultMap load_fault_map(Reader& r, const TileGrid* expected = nullptr);
 
 void save_link_faults(Writer& w, const LinkFaultSet& links);
 LinkFaultSet load_link_faults(Reader& r, const TileGrid* expected = nullptr);
+
+// --- options structs, encoded from their fields() list ----------------------
+
+/// Writes `v` little-endian: bool -> b, enum -> u8, 32/64-bit integers ->
+/// u32/u64, double -> f64; std::array its elements, vector a u64 size then
+/// its elements, optional a presence flag then the value; a type with
+/// save_state() that, and one with fields() every listed member in order.
+template <class T>
+void save_fields(Writer& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.b(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+    w.u32(static_cast<std::uint32_t>(v));
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+    w.u64(static_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::ranges::range<T>) {
+    if constexpr (!requires { std::tuple_size<T>::value; }) w.u64(v.size());
+    for (const auto& e : v) save_fields(w, e);
+  } else if constexpr (requires { v.has_value(); }) {
+    w.b(v.has_value());
+    if (v) save_fields(w, *v);
+  } else if constexpr (requires { v.save_state(w); }) {
+    v.save_state(w);
+  } else {
+    static_assert(std::tuple_size_v<decltype(fields(v))> == member_count<T>,
+                  "fields() must list every data member");
+    std::apply([&w](const auto&... f) { (save_fields(w, f), ...); },
+               fields(v));
+  }
+}
+
+/// Reads the next save_fields encoding of `live`'s type and throws
+/// Error{SchemaMismatch} naming `what` unless it equals `live`'s own.  The
+/// encoding is self-delimiting, so comparing as many bytes as `live`
+/// encodes to is exact.
+template <class T>
+void expect_fields(Reader& r, const T& live, const char* what) {
+  Writer w;
+  save_fields(w, live);
+  std::vector<std::uint8_t> saved(w.size());
+  r.raw(saved.data(), saved.size());
+  if (saved != w.bytes())
+    throw Error(ErrorKind::SchemaMismatch,
+                std::string(what) + " differ from the snapshot");
+}
 
 }  // namespace wsp::ckpt

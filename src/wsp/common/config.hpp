@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "wsp/common/fields.hpp"
 #include "wsp/common/geometry.hpp"
 #include "wsp/common/units.hpp"
 
@@ -181,5 +182,28 @@ struct SystemConfig {
   /// this returns the aggregate across the wafer (for PDN transient study).
   double total_decap_f() const { return decap_per_tile_f * total_tiles(); }
 };
+
+auto fields(Of<SystemConfig> auto& c) {
+  return std::tie(
+      c.array_width, c.array_height, c.cores_per_tile, c.chiplets_per_tile,
+      c.private_mem_per_core_bytes, c.banks_per_memory_chiplet,
+      c.shared_banks_per_tile, c.bank_bytes, c.bank_port_bytes,
+      c.nominal_freq_hz, c.max_forwarded_clock_hz, c.pll_input_min_hz,
+      c.pll_input_max_hz, c.pll_output_max_hz, c.clock_select_toggle_count,
+      c.nominal_voltage_v, c.regulated_min_v, c.regulated_max_v,
+      c.ff_corner_voltage_v, c.edge_supply_voltage_v, c.min_center_supply_v,
+      c.tile_peak_power_w, c.decap_per_tile_f, c.max_load_step_a,
+      c.decap_area_fraction, c.substrate_metal_layers,
+      c.substrate_metal_thickness_m, c.copper_sheet_resistance_ohm_per_sq,
+      c.ios_per_compute_chiplet, c.ios_per_memory_chiplet, c.io_pitch_m,
+      c.wiring_pitch_m, c.io_cell_area_m2, c.io_energy_per_bit_j,
+      c.io_signaling_rate_hz, c.max_link_length_m, c.signal_routing_layers,
+      c.pillar_bond_yield, c.pillars_per_pad, c.link_width_bits_per_side,
+      c.packet_bits, c.payload_bits, c.num_networks,
+      c.buses_per_network_per_side, c.geometry, c.edge_io_margin_m,
+      c.jtag_tck_hz, c.jtag_chains, c.reticle_tiles_x, c.reticle_tiles_y,
+      c.intra_reticle_wire_width_m, c.intra_reticle_wire_space_m,
+      c.stitch_wire_width_m, c.stitch_wire_space_m);
+}
 
 }  // namespace wsp

@@ -39,9 +39,4 @@ int TileGrid::distance_to_edge(TileCoord c) const {
                   std::min(c.y, height_ - 1 - c.y));
 }
 
-void TileGrid::for_each(const std::function<void(TileCoord)>& fn) const {
-  for (int y = 0; y < height_; ++y)
-    for (int x = 0; x < width_; ++x) fn({x, y});
-}
-
 }  // namespace wsp

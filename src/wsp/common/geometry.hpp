@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "wsp/common/fields.hpp"
+
 namespace wsp {
 
 /// The four mesh directions.  Order matters: it is the priority order used
@@ -46,6 +48,8 @@ struct TileCoord {
   friend constexpr bool operator==(const TileCoord&, const TileCoord&) = default;
   friend constexpr auto operator<=>(const TileCoord&, const TileCoord&) = default;
 };
+
+auto fields(Of<TileCoord> auto& c) { return std::tie(c.x, c.y); }
 
 /// Coordinate displaced one step in direction `d`.
 constexpr TileCoord step(TileCoord c, Direction d) {
@@ -110,7 +114,11 @@ class TileGrid {
   int distance_to_edge(TileCoord c) const;
 
   /// Invokes `fn` on every tile coordinate in linear-index order.
-  void for_each(const std::function<void(TileCoord)>& fn) const;
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (int y = 0; y < height_; ++y)
+      for (int x = 0; x < width_; ++x) fn(TileCoord{x, y});
+  }
 
  private:
   int width_;
@@ -142,6 +150,12 @@ struct PhysicalGeometry {
            memory_chiplet_width_m * memory_chiplet_height_m;
   }
 };
+
+auto fields(Of<PhysicalGeometry> auto& g) {
+  return std::tie(g.compute_chiplet_width_m, g.compute_chiplet_height_m,
+                  g.memory_chiplet_width_m, g.memory_chiplet_height_m,
+                  g.inter_chiplet_gap_m);
+}
 
 }  // namespace wsp
 

@@ -312,11 +312,13 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 // own tagged frame, and the completed-transaction latency record was added.
 // v3: the raw latency vector became the TrafficDriver frame (latency
 // histogram + delivery digest).
-constexpr std::uint32_t kCosimStateVersion = 3;
+// v4: CosimOptions lead the "CLOP" section, checked on load.
+constexpr std::uint32_t kCosimStateVersion = 4;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("CLOP"));
+  ckpt::save_fields(w, options_);
   gen_->save_state(w);
   w.u64(cycle_in_epoch_);
   driver_.save_state(w);
@@ -335,6 +337,7 @@ void CosimLoop::save_state(ckpt::Writer& w) const {
 
 void CosimLoop::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("CLOP"), "cosim loop");
+  ckpt::expect_fields(r, options_, "cosim options");
   gen_->load_state(r);
   cycle_in_epoch_ = r.u64();
   driver_.load_state(r);

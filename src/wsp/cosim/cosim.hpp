@@ -66,6 +66,11 @@ struct ActivityScale {
   double flits_per_cycle_at_peak = 2.0;
 };
 
+auto fields(Of<ActivityScale> auto& s) {
+  return std::tie(s.idle_fraction, s.injection_weight, s.traversal_weight,
+                  s.retransmit_weight, s.flits_per_cycle_at_peak);
+}
+
 /// Converts one epoch's per-tile activity deltas into a per-tile power map
 /// (watts, indexed by TileGrid::index_of).  Faulty tiles draw zero; healthy
 /// tiles draw idle_fraction*peak at zero activity, ramping linearly to peak
@@ -116,6 +121,11 @@ struct CosimOptions {
   /// bursts or graph waves.
   workloads::WorkloadSpec workload{};
 };
+
+auto fields(Of<CosimOptions> auto& o) {
+  return std::tie(o.config, o.epoch_cycles, o.seed, o.scale, o.ber, o.pdn,
+                  o.noc, o.traffic, o.workload);
+}
 
 /// One epoch's coupled measurements, recorded at each epoch boundary.
 struct EpochReport {

@@ -36,6 +36,11 @@ struct LinkRetirementPolicy {
   double retire_error_rate = 0.02;   ///< errors/traversals that retires
 };
 
+auto fields(Of<LinkRetirementPolicy> auto& p) {
+  return std::tie(p.scrub_period, p.min_traversals, p.min_errors,
+                  p.retire_error_rate);
+}
+
 /// One retirement decision, for the campaign report.
 struct RetiredLink {
   TileCoord tile;                ///< link source

@@ -40,6 +40,10 @@ struct BerParams {
   double max_ber = 0.05;           ///< channel is unusable past this
 };
 
+auto fields(Of<BerParams> auto& p) {
+  return std::tie(p.nominal_v, p.floor_ber, p.volts_per_decade, p.max_ber);
+}
+
 /// BER for a link whose weaker endpoint sees regulated supply `v`.
 double ber_from_voltage(double v, const BerParams& params = {});
 
@@ -132,5 +136,9 @@ struct LinkIntegrityOptions {
   std::uint64_t seed = 0xB17E5;
   BerParams ber{};
 };
+
+auto fields(Of<LinkIntegrityOptions> auto& o) {
+  return std::tie(o.enabled, o.retransmit, o.max_retransmits, o.seed, o.ber);
+}
 
 }  // namespace wsp::noc

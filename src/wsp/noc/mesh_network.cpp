@@ -526,10 +526,8 @@ std::uint64_t MeshNetwork::link_traversal_count(TileCoord from,
 namespace {
 
 void save_packet(ckpt::Writer& w, const Packet& p) {
-  w.i32(p.src.x);
-  w.i32(p.src.y);
-  w.i32(p.dst.x);
-  w.i32(p.dst.y);
+  ckpt::save_fields(w, p.src);
+  ckpt::save_fields(w, p.dst);
   w.u8(static_cast<std::uint8_t>(p.type));
   w.u8(static_cast<std::uint8_t>(p.network));
   w.u64(p.payload);
@@ -606,17 +604,7 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   // Behavioural options are part of the schema: resuming under different
   // queue capacities or a different channel model would not reproduce the
   // saver's future.
-  w.i32(options_.input_queue_capacity);
-  w.i32(options_.link_latency);
-  w.b(options_.adaptive_odd_even);
-  w.b(options_.integrity.enabled);
-  w.b(options_.integrity.retransmit);
-  w.i32(options_.integrity.max_retransmits);
-  w.u64(options_.integrity.seed);
-  w.f64(options_.integrity.ber.nominal_v);
-  w.f64(options_.integrity.ber.floor_ber);
-  w.f64(options_.integrity.ber.volts_per_decade);
-  w.f64(options_.integrity.ber.max_ber);
+  ckpt::save_fields(w, options_);
 
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, link_faults_);
@@ -711,21 +699,7 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
   if (r.u8() != static_cast<std::uint8_t>(kind_))
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "mesh snapshot is for the other DoR network");
-  const bool options_match =
-      r.i32() == options_.input_queue_capacity &&
-      r.i32() == options_.link_latency &&
-      r.b() == options_.adaptive_odd_even &&
-      r.b() == options_.integrity.enabled &&
-      r.b() == options_.integrity.retransmit &&
-      r.i32() == options_.integrity.max_retransmits &&
-      r.u64() == options_.integrity.seed &&
-      r.f64() == options_.integrity.ber.nominal_v &&
-      r.f64() == options_.integrity.ber.floor_ber &&
-      r.f64() == options_.integrity.ber.volts_per_decade &&
-      r.f64() == options_.integrity.ber.max_ber;
-  if (!options_match)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "mesh behavioural options differ from the snapshot");
+  ckpt::expect_fields(r, options_, "mesh behavioural options");
 
   faults_ = ckpt::load_fault_map(r, &grid_);
   link_faults_ = ckpt::load_link_faults(r, &grid_);

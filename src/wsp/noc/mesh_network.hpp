@@ -88,6 +88,11 @@ struct MeshOptions {
   LinkIntegrityOptions integrity{};
 };
 
+auto fields(Of<MeshOptions> auto& o) {
+  return std::tie(o.input_queue_capacity, o.link_latency, o.adaptive_odd_even,
+                  o.integrity);
+}
+
 /// Cumulative per-tile activity counters for epoch-coupled co-simulation
 /// (wsp::cosim).  Totals since construction, never reset: an epoch driver
 /// diffs successive snapshots, so resuming from a checkpoint reproduces the

@@ -505,12 +505,8 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 // v2: staged (not-yet-adopted) BER map ("SBER" block) — the cycle-boundary
 // swap means a snapshot taken between set_link_ber and the next step must
 // carry the pending map to resume bit-identically.
-constexpr std::uint32_t kNocStateVersion = 2;
-
-void save_coord(ckpt::Writer& w, TileCoord c) {
-  w.i32(c.x);
-  w.i32(c.y);
-}
+// v3: the option block holds all of NocOptions, the mesh options included.
+constexpr std::uint32_t kNocStateVersion = 3;
 
 TileCoord load_coord(ckpt::Reader& r, const TileGrid& grid) {
   TileCoord c;
@@ -523,10 +519,8 @@ TileCoord load_coord(ckpt::Reader& r, const TileGrid& grid) {
 }
 
 void save_full_packet(ckpt::Writer& w, const Packet& p) {
-  w.i32(p.src.x);
-  w.i32(p.src.y);
-  w.i32(p.dst.x);
-  w.i32(p.dst.y);
+  ckpt::save_fields(w, p.src);
+  ckpt::save_fields(w, p.dst);
   w.u8(static_cast<std::uint8_t>(p.type));
   w.u8(static_cast<std::uint8_t>(p.network));
   w.u64(p.payload);
@@ -568,11 +562,7 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   w.u32(kNocStateVersion);
   w.i32(faults_.grid().width());
   w.i32(faults_.grid().height());
-  w.i32(options_.service_latency);
-  w.i32(options_.relay_latency);
-  w.u64(options_.response_timeout);
-  w.i32(options_.max_retries);
-  w.u64(options_.retry_backoff_base);
+  ckpt::save_fields(w, options_);
 
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, links_);
@@ -592,8 +582,7 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   for (std::uint64_t id : ids) {
     const LiveTransaction& txn = live_.at(id);
     w.u64(id);
-    w.u64(txn.plan.waypoints.size());
-    for (TileCoord c : txn.plan.waypoints) save_coord(w, c);
+    ckpt::save_fields(w, txn.plan.waypoints);
     w.u64(txn.plan.segment_networks.size());
     for (NetworkKind k : txn.plan.segment_networks)
       w.u8(static_cast<std::uint8_t>(k));
@@ -689,14 +678,7 @@ void NocSystem::load_state(ckpt::Reader& r) {
                           std::to_string(gh) + " vs live " +
                           std::to_string(grid.width()) + "x" +
                           std::to_string(grid.height()));
-  const bool options_match = r.i32() == options_.service_latency &&
-                             r.i32() == options_.relay_latency &&
-                             r.u64() == options_.response_timeout &&
-                             r.i32() == options_.max_retries &&
-                             r.u64() == options_.retry_backoff_base;
-  if (!options_match)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "NoC options differ from the snapshot");
+  ckpt::expect_fields(r, options_, "NoC options");
 
   faults_ = ckpt::load_fault_map(r, &grid);
   links_ = ckpt::load_link_faults(r, &grid);

@@ -135,6 +135,11 @@ struct NocOptions {
   std::uint64_t retry_backoff_base = 32;
 };
 
+auto fields(Of<NocOptions> auto& o) {
+  return std::tie(o.mesh, o.service_latency, o.relay_latency,
+                  o.response_timeout, o.max_retries, o.retry_backoff_base);
+}
+
 /// Value snapshot of the system-level counters.  The counters themselves
 /// live in an obs::MetricsRegistry (system counters under "noc.", per-mesh
 /// counters under "noc.xy." / "noc.yx.", round-trip latencies in the

@@ -35,6 +35,10 @@ struct TrafficConfig {
   TileCoord hotspot{0, 0};
 };
 
+auto fields(Of<TrafficConfig> auto& c) {
+  return std::tie(c.pattern, c.injection_rate, c.hotspot_fraction, c.hotspot);
+}
+
 struct TrafficReport {
   std::uint64_t cycles = 0;
   std::uint64_t issued = 0;

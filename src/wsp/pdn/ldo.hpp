@@ -14,6 +14,8 @@
 // level detail is out of scope (the paper itself omits it "for brevity").
 #pragma once
 
+#include "wsp/common/fields.hpp"
+
 namespace wsp::pdn {
 
 /// Static (DC) parameters of the LDO.
@@ -31,6 +33,12 @@ struct LdoParams {
   /// Sec. IV says makes non-edge PLL operation unreliable).
   double line_regulation = 0.02;
 };
+
+auto fields(Of<LdoParams> auto& p) {
+  return std::tie(p.target_v, p.min_output_v, p.max_output_v, p.dropout_v,
+                  p.max_input_v, p.min_input_v, p.quiescent_a, p.max_load_a,
+                  p.line_regulation);
+}
 
 /// Result of evaluating the LDO at one DC operating point.
 struct LdoOperatingPoint {

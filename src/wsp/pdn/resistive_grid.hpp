@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "wsp/common/fields.hpp"
 #include "wsp/obs/metrics.hpp"
 
 namespace wsp::ckpt {
@@ -85,6 +86,11 @@ struct SolverConfig {
   /// with a dense Cholesky factorization instead.
   int coarsest_nodes = 64;
 };
+
+auto fields(Of<SolverConfig> auto& c) {
+  return std::tie(c.tol, c.cycles, c.pre_smooth, c.post_smooth,
+                  c.smooth_omega, c.fmg, c.coarsest_nodes);
+}
 
 /// One right-hand side of a batched solve: a per-node sink vector and the
 /// caller-owned voltage buffer it solves into (seeded with the initial

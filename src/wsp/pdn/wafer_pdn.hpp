@@ -49,6 +49,11 @@ struct WaferPdnOptions {
   SolverConfig solver{};
 };
 
+auto fields(Of<WaferPdnOptions> auto& o) {
+  return std::tie(o.nodes_per_tile, o.plane_slotting_factor, o.powered_edges,
+                  o.load_model, o.ldo, o.solver);
+}
+
 /// Per-tile result of a PDN solve.
 struct TilePower {
   double supply_v = 0.0;      ///< plane voltage delivered to the tile

@@ -572,8 +572,7 @@ constexpr std::uint32_t kCampaignStateVersion = 1;
 
 void save_notice(ckpt::Writer& w, const FaultNotice& n) {
   w.u8(static_cast<std::uint8_t>(n.kind));
-  w.i32(n.tile.x);
-  w.i32(n.tile.y);
+  ckpt::save_fields(w, n.tile);
   w.b(n.link.has_value());
   if (n.link) w.u8(static_cast<std::uint8_t>(*n.link));
   w.u64(n.cycle);
@@ -627,8 +626,7 @@ void save_report(ckpt::Writer& w, const DegradationReport& report) {
   w.tag(ckpt::fourcc("RETD"));
   w.u64(report.retirements.size());
   for (const noc::RetiredLink& l : report.retirements) {
-    w.i32(l.tile.x);
-    w.i32(l.tile.y);
+    ckpt::save_fields(w, l.tile);
     w.u8(static_cast<std::uint8_t>(l.dir));
     w.u64(l.cycle);
     w.u64(l.errors);
@@ -747,146 +745,7 @@ DegradationReport load_report(ckpt::Reader& r) {
 
 std::uint32_t DegradationCampaign::options_fingerprint() const {
   ckpt::Writer w;
-  // Every primitive SystemConfig parameter in declaration order (Table-I
-  // derived quantities are functions of these), then the campaign knobs.
-  const SystemConfig& c = options_.config;
-  w.i32(c.array_width);
-  w.i32(c.array_height);
-  w.i32(c.cores_per_tile);
-  w.i32(c.chiplets_per_tile);
-  w.u64(c.private_mem_per_core_bytes);
-  w.i32(c.banks_per_memory_chiplet);
-  w.i32(c.shared_banks_per_tile);
-  w.u64(c.bank_bytes);
-  w.i32(c.bank_port_bytes);
-  w.f64(c.nominal_freq_hz);
-  w.f64(c.max_forwarded_clock_hz);
-  w.f64(c.pll_input_min_hz);
-  w.f64(c.pll_input_max_hz);
-  w.f64(c.pll_output_max_hz);
-  w.i32(c.clock_select_toggle_count);
-  w.f64(c.nominal_voltage_v);
-  w.f64(c.regulated_min_v);
-  w.f64(c.regulated_max_v);
-  w.f64(c.ff_corner_voltage_v);
-  w.f64(c.edge_supply_voltage_v);
-  w.f64(c.min_center_supply_v);
-  w.f64(c.tile_peak_power_w);
-  w.f64(c.decap_per_tile_f);
-  w.f64(c.max_load_step_a);
-  w.f64(c.decap_area_fraction);
-  w.i32(c.substrate_metal_layers);
-  w.f64(c.substrate_metal_thickness_m);
-  w.f64(c.copper_sheet_resistance_ohm_per_sq);
-  w.i32(c.ios_per_compute_chiplet);
-  w.i32(c.ios_per_memory_chiplet);
-  w.f64(c.io_pitch_m);
-  w.f64(c.wiring_pitch_m);
-  w.f64(c.io_cell_area_m2);
-  w.f64(c.io_energy_per_bit_j);
-  w.f64(c.io_signaling_rate_hz);
-  w.f64(c.max_link_length_m);
-  w.i32(c.signal_routing_layers);
-  w.f64(c.pillar_bond_yield);
-  w.i32(c.pillars_per_pad);
-  w.i32(c.link_width_bits_per_side);
-  w.i32(c.packet_bits);
-  w.i32(c.payload_bits);
-  w.i32(c.num_networks);
-  w.i32(c.buses_per_network_per_side);
-  w.f64(c.geometry.compute_chiplet_width_m);
-  w.f64(c.geometry.compute_chiplet_height_m);
-  w.f64(c.geometry.memory_chiplet_width_m);
-  w.f64(c.geometry.memory_chiplet_height_m);
-  w.f64(c.geometry.inter_chiplet_gap_m);
-  w.f64(c.edge_io_margin_m);
-  w.f64(c.jtag_tck_hz);
-  w.i32(c.jtag_chains);
-  w.i32(c.reticle_tiles_x);
-  w.i32(c.reticle_tiles_y);
-  w.f64(c.intra_reticle_wire_width_m);
-  w.f64(c.intra_reticle_wire_space_m);
-  w.f64(c.stitch_wire_width_m);
-  w.f64(c.stitch_wire_space_m);
-
-  w.u64(options_.seed);
-  w.f64(options_.initial_fault_probability);
-  w.u64(options_.mix.tile_deaths);
-  w.u64(options_.mix.link_failures);
-  w.u64(options_.mix.ldo_brownouts);
-  w.u64(options_.mix.clock_gen_losses);
-  w.u64(options_.mix.packet_corruptions);
-  w.u64(options_.mix.link_ber_degradations);
-  w.u64(options_.fault_horizon);
-  w.b(options_.schedule.has_value());
-  if (options_.schedule) options_.schedule->save_state(w);
-  w.u64(options_.run_cycles);
-  w.u64(options_.drain_cycles);
-  w.u8(static_cast<std::uint8_t>(options_.pattern));
-  w.f64(options_.injection_rate);
-
-  const noc::NocOptions& n = options_.noc;
-  w.i32(n.mesh.input_queue_capacity);
-  w.i32(n.mesh.link_latency);
-  w.b(n.mesh.adaptive_odd_even);
-  w.b(n.mesh.integrity.enabled);
-  w.b(n.mesh.integrity.retransmit);
-  w.i32(n.mesh.integrity.max_retransmits);
-  w.u64(n.mesh.integrity.seed);
-  w.f64(n.mesh.integrity.ber.nominal_v);
-  w.f64(n.mesh.integrity.ber.floor_ber);
-  w.f64(n.mesh.integrity.ber.volts_per_decade);
-  w.f64(n.mesh.integrity.ber.max_ber);
-  w.i32(n.service_latency);
-  w.i32(n.relay_latency);
-  w.u64(n.response_timeout);
-  w.i32(n.max_retries);
-  w.u64(n.retry_backoff_base);
-
-  const PdnDegradationOptions& p = options_.pdn;
-  w.i32(p.pdn.nodes_per_tile);
-  w.f64(p.pdn.plane_slotting_factor);
-  for (bool edge : p.pdn.powered_edges) w.b(edge);
-  w.u8(static_cast<std::uint8_t>(p.pdn.load_model));
-  w.f64(p.pdn.ldo.target_v);
-  w.f64(p.pdn.ldo.min_output_v);
-  w.f64(p.pdn.ldo.max_output_v);
-  w.f64(p.pdn.ldo.dropout_v);
-  w.f64(p.pdn.ldo.max_input_v);
-  w.f64(p.pdn.ldo.min_input_v);
-  w.f64(p.pdn.ldo.quiescent_a);
-  w.f64(p.pdn.ldo.max_load_a);
-  w.f64(p.pdn.ldo.line_regulation);
-  w.f64(p.pdn.solver.tol);
-  w.i32(p.pdn.solver.cycles);
-  w.i32(p.pdn.solver.pre_smooth);
-  w.i32(p.pdn.solver.post_smooth);
-  w.f64(p.pdn.solver.smooth_omega);
-  w.b(p.pdn.solver.fmg);
-  w.i32(p.pdn.solver.coarsest_nodes);
-  w.f64(p.activity);
-  w.f64(p.brownout_load_factor);
-
-  w.u64(options_.clock_generators.size());
-  for (const TileCoord& g : options_.clock_generators) {
-    w.i32(g.x);
-    w.i32(g.y);
-  }
-  w.u64(options_.trajectory_sample_period);
-  w.u64(options_.link_health.scrub_period);
-  w.u64(options_.link_health.min_traversals);
-  w.u64(options_.link_health.min_errors);
-  w.f64(options_.link_health.retire_error_rate);
-
-  w.u64(options_.cosim_epoch_cycles);
-  w.f64(options_.cosim_scale.idle_fraction);
-  w.f64(options_.cosim_scale.injection_weight);
-  w.f64(options_.cosim_scale.traversal_weight);
-  w.f64(options_.cosim_scale.retransmit_weight);
-  w.f64(options_.cosim_scale.flits_per_cycle_at_peak);
-
-  workloads::save_spec(w, options_.workload);
-
+  ckpt::save_fields(w, options_);
   return ckpt::crc32(w.bytes().data(), w.size());
 }
 

@@ -94,6 +94,15 @@ struct CampaignOptions {
   workloads::WorkloadSpec workload{};
 };
 
+auto fields(Of<CampaignOptions> auto& o) {
+  return std::tie(o.config, o.seed, o.initial_fault_probability, o.mix,
+                  o.fault_horizon, o.schedule, o.run_cycles, o.drain_cycles,
+                  o.pattern, o.injection_rate, o.noc, o.pdn,
+                  o.clock_generators, o.trajectory_sample_period,
+                  o.link_health, o.cosim_epoch_cycles, o.cosim_scale,
+                  o.workload);
+}
+
 /// Usable-tile count at a point in time.
 struct TrajectoryPoint {
   std::uint64_t cycle = 0;
@@ -219,9 +228,9 @@ class DegradationCampaign {
       int first, int count, int total_trials,
       const CampaignCheckpointOptions& ckpt) const;
 
-  /// CRC-32 over the serialised behavioural options (config, schedule/mix,
-  /// traffic, NoC, PDN and link-health parameters).  The campaign identity
-  /// a checkpoint or shard file must match to be resumed or merged.
+  /// CRC-32 of ckpt::save_fields over every CampaignOptions field.  The
+  /// campaign identity a checkpoint or shard file must match to be resumed
+  /// or merged.
   std::uint32_t options_fingerprint() const;
 
  private:

@@ -89,18 +89,9 @@ void FaultInjector::save_state(ckpt::Writer& w) const {
   ckpt::save_link_faults(w, links_);
   schedule_.save_state(w);
   w.u64(next_);
-  w.u64(brownouts_.size());
-  for (const TileCoord& t : brownouts_) {
-    w.i32(t.x);
-    w.i32(t.y);
-  }
-  w.u64(lost_generators_.size());
-  for (const TileCoord& t : lost_generators_) {
-    w.i32(t.x);
-    w.i32(t.y);
-  }
-  w.u64(ber_degradations_.size());
-  for (const FaultEvent& e : ber_degradations_) save_fault_event(w, e);
+  ckpt::save_fields(w, brownouts_);
+  ckpt::save_fields(w, lost_generators_);
+  ckpt::save_fields(w, ber_degradations_);
 }
 
 void FaultInjector::load_state(ckpt::Reader& r) {

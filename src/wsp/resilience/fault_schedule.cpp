@@ -77,15 +77,6 @@ FaultSchedule FaultSchedule::random(const TileGrid& grid,
 
 // --- checkpointing ----------------------------------------------------------
 
-void save_fault_event(ckpt::Writer& w, const FaultEvent& e) {
-  w.u64(e.cycle);
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  w.i32(e.tile.x);
-  w.i32(e.tile.y);
-  w.u8(static_cast<std::uint8_t>(e.link));
-  w.f64(e.magnitude);
-}
-
 FaultEvent load_fault_event(ckpt::Reader& r) {
   FaultEvent e;
   e.cycle = r.u64();
@@ -110,8 +101,7 @@ constexpr std::size_t kEventBytes = 26;
 
 void FaultSchedule::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("FSCH"));
-  w.u64(events_.size());
-  for (const FaultEvent& e : events_) save_fault_event(w, e);
+  ckpt::save_fields(w, events_);
 }
 
 void FaultSchedule::load_state(ckpt::Reader& r) {

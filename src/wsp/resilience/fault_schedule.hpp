@@ -32,6 +32,10 @@ struct FaultEvent {
   double magnitude = 0.0;
 };
 
+auto fields(Of<FaultEvent> auto& e) {
+  return std::tie(e.cycle, e.kind, e.tile, e.link, e.magnitude);
+}
+
 /// Mix of faults a random schedule draws (counts per kind).
 struct ScheduleMix {
   std::size_t tile_deaths = 3;
@@ -46,6 +50,12 @@ struct ScheduleMix {
            packet_corruptions + link_ber_degradations;
   }
 };
+
+auto fields(Of<ScheduleMix> auto& m) {
+  return std::tie(m.tile_deaths, m.link_failures, m.ldo_brownouts,
+                  m.clock_gen_losses, m.packet_corruptions,
+                  m.link_ber_degradations);
+}
 
 /// Cycle-ordered fault script.
 class FaultSchedule {
@@ -82,10 +92,9 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;
 };
 
-/// Single-event encoding shared by FaultSchedule and the injector's
-/// accumulated BER-degradation list (26 bytes: cycle, kind, tile, link,
-/// magnitude).  load_fault_event validates both enums.
-void save_fault_event(ckpt::Writer& w, const FaultEvent& e);
+/// Reads one save_fields-encoded FaultEvent (26 bytes: cycle, kind, tile,
+/// link, magnitude), as FaultSchedule and the injector's accumulated
+/// BER-degradation list write them; validates both enums.
 FaultEvent load_fault_event(ckpt::Reader& r);
 
 }  // namespace wsp::resilience

@@ -27,6 +27,10 @@ struct PdnDegradationOptions {
   double brownout_load_factor = 1.5;
 };
 
+auto fields(Of<PdnDegradationOptions> auto& o) {
+  return std::tie(o.pdn, o.activity, o.brownout_load_factor);
+}
+
 struct PdnDegradationReport {
   pdn::PdnReport baseline;  ///< solve before the brownouts
   pdn::PdnReport degraded;  ///< solve with browned-out loads applied

@@ -24,44 +24,6 @@ const char* to_string(WorkloadClass c) {
   return "?";
 }
 
-void save_spec(ckpt::Writer& w, const WorkloadSpec& s) {
-  w.u8(static_cast<std::uint8_t>(s.cls));
-  w.u64(s.seed);
-  w.u8(static_cast<std::uint8_t>(s.synthetic.pattern));
-  w.f64(s.synthetic.injection_rate);
-  w.f64(s.synthetic.hotspot_fraction);
-  w.i32(s.synthetic.hotspot.x);
-  w.i32(s.synthetic.hotspot.y);
-  w.i32(s.allreduce.chunk_packets);
-  w.u64(s.allreduce.step_cycles);
-  w.u64(s.allreduce.gap_cycles);
-  w.i32(s.allreduce.rect_x0);
-  w.i32(s.allreduce.rect_y0);
-  w.i32(s.allreduce.rect_x1);
-  w.i32(s.allreduce.rect_y1);
-  w.u64(s.halo.halo_period);
-  w.i32(s.pipeline.stages);
-  w.u64(s.pipeline.compute_cycles);
-  w.u64(s.pipeline.comm_cycles);
-  w.f64(s.pipeline.stage_flops);
-  w.f64(s.spiking.background_rate);
-  w.f64(s.spiking.burst_rate);
-  w.u64(s.spiking.burst_interval);
-  w.i32(s.spiking.max_bursts);
-  w.i32(s.spiking.hotspot.x);
-  w.i32(s.spiking.hotspot.y);
-  w.i32(s.spiking.burst_radius);
-  w.u64(s.spiking.burst_cycles);
-  w.f64(s.spiking.burst_intensity);
-  w.i32(s.graph.scale);
-  w.u64(s.graph.edges);
-  w.u32(s.graph.max_weight);
-  w.u64(s.graph.graph_seed);
-  w.u32(s.graph.source);
-  w.b(s.graph.weighted);
-  w.u64(s.graph.compute_gap_cycles);
-}
-
 namespace {
 
 // --- synthetic (noc::TrafficConfig patterns) -------------------------------
@@ -470,8 +432,7 @@ class SpikingBurstGenerator final : public TrafficGenerator {
     w.u64(total_spikes_);
     w.u64(bursts_.size());
     for (const Burst& b : bursts_) {
-      w.i32(b.center.x);
-      w.i32(b.center.y);
+      ckpt::save_fields(w, b.center);
       w.u64(b.start_cycle);
     }
   }

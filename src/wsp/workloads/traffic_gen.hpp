@@ -118,6 +118,11 @@ struct AllReduceOptions {
   int rect_x0 = 0, rect_y0 = 0, rect_x1 = -1, rect_y1 = -1;
 };
 
+auto fields(Of<AllReduceOptions> auto& o) {
+  return std::tie(o.chunk_packets, o.step_cycles, o.gap_cycles, o.rect_x0,
+                  o.rect_y0, o.rect_x1, o.rect_y1);
+}
+
 /// Halo exchange: every halo_period cycles, four direction waves on
 /// consecutive cycles (E, W, N, S); in each wave every healthy tile with a
 /// healthy in-grid neighbour in that direction sends it one packet.
@@ -125,6 +130,8 @@ struct AllReduceOptions {
 struct HaloOptions {
   std::uint64_t halo_period = 8;
 };
+
+auto fields(Of<HaloOptions> auto& o) { return std::tie(o.halo_period); }
 
 /// Layer pipeline: the wafer's columns are split into `stages` equal bands
 /// (stage = layer).  The stream alternates a global compute window (no
@@ -140,6 +147,10 @@ struct LayerPipelineOptions {
   std::uint64_t comm_cycles = 8;
   double stage_flops = 1.0e6;  ///< work per stage per layer (for deriving)
 };
+
+auto fields(Of<LayerPipelineOptions> auto& o) {
+  return std::tie(o.stages, o.compute_cycles, o.comm_cycles, o.stage_flops);
+}
 
 /// Spiking bursts: per cycle, every healthy tile fires a background spike
 /// with probability background_rate (Poisson thinning); avalanches start
@@ -160,6 +171,12 @@ struct SpikingOptions {
   double burst_intensity = 0.6;
 };
 
+auto fields(Of<SpikingOptions> auto& o) {
+  return std::tie(o.background_rate, o.burst_rate, o.burst_interval,
+                  o.max_bursts, o.hotspot, o.burst_radius, o.burst_cycles,
+                  o.burst_intensity);
+}
+
 /// Graph wave: an R-MAT graph is generated from graph_seed, reference BFS
 /// levels are computed from `source`, and the vertices are block-partitioned
 /// over the healthy tiles.  Each frontier level becomes a communicate phase:
@@ -177,9 +194,14 @@ struct GraphWaveOptions {
   std::uint64_t compute_gap_cycles = 4;
 };
 
+auto fields(Of<GraphWaveOptions> auto& o) {
+  return std::tie(o.scale, o.edges, o.max_weight, o.graph_seed, o.source,
+                  o.weighted, o.compute_gap_cycles);
+}
+
 /// Value-type description of one workload: the class selector plus every
-/// per-class knob.  save_spec() serialises all of it, so a campaign
-/// fingerprint or a checkpoint header pins the workload identity.
+/// per-class knob.  fields() lists all of it, so a campaign fingerprint or
+/// a checkpoint option block pins the workload identity.
 struct WorkloadSpec {
   WorkloadClass cls = WorkloadClass::Synthetic;
   std::uint64_t seed = 1;
@@ -191,9 +213,10 @@ struct WorkloadSpec {
   GraphWaveOptions graph{};
 };
 
-/// Serialises every behavioural field of `spec` (class, seed, all per-class
-/// knobs) — the bytes campaign fingerprints fold in.
-void save_spec(ckpt::Writer& w, const WorkloadSpec& spec);
+auto fields(Of<WorkloadSpec> auto& s) {
+  return std::tie(s.cls, s.seed, s.synthetic, s.allreduce, s.halo, s.pipeline,
+                  s.spiking, s.graph);
+}
 
 /// Constructs the generator `spec` describes, bound to `config`/`faults`.
 /// Throws wsp::Error on invalid per-class options.

@@ -24,6 +24,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "field_walk.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/obs/report.hpp"
@@ -330,31 +331,36 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   reseeded.seed = 12;
   EXPECT_NE(DegradationCampaign(reseeded).options_fingerprint(),
             a.options_fingerprint());
+
+  // Pinned with an explicit schedule, a generator vector and a non-default
+  // workload class, so the optional, vector and enum encodings stay fixed.
+  CampaignOptions rich = small_campaign();
+  rich.schedule = resilience::FaultSchedule{};
+  rich.clock_generators = {{1, 2}, {3, 4}};
+  rich.workload.cls = workloads::WorkloadClass::SpikingBurst;
+  EXPECT_EQ(DegradationCampaign(rich).options_fingerprint(), 0xa9eb01c1u)
+      << "actual 0x" << std::hex
+      << DegradationCampaign(rich).options_fingerprint();
 }
 
-TEST(CampaignCkpt, FingerprintCoversEverySolverField) {
-  // The plane solver's tuning changes coupled-epoch voltages, so a snapshot
-  // or shard written under one SolverConfig must not resume or merge under
-  // another: perturbing any single field has to move the fingerprint.
-  const std::uint32_t base =
-      DegradationCampaign(small_campaign()).options_fingerprint();
-  const std::vector<std::pair<const char*, void (*)(pdn::SolverConfig&)>>
-      perturbations = {
-          {"tol", [](pdn::SolverConfig& s) { s.tol *= 0.5; }},
-          {"cycles", [](pdn::SolverConfig& s) { ++s.cycles; }},
-          {"pre_smooth", [](pdn::SolverConfig& s) { ++s.pre_smooth; }},
-          {"post_smooth", [](pdn::SolverConfig& s) { ++s.post_smooth; }},
-          {"smooth_omega",
-           [](pdn::SolverConfig& s) { s.smooth_omega = 1.0; }},
-          {"fmg", [](pdn::SolverConfig& s) { s.fmg = !s.fmg; }},
-          {"coarsest_nodes",
-           [](pdn::SolverConfig& s) { s.coarsest_nodes *= 2; }},
-      };
-  for (const auto& [field, perturb] : perturbations) {
-    CampaignOptions o = small_campaign();
-    perturb(o.pdn.pdn.solver);
-    EXPECT_NE(DegradationCampaign(o).options_fingerprint(), base) << field;
-  }
+TEST(CampaignCkpt, FingerprintCoversEveryOptionLeaf) {
+  // A snapshot or shard written under one option set must not resume or
+  // merge under another: perturbing any single leaf that fields() reaches
+  // has to move the fingerprint.  The CRC is taken directly, so
+  // SystemConfig::validate never sees the perturbed configs.
+  const auto crc_of = [](const CampaignOptions& o) {
+    ckpt::Writer w;
+    ckpt::save_fields(w, o);
+    return ckpt::crc32(w.bytes().data(), w.size());
+  };
+  const CampaignOptions base = small_campaign();
+  const std::uint32_t want = crc_of(base);
+  EXPECT_EQ(want, DegradationCampaign(base).options_fingerprint());
+  const std::size_t leaves = for_each_perturbed_leaf(
+      base, [&](const CampaignOptions& o, std::size_t leaf) {
+        EXPECT_NE(crc_of(o), want) << "leaf " << leaf;
+      });
+  EXPECT_GT(leaves, 100u);
 }
 
 TEST(CampaignCkpt, ReportSerialisationRoundTripsEverySummaryInput) {

@@ -249,6 +249,37 @@ TEST(MeshCkpt, ResumeBitIdenticalMidFlight) {
   EXPECT_TRUE(resumed.conservation_holds());
 }
 
+TEST(MeshCkpt, FrameBytesArePinned) {
+  // A snapshot written by an earlier build must keep loading: the option
+  // block and everything after it keep their exact encoding.
+  const FaultMap faults(TileGrid(8, 8));
+  noc::MeshOptions opt;
+  opt.input_queue_capacity = 6;
+  opt.link_latency = 3;
+  opt.adaptive_odd_even = true;
+  opt.integrity = {true, false, 2, 77, {1.05, 1e-9, 0.02, 0.1}};
+  const noc::MeshNetwork mesh(faults, noc::NetworkKind::YX, opt);
+  ckpt::Writer w;
+  mesh.save_state(w);
+  const std::uint32_t crc = ckpt::crc32(w.bytes().data(), w.size());
+  EXPECT_EQ(w.size(), 67321u);
+  EXPECT_EQ(crc, 0xbd9013b3u) << "actual 0x" << std::hex << crc;
+
+  noc::MeshNetwork same(faults, noc::NetworkKind::YX, opt);
+  ckpt::Reader r(w.bytes());
+  same.load_state(r);
+  EXPECT_TRUE(r.done());
+  opt.integrity.ber.max_ber = 0.2;  // one nested option leaf differs
+  noc::MeshNetwork other(faults, noc::NetworkKind::YX, opt);
+  ckpt::Reader r2(w.bytes());
+  try {
+    other.load_state(r2);
+    FAIL() << "mesh snapshot accepted under different options";
+  } catch (const ckpt::Error& e) {
+    EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch);
+  }
+}
+
 TEST(MeshCkpt, WrongKindIsTypedError) {
   const TileGrid grid(6, 6);
   const FaultMap faults(grid);

@@ -5,10 +5,13 @@
 // agreement with cold solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "field_walk.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
 #include "wsp/cosim/cosim.hpp"
@@ -477,21 +480,75 @@ TEST(CosimLoop, CheckpointRejectsForeignFrame) {
 
 TEST(CosimLoop, CheckpointRejectsStateVersion2) {
   // Version 2 carried the raw latency vector where version 3 carries the
-  // traffic driver's histogram frame: a v2 COSM frame is refused by its
-  // header, before any payload byte is interpreted.
+  // traffic driver's histogram frame, and version 3 lacks the option block
+  // version 4 leads with: older COSM frames are refused by their header,
+  // before any payload byte is interpreted.
   TempFile file("cosim_v2_test.ckpt");
   CosimLoop source(small_options());
   source.run(40);
   ckpt::Writer w;
   source.save_state(w);
-  ckpt::save_frame_file(file.path(), ckpt::fourcc("COSM"), 2, w);
-  CosimLoop loop(small_options());
-  try {
-    loop.load_checkpoint(file.path());
-    FAIL() << "version-2 snapshot accepted";
-  } catch (const ckpt::Error& e) {
-    EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch);
+  for (const std::uint32_t version : {2u, 3u}) {
+    ckpt::save_frame_file(file.path(), ckpt::fourcc("COSM"), version, w);
+    CosimLoop loop(small_options());
+    try {
+      loop.load_checkpoint(file.path());
+      FAIL() << "version-" << version << " snapshot accepted";
+    } catch (const ckpt::Error& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << version;
+    }
   }
+}
+
+TEST(CosimLoop, CheckpointRejectsForeignOptions) {
+  // A snapshot resumes only under the options that wrote it: a different
+  // epoch length, solver tolerance or idle floor would not reproduce the
+  // saver's future.
+  TempFile file("cosim_options_test.ckpt");
+  CosimLoop source(small_options(16));
+  source.run(40);
+  source.save_checkpoint(file.path());
+  const auto load_error =
+      [&](const CosimOptions& o) -> std::optional<ckpt::ErrorKind> {
+    CosimLoop loop(o);
+    try {
+      loop.load_checkpoint(file.path());
+    } catch (const ckpt::Error& e) {
+      return e.kind();
+    }
+    return std::nullopt;
+  };
+  CosimOptions tol = small_options(16);
+  tol.pdn.solver.tol *= 2.0;
+  CosimOptions idle = small_options(16);
+  idle.scale.idle_fraction = 0.4;
+  EXPECT_EQ(load_error(small_options(64)), ckpt::ErrorKind::SchemaMismatch);
+  EXPECT_EQ(load_error(tol), ckpt::ErrorKind::SchemaMismatch);
+  EXPECT_EQ(load_error(idle), ckpt::ErrorKind::SchemaMismatch);
+  CosimLoop same(small_options(16));
+  same.load_checkpoint(file.path());
+  EXPECT_EQ(same.state_fingerprint(), source.state_fingerprint());
+}
+
+TEST(CosimLoop, OptionBlockCoversEveryOptionLeaf) {
+  // The COSM option block is save_fields(options) right after the "CLOP"
+  // tag, and perturbing any single leaf fields() reaches has to move it.
+  const CosimOptions base = small_options();
+  const auto block = [](const CosimOptions& o) {
+    ckpt::Writer w;
+    ckpt::save_fields(w, o);
+    return w.bytes();
+  };
+  const std::vector<std::uint8_t> want = block(base);
+  ckpt::Writer state;
+  CosimLoop(base).save_state(state);
+  ASSERT_GE(state.size(), 4 + want.size());
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), state.bytes().begin() + 4));
+  const std::size_t leaves = for_each_perturbed_leaf(
+      base, [&](const CosimOptions& o, std::size_t leaf) {
+        EXPECT_NE(block(o), want) << "leaf " << leaf;
+      });
+  EXPECT_GT(leaves, 100u);
 }
 
 // ------------------------------------------------------------- warm start
