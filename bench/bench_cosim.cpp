@@ -41,6 +41,8 @@ cosim::CosimOptions coupled_options(int n) {
 
 /// Coupled 32x32 loop at 1/2/8 threads: wall time plus the bit-identity
 /// gate (state fingerprint and report bytes must match the serial run).
+/// The coupled loop never touches the exec pool, so the sweep times one
+/// pool-free path; the gate keeps it deterministic if that ever changes.
 int run_coupled_scaling(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 3;
   const std::uint64_t epochs = quick ? 4 : 8;

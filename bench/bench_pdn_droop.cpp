@@ -78,9 +78,11 @@ std::vector<double> voltage_vector(const PdnReport& r) {
   return v;
 }
 
-/// Thread scaling of the 64x64 wafer PDN solve: wall time and speedup per
+/// Thread sweep of the 64x64 wafer PDN solve: wall time and speedup per
 /// thread count, plus the determinism check — the voltage vector must be
-/// bit-identical at every thread count.
+/// bit-identical at every thread count.  The solve never touches the exec
+/// pool, so the sweep times one pool-free path and guards that it stays
+/// that way (a speedup far from 1.0 would mean the pool crept back in).
 int run_parallel_scaling(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 5;
 
@@ -287,8 +289,7 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
 /// solve_batch suite: 32 distinct power maps against one 64x64 topology,
 /// solved sequentially and through solve_batch.  The batch result must be
 /// bit-identical to the sequential reference; walls are recorded so the
-/// amortization (one hierarchy, RHS fanned over the pool) is tracked
-/// across PRs.
+/// amortization (one hierarchy shared by every RHS) is tracked over time.
 int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 5;
   const int kRhs = 32;

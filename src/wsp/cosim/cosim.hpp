@@ -20,11 +20,11 @@
 //                   regulated tile voltages -> stage it on the NoC, which
 //                   adopts it at the next cycle boundary.
 //
-// Determinism: every stage is individually bit-identical for any thread
-// count (serial generator RNG, unique-writer mesh phases, batched
-// multigrid), the coupling points are fixed cycle boundaries, and the BER
-// swap is staged-not-immediate — so the whole loop is bit-identical at any
-// thread count and checkpoint-resumable mid-epoch.
+// Determinism: every stage runs serially on the calling thread (generator
+// RNG, mesh phases, batched multigrid), the coupling points are fixed
+// cycle boundaries, and the BER swap is staged-not-immediate — so the whole
+// loop is bit-identical at any thread count and checkpoint-resumable
+// mid-epoch.
 #pragma once
 
 #include <cstdint>

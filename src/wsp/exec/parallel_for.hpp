@@ -4,13 +4,11 @@
 // contiguous chunks, or fewer for short ranges) — never of the thread
 // count.  parallel_for therefore produces identical memory writes for any
 // pool size as long as the body writes only to locations indexed by its own
-// range, and parallel_reduce produces bit-identical results because the
-// per-chunk partials are combined serially in chunk order.
+// range.
 #pragma once
 
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "wsp/exec/thread_pool.hpp"
 
@@ -21,16 +19,10 @@ namespace wsp::exec {
 /// per-chunk dispatch cost stays invisible.
 inline constexpr std::size_t kMaxChunks = 64;
 
-/// Chunk count for a range of `n` items with at least `min_grain` items per
-/// chunk — a pure function of (n, min_grain), never of the thread count
-/// (the determinism contract).  Ranges smaller than one grain collapse to a
-/// single chunk, which run_chunks executes inline: small problems (an 8x8
-/// campaign PDN grid) skip the dispatch cost entirely.
-inline std::size_t chunk_count_for(std::size_t n, std::size_t min_grain = 1) {
-  if (min_grain < 1) min_grain = 1;
-  const std::size_t by_grain = n / min_grain;
-  if (by_grain <= 1) return n > 0 ? 1 : 0;
-  return by_grain < kMaxChunks ? by_grain : kMaxChunks;
+/// Chunk count for a range of `n` items — a pure function of n, never of
+/// the thread count (the determinism contract).
+inline std::size_t chunk_count_for(std::size_t n) {
+  return n < kMaxChunks ? n : kMaxChunks;
 }
 
 /// Half-open sub-range [begin, end) of chunk `c` out of `chunks` over `n`.
@@ -41,13 +33,11 @@ inline std::pair<std::size_t, std::size_t> chunk_bounds(std::size_t n,
 }
 
 /// Runs body(begin, end) over [0, n) split into deterministic contiguous
-/// chunks of at least `min_grain` items.  The body must only write state
-/// indexed by its own sub-range.
+/// chunks.  The body must only write state indexed by its own sub-range.
 template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t n, Body&& body,
-                  std::size_t min_grain = 1) {
+void parallel_for(ThreadPool& pool, std::size_t n, Body&& body) {
   if (n == 0) return;
-  const std::size_t chunks = chunk_count_for(n, min_grain);
+  const std::size_t chunks = chunk_count_for(n);
   pool.run_chunks(chunks, [&](std::size_t c) {
     const auto [b, e] = chunk_bounds(n, chunks, c);
     body(b, e);
@@ -56,36 +46,8 @@ void parallel_for(ThreadPool& pool, std::size_t n, Body&& body,
 
 /// Convenience: shared-pool parallel_for.
 template <typename Body>
-void parallel_for(std::size_t n, Body&& body, std::size_t min_grain = 1) {
-  parallel_for(shared_pool(), n, std::forward<Body>(body), min_grain);
-}
-
-/// Map-reduce over [0, n): `map(begin, end)` returns a partial T per chunk;
-/// partials are combined with `combine(acc, partial)` serially in chunk
-/// order starting from `init`, so the result is bit-identical for every
-/// thread count.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(ThreadPool& pool, std::size_t n, T init, Map&& map,
-                  Combine&& combine, std::size_t min_grain = 1) {
-  if (n == 0) return init;
-  const std::size_t chunks = chunk_count_for(n, min_grain);
-  std::vector<T> partials(chunks, init);
-  pool.run_chunks(chunks, [&](std::size_t c) {
-    const auto [b, e] = chunk_bounds(n, chunks, c);
-    partials[c] = map(b, e);
-  });
-  T acc = std::move(init);
-  for (std::size_t c = 0; c < chunks; ++c) acc = combine(acc, partials[c]);
-  return acc;
-}
-
-/// Convenience: shared-pool parallel_reduce.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t n, T init, Map&& map, Combine&& combine,
-                  std::size_t min_grain = 1) {
-  return parallel_reduce(shared_pool(), n, std::move(init),
-                         std::forward<Map>(map), std::forward<Combine>(combine),
-                         min_grain);
+void parallel_for(std::size_t n, Body&& body) {
+  parallel_for(shared_pool(), n, std::forward<Body>(body));
 }
 
 }  // namespace wsp::exec

@@ -1,15 +1,13 @@
-// Parallel-execution substrate for the simulation hot paths.
+// Parallel-execution substrate for Monte Carlo campaign trials.
 //
 // Design goals, in priority order:
 //   1. Determinism: every construct here must produce bit-identical results
 //      regardless of the number of worker threads.  Chunk *boundaries* are a
-//      pure function of the iteration count (never of the thread count), and
-//      reductions combine per-chunk partials serially in chunk order.  Which
-//      thread executes which chunk is the only scheduling freedom, and the
-//      callers guarantee chunks write disjoint state.
+//      pure function of the iteration count (never of the thread count).
+//      Which thread executes which chunk is the only scheduling freedom, and
+//      the callers guarantee chunks write disjoint state.
 //   2. Simplicity: a fixed-size pool, no work stealing, no task graph.  One
-//      blocking `run_chunks` primitive; `parallel_for` / `parallel_reduce`
-//      are thin wrappers.
+//      blocking `run_chunks` primitive; `parallel_for` is a thin wrapper.
 //   3. Graceful degradation: thread count 1 (or a nested call from inside a
 //      worker) executes inline on the calling thread with zero overhead and
 //      zero deadlock risk.
@@ -96,8 +94,8 @@ std::optional<int> parse_thread_count(const char* text);
 /// rejected with a one-time stderr warning naming the fallback.
 int default_thread_count();
 
-/// Process-wide pool used by the simulation hot paths (PDN solver, Monte
-/// Carlo campaigns).  Built lazily with default_thread_count() threads.
+/// Process-wide pool that Monte Carlo campaign trials fan out over.  Built
+/// lazily with default_thread_count() threads.
 ThreadPool& shared_pool();
 
 /// Rebuilds the shared pool with `threads` threads (<=0 resets to the

@@ -16,8 +16,8 @@
 // sweep stencil: invalidated on topology edits, preserved across sink
 // updates.  That makes the factorize-once/solve-many shape explicit:
 // brownout re-solves, thermal extractions and DSE sweep points all reuse
-// one hierarchy, and solve_batch() fans independent right-hand sides over
-// the wsp::exec pool with per-RHS workspaces.
+// one hierarchy, and solve_batch() runs its right-hand sides one after
+// another against it, each with its own workspace.
 //
 // Coarsening: every other node per axis, both boundary lines always kept
 // (arbitrary grid sizes, no 2^k+1 requirement).  A coarse edge is the
@@ -33,10 +33,12 @@
 // Determinism: a V-cycle runs serially on the calling thread — every
 // level smooths with ResistiveGrid::sweep_color, and the residual,
 // transfer and coarsest-solve passes are plain loops — so it is
-// bit-identical for every thread count.  Intra-solve parallelism never
-// paid: the 64x64 wafer solve ran slower at 2, 4 and 8 threads than at 1
-// (DESIGN.md "Multigrid PDN").  The pool works one level up instead,
-// across solve_batch right-hand sides and campaign trials.
+// bit-identical for every thread count.  Parallelism never paid inside
+// the PDN: the 64x64 wafer solve ran slower at 2, 4 and 8 threads than at
+// 1, and fanning solve_batch right-hand sides or per-tile loops over the
+// pool never won on a shape a caller issues (DESIGN.md "Parallel
+// execution").  The pool works one level up instead, across campaign
+// trials.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
-#include "wsp/exec/parallel_for.hpp"
 #include "wsp/obs/trace.hpp"
 #include "wsp/pdn/multigrid.hpp"
 
@@ -339,20 +338,10 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
       if (dirichlet_[i]) r.v[i] = v_[i];
   }
 
-  // One task per right-hand side (grain 1).  Each solve is serial and
-  // touches only its own RHS and workspace, so its result is bit-identical
-  // to a sequential solve(config) — regardless of thread count or how the
-  // batch is distributed.
-  exec::parallel_for(
-      rhs.size(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t k = b; k < e; ++k)
-          stats[k] = solve_on(rhs[k].v, rhs[k].sink, config);
-      },
-      1);
-
-  // Metrics aggregate serially after the fan-out (counters are atomic, but
-  // serial recording keeps gauge "last solve" semantics deterministic).
+  // Serial per right-hand side: every solve shares the one prepared
+  // hierarchy and is bit-identical to a solve(config) on that RHS.
+  for (std::size_t k = 0; k < rhs.size(); ++k)
+    stats[k] = solve_on(rhs[k].v, rhs[k].sink, config);
   for (const SolveStats& s : stats) record_solve(s);
 }
 

@@ -12,9 +12,9 @@
 // multigrid V-cycles with a full-multigrid start (see multigrid.hpp).  Every
 // level smooths with a red-black (checkerboard-ordered) relaxation sweep:
 // nodes of one color only ever read the other color's values within a
-// half-sweep, so the update is independent of traversal order.  A solve
-// runs serially on its calling thread; solve_batch() fans right-hand sides
-// over the wsp::exec pool.  The loop-invariant per-node work
+// half-sweep, so the update is independent of traversal order.  Every
+// solve, batched or not, runs serially on its calling thread.  The
+// loop-invariant per-node work
 // (neighbour indices, conductance sums) is hoisted into a stencil built once
 // per topology change, and the multigrid hierarchy is cached under the same
 // invalidation rule — sink updates never touch either, which is what makes
@@ -166,13 +166,12 @@ class ResistiveGrid {
   SolveStats solve(const SolverConfig& config = {});
 
   /// Solves many independent right-hand sides against this one topology,
-  /// fanning them across the exec pool (one hierarchy/stencil amortized
-  /// over the whole batch).  Each rhs[i].v is seeded by the caller (its
-  /// Dirichlet entries are reset from the grid's fixed values first) and
-  /// holds that solve's solution on return; stats[i] reports it.  The
-  /// grid's own solution vector and sinks are untouched.  Results are
-  /// bit-identical for every thread count and equal to solving each RHS
-  /// sequentially with solve(config) from the same seed.
+  /// serially in order, amortizing one hierarchy/stencil over the whole
+  /// batch.  Each rhs[i].v is seeded by the caller (its Dirichlet entries
+  /// are reset from the grid's fixed values first) and holds that solve's
+  /// solution on return; stats[i] reports it.  The grid's own solution
+  /// vector and sinks are untouched.  Results are bit-identical to solving
+  /// each RHS with solve(config) from the same seed.
   /// Requires stats.size() == rhs.size().
   void solve_batch(std::span<const RhsView> rhs, std::span<SolveStats> stats,
                    const SolverConfig& config = {});

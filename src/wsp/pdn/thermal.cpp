@@ -4,14 +4,8 @@
 #include <numeric>
 
 #include "wsp/common/error.hpp"
-#include "wsp/exec/parallel_for.hpp"
 
 namespace wsp::pdn {
-
-namespace {
-// Minimum tiles per parallel chunk; campaign-sized wafers stay inline.
-constexpr std::size_t kTileGrain = 64;
-}  // namespace
 
 WaferThermal::WaferThermal(const SystemConfig& config,
                            const ThermalOptions& options)
@@ -54,23 +48,15 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
   const int k = options_.nodes_per_tile;
 
   // Heat injection: negative current sinks, staged into one bulk setter.
-  // Each tile writes only its own k x k node block, so the loop
-  // parallelises over the exec pool.
   const double nodes_per_tile = static_cast<double>(k) * k;
   std::fill(sink_scratch_.begin(), sink_scratch_.end(), 0.0);
-  exec::parallel_for(
-      tiles.tile_count(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const TileCoord c = tiles.coord_of(i);
-          const double per_node = tile_power_w[i] / nodes_per_tile;
-          for (int sy = 0; sy < k; ++sy)
-            for (int sx = 0; sx < k; ++sx)
-              sink_scratch_[grid_.index(c.x * k + sx, c.y * k + sy)] =
-                  -per_node;
-        }
-      },
-      kTileGrain);
+  for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+    const TileCoord c = tiles.coord_of(i);
+    const double per_node = tile_power_w[i] / nodes_per_tile;
+    for (int sy = 0; sy < k; ++sy)
+      for (int sx = 0; sx < k; ++sx)
+        sink_scratch_[grid_.index(c.x * k + sx, c.y * k + sy)] = -per_node;
+  }
   grid_.set_current_sinks(sink_scratch_);
 
   // Cold-start seed each solve: results must not depend on solve history.
@@ -82,41 +68,20 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
   report.tile_temperature_c.resize(tiles.tile_count());
   report.total_heat_w =
       std::accumulate(tile_power_w.begin(), tile_power_w.end(), 0.0);
-  // Per-tile temperature extraction with order-fixed partial aggregates
-  // (bit-identical for any thread count).
-  struct Partial {
-    double max_c = 0.0;
-    double sum_c = 0.0;
-    int over_limit = 0;
-  };
-  const Partial agg = exec::parallel_reduce<Partial>(
-      tiles.tile_count(), Partial{},
-      [&](std::size_t b, std::size_t e) {
-        Partial p;
-        for (std::size_t i = b; i < e; ++i) {
-          const TileCoord c = tiles.coord_of(i);
-          double t = 0.0;
-          for (int sy = 0; sy < k; ++sy)
-            for (int sx = 0; sx < k; ++sx)
-              t += grid_.voltage(c.x * k + sx, c.y * k + sy);
-          t /= nodes_per_tile;
-          report.tile_temperature_c[i] = t;
-          p.max_c = std::max(p.max_c, t);
-          p.sum_c += t;
-          if (t > options_.junction_limit_c) ++p.over_limit;
-        }
-        return p;
-      },
-      [](Partial a, const Partial& b) {
-        a.max_c = std::max(a.max_c, b.max_c);
-        a.sum_c += b.sum_c;
-        a.over_limit += b.over_limit;
-        return a;
-      },
-      kTileGrain);
-  report.max_c = std::max(report.max_c, agg.max_c);
-  report.tiles_over_limit = agg.over_limit;
-  report.mean_c = agg.sum_c / static_cast<double>(tiles.tile_count());
+  double sum_c = 0.0;
+  for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+    const TileCoord c = tiles.coord_of(i);
+    double t = 0.0;
+    for (int sy = 0; sy < k; ++sy)
+      for (int sx = 0; sx < k; ++sx)
+        t += grid_.voltage(c.x * k + sx, c.y * k + sy);
+    t /= nodes_per_tile;
+    report.tile_temperature_c[i] = t;
+    report.max_c = std::max(report.max_c, t);
+    sum_c += t;
+    if (t > options_.junction_limit_c) ++report.tiles_over_limit;
+  }
+  report.mean_c = sum_c / static_cast<double>(tiles.tile_count());
   return report;
 }
 

@@ -90,10 +90,11 @@ struct WaferTransientResult {
 /// TileGrid::index_of order) gets its own steady-state plane solve.  Valid
 /// when the epoch duration is long against the plane RC (~ns), which holds
 /// for NoC-activity epochs (~us).  All epochs share `pdn`'s one cached
-/// multigrid hierarchy and are solved as a single WaferPdn::solve_batch — the
-/// PDN<->NoC coupling loop (activity -> power map -> droop -> BER) calls
-/// this once per coupling window instead of issuing per-epoch solves.
-/// Deterministic: results are bit-identical at any thread count.
+/// multigrid hierarchy and are solved as a single WaferPdn::solve_batch, so
+/// each epoch's figures equal a WaferPdn::solve on its map bit for bit;
+/// epoch e starts at t = e * epoch_s.  An offline sweep of precomputed
+/// maps: the coupled CosimLoop does not call it — it re-solves each epoch
+/// with warm-started WaferPdn::solve_batch_warm.
 WaferTransientResult simulate_wafer_transient(
     WaferPdn& pdn, const std::vector<std::vector<double>>& epoch_power_maps,
     double epoch_s);

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "wsp/common/error.hpp"
-#include "wsp/exec/parallel_for.hpp"
 #include "wsp/obs/trace.hpp"
 
 namespace wsp::pdn {
@@ -13,9 +12,6 @@ namespace wsp::pdn {
 namespace {
 constexpr int kMaxConstantPowerIterations = 40;
 constexpr double kConstantPowerTolV = 1e-5;
-// Minimum tiles per parallel chunk: per-tile work is tens of flops, so
-// wafers below ~64 tiles run the loops inline on the calling thread.
-constexpr std::size_t kTileGrain = 64;
 }  // namespace
 
 WaferPdn::WaferPdn(const SystemConfig& config, const WaferPdnOptions& options)
@@ -106,21 +102,13 @@ void WaferPdn::scatter_sinks(const std::vector<double>& tile_current,
   const int k = options_.nodes_per_tile;
   const double nodes_per_tile = static_cast<double>(k) * k;
   node_sink.assign(grid_.node_count(), 0.0);
-  // Per-tile loops are independent (each tile writes only its own k x k
-  // block of solver nodes), so they go on the exec pool.  kTileGrain keeps
-  // campaign-sized wafers (tens of tiles) on the serial inline path.
-  exec::parallel_for(
-      tiles.tile_count(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const TileCoord c = tiles.coord_of(i);
-          const double per_node = tile_current[i] / nodes_per_tile;
-          for (int sy = 0; sy < k; ++sy)
-            for (int sx = 0; sx < k; ++sx)
-              node_sink[grid_.index(c.x * k + sx, c.y * k + sy)] = per_node;
-        }
-      },
-      kTileGrain);
+  for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+    const TileCoord c = tiles.coord_of(i);
+    const double per_node = tile_current[i] / nodes_per_tile;
+    for (int sy = 0; sy < k; ++sy)
+      for (int sx = 0; sx < k; ++sx)
+        node_sink[grid_.index(c.x * k + sx, c.y * k + sy)] = per_node;
+  }
 }
 
 PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
@@ -147,36 +135,24 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
   if (options_.load_model == LoadModel::ConstantPower) {
     for (int outer = 0; outer < kMaxConstantPowerIterations; ++outer) {
       std::vector<double> prev_v(tile_power_w.size());
-      exec::parallel_for(
-          tiles.tile_count(),
-          [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-              const TileCoord c = tiles.coord_of(i);
-              prev_v[i] = grid_.voltage(c.x * k, c.y * k);
-              const double v = std::max(prev_v[i], 0.5);  // guard /small
-              tile_current[i] =
-                  tile_power_w[i] / v +
-                  (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
-            }
-          },
-          kTileGrain);
+      for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+        const TileCoord c = tiles.coord_of(i);
+        prev_v[i] = grid_.voltage(c.x * k, c.y * k);
+        const double v = std::max(prev_v[i], 0.5);  // guard /small
+        tile_current[i] =
+            tile_power_w[i] / v +
+            (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
+      }
       scatter_sinks(tile_current, sink_scratch_);
       grid_.set_current_sinks(sink_scratch_);
       stats = grid_.solve(options_.solver);
       converged = stats.converged;
-      const double max_dv = exec::parallel_reduce<double>(
-          tiles.tile_count(), 0.0,
-          [&](std::size_t b, std::size_t e) {
-            double local = 0.0;
-            for (std::size_t i = b; i < e; ++i) {
-              const TileCoord c = tiles.coord_of(i);
-              local = std::max(
-                  local,
-                  std::abs(grid_.voltage(c.x * k, c.y * k) - prev_v[i]));
-            }
-            return local;
-          },
-          [](double a, double b) { return std::max(a, b); }, kTileGrain);
+      double max_dv = 0.0;
+      for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+        const TileCoord c = tiles.coord_of(i);
+        max_dv = std::max(
+            max_dv, std::abs(grid_.voltage(c.x * k, c.y * k) - prev_v[i]));
+      }
       if (max_dv < kConstantPowerTolV) break;
     }
   }
@@ -245,60 +221,37 @@ PdnReport WaferPdn::extract_report(std::span<const double> node_v,
   report.solver_converged = converged;
   report.tiles.resize(tiles.tile_count());
 
-  // LDO re-derivation is independent per tile: fan the evaluate() calls out
-  // over the pool, carrying the aggregates as per-chunk partials combined
-  // in fixed chunk order (bit-identical for any thread count).
-  struct Partial {
-    double min_v = std::numeric_limits<double>::infinity();
-    double max_v = -std::numeric_limits<double>::infinity();
-    double ldo_loss_w = 0.0;
-    double delivered_power_w = 0.0;
-    int out_of_regulation = 0;
-  };
-  const Partial agg = exec::parallel_reduce<Partial>(
-      tiles.tile_count(), Partial{},
-      [&](std::size_t b, std::size_t e) {
-        Partial p;
-        for (std::size_t i = b; i < e; ++i) {
-          const TileCoord c = tiles.coord_of(i);
-          // Tile supply voltage: mean of its solver nodes.
-          double v = 0.0;
-          for (int sy = 0; sy < k; ++sy)
-            for (int sx = 0; sx < k; ++sx)
-              v += node_v[grid_.index(c.x * k + sx, c.y * k + sy)];
-          v /= static_cast<double>(k) * k;
+  report.min_supply_v = std::numeric_limits<double>::infinity();
+  report.max_supply_v = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
+    const TileCoord c = tiles.coord_of(i);
+    // Tile supply voltage: mean of its solver nodes.
+    double v = 0.0;
+    for (int sy = 0; sy < k; ++sy)
+      for (int sx = 0; sx < k; ++sx)
+        v += node_v[grid_.index(c.x * k + sx, c.y * k + sy)];
+    v /= static_cast<double>(k) * k;
 
-          TilePower& tp = report.tiles[i];
-          tp.supply_v = v;
-          const double i_load = tile_power_w[i] / config_.ff_corner_voltage_v;
-          const LdoOperatingPoint op = ldo_.evaluate(v, i_load);
-          tp.regulated_v = op.v_out;
-          tp.plane_current_a = op.i_in;
-          tp.ldo_loss_w = op.power_loss_w;
-          tp.in_regulation = op.in_regulation;
+    TilePower& tp = report.tiles[i];
+    tp.supply_v = v;
+    const double i_load = tile_power_w[i] / config_.ff_corner_voltage_v;
+    const LdoOperatingPoint op = ldo_.evaluate(v, i_load);
+    tp.regulated_v = op.v_out;
+    tp.in_regulation = op.in_regulation;
+    // An unpowered tile's LDO is off: tile_currents() sank no quiescent
+    // current for it, so it draws nothing from the plane and dissipates
+    // nothing.  Its regulated_v stays as evaluated (link BER reads it).
+    if (tile_power_w[i] > 0.0) {
+      tp.plane_current_a = op.i_in;
+      tp.ldo_loss_w = op.power_loss_w;
+    }
 
-          p.min_v = std::min(p.min_v, v);
-          p.max_v = std::max(p.max_v, v);
-          p.ldo_loss_w += op.power_loss_w;
-          p.delivered_power_w += op.v_out * i_load;
-          if (!op.in_regulation) ++p.out_of_regulation;
-        }
-        return p;
-      },
-      [](Partial a, const Partial& b) {
-        a.min_v = std::min(a.min_v, b.min_v);
-        a.max_v = std::max(a.max_v, b.max_v);
-        a.ldo_loss_w += b.ldo_loss_w;
-        a.delivered_power_w += b.delivered_power_w;
-        a.out_of_regulation += b.out_of_regulation;
-        return a;
-      },
-      kTileGrain);
-  report.min_supply_v = agg.min_v;
-  report.max_supply_v = agg.max_v;
-  report.ldo_loss_w = agg.ldo_loss_w;
-  report.delivered_power_w = agg.delivered_power_w;
-  report.tiles_out_of_regulation = agg.out_of_regulation;
+    report.min_supply_v = std::min(report.min_supply_v, v);
+    report.max_supply_v = std::max(report.max_supply_v, v);
+    report.ldo_loss_w += tp.ldo_loss_w;
+    report.delivered_power_w += op.v_out * i_load;
+    if (!op.in_regulation) ++report.tiles_out_of_regulation;
+  }
 
   report.total_supply_current_a =
       grid_.total_supply_current(node_v, node_sink);

@@ -97,9 +97,9 @@ class WaferPdn {
   PdnReport solve(const std::vector<double>& tile_power_w);
 
   /// Solves many per-tile power maps against the one cached topology in a
-  /// single batched call, fanning independent right-hand sides over the
-  /// exec pool (ResistiveGrid::solve_batch).  Reports are bit-identical to
-  /// calling solve() on each map in order, at any thread count.  Requires
+  /// single batched call (ResistiveGrid::solve_batch: serial, one
+  /// hierarchy amortized).  Reports are bit-identical to calling solve()
+  /// on each map in order.  Requires
   /// LoadModel::ConstantCurrent (the constant-power outer iteration couples
   /// sinks to its own solution and cannot batch).  Power maps face the same
   /// preconditions as solve().

@@ -371,9 +371,9 @@ std::vector<DegradationReport> DegradationCampaign::run_trial_range(
   // is a pure function of (options, seed + trial index), so dispatching
   // them onto the exec pool keeps the report vector bit-identical for any
   // thread count — and, because trial t always means seed + t no matter
-  // which range (or process) computes it, for any sharding too.  Nested
-  // parallel loops inside a trial (the PDN re-solves) degrade to serial on
-  // the worker, so the pool is never oversubscribed.
+  // which range (or process) computes it, for any sharding too.  This is
+  // the pool's only hot-loop user: everything inside a trial (the PDN
+  // re-solves included) is serial, so the pool is never oversubscribed.
   std::vector<DegradationReport> reports(static_cast<std::size_t>(count));
   exec::parallel_for(
       reports.size(), [&](std::size_t b, std::size_t e) {

@@ -1,10 +1,9 @@
 // Tests for the wsp::exec parallel-execution substrate: chunk coverage,
-// determinism of the static chunking, reductions, nesting, exception
-// propagation, and shared-pool reconfiguration.
+// determinism of the static chunking, nesting, exception propagation, and
+// shared-pool reconfiguration.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -80,50 +79,6 @@ TEST(ParallelFor, ChunkBoundariesDependOnlyOnRangeLength) {
     }
     EXPECT_EQ(covered, n);
   }
-}
-
-TEST(ParallelFor, MinGrainBoundsChunkSizeAndCollapsesSmallRanges) {
-  // A grain never produces chunks smaller than itself (except the sole
-  // chunk of a sub-grain range), and it remains a pure function of
-  // (n, grain) — never the thread count.
-  EXPECT_EQ(chunk_count_for(0, 256), 0u);
-  EXPECT_EQ(chunk_count_for(1, 256), 1u);
-  EXPECT_EQ(chunk_count_for(255, 256), 1u);  // below one grain: inline
-  EXPECT_EQ(chunk_count_for(512, 256), 2u);
-  EXPECT_EQ(chunk_count_for(2048, 256), 8u);
-  EXPECT_EQ(chunk_count_for(1u << 20, 256), kMaxChunks);  // still capped
-  for (const std::size_t n : {300u, 2048u, 10007u}) {
-    const std::size_t chunks = chunk_count_for(n, 256);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [b, e] = chunk_bounds(n, chunks, c);
-      EXPECT_GE(e - b, std::size_t{256});
-    }
-  }
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
-  // Sum of pseudo-random doubles: FP addition is order-sensitive, so this
-  // only passes if the combination order is independent of thread count.
-  const std::size_t n = 10007;
-  std::vector<double> data(n);
-  for (std::size_t i = 0; i < n; ++i)
-    data[i] = 1e-3 * static_cast<double>((i * 2654435761u) % 1000003);
-
-  auto sum_with = [&](int threads) {
-    ThreadPool pool(threads);
-    return parallel_reduce<double>(
-        pool, n, 0.0,
-        [&](std::size_t b, std::size_t e) {
-          double s = 0.0;
-          for (std::size_t i = b; i < e; ++i) s += data[i];
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-
-  const double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(2));
-  EXPECT_EQ(serial, sum_with(8));
 }
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {

@@ -282,16 +282,31 @@ TEST(Multigrid, PaperPrototypeWaferBalancesPower) {
   // the edge supplies exactly the tiles' total draw (LDO pass-through plus
   // quiescent), and by Tellegen's theorem the input power splits exactly
   // into plane IR loss, LDO headroom loss and power delivered to logic.
+  // The second map leaves every 10th tile unpowered: those LDOs are off,
+  // so they draw no quiescent current and dissipate nothing, while their
+  // output is still evaluated (link BER reads it).
   const SystemConfig cfg = SystemConfig::paper_prototype();
+  const auto tiles = static_cast<std::size_t>(cfg.total_tiles());
+  std::vector<double> peak(tiles, cfg.tile_peak_power_w);
+  std::vector<double> sparse = peak;
+  for (std::size_t i = 0; i < tiles; i += 10) sparse[i] = 0.0;
   WaferPdn pdn(cfg, {});
-  const PdnReport r = pdn.solve_uniform(1.0);
-  ASSERT_TRUE(r.solver_converged);
-  double draw = 0.0;
-  for (const TilePower& t : r.tiles) draw += t.plane_current_a;
-  EXPECT_NEAR(r.total_supply_current_a, draw, 1e-6 * draw);
-  EXPECT_NEAR(r.total_input_power_w,
-              r.plane_loss_w + r.ldo_loss_w + r.delivered_power_w,
-              1e-6 * r.total_input_power_w);
+  for (const auto& power : {peak, sparse}) {
+    const PdnReport r = pdn.solve(power);
+    ASSERT_TRUE(r.solver_converged);
+    double draw = 0.0;
+    for (const TilePower& t : r.tiles) draw += t.plane_current_a;
+    EXPECT_NEAR(r.total_supply_current_a, draw, 1e-6 * draw);
+    EXPECT_NEAR(r.total_input_power_w,
+                r.plane_loss_w + r.ldo_loss_w + r.delivered_power_w,
+                1e-6 * r.total_input_power_w);
+    for (std::size_t i = 0; i < tiles; ++i) {
+      if (power[i] > 0.0) continue;
+      EXPECT_EQ(r.tiles[i].plane_current_a, 0.0) << "tile " << i;
+      EXPECT_EQ(r.tiles[i].ldo_loss_w, 0.0) << "tile " << i;
+      EXPECT_GT(r.tiles[i].regulated_v, 0.0) << "tile " << i;
+    }
+  }
 }
 
 TEST(Multigrid, VCycleCountIsGridSizeIndependent) {

@@ -1,11 +1,13 @@
-// Whole-wafer PDN tests: the Fig. 2 droop profile and the Sec. III
-// strategy comparison.
+// Whole-wafer PDN tests: the Fig. 2 droop profile, the Sec. III strategy
+// comparison, report aggregates and the quasi-static wafer transient.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "wsp/common/error.hpp"
 #include "wsp/pdn/strategy.hpp"
+#include "wsp/pdn/transient.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
 
 namespace wsp::pdn {
@@ -79,6 +81,16 @@ TEST(WaferPdn, EnergyBalanceCloses) {
   const double accounted =
       r.delivered_power_w + r.plane_loss_w + r.ldo_loss_w;
   EXPECT_NEAR(accounted / r.total_input_power_w, 1.0, 0.02);
+}
+
+TEST(WaferPdn, AggregatesAreTileOrderSums) {
+  // The report's sums accumulate tile by tile in index order, so summing
+  // the per-tile figures the same way reproduces them exactly.
+  WaferPdn pdn(full(), {});
+  const PdnReport r = pdn.solve_uniform(0.8);
+  double ldo_loss = 0.0;
+  for (const TilePower& t : r.tiles) ldo_loss += t.ldo_loss_w;
+  EXPECT_EQ(r.ldo_loss_w, ldo_loss);
 }
 
 TEST(WaferPdn, FewerPoweredEdgesDroopMore) {
@@ -264,6 +276,63 @@ TEST(WaferPdnPreconditions, SolveBatchWarmValidatesSeeds) {
   seeds.assign(2, std::vector<double>(3, 0.0));
   EXPECT_EQ(thrown_message([&] { pdn.solve_batch_warm(maps, seeds); }),
             "warm-start seed length must equal node_count()");
+}
+
+TEST(WaferTransient, EpochsMatchIndependentSolves) {
+  // Each epoch is one steady-state plane solve: its figures equal a
+  // WaferPdn::solve on that epoch's map bit for bit.
+  const SystemConfig cfg = SystemConfig::reduced(8, 8);
+  const auto tiles = static_cast<std::size_t>(cfg.total_tiles());
+  std::vector<std::vector<double>> maps;
+  maps.emplace_back(tiles, 0.3 * cfg.tile_peak_power_w);
+  maps.emplace_back(tiles, cfg.tile_peak_power_w);
+  maps.emplace_back(tiles, 0.0);
+  for (std::size_t i = 0; i < tiles; i += 3)
+    maps[2][i] = cfg.tile_peak_power_w;
+
+  WaferPdn batch_pdn(cfg, {});
+  const double epoch_s = 2.5e-6;
+  const WaferTransientResult result =
+      simulate_wafer_transient(batch_pdn, maps, epoch_s);
+  ASSERT_EQ(result.epochs.size(), maps.size());
+
+  WaferPdn solo_pdn(cfg, {});
+  double worst_min = std::numeric_limits<double>::infinity();
+  int worst_oor = 0;
+  bool all_converged = true;
+  for (std::size_t e = 0; e < maps.size(); ++e) {
+    const PdnReport r = solo_pdn.solve(maps[e]);
+    const WaferTransientEpoch& ep = result.epochs[e];
+    EXPECT_EQ(ep.t_s, static_cast<double>(e) * epoch_s);
+    EXPECT_EQ(ep.min_supply_v, r.min_supply_v) << "epoch " << e;
+    EXPECT_EQ(ep.max_supply_v, r.max_supply_v) << "epoch " << e;
+    EXPECT_EQ(ep.tiles_out_of_regulation, r.tiles_out_of_regulation);
+    EXPECT_EQ(ep.converged, r.solver_converged);
+    worst_min = std::min(worst_min, r.min_supply_v);
+    worst_oor = std::max(worst_oor, r.tiles_out_of_regulation);
+    all_converged = all_converged && r.solver_converged;
+  }
+  EXPECT_EQ(result.worst_min_supply_v, worst_min);
+  EXPECT_EQ(result.worst_tiles_out_of_regulation, worst_oor);
+  EXPECT_EQ(result.all_converged, all_converged);
+  EXPECT_TRUE(result.all_converged);
+  // The full-power epoch droops deepest.
+  EXPECT_EQ(result.worst_min_supply_v, result.epochs[1].min_supply_v);
+}
+
+TEST(WaferTransient, RejectsBadArguments) {
+  const SystemConfig cfg = SystemConfig::reduced(4, 4);
+  WaferPdn pdn(cfg, {});
+  const std::vector<std::vector<double>> maps(
+      1, std::vector<double>(static_cast<std::size_t>(cfg.total_tiles()),
+                             1.0));
+  EXPECT_EQ(thrown_message([&] { simulate_wafer_transient(pdn, maps, 0.0); }),
+            "epoch duration must be positive");
+  EXPECT_EQ(
+      thrown_message([&] { simulate_wafer_transient(pdn, maps, -1e-6); }),
+      "epoch duration must be positive");
+  EXPECT_EQ(thrown_message([&] { simulate_wafer_transient(pdn, {}, 1e-6); }),
+            "at least one epoch power map needed");
 }
 
 }  // namespace

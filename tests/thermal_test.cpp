@@ -111,6 +111,19 @@ TEST(WaferThermal, PdnHeatMapMakesEdgeTilesHottest) {
               power.total_input_power_w * 0.02);
 }
 
+TEST(WaferThermal, MeanIsTileOrderSum) {
+  // mean_c accumulates tile temperatures in index order; the same sum
+  // over the report's per-tile values reproduces it exactly.
+  WaferThermal th(cfg(), {});
+  std::vector<double> power(static_cast<std::size_t>(cfg().total_tiles()));
+  for (std::size_t i = 0; i < power.size(); ++i)
+    power[i] = 0.1 + 0.25 * static_cast<double>(i % 7) / 7.0;
+  const ThermalReport r = th.solve(power);
+  double sum = 0.0;
+  for (const double t : r.tile_temperature_c) sum += t;
+  EXPECT_EQ(r.mean_c, sum / static_cast<double>(r.tile_temperature_c.size()));
+}
+
 TEST(WaferThermal, ValidatesInputs) {
   EXPECT_THROW(WaferThermal(cfg(), {.nodes_per_tile = 0}), Error);
   ThermalOptions bad;
