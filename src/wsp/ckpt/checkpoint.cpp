@@ -311,10 +311,7 @@ constexpr std::uint32_t kHeartbeatVersion = 1;
 
 void save_heartbeat(const std::string& path, const Heartbeat& hb) {
   Writer w;
-  w.u32(hb.shard);
-  w.u32(hb.attempt);
-  w.u64(hb.completed);
-  w.u64(hb.sequence);
+  save_fields(w, hb);
   save_frame_file(path, kHeartbeatKind, kHeartbeatVersion, w);
 }
 
@@ -325,10 +322,7 @@ Heartbeat load_heartbeat(const std::string& path) {
                 "heartbeat schema revision unknown");
   Reader r(frame.payload);
   Heartbeat hb;
-  hb.shard = r.u32();
-  hb.attempt = r.u32();
-  hb.completed = r.u64();
-  hb.sequence = r.u64();
+  load_fields(r, hb);
   if (!r.done())
     throw Error(ErrorKind::SchemaMismatch, "trailing bytes after heartbeat");
   return hb;

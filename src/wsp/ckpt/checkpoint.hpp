@@ -35,7 +35,9 @@
 #include <cstdint>
 #include <ranges>
 #include <string>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "wsp/common/error.hpp"
@@ -232,6 +234,10 @@ struct Heartbeat {
   friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
 };
 
+auto fields(Of<Heartbeat> auto& hb) {
+  return std::tie(hb.shard, hb.attempt, hb.completed, hb.sequence);
+}
+
 void save_heartbeat(const std::string& path, const Heartbeat& hb);
 /// Throws Error{Io} when the file is missing (worker not yet started), plus
 /// the usual typed frame errors on truncation/corruption.
@@ -250,18 +256,90 @@ FaultMap load_fault_map(Reader& r, const TileGrid* expected = nullptr);
 void save_link_faults(Writer& w, const LinkFaultSet& links);
 LinkFaultSet load_link_faults(Reader& r, const TileGrid* expected = nullptr);
 
-// --- options structs, encoded from their fields() list ----------------------
+// --- records, encoded from their fields() list ------------------------------
+//
+// save_fields / load_fields / min_encoded_size walk one type ladder:
+//   bool             -> b
+//   enum             -> u8; load range-checks against enum_max(E), which
+//                       every loaded enum declares beside itself
+//   integer          -> u8/u16/u32/u64 by width (signed ones two's complement)
+//   double           -> f64
+//   std::array       -> its elements
+//   other range      -> u64 count, then its elements (vector, deque; a map
+//                       saves as its key/value pairs)
+//   optional         -> presence flag, then the value
+//   tuple            -> its elements (what fields() and std::tie return)
+//   pointer          -> the pointee
+//   state()/set_state() (Rng) -> the state value
+//   save_state/load_state hooks -> the hooks
+//   fields()         -> every listed member, in order
 
-/// Writes `v` little-endian: bool -> b, enum -> u8, 32/64-bit integers ->
-/// u32/u64, double -> f64; std::array its elements, vector a u64 size then
-/// its elements, optional a presence flag then the value; a type with
-/// save_state() that, and one with fields() every listed member in order.
+template <class T>
+void save_fields(Writer& w, const T& v);
+template <class T>
+void load_fields(Reader& r, T& v);
+template <class... Ts>
+void load_fields(Reader& r, std::tuple<Ts&...> refs);
+
+namespace detail {
+template <class T>
+constexpr std::size_t min_size();
+
+template <class Tuple, std::size_t... I>
+constexpr std::size_t tuple_min_size(std::index_sequence<I...>) {
+  return (std::size_t{0} + ... +
+          min_size<std::remove_cvref_t<std::tuple_element_t<I, Tuple>>>());
+}
+
+template <class T>
+constexpr std::size_t min_size() {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::ranges::range<T>) {
+    if constexpr (requires { std::tuple_size<T>::value; })
+      return std::tuple_size_v<T> * min_size<std::ranges::range_value_t<T>>();
+    else
+      return 8;
+  } else if constexpr (requires(const T& v) { v.has_value(); }) {
+    return 1;
+  } else if constexpr (requires { std::tuple_size<T>::value; }) {
+    return tuple_min_size<T>(std::make_index_sequence<std::tuple_size_v<T>>{});
+  } else if constexpr (std::is_pointer_v<T>) {
+    return min_size<std::remove_cv_t<std::remove_pointer_t<T>>>();
+  } else if constexpr (requires(T& v) { v.set_state(v.state()); }) {
+    return min_size<decltype(std::declval<T&>().state())>();
+  } else if constexpr (requires(const T& v, Writer& w) { v.save_state(w); }) {
+    return 1;
+  } else {
+    return min_size<decltype(fields(std::declval<T&>()))>();
+  }
+}
+
+template <class T>
+constexpr void check_member_count(const T& v) {
+  static_assert(std::tuple_size_v<decltype(fields(v))> == member_count<T>,
+                "fields() must list every data member");
+}
+}  // namespace detail
+
+/// Fewest bytes save_fields can write for a T: the per-element guard a
+/// vector count is checked against (Reader::length) before allocating.
+template <class T>
+inline constexpr std::size_t min_encoded_size = detail::min_size<T>();
+
+/// Writes `v` little-endian through the ladder above.
 template <class T>
 void save_fields(Writer& w, const T& v) {
   if constexpr (std::is_same_v<T, bool>) {
     w.b(v);
   } else if constexpr (std::is_enum_v<T>) {
     w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 2) {
+    w.u16(static_cast<std::uint16_t>(v));
   } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
     w.u32(static_cast<std::uint32_t>(v));
   } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
@@ -274,14 +352,87 @@ void save_fields(Writer& w, const T& v) {
   } else if constexpr (requires { v.has_value(); }) {
     w.b(v.has_value());
     if (v) save_fields(w, *v);
+  } else if constexpr (requires { std::tuple_size<T>::value; }) {
+    std::apply([&w](const auto&... f) { (save_fields(w, f), ...); }, v);
+  } else if constexpr (std::is_pointer_v<T>) {
+    save_fields(w, *v);
+  } else if constexpr (requires(T& m) { m.set_state(m.state()); }) {
+    save_fields(w, v.state());
   } else if constexpr (requires { v.save_state(w); }) {
     v.save_state(w);
   } else {
-    static_assert(std::tuple_size_v<decltype(fields(v))> == member_count<T>,
-                  "fields() must list every data member");
-    std::apply([&w](const auto&... f) { (save_fields(w, f), ...); },
-               fields(v));
+    detail::check_member_count(v);
+    save_fields(w, fields(v));
   }
+}
+
+/// The exact inverse of save_fields.  Throws Error{Truncated} when the
+/// payload ends early (or a count exceeds what is left of it) and
+/// Error{SchemaMismatch} for an enum past enum_max or a bool that is
+/// neither 0 nor 1.  Only what the type itself rules out is checked here;
+/// grid bounds, capacities and cross-references stay with the caller.
+template <class T>
+void load_fields(Reader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.b();
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(requires { enum_max(T{}); },
+                  "declare `constexpr E enum_max(E)` beside the enum");
+    const std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(enum_max(T{})))
+      throw Error(ErrorKind::SchemaMismatch, "enum value out of range");
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+    v = static_cast<T>(r.u8());
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 2) {
+    v = static_cast<T>(r.u16());
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+    v = static_cast<T>(r.u32());
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+    v = static_cast<T>(r.u64());
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
+  } else if constexpr (std::ranges::range<T>) {
+    if constexpr (!requires { std::tuple_size<T>::value; })
+      v.resize(r.length(min_encoded_size<std::ranges::range_value_t<T>>));
+    for (auto& e : v) load_fields(r, e);
+  } else if constexpr (requires { v.has_value(); }) {
+    if (r.b()) {
+      load_fields(r, v.emplace());
+    } else {
+      v.reset();
+    }
+  } else if constexpr (requires { std::tuple_size<T>::value; }) {
+    std::apply([&r](auto&... f) { (load_fields(r, f), ...); }, v);
+  } else if constexpr (std::is_pointer_v<T>) {
+    load_fields(r, *v);
+  } else if constexpr (requires { v.set_state(v.state()); }) {
+    auto s = v.state();
+    load_fields(r, s);
+    v.set_state(s);
+  } else if constexpr (requires { v.load_state(r); }) {
+    v.load_state(r);
+  } else {
+    detail::check_member_count(v);
+    load_fields(r, fields(v));
+  }
+}
+
+/// Loads through a tuple of references, e.g. the one fields() returns.
+template <class... Ts>
+void load_fields(Reader& r, std::tuple<Ts&...> refs) {
+  std::apply([&r](auto&... f) { (load_fields(r, f), ...); }, refs);
+}
+
+/// The elements of ranges whose lengths both sides already know (sized by
+/// the grid or the options), with no count in front.
+template <class... Ranges>
+void save_each(Writer& w, const Ranges&... ranges) {
+  ([&] { for (const auto& e : ranges) save_fields(w, e); }(), ...);
+}
+template <class... Ranges>
+void load_each(Reader& r, Ranges&... ranges) {
+  ([&] { for (auto& e : ranges) load_fields(r, e); }(), ...);
 }
 
 /// Reads the next save_fields encoding of `live`'s type and throws

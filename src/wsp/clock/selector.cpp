@@ -67,27 +67,14 @@ std::optional<ClockSource> ClockSelector::step(
 
 void ClockSelector::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("CSEL"));
-  w.i32(threshold_);
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u8(static_cast<std::uint8_t>(selected_));
-  for (int c : counts_) w.i32(c);
+  ckpt::save_fields(w, threshold_);
+  ckpt::save_fields(w, fields(*this));
 }
 
 void ClockSelector::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("CSEL"), "ClockSelector");
-  const int threshold = r.i32();
-  if (threshold != threshold_)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "selector toggle threshold differs from the snapshot");
-  const std::uint8_t phase = r.u8();
-  const std::uint8_t selected = r.u8();
-  if (phase > static_cast<std::uint8_t>(SelectorPhase::Locked) ||
-      selected > static_cast<std::uint8_t>(ClockSource::ForwardedW))
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "selector phase/source enum out of range");
-  phase_ = static_cast<SelectorPhase>(phase);
-  selected_ = static_cast<ClockSource>(selected);
-  for (int& c : counts_) c = r.i32();
+  ckpt::expect_fields(r, threshold_, "selector toggle threshold");
+  ckpt::load_fields(r, fields(*this));
 }
 
 }  // namespace wsp::clock

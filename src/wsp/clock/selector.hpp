@@ -36,6 +36,7 @@ enum class ClockSource : std::uint8_t {
   ForwardedS = 4,
   ForwardedW = 5,
 };
+constexpr ClockSource enum_max(ClockSource) { return ClockSource::ForwardedW; }
 
 /// Forwarded-clock source corresponding to a mesh direction.
 constexpr ClockSource forwarded_from(Direction d) {
@@ -59,6 +60,9 @@ enum class SelectorPhase : std::uint8_t {
   AutoSelect,///< counting toggles on the forwarded inputs
   Locked,    ///< functional clock chosen; forwarding active
 };
+constexpr SelectorPhase enum_max(SelectorPhase) {
+  return SelectorPhase::Locked;
+}
 
 class ClockSelector {
  public:
@@ -93,6 +97,12 @@ class ClockSelector {
   void load_state(ckpt::Reader& r);
 
  private:
+  /// The checkpointed FSM state; the threshold is configuration, checked
+  /// rather than loaded.
+  friend auto fields(Of<ClockSelector> auto& s) {
+    return std::tie(s.phase_, s.selected_, s.counts_);
+  }
+
   int threshold_;
   SelectorPhase phase_ = SelectorPhase::Boot;
   ClockSource selected_ = ClockSource::Jtag;

@@ -33,6 +33,9 @@ enum class RuntimeFaultKind : std::uint8_t {
   LinkRetirement = 5,   ///< health monitor retired an error-prone link
   LinkBerDegradation = 6, ///< one link's bit-error rate jumps (marginal eye)
 };
+constexpr RuntimeFaultKind enum_max(RuntimeFaultKind) {
+  return RuntimeFaultKind::LinkBerDegradation;
+}
 
 inline const char* to_string(RuntimeFaultKind k) {
   switch (k) {
@@ -55,6 +58,10 @@ struct FaultNotice {
   std::uint64_t cycle = 0;        ///< simulation cycle the fault appeared
   double magnitude = 0.0;         ///< new BER, LinkBerDegradation only
 };
+
+auto fields(Of<FaultNotice> auto& n) {
+  return std::tie(n.kind, n.tile, n.link, n.cycle, n.magnitude);
+}
 
 /// Subscriber interface.  `faults` and `links` are the *post-event* state:
 /// the mutation has already been applied when observers run.

@@ -1,13 +1,15 @@
-// One field list per options struct.  Each struct declares beside itself
+// One field list per options struct and per checkpointed state record.
+// Each struct declares beside itself
 //
 //   auto fields(Of<MeshOptions> auto& o) {
 //     return std::tie(o.input_queue_capacity, o.link_latency, ...);
 //   }
 //
-// naming every data member in declaration order.  ADL finds it, and the one
-// overload serves const access (checkpoint option blocks, the campaign
-// fingerprint) and mutable access (property tests).  ckpt::save_fields
-// static_asserts that the list is as long as the aggregate, so a member
+// naming every data member in declaration order (a private record declares
+// it as a hidden friend).  ADL finds it, and the one overload serves const
+// access (ckpt::save_fields: checkpoint frames, the campaign fingerprint)
+// and mutable access (ckpt::load_fields, property tests).  Both
+// static_assert that the list is as long as the aggregate, so a member
 // added without an entry fails the build.
 #pragma once
 

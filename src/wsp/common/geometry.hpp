@@ -22,6 +22,8 @@ namespace wsp {
 /// The four mesh directions.  Order matters: it is the priority order used
 /// by the clock-forwarding selector and the index into per-port arrays.
 enum class Direction : std::uint8_t { North = 0, East = 1, South = 2, West = 3 };
+/// Largest Direction: the bound ckpt::load_fields range-checks against.
+constexpr Direction enum_max(Direction) { return Direction::West; }
 
 inline constexpr std::array<Direction, 4> kAllDirections = {
     Direction::North, Direction::East, Direction::South, Direction::West};

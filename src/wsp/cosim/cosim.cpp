@@ -61,84 +61,31 @@ const std::vector<noc::TileActivity>& ActivityTracker::harvest(
 
 void ActivityTracker::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("ATRK"));
-  w.u64(prev_.size());
-  for (const noc::TileActivity& a : prev_) {
-    w.u64(a.injections);
-    w.u64(a.traversals);
-    w.u64(a.retransmits);
-  }
+  ckpt::save_fields(w, prev_);
 }
 
-void ActivityTracker::load_state(ckpt::Reader& r) {
+void ActivityTracker::load_state(ckpt::Reader& r, std::size_t tiles) {
   r.expect_tag(ckpt::fourcc("ATRK"), "activity tracker");
-  const std::size_t n = r.length(24);
-  prev_.resize(n);
-  for (noc::TileActivity& a : prev_) {
-    a.injections = r.u64();
-    a.traversals = r.u64();
-    a.retransmits = r.u64();
-  }
+  std::vector<noc::TileActivity> prev;
+  ckpt::load_fields(r, prev);
+  if (!prev.empty() && prev.size() != tiles)
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                      "activity snapshot does not cover the grid");
+  prev_ = std::move(prev);
 }
 
 // --- report serialisation ---------------------------------------------------
 
-namespace {
-
-void save_epoch(ckpt::Writer& w, const EpochReport& e) {
-  w.u64(e.epoch);
-  w.u64(e.end_cycle);
-  w.u64(e.injections);
-  w.u64(e.traversals);
-  w.u64(e.retransmits);
-  w.f64(e.total_power_w);
-  w.f64(e.min_supply_v);
-  w.f64(e.min_regulated_v);
-  w.f64(e.max_excess_droop_v);
-  w.i32(e.coupled_iterations);
-  w.f64(e.mean_ber);
-  w.f64(e.max_ber);
-}
-
-EpochReport load_epoch(ckpt::Reader& r) {
-  EpochReport e;
-  e.epoch = r.u64();
-  e.end_cycle = r.u64();
-  e.injections = r.u64();
-  e.traversals = r.u64();
-  e.retransmits = r.u64();
-  e.total_power_w = r.f64();
-  e.min_supply_v = r.f64();
-  e.min_regulated_v = r.f64();
-  e.max_excess_droop_v = r.f64();
-  e.coupled_iterations = r.i32();
-  e.mean_ber = r.f64();
-  e.max_ber = r.f64();
-  return e;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> serialize_report(const CosimReport& report) {
-  ckpt::Writer w;
-  w.u64(report.cycles);
-  w.f64(report.worst_min_supply_v);
-  w.f64(report.worst_excess_droop_v);
-  w.f64(report.peak_mean_ber);
   const noc::NocStats& s = report.noc_stats;
-  w.u64(s.issued);
-  w.u64(s.completed);
-  w.u64(s.unreachable);
-  w.u64(s.relayed);
-  w.u64(s.latency_sum);
-  w.u64(s.latency_max);
-  w.u64(s.timeouts);
-  w.u64(s.retries);
-  w.u64(s.lost);
-  w.u64(s.crc_detected);
-  w.u64(s.link_retransmits);
-  w.u64(s.escapes);
-  w.u64(report.epochs.size());
-  for (const EpochReport& e : report.epochs) save_epoch(w, e);
+  ckpt::Writer w;
+  ckpt::save_fields(
+      w, std::tie(report.cycles, report.worst_min_supply_v,
+                  report.worst_excess_droop_v, report.peak_mean_ber,
+                  s.issued, s.completed, s.unreachable, s.relayed,
+                  s.latency_sum, s.latency_max, s.timeouts, s.retries, s.lost,
+                  s.crc_detected, s.link_retransmits, s.escapes,
+                  report.epochs));
   return w.bytes();
 }
 
@@ -324,14 +271,9 @@ void CosimLoop::save_state(ckpt::Writer& w) const {
   driver_.save_state(w);
   tracker_.save_state(w);
   w.tag(ckpt::fourcc("SEED"));
-  w.u64(seeds_.size());
-  for (const std::vector<double>& seed : seeds_) {
-    w.u64(seed.size());
-    for (const double v : seed) w.f64(v);
-  }
+  ckpt::save_fields(w, seeds_);
   w.tag(ckpt::fourcc("EPRP"));
-  w.u64(epochs_.size());
-  for (const EpochReport& e : epochs_) save_epoch(w, e);
+  ckpt::save_fields(w, epochs_);
   noc_.save_state(w);
 }
 
@@ -340,23 +282,22 @@ void CosimLoop::load_state(ckpt::Reader& r) {
   ckpt::expect_fields(r, options_, "cosim options");
   gen_->load_state(r);
   cycle_in_epoch_ = r.u64();
+  if (cycle_in_epoch_ >= options_.epoch_cycles)
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                      "epoch cursor past the epoch length");
   driver_.load_state(r);
-  tracker_.load_state(r);
+  tracker_.load_state(r, faults_.grid().tile_count());
   r.expect_tag(ckpt::fourcc("SEED"), "warm-start seeds");
-  const std::size_t n_seeds = r.length(8);
-  seeds_.assign(n_seeds, {});
-  for (std::vector<double>& seed : seeds_) {
-    const std::size_t n = r.length(8);
-    seed.resize(n);
-    for (double& v : seed) v = r.f64();
-  }
-  require(seeds_.size() == 2, "cosim snapshot must hold two seed buffers");
+  ckpt::load_fields(r, seeds_);
+  if (seeds_.size() != 2)
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                      "cosim snapshot must hold two seed buffers");
+  for (const std::vector<double>& seed : seeds_)
+    if (!seed.empty() && seed.size() != pdn_.node_count())
+      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                        "warm-start seed does not cover the PDN grid");
   r.expect_tag(ckpt::fourcc("EPRP"), "epoch reports");
-  const std::size_t n_epochs = r.length(92);
-  epochs_.clear();
-  epochs_.reserve(n_epochs);
-  for (std::size_t i = 0; i < n_epochs; ++i)
-    epochs_.push_back(load_epoch(r));
+  ckpt::load_fields(r, epochs_);
   noc_.load_state(r);
   if (!epochs_.empty()) publish_gauges(epochs_.back());
 }

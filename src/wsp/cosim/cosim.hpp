@@ -93,7 +93,9 @@ class ActivityTracker {
   const std::vector<noc::TileActivity>& harvest(const noc::NocSystem& noc);
 
   void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
+  /// Throws ckpt::Error{SchemaMismatch} unless the snapshot holds no tiles
+  /// (nothing harvested yet) or exactly `tiles`.
+  void load_state(ckpt::Reader& r, std::size_t tiles);
 
  private:
   std::vector<noc::TileActivity> prev_;
@@ -150,6 +152,13 @@ struct EpochReport {
 
   friend bool operator==(const EpochReport&, const EpochReport&) = default;
 };
+
+auto fields(Of<EpochReport> auto& e) {
+  return std::tie(e.epoch, e.end_cycle, e.injections, e.traversals,
+                  e.retransmits, e.total_power_w, e.min_supply_v,
+                  e.min_regulated_v, e.max_excess_droop_v,
+                  e.coupled_iterations, e.mean_ber, e.max_ber);
+}
 
 /// Aggregate view assembled by CosimLoop::report().
 struct CosimReport {

@@ -50,6 +50,10 @@ struct RetiredLink {
   std::uint64_t traversals = 0;
 };
 
+auto fields(Of<RetiredLink> auto& l) {
+  return std::tie(l.tile, l.dir, l.cycle, l.errors, l.traversals);
+}
+
 /// Packs one direction's counters into the 32-bit scrub word the DAP
 /// chain carries: errors<<16 | traversals, each half saturating at 0xFFFF.
 std::uint32_t pack_scrub_word(std::uint64_t errors, std::uint64_t traversals);

@@ -523,44 +523,13 @@ std::uint64_t MeshNetwork::link_traversal_count(TileCoord from,
 
 // --- checkpointing ----------------------------------------------------------
 
-namespace {
-
-void save_packet(ckpt::Writer& w, const Packet& p) {
-  ckpt::save_fields(w, p.src);
-  ckpt::save_fields(w, p.dst);
-  w.u8(static_cast<std::uint8_t>(p.type));
-  w.u8(static_cast<std::uint8_t>(p.network));
-  w.u64(p.payload);
-  w.u32(p.address);
-  w.u64(p.id);
-  w.u64(p.request_id);
-  w.u64(p.injected_cycle);
-  w.u64(p.delivered_cycle);
-  w.u32(p.attempt);
-}
-
-Packet load_packet(ckpt::Reader& r) {
-  Packet p;
-  p.src.x = r.i32();
-  p.src.y = r.i32();
-  p.dst.x = r.i32();
-  p.dst.y = r.i32();
-  const std::uint8_t type = r.u8();
-  const std::uint8_t network = r.u8();
-  if (type > static_cast<std::uint8_t>(PacketType::WriteAck) || network > 1)
+void expect_in_grid(const Packet& p, const TileGrid& grid) {
+  if (!grid.contains(p.src) || !grid.contains(p.dst))
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "packet type/network enum out of range");
-  p.type = static_cast<PacketType>(type);
-  p.network = static_cast<NetworkKind>(network);
-  p.payload = r.u64();
-  p.address = r.u32();
-  p.id = r.u64();
-  p.request_id = r.u64();
-  p.injected_cycle = r.u64();
-  p.delivered_cycle = r.u64();
-  p.attempt = r.u32();
-  return p;
+                      "packet endpoint outside the grid");
 }
+
+namespace {
 
 void save_ber_map(ckpt::Writer& w, const LinkBerMap& ber) {
   w.tag(ckpt::fourcc("BERM"));
@@ -609,76 +578,23 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, link_faults_);
   save_ber_map(w, ber_);
-
-  w.u64(pool_.size());
-  for (const Packet& p : pool_) save_packet(w, p);
-  w.u64(pool_free_.size());
-  for (std::uint32_t f : pool_free_) w.u32(f);
+  ckpt::save_fields(w, std::tie(pool_, pool_free_));
 
   w.tag(ckpt::fourcc("TILE"));
-  for (const TileState& ts : tiles_) {
-    for (std::size_t p = 0; p < kPortCount; ++p) w.u16(ts.q_head[p]);
-    for (std::size_t p = 0; p < kPortCount; ++p) w.u16(ts.q_size[p]);
-    for (std::size_t p = 0; p < kPortCount; ++p) w.u8(ts.rr[p]);
-    w.u16(ts.occ);
-  }
-  for (std::uint32_t slot : q_slots_) w.u32(slot);
-
+  for (const TileQueues& q : tiles_) ckpt::save_fields(w, q);
+  ckpt::save_each(w, q_slots_);
   w.tag(ckpt::fourcc("LINK"));
-  for (const LinkState& l : link_) {
-    w.u16(l.head);
-    w.u16(l.count);
-    w.u16(l.pending);
-    w.u16(l.space);
-  }
-  for (const LinkTransfer& t : ring_slab_) {
-    w.u64(t.arrival_cycle);
-    w.u32(t.pkt);
-    w.u32(t.dst_tile);
-    w.u32(t.src_tile);
-    w.u8(static_cast<std::uint8_t>(t.dst_port));
-    w.u8(t.dir);
-    w.u8(t.seq);
-    w.u8(t.retransmits);
-  }
-
+  ckpt::save_each(w, link_, ring_slab_);
   w.tag(ckpt::fourcc("CNTR"));
-  w.u64(ctr_.injected->value);
-  w.u64(ctr_.ejected->value);
-  w.u64(ctr_.dropped_at_fault->value);
-  w.u64(ctr_.link_traversals->value);
-  w.u64(ctr_.cycles->value);
-  w.u64(ctr_.purged_in_dead_router->value);
-  w.u64(ctr_.corrupted->value);
-  w.u64(ctr_.crc_detected->value);
-  w.u64(ctr_.crc_escapes->value);
-  w.u64(ctr_.link_retransmits->value);
-  w.u64(ctr_.link_error_drops->value);
-  w.u64(ctr_.dup_dropped->value);
-  w.u64(in_flight_);
-
+  ckpt::save_fields(w, std::tie(ctr_, in_flight_));
   w.tag(ckpt::fourcc("TACT"));
-  for (const TileActivity& a : tile_activity_) {
-    w.u64(a.injections);
-    w.u64(a.traversals);
-    w.u64(a.retransmits);
-  }
+  ckpt::save_each(w, tile_activity_);
 
   w.b(options_.integrity.enabled);
   if (options_.integrity.enabled) {
     w.tag(ckpt::fourcc("INTG"));
-    for (const Rng& rng : link_rng_)
-      for (std::uint64_t word : rng.state()) w.u64(word);
-    for (const auto& a : link_errors_)
-      for (std::uint64_t v : a) w.u64(v);
-    for (const auto& a : link_traversals_)
-      for (std::uint64_t v : a) w.u64(v);
-    for (const auto& a : tx_seq_)
-      for (std::uint8_t v : a) w.u8(v);
-    for (const auto& a : rx_seq_)
-      for (std::uint8_t v : a) w.u8(v);
-    for (const auto& a : link_next_free_)
-      for (std::uint64_t v : a) w.u64(v);
+    ckpt::save_each(w, link_rng_, link_errors_, link_traversals_, tx_seq_,
+                    rx_seq_, link_next_free_);
   }
 }
 
@@ -706,113 +622,53 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
   ber_ = load_ber_map(r, grid_);
 
   const std::size_t n = grid_.tile_count();
-  const std::size_t pool_size = r.length(66);  // bytes per packed Packet
-  pool_.assign(pool_size, Packet{});
-  for (Packet& p : pool_) p = load_packet(r);
-  const std::size_t free_size = r.length(4);
-  if (free_size > pool_size)
+  ckpt::load_fields(r, std::tie(pool_, pool_free_));
+  const std::size_t pool_size = pool_.size();
+  for (const Packet& p : pool_) expect_in_grid(p, grid_);
+  if (pool_free_.size() > pool_size)
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "pool free list larger than the pool");
-  pool_free_.assign(free_size, 0);
-  for (std::uint32_t& f : pool_free_) {
-    f = r.u32();
+  for (const std::uint32_t f : pool_free_)
     if (f >= pool_size)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "pool free-list index out of range");
-  }
 
   r.expect_tag(ckpt::fourcc("TILE"), "TileState");
-  for (TileState& ts : tiles_) {
+  for (TileQueues& q : tiles_) {
+    ckpt::load_fields(r, q);
     std::uint32_t occ = 0;
     for (std::size_t p = 0; p < kPortCount; ++p) {
-      ts.q_head[p] = r.u16();
-      if (ts.q_head[p] >= cap_)
+      if (q.q_head[p] >= cap_ || q.q_size[p] > cap_ || q.rr[p] >= kPortCount)
         throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "input queue head beyond capacity");
+                          "input queue head, occupancy or priority out of "
+                          "range");
+      occ += q.q_size[p];
     }
-    for (std::size_t p = 0; p < kPortCount; ++p) {
-      ts.q_size[p] = r.u16();
-      if (ts.q_size[p] > cap_)
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "input queue occupancy beyond capacity");
-      occ += ts.q_size[p];
-    }
-    for (std::size_t p = 0; p < kPortCount; ++p) {
-      ts.rr[p] = r.u8();
-      if (ts.rr[p] >= kPortCount)
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "rotating priority out of range");
-    }
-    ts.occ = r.u16();
-    if (ts.occ != occ)
+    if (q.occ != occ)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "tile occupancy disagrees with its queues");
   }
-  for (std::uint32_t& slot : q_slots_) slot = r.u32();
+  ckpt::load_each(r, q_slots_);
 
   r.expect_tag(ckpt::fourcc("LINK"), "LinkState");
-  for (LinkState& l : link_) {
-    l.head = r.u16();
-    l.count = r.u16();
-    l.pending = r.u16();
-    l.space = r.u16();
+  ckpt::load_each(r, link_, ring_slab_);
+  for (const LinkState& l : link_)
     if (l.head >= cap_ || l.count > cap_)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "link ring head/count beyond capacity");
-  }
-  for (LinkTransfer& t : ring_slab_) {
-    t.arrival_cycle = r.u64();
-    t.pkt = r.u32();
-    t.dst_tile = r.u32();
-    t.src_tile = r.u32();
-    t.dst_port = static_cast<Port>(r.u8());
-    t.dir = r.u8();
-    t.seq = r.u8();
-    t.retransmits = r.u8();
-  }
 
   r.expect_tag(ckpt::fourcc("CNTR"), "mesh counters");
-  ctr_.injected->value = r.u64();
-  ctr_.ejected->value = r.u64();
-  ctr_.dropped_at_fault->value = r.u64();
-  ctr_.link_traversals->value = r.u64();
-  ctr_.cycles->value = r.u64();
-  ctr_.purged_in_dead_router->value = r.u64();
-  ctr_.corrupted->value = r.u64();
-  ctr_.crc_detected->value = r.u64();
-  ctr_.crc_escapes->value = r.u64();
-  ctr_.link_retransmits->value = r.u64();
-  ctr_.link_error_drops->value = r.u64();
-  ctr_.dup_dropped->value = r.u64();
-  in_flight_ = static_cast<std::size_t>(r.u64());
-
+  ckpt::load_fields(r, std::tie(ctr_, in_flight_));
   r.expect_tag(ckpt::fourcc("TACT"), "tile activity");
-  for (TileActivity& a : tile_activity_) {
-    a.injections = r.u64();
-    a.traversals = r.u64();
-    a.retransmits = r.u64();
-  }
+  ckpt::load_each(r, tile_activity_);
 
   if (r.b() != options_.integrity.enabled)
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "integrity-state presence flag disagrees");
   if (options_.integrity.enabled) {
     r.expect_tag(ckpt::fourcc("INTG"), "link-integrity state");
-    for (Rng& rng : link_rng_) {
-      std::array<std::uint64_t, 4> s;
-      for (auto& word : s) word = r.u64();
-      rng.set_state(s);
-    }
-    for (auto& a : link_errors_)
-      for (auto& v : a) v = r.u64();
-    for (auto& a : link_traversals_)
-      for (auto& v : a) v = r.u64();
-    for (auto& a : tx_seq_)
-      for (auto& v : a) v = r.u8();
-    for (auto& a : rx_seq_)
-      for (auto& v : a) v = r.u8();
-    for (auto& a : link_next_free_)
-      for (auto& v : a) v = r.u64();
+    ckpt::load_each(r, link_rng_, link_errors_, link_traversals_, tx_seq_,
+                    rx_seq_, link_next_free_);
   }
 
   // Derived tables (tile_faulty_, link_ok_, route9) come from the fault
@@ -840,7 +696,7 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
     for (std::size_t i = 0; i < link_[link].count; ++i) {
       const LinkTransfer& t = ring_at(link, i);
       if (t.pkt >= pool_size || t.dst_tile >= n || t.src_tile >= n ||
-          static_cast<std::size_t>(t.dst_port) >= kPortCount || t.dir >= 4)
+          t.dir >= 4)
         throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                           "in-flight link frame references out of range");
       ++live;

@@ -72,6 +72,7 @@ namespace wsp::noc {
 enum class Port : std::uint8_t {
   North = 0, East = 1, South = 2, West = 3, Local = 4,
 };
+constexpr Port enum_max(Port) { return Port::Local; }
 inline constexpr std::size_t kPortCount = 5;
 
 constexpr Port port_from(Direction d) { return static_cast<Port>(d); }
@@ -104,6 +105,10 @@ struct TileActivity {
   std::uint64_t retransmits = 0;  ///< hop retransmits landing at this tile
 };
 
+auto fields(Of<TileActivity> auto& a) {
+  return std::tie(a.injections, a.traversals, a.retransmits);
+}
+
 /// Value snapshot of one mesh's counters.  The counters themselves live in
 /// an obs::MetricsRegistry (under "noc.xy." / "noc.yx."); this struct is
 /// the stable public shape assembled on demand by MeshNetwork::stats().
@@ -123,6 +128,10 @@ struct MeshStats {
   std::uint64_t link_error_drops = 0;  ///< retransmit budget exhausted
   std::uint64_t dup_dropped = 0;       ///< receiver-side sequence rejects
 };
+
+/// Checkpoint-load check for every pool or queue holding Packets: throws
+/// ckpt::Error{SchemaMismatch} unless both endpoints lie in `grid`.
+void expect_in_grid(const Packet& p, const TileGrid& grid);
 
 /// One DoR network spanning the wafer.
 class MeshNetwork {
@@ -236,6 +245,11 @@ class MeshNetwork {
     std::uint8_t dir = 0;          ///< outgoing Direction at the source
     std::uint8_t seq = 0;          ///< 4-bit per-link sequence number
     std::uint8_t retransmits = 0;  ///< budget consumed by this traversal
+
+    friend auto fields(Of<LinkTransfer> auto& t) {
+      return std::tie(t.arrival_cycle, t.pkt, t.dst_tile, t.src_tile,
+                      t.dst_port, t.dir, t.seq, t.retransmits);
+    }
   };
 
   /// Registry-backed counters resolved once at construction; incrementing
@@ -254,6 +268,13 @@ class MeshNetwork {
     obs::Counter* link_retransmits = nullptr;
     obs::Counter* link_error_drops = nullptr;
     obs::Counter* dup_dropped = nullptr;
+
+    friend auto fields(Of<Counters> auto& c) {
+      return std::tie(c.injected, c.ejected, c.dropped_at_fault,
+                      c.link_traversals, c.cycles, c.purged_in_dead_router,
+                      c.corrupted, c.crc_detected, c.crc_escapes,
+                      c.link_retransmits, c.link_error_drops, c.dup_dropped);
+    }
   };
 
   // Route-table codes for route9_[tile * 9 + case]:
@@ -280,6 +301,21 @@ class MeshNetwork {
   std::vector<Packet> pool_;
   std::vector<std::uint32_t> pool_free_;
 
+  /// Per-tile FIFO and arbitration state: the checkpointed part of a
+  /// TileState.
+  struct TileQueues {
+    std::array<std::uint16_t, kPortCount> q_head;  ///< FIFO head slot
+    std::array<std::uint16_t, kPortCount> q_size;  ///< FIFO occupancy
+    std::array<std::uint8_t, kPortCount> rr;  ///< per-output rotating priority
+    /// Packets buffered anywhere in the tile's five FIFOs: routers with
+    /// zero occupancy skip arbitration entirely, which is most of the
+    /// wafer at realistic loads.
+    std::uint16_t occ;
+
+    friend auto fields(Of<TileQueues> auto& q) {
+      return std::tie(q.q_head, q.q_size, q.rr, q.occ);
+    }
+  };
   /// All per-tile router state one arbitration pass reads, packed into a
   /// single cache line so the route want/grant loops touch one line per
   /// router instead of five parallel arrays (land pushes into its queues,
@@ -290,15 +326,8 @@ class MeshNetwork {
   /// rebuilt only on fault events (meaningless when routing adaptively:
   /// odd-even stays dynamic because its choice set depends on the packet
   /// source).  Case index: (sign(dx) + 1) * 3 + (sign(dy) + 1).
-  struct alignas(64) TileState {
-    std::uint16_t q_head[kPortCount];  ///< FIFO head slot
-    std::uint16_t q_size[kPortCount];  ///< FIFO occupancy
-    std::uint8_t rr[kPortCount];       ///< per-output rotating priority
-    std::uint8_t route9[9];
-    /// Packets buffered anywhere in the tile's five FIFOs: routers with
-    /// zero occupancy skip arbitration entirely, which is most of the
-    /// wafer at realistic loads.
-    std::uint16_t occ;
+  struct alignas(64) TileState : TileQueues {
+    std::uint8_t route9[9];  ///< derived from the fault state, not saved
   };
   std::vector<TileState> tiles_;  ///< indexed by tile
 
@@ -319,6 +348,10 @@ class MeshNetwork {
     std::uint16_t count = 0;    ///< frames in flight on the link
     std::uint16_t pending = 0;  ///< credits reserved downstream
     std::uint16_t space = 0;    ///< frozen downstream credit snapshot
+
+    friend auto fields(Of<LinkState> auto& l) {
+      return std::tie(l.head, l.count, l.pending, l.space);
+    }
   };
   std::vector<LinkState> link_;  ///< indexed by (tile * 4 + direction)
 

@@ -508,51 +508,17 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 // v3: the option block holds all of NocOptions, the mesh options included.
 constexpr std::uint32_t kNocStateVersion = 3;
 
-TileCoord load_coord(ckpt::Reader& r, const TileGrid& grid) {
-  TileCoord c;
-  c.x = r.i32();
-  c.y = r.i32();
-  if (!grid.contains(c))
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "tile coordinate outside the grid");
-  return c;
-}
-
-void save_full_packet(ckpt::Writer& w, const Packet& p) {
-  ckpt::save_fields(w, p.src);
-  ckpt::save_fields(w, p.dst);
-  w.u8(static_cast<std::uint8_t>(p.type));
-  w.u8(static_cast<std::uint8_t>(p.network));
-  w.u64(p.payload);
-  w.u32(p.address);
-  w.u64(p.id);
-  w.u64(p.request_id);
-  w.u64(p.injected_cycle);
-  w.u64(p.delivered_cycle);
-  w.u32(p.attempt);
-}
-
-Packet load_full_packet(ckpt::Reader& r) {
-  Packet p;
-  p.src.x = r.i32();
-  p.src.y = r.i32();
-  p.dst.x = r.i32();
-  p.dst.y = r.i32();
-  const std::uint8_t type = r.u8();
-  const std::uint8_t network = r.u8();
-  if (type > static_cast<std::uint8_t>(PacketType::WriteAck) || network > 1)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "packet type/network enum out of range");
-  p.type = static_cast<PacketType>(type);
-  p.network = static_cast<NetworkKind>(network);
-  p.payload = r.u64();
-  p.address = r.u32();
-  p.id = r.u64();
-  p.request_id = r.u64();
-  p.injected_cycle = r.u64();
-  p.delivered_cycle = r.u64();
-  p.attempt = r.u32();
-  return p;
+// Both priority queues drain (off a copy) in comparator order, which is a
+// total order here — Deadline keys (due_cycle, id) and PendingInjection
+// keys (due_cycle, seq) are unique — so the serialised order, and the
+// observable pop order after a re-push on load, are independent of the
+// heap's internal layout.
+template <class Heap>
+std::vector<typename Heap::value_type> drained(Heap heap) {
+  std::vector<typename Heap::value_type> out;
+  out.reserve(heap.size());
+  for (; !heap.empty(); heap.pop()) out.push_back(heap.top());
+  return out;
 }
 
 }  // namespace
@@ -566,10 +532,7 @@ void NocSystem::save_state(ckpt::Writer& w) const {
 
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, links_);
-
-  w.u64(cycle_);
-  w.u64(next_id_);
-  w.u64(pending_seq_);
+  ckpt::save_fields(w, std::tie(cycle_, next_id_, pending_seq_));
 
   // Live transactions, sorted by id so the byte stream is independent of
   // unordered_map iteration order.
@@ -579,76 +542,17 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   std::sort(ids.begin(), ids.end());
   w.tag(ckpt::fourcc("LIVE"));
   w.u64(ids.size());
-  for (std::uint64_t id : ids) {
-    const LiveTransaction& txn = live_.at(id);
-    w.u64(id);
-    ckpt::save_fields(w, txn.plan.waypoints);
-    w.u64(txn.plan.segment_networks.size());
-    for (NetworkKind k : txn.plan.segment_networks)
-      w.u8(static_cast<std::uint8_t>(k));
-    w.b(txn.plan.reachable);
-    w.b(txn.plan.relayed);
-    w.u8(static_cast<std::uint8_t>(txn.type));
-    w.u64(txn.payload);
-    w.u32(txn.address);
-    w.u64(txn.issue_cycle);
-    w.u64(txn.segment);
-    w.b(txn.returning);
-    w.u32(txn.attempts);
-  }
+  for (const std::uint64_t id : ids)
+    ckpt::save_fields(w, std::tie(id, live_.at(id)));
 
-  // Both priority queues drain (off a copy) in comparator order, which is
-  // a total order here — Deadline keys (due_cycle, id) and
-  // PendingInjection keys (due_cycle, seq) are unique — so the serialised
-  // order, and the observable pop order after a re-push on load, are
-  // independent of the heap's internal layout.
   w.tag(ckpt::fourcc("DDLN"));
-  {
-    auto copy = deadlines_;
-    w.u64(copy.size());
-    while (!copy.empty()) {
-      const Deadline& d = copy.top();
-      w.u64(d.due_cycle);
-      w.u64(d.id);
-      w.u32(d.attempt);
-      copy.pop();
-    }
-  }
+  ckpt::save_fields(w, drained(deadlines_));
   w.tag(ckpt::fourcc("PEND"));
-  {
-    auto copy = pending_;
-    w.u64(copy.size());
-    while (!copy.empty()) {
-      const PendingInjection& p = copy.top();
-      w.u64(p.due_cycle);
-      w.u64(p.seq);
-      save_full_packet(w, p.packet);
-      copy.pop();
-    }
-  }
-
+  ckpt::save_fields(w, drained(pending_));
   w.tag(ckpt::fourcc("REDY"));
-  for (const auto& per_net : ready_) {
-    w.u64(per_net.size());
-    for (const auto& [tile, q] : per_net) {
-      w.u64(tile);
-      w.u64(q.size());
-      for (const Packet& p : q) save_full_packet(w, p);
-    }
-  }
-
+  ckpt::save_fields(w, ready_);
   w.tag(ckpt::fourcc("CNTR"));
-  w.u64(ctr_.issued->value);
-  w.u64(ctr_.completed->value);
-  w.u64(ctr_.unreachable->value);
-  w.u64(ctr_.relayed->value);
-  w.u64(ctr_.timeouts->value);
-  w.u64(ctr_.retries->value);
-  w.u64(ctr_.lost->value);
-  w.u64(ctr_.stale_packets->value);
-  w.u64(ctr_.replans->value);
-  w.u64(ctr_.links_retired->value);
-  ctr_.latency->save_state(w);
+  ckpt::save_fields(w, ctr_);
 
   w.tag(ckpt::fourcc("SBER"));
   w.b(staged_ber_.has_value());
@@ -682,105 +586,65 @@ void NocSystem::load_state(ckpt::Reader& r) {
 
   faults_ = ckpt::load_fault_map(r, &grid);
   links_ = ckpt::load_link_faults(r, &grid);
-
-  cycle_ = r.u64();
-  next_id_ = r.u64();
-  pending_seq_ = r.u64();
+  ckpt::load_fields(r, std::tie(cycle_, next_id_, pending_seq_));
 
   r.expect_tag(ckpt::fourcc("LIVE"), "live transactions");
   live_.clear();
-  const std::size_t live_count = r.length(8);
+  const std::size_t live_count = r.length(
+      ckpt::min_encoded_size<std::tuple<std::uint64_t, LiveTransaction>>);
   for (std::size_t i = 0; i < live_count; ++i) {
-    const std::uint64_t id = r.u64();
-    LiveTransaction txn;
-    const std::size_t nwp = r.length(8);
-    txn.plan.waypoints.reserve(nwp);
-    for (std::size_t k = 0; k < nwp; ++k)
-      txn.plan.waypoints.push_back(load_coord(r, grid));
-    const std::size_t nseg = r.length(1);
-    if (nwp < 2 || nseg + 1 != nwp)
+    std::uint64_t id = 0;
+    LiveTransaction txn{};
+    ckpt::load_fields(r, std::tie(id, txn));
+    const std::vector<TileCoord>& wp = txn.plan.waypoints;
+    if (wp.size() < 2 || txn.plan.segment_networks.size() + 1 != wp.size() ||
+        txn.segment + 1 >= wp.size())
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "route plan waypoint/segment shape is invalid");
-    txn.plan.segment_networks.reserve(nseg);
-    for (std::size_t k = 0; k < nseg; ++k) {
-      const std::uint8_t net = r.u8();
-      if (net > 1)
+                        "route plan shape or segment index is invalid");
+    for (const TileCoord c : wp)
+      if (!grid.contains(c))
         throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "segment network enum out of range");
-      txn.plan.segment_networks.push_back(static_cast<NetworkKind>(net));
-    }
-    txn.plan.reachable = r.b();
-    txn.plan.relayed = r.b();
-    const std::uint8_t type = r.u8();
-    if (type > static_cast<std::uint8_t>(PacketType::WriteAck))
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "transaction type enum out of range");
-    txn.type = static_cast<PacketType>(type);
-    txn.payload = r.u64();
-    txn.address = r.u32();
-    txn.issue_cycle = r.u64();
-    txn.segment = static_cast<std::size_t>(r.u64());
-    txn.returning = r.b();
-    txn.attempts = r.u32();
-    if (txn.segment + 1 >= nwp)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "transaction segment index out of range");
+                          "route waypoint outside the grid");
     if (!live_.emplace(id, std::move(txn)).second)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "duplicate live transaction id");
   }
 
   r.expect_tag(ckpt::fourcc("DDLN"), "deadlines");
+  std::vector<Deadline> deadlines;
+  ckpt::load_fields(r, deadlines);
   deadlines_ = {};
-  const std::size_t ndl = r.length(20);
-  for (std::size_t i = 0; i < ndl; ++i) {
-    Deadline d;
-    d.due_cycle = r.u64();
-    d.id = r.u64();
-    d.attempt = r.u32();
-    deadlines_.push(d);
-  }
+  for (const Deadline& d : deadlines) deadlines_.push(d);
 
   r.expect_tag(ckpt::fourcc("PEND"), "pending injections");
+  std::vector<PendingInjection> pending;
+  ckpt::load_fields(r, pending);
   pending_ = {};
-  const std::size_t npend = r.length(16);
-  for (std::size_t i = 0; i < npend; ++i) {
-    PendingInjection p;
-    p.due_cycle = r.u64();
-    p.seq = r.u64();
-    p.packet = load_full_packet(r);
+  for (const PendingInjection& p : pending) {
+    expect_in_grid(p.packet, grid);
     pending_.push(p);
   }
 
   r.expect_tag(ckpt::fourcc("REDY"), "ready queues");
   ready_count_ = 0;
   for (auto& per_net : ready_) {
+    std::vector<std::pair<std::size_t, std::deque<Packet>>> queues;
+    ckpt::load_fields(r, queues);
     per_net.clear();
-    const std::size_t ntiles = r.length(16);
-    for (std::size_t i = 0; i < ntiles; ++i) {
-      const std::size_t tile = static_cast<std::size_t>(r.u64());
+    for (auto& [tile, q] : queues) {
       if (tile >= grid.tile_count())
         throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                           "ready-queue tile index out of range");
-      const std::size_t nq = r.length(66);
-      std::deque<Packet>& q = per_net[tile];
-      for (std::size_t k = 0; k < nq; ++k) q.push_back(load_full_packet(r));
-      ready_count_ += nq;
+      for (const Packet& p : q) expect_in_grid(p, grid);
+      ready_count_ += q.size();
+      if (!per_net.emplace(tile, std::move(q)).second)
+        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                          "duplicate ready-queue tile");
     }
   }
 
   r.expect_tag(ckpt::fourcc("CNTR"), "NoC counters");
-  ctr_.issued->value = r.u64();
-  ctr_.completed->value = r.u64();
-  ctr_.unreachable->value = r.u64();
-  ctr_.relayed->value = r.u64();
-  ctr_.timeouts->value = r.u64();
-  ctr_.retries->value = r.u64();
-  ctr_.lost->value = r.u64();
-  ctr_.stale_packets->value = r.u64();
-  ctr_.replans->value = r.u64();
-  ctr_.links_retired->value = r.u64();
-  ctr_.latency->load_state(r);
+  ckpt::load_fields(r, ctr_);
 
   r.expect_tag(ckpt::fourcc("SBER"), "staged BER map");
   if (r.b()) {

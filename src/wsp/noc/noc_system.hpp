@@ -49,6 +49,10 @@ struct RoutePlan {
   bool relayed = false;
 };
 
+auto fields(Of<RoutePlan> auto& p) {
+  return std::tie(p.waypoints, p.segment_networks, p.reachable, p.relayed);
+}
+
 /// All-pairs census: ordered pairs of distinct healthy tiles, and how many
 /// of them NetworkSelector::plan() finds reachable (directly or relayed).
 struct PairReachability {
@@ -170,6 +174,13 @@ struct NocStats {
     return completed ? static_cast<double>(latency_sum) / completed : 0.0;
   }
 };
+
+auto fields(Of<NocStats> auto& s) {
+  return std::tie(s.issued, s.completed, s.unreachable, s.relayed,
+                  s.latency_sum, s.latency_max, s.timeouts, s.retries, s.lost,
+                  s.stale_packets, s.replans, s.corrupted, s.crc_detected,
+                  s.link_retransmits, s.links_retired, s.escapes);
+}
 
 /// Dual-network waferscale NoC with request/response semantics.
 class NocSystem {
@@ -303,6 +314,11 @@ class NocSystem {
     std::size_t segment = 0;
     bool returning = false;
     std::uint32_t attempts = 0;  ///< retry generation currently in flight
+
+    friend auto fields(Of<LiveTransaction> auto& t) {
+      return std::tie(t.plan, t.type, t.payload, t.address, t.issue_cycle,
+                      t.segment, t.returning, t.attempts);
+    }
   };
   struct Deadline {
     std::uint64_t due_cycle;
@@ -310,6 +326,9 @@ class NocSystem {
     std::uint32_t attempt;  ///< stale when != live attempt (lazy deletion)
     friend bool operator>(const Deadline& a, const Deadline& b) {
       return std::tie(a.due_cycle, a.id) > std::tie(b.due_cycle, b.id);
+    }
+    friend auto fields(Of<Deadline> auto& d) {
+      return std::tie(d.due_cycle, d.id, d.attempt);
     }
   };
   struct PendingInjection {
@@ -319,6 +338,9 @@ class NocSystem {
     friend bool operator>(const PendingInjection& a,
                           const PendingInjection& b) {
       return std::tie(a.due_cycle, a.seq) > std::tie(b.due_cycle, b.seq);
+    }
+    friend auto fields(Of<PendingInjection> auto& p) {
+      return std::tie(p.due_cycle, p.seq, p.packet);
     }
   };
 
@@ -336,6 +358,12 @@ class NocSystem {
     obs::Counter* replans = nullptr;
     obs::Counter* links_retired = nullptr;
     obs::Histogram* latency = nullptr;  ///< round-trip cycles per completion
+
+    friend auto fields(Of<Counters> auto& c) {
+      return std::tie(c.issued, c.completed, c.unreachable, c.relayed,
+                      c.timeouts, c.retries, c.lost, c.stale_packets,
+                      c.replans, c.links_retired, c.latency);
+    }
   };
 
   FaultMap faults_;

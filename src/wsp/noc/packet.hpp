@@ -28,6 +28,7 @@ enum class NetworkKind : std::uint8_t {
   XY = 0,  ///< route X first, then Y
   YX = 1,  ///< route Y first, then X
 };
+constexpr NetworkKind enum_max(NetworkKind) { return NetworkKind::YX; }
 
 constexpr NetworkKind complementary(NetworkKind k) {
   return k == NetworkKind::XY ? NetworkKind::YX : NetworkKind::XY;
@@ -48,6 +49,7 @@ enum class PacketType : std::uint8_t {
   ReadResponse = 2,
   WriteAck = 3,
 };
+constexpr PacketType enum_max(PacketType) { return PacketType::WriteAck; }
 
 constexpr bool is_request(PacketType t) {
   return t == PacketType::ReadRequest || t == PacketType::WriteRequest;
@@ -70,5 +72,11 @@ struct Packet {
   std::uint64_t delivered_cycle = 0;
   std::uint32_t attempt = 0;       ///< retry generation (0 = first send)
 };
+
+auto fields(Of<Packet> auto& p) {
+  return std::tie(p.src, p.dst, p.type, p.network, p.payload, p.address, p.id,
+                  p.request_id, p.injected_cycle, p.delivered_cycle,
+                  p.attempt);
+}
 
 }  // namespace wsp::noc

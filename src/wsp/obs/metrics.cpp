@@ -88,28 +88,17 @@ bool operator==(const Histogram& a, const Histogram& b) {
 
 void Histogram::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("HIST"));
-  for (int b = 0; b < kBucketCount; ++b) w.u64(buckets_[b]);
-  w.u64(count_);
-  w.u64(sum_);
-  w.u64(min_);
-  w.u64(max_);
-  w.u64(samples_.size());
-  for (std::uint64_t s : samples_) w.u64(s);
+  ckpt::save_each(w, buckets_);
+  ckpt::save_fields(w, std::tie(count_, sum_, min_, max_, samples_));
 }
 
 void Histogram::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("HIST"), "Histogram");
-  for (int b = 0; b < kBucketCount; ++b) buckets_[b] = r.u64();
-  count_ = r.u64();
-  sum_ = r.u64();
-  min_ = r.u64();
-  max_ = r.u64();
-  std::size_t n = r.length(8);
-  if (n > kExactSampleCap || n > count_)
+  ckpt::load_each(r, buckets_);
+  ckpt::load_fields(r, std::tie(count_, sum_, min_, max_, samples_));
+  if (samples_.size() > kExactSampleCap || samples_.size() > count_)
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "Histogram retained-sample count is implausible");
-  samples_.assign(n, 0);
-  for (auto& s : samples_) s = r.u64();
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {

@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "wsp/common/fields.hpp"
+
 namespace wsp::ckpt {
 class Writer;
 class Reader;
@@ -44,6 +46,8 @@ struct Counter {
   void add(std::uint64_t n = 1) { value += n; }
   friend bool operator==(const Counter&, const Counter&) = default;
 };
+
+auto fields(Of<Counter> auto& c) { return std::tie(c.value); }
 
 /// Last-written level.
 struct Gauge {

@@ -397,13 +397,9 @@ void ResistiveGrid::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("PGRD"));
   w.i32(width_);
   w.i32(height_);
-  for (double g : g_east_) w.f64(g);
-  for (double g : g_north_) w.f64(g);
-  for (double s : sink_) w.f64(s);
-  for (double g : shunt_g_) w.f64(g);
-  for (double v : shunt_v_) w.f64(v);
+  ckpt::save_each(w, g_east_, g_north_, sink_, shunt_g_, shunt_v_);
   for (char d : dirichlet_) w.b(d != 0);
-  for (double v : v_) w.f64(v);
+  ckpt::save_each(w, v_);
 }
 
 void ResistiveGrid::load_state(ckpt::Reader& r) {
@@ -416,13 +412,9 @@ void ResistiveGrid::load_state(ckpt::Reader& r) {
                           std::to_string(gh) + " vs live " +
                           std::to_string(width_) + "x" +
                           std::to_string(height_));
-  for (double& g : g_east_) g = r.f64();
-  for (double& g : g_north_) g = r.f64();
-  for (double& s : sink_) s = r.f64();
-  for (double& g : shunt_g_) g = r.f64();
-  for (double& v : shunt_v_) v = r.f64();
+  ckpt::load_each(r, g_east_, g_north_, sink_, shunt_g_, shunt_v_);
   for (char& d : dirichlet_) d = r.b() ? 1 : 0;
-  for (double& v : v_) v = r.f64();
+  ckpt::load_each(r, v_);
   // Conductances/Dirichlet set may have changed; rebuild both caches lazily.
   invalidate_topology();
 }

@@ -570,34 +570,22 @@ namespace {
 constexpr std::uint32_t kCampaignKind = ckpt::fourcc("CAMP");
 constexpr std::uint32_t kCampaignStateVersion = 1;
 
-void save_notice(ckpt::Writer& w, const FaultNotice& n) {
-  w.u8(static_cast<std::uint8_t>(n.kind));
-  ckpt::save_fields(w, n.tile);
-  w.b(n.link.has_value());
-  if (n.link) w.u8(static_cast<std::uint8_t>(*n.link));
-  w.u64(n.cycle);
-  w.f64(n.magnitude);
+auto file_header(Of<CampaignReportsFile> auto& f) {
+  return std::tie(f.fingerprint, f.total_trials, f.first_trial);
 }
 
-FaultNotice load_notice(ckpt::Reader& r) {
-  FaultNotice n;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(RuntimeFaultKind::LinkBerDegradation))
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "fault notice kind out of range");
-  n.kind = static_cast<RuntimeFaultKind>(kind);
-  n.tile.x = r.i32();
-  n.tile.y = r.i32();
-  if (r.b()) {
-    const std::uint8_t d = r.u8();
-    if (d > 3)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "fault notice link direction out of range");
-    n.link = static_cast<Direction>(d);
-  }
-  n.cycle = r.u64();
-  n.magnitude = r.f64();
-  return n;
+// The report after its "NSTA" tag, up to the re-bring-up summary.
+auto report_tail(Of<DegradationReport> auto& r) {
+  return std::tie(r.noc_stats, r.mesh_dropped, r.initial_usable,
+                  r.final_usable, r.pair_reachability_pct,
+                  r.single_system_image, r.drained, r.total_cycles);
+}
+
+// Summary numbers only: the nested clock plan / duty / skew / connectivity
+// reports are re-derivable by re-running bring-up.
+auto rebringup_summary(Of<arch::BringupReport> auto& b) {
+  return std::tie(b.faulty_tiles, b.screening_tcks, b.usable_tiles,
+                  b.single_system_image);
 }
 
 }  // namespace
@@ -605,141 +593,31 @@ FaultNotice load_notice(ckpt::Reader& r) {
 void save_report(ckpt::Writer& w, const DegradationReport& report) {
   w.tag(ckpt::fourcc("DRPT"));
   w.tag(ckpt::fourcc("TRAJ"));
-  w.u64(report.trajectory.size());
-  for (const TrajectoryPoint& p : report.trajectory) {
-    w.u64(p.cycle);
-    w.u64(p.usable_tiles);
-  }
+  ckpt::save_fields(w, report.trajectory);
   w.tag(ckpt::fourcc("EVNT"));
-  w.u64(report.events.size());
-  for (const EventOutcome& e : report.events) {
-    save_notice(w, e.notice);
-    w.u64(e.applied_cycle);
-    w.u64(e.usable_after);
-    w.u64(e.newly_unusable);
-    w.u64(e.recovery_cycles);
-    w.b(e.recovered);
-    w.i32(e.clock_relatched);
-    w.i32(e.clock_orphaned);
-    w.i32(e.pdn_undervolted);
-  }
+  ckpt::save_fields(w, report.events);
   w.tag(ckpt::fourcc("RETD"));
-  w.u64(report.retirements.size());
-  for (const noc::RetiredLink& l : report.retirements) {
-    ckpt::save_fields(w, l.tile);
-    w.u8(static_cast<std::uint8_t>(l.dir));
-    w.u64(l.cycle);
-    w.u64(l.errors);
-    w.u64(l.traversals);
-  }
+  ckpt::save_fields(w, report.retirements);
   w.tag(ckpt::fourcc("NSTA"));
-  const noc::NocStats& s = report.noc_stats;
-  w.u64(s.issued);
-  w.u64(s.completed);
-  w.u64(s.unreachable);
-  w.u64(s.relayed);
-  w.u64(s.latency_sum);
-  w.u64(s.latency_max);
-  w.u64(s.timeouts);
-  w.u64(s.retries);
-  w.u64(s.lost);
-  w.u64(s.stale_packets);
-  w.u64(s.replans);
-  w.u64(s.corrupted);
-  w.u64(s.crc_detected);
-  w.u64(s.link_retransmits);
-  w.u64(s.links_retired);
-  w.u64(s.escapes);
-  w.u64(report.mesh_dropped);
-  w.u64(report.initial_usable);
-  w.u64(report.final_usable);
-  w.f64(report.pair_reachability_pct);
-  w.b(report.single_system_image);
-  w.b(report.drained);
-  w.u64(report.total_cycles);
+  ckpt::save_fields(w, report_tail(report));
   w.b(report.rebringup.has_value());
-  if (report.rebringup) {
-    // Summary numbers only: the nested clock plan / duty / skew /
-    // connectivity reports are re-derivable by re-running bring-up.
-    w.u64(report.rebringup->faulty_tiles);
-    w.u64(report.rebringup->screening_tcks);
-    w.u64(report.rebringup->usable_tiles);
-    w.b(report.rebringup->single_system_image);
-  }
+  if (report.rebringup)
+    ckpt::save_fields(w, rebringup_summary(*report.rebringup));
 }
 
 DegradationReport load_report(ckpt::Reader& r) {
   DegradationReport report;
   r.expect_tag(ckpt::fourcc("DRPT"), "DegradationReport");
   r.expect_tag(ckpt::fourcc("TRAJ"), "report trajectory");
-  const std::size_t n_traj = r.length(16);
-  report.trajectory.resize(n_traj);
-  for (TrajectoryPoint& p : report.trajectory) {
-    p.cycle = r.u64();
-    p.usable_tiles = static_cast<std::size_t>(r.u64());
-  }
+  ckpt::load_fields(r, report.trajectory);
   r.expect_tag(ckpt::fourcc("EVNT"), "report events");
-  const std::size_t n_events = r.length(71);
-  report.events.resize(n_events);
-  for (EventOutcome& e : report.events) {
-    e.notice = load_notice(r);
-    e.applied_cycle = r.u64();
-    e.usable_after = static_cast<std::size_t>(r.u64());
-    e.newly_unusable = static_cast<std::size_t>(r.u64());
-    e.recovery_cycles = r.u64();
-    e.recovered = r.b();
-    e.clock_relatched = r.i32();
-    e.clock_orphaned = r.i32();
-    e.pdn_undervolted = r.i32();
-  }
+  ckpt::load_fields(r, report.events);
   r.expect_tag(ckpt::fourcc("RETD"), "report retirements");
-  const std::size_t n_ret = r.length(33);
-  report.retirements.resize(n_ret);
-  for (noc::RetiredLink& l : report.retirements) {
-    l.tile.x = r.i32();
-    l.tile.y = r.i32();
-    const std::uint8_t d = r.u8();
-    if (d > 3)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "retired-link direction out of range");
-    l.dir = static_cast<Direction>(d);
-    l.cycle = r.u64();
-    l.errors = r.u64();
-    l.traversals = r.u64();
-  }
+  ckpt::load_fields(r, report.retirements);
   r.expect_tag(ckpt::fourcc("NSTA"), "report NoC stats");
-  noc::NocStats& s = report.noc_stats;
-  s.issued = r.u64();
-  s.completed = r.u64();
-  s.unreachable = r.u64();
-  s.relayed = r.u64();
-  s.latency_sum = r.u64();
-  s.latency_max = r.u64();
-  s.timeouts = r.u64();
-  s.retries = r.u64();
-  s.lost = r.u64();
-  s.stale_packets = r.u64();
-  s.replans = r.u64();
-  s.corrupted = r.u64();
-  s.crc_detected = r.u64();
-  s.link_retransmits = r.u64();
-  s.links_retired = r.u64();
-  s.escapes = r.u64();
-  report.mesh_dropped = r.u64();
-  report.initial_usable = static_cast<std::size_t>(r.u64());
-  report.final_usable = static_cast<std::size_t>(r.u64());
-  report.pair_reachability_pct = r.f64();
-  report.single_system_image = r.b();
-  report.drained = r.b();
-  report.total_cycles = r.u64();
-  if (r.b()) {
-    arch::BringupReport b;
-    b.faulty_tiles = static_cast<std::size_t>(r.u64());
-    b.screening_tcks = r.u64();
-    b.usable_tiles = static_cast<std::size_t>(r.u64());
-    b.single_system_image = r.b();
-    report.rebringup = std::move(b);
-  }
+  ckpt::load_fields(r, report_tail(report));
+  if (r.b())
+    ckpt::load_fields(r, rebringup_summary(report.rebringup.emplace()));
   return report;
 }
 
@@ -752,9 +630,7 @@ std::uint32_t DegradationCampaign::options_fingerprint() const {
 void save_campaign_reports(const std::string& path,
                            const CampaignReportsFile& file) {
   ckpt::Writer w;
-  w.u32(file.fingerprint);
-  w.i32(file.total_trials);
-  w.i32(file.first_trial);
+  ckpt::save_fields(w, file_header(file));
   w.u64(file.reports.size());
   for (const DegradationReport& r : file.reports) save_report(w, r);
   ckpt::save_frame_file(path, kCampaignKind, kCampaignStateVersion, w);
@@ -767,9 +643,7 @@ CampaignReportsFile load_campaign_reports(const std::string& path) {
                       "campaign snapshot schema revision unknown");
   ckpt::Reader r(frame.payload);
   CampaignReportsFile file;
-  file.fingerprint = r.u32();
-  file.total_trials = r.i32();
-  file.first_trial = r.i32();
+  ckpt::load_fields(r, file_header(file));
   if (file.total_trials < 1 || file.first_trial < 0 ||
       file.first_trial > file.total_trials)
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,

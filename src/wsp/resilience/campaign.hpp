@@ -111,6 +111,10 @@ struct TrajectoryPoint {
                          const TrajectoryPoint&) = default;
 };
 
+auto fields(Of<TrajectoryPoint> auto& p) {
+  return std::tie(p.cycle, p.usable_tiles);
+}
+
 /// Per-event outcome: what the fault cost and how long recovery took.
 struct EventOutcome {
   FaultNotice notice;
@@ -126,6 +130,12 @@ struct EventOutcome {
   int clock_orphaned = 0;   ///< tiles orphaned from every generator
   int pdn_undervolted = 0;  ///< collateral out-of-regulation tiles
 };
+
+auto fields(Of<EventOutcome> auto& e) {
+  return std::tie(e.notice, e.applied_cycle, e.usable_after, e.newly_unusable,
+                  e.recovery_cycles, e.recovered, e.clock_relatched,
+                  e.clock_orphaned, e.pdn_undervolted);
+}
 
 struct DegradationReport {
   std::vector<TrajectoryPoint> trajectory;

@@ -1,5 +1,6 @@
 #include "wsp/resilience/fault_injector.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -87,11 +88,8 @@ void FaultInjector::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("FINJ"));
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, links_);
-  schedule_.save_state(w);
-  w.u64(next_);
-  ckpt::save_fields(w, brownouts_);
-  ckpt::save_fields(w, lost_generators_);
-  ckpt::save_fields(w, ber_degradations_);
+  ckpt::save_fields(w, std::tie(schedule_, next_, brownouts_,
+                                lost_generators_, ber_degradations_));
 }
 
 void FaultInjector::load_state(ckpt::Reader& r) {
@@ -101,34 +99,27 @@ void FaultInjector::load_state(ckpt::Reader& r) {
   FaultMap faults = ckpt::load_fault_map(r, &faults_.grid());
   LinkFaultSet links = ckpt::load_link_faults(r, &faults_.grid());
   FaultSchedule schedule;
-  schedule.load_state(r);
-  const std::uint64_t next = r.u64();
+  std::size_t next = 0;
+  std::vector<TileCoord> brownouts;
+  std::vector<TileCoord> lost;
+  std::vector<FaultEvent> ber;
+  ckpt::load_fields(r, std::tie(schedule, next, brownouts, lost, ber));
   if (next > schedule.size())
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "schedule cursor past the end of the schedule");
-  const auto load_tiles = [&](const char* what) {
-    const std::size_t n = r.length(8);  // 2*i32 per tile
-    std::vector<TileCoord> tiles(n);
-    for (TileCoord& t : tiles) {
-      t.x = r.i32();
-      t.y = r.i32();
-      if (!faults.grid().contains(t))
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
-    }
-    return tiles;
-  };
-  std::vector<TileCoord> brownouts =
-      load_tiles("brownout target outside the grid");
-  std::vector<TileCoord> lost =
-      load_tiles("lost clock generator outside the grid");
-  const std::size_t n_ber = r.length(26);
-  std::vector<FaultEvent> ber(n_ber);
-  for (FaultEvent& e : ber) e = load_fault_event(r);
+  const TileGrid& grid = faults.grid();
+  const auto outside = [&grid](TileCoord t) { return !grid.contains(t); };
+  if (std::any_of(brownouts.begin(), brownouts.end(), outside) ||
+      std::any_of(lost.begin(), lost.end(), outside) ||
+      std::any_of(ber.begin(), ber.end(),
+                  [&](const FaultEvent& e) { return outside(e.tile); }))
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                      "accumulated fault target outside the grid");
 
   faults_ = std::move(faults);
   links_ = std::move(links);
   schedule_ = std::move(schedule);
-  next_ = static_cast<std::size_t>(next);
+  next_ = next;
   brownouts_ = std::move(brownouts);
   lost_generators_ = std::move(lost);
   ber_degradations_ = std::move(ber);

@@ -77,28 +77,6 @@ FaultSchedule FaultSchedule::random(const TileGrid& grid,
 
 // --- checkpointing ----------------------------------------------------------
 
-FaultEvent load_fault_event(ckpt::Reader& r) {
-  FaultEvent e;
-  e.cycle = r.u64();
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(RuntimeFaultKind::LinkBerDegradation))
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "fault event kind out of range");
-  e.kind = static_cast<RuntimeFaultKind>(kind);
-  e.tile.x = r.i32();
-  e.tile.y = r.i32();
-  const std::uint8_t link = r.u8();
-  if (link > 3)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "fault event link direction out of range");
-  e.link = static_cast<Direction>(link);
-  e.magnitude = r.f64();
-  return e;
-}
-
-// Per-event payload: u64 + u8 + 2*i32 + u8 + f64.
-constexpr std::size_t kEventBytes = 26;
-
 void FaultSchedule::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("FSCH"));
   ckpt::save_fields(w, events_);
@@ -106,16 +84,14 @@ void FaultSchedule::save_state(ckpt::Writer& w) const {
 
 void FaultSchedule::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("FSCH"), "FaultSchedule");
-  const std::size_t n = r.length(kEventBytes);
-  std::vector<FaultEvent> events(n);
-  std::uint64_t prev = 0;
-  for (FaultEvent& e : events) {
-    e = load_fault_event(r);
-    if (e.cycle < prev)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "schedule events not sorted by cycle");
-    prev = e.cycle;
-  }
+  std::vector<FaultEvent> events;
+  ckpt::load_fields(r, events);
+  if (!std::is_sorted(events.begin(), events.end(),
+                      [](const FaultEvent& a, const FaultEvent& b) {
+                        return a.cycle < b.cycle;
+                      }))
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                      "schedule events not sorted by cycle");
   events_ = std::move(events);
 }
 

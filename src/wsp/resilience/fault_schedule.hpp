@@ -92,9 +92,4 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;
 };
 
-/// Reads one save_fields-encoded FaultEvent (26 bytes: cycle, kind, tile,
-/// link, magnitude), as FaultSchedule and the injector's accumulated
-/// BER-degradation list write them; validates both enums.
-FaultEvent load_fault_event(ckpt::Reader& r);
-
 }  // namespace wsp::resilience

@@ -55,18 +55,19 @@ class SyntheticGenerator final : public TrafficGenerator {
     faults_ = faults;
   }
 
+  /// The checkpointed state, in frame order.
+  friend auto fields(Of<SyntheticGenerator> auto& g) {
+    return std::tie(g.rng_, g.cycle_);
+  }
+
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGSY"));
-    for (const std::uint64_t word : rng_.state()) w.u64(word);
-    w.u64(cycle_);
+    ckpt::save_fields(w, fields(*this));
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGSY"), "synthetic generator");
-    std::array<std::uint64_t, 4> s;
-    for (std::uint64_t& word : s) word = r.u64();
-    rng_.set_state(s);
-    cycle_ = r.u64();
+    ckpt::load_fields(r, fields(*this));
   }
 
  private:
@@ -119,12 +120,12 @@ class AllReduceRingGenerator final : public TrafficGenerator {
 
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGAR"));
-    w.u64(cycle_in_op_);
+    ckpt::save_fields(w, cycle_in_op_);
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGAR"), "all-reduce ring generator");
-    cycle_in_op_ = r.u64();
+    ckpt::load_fields(r, cycle_in_op_);
     if (op_cycles() > 0) cycle_in_op_ %= op_cycles();
   }
 
@@ -235,12 +236,12 @@ class HaloExchangeGenerator final : public TrafficGenerator {
 
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGHX"));
-    w.u64(cycle_);
+    ckpt::save_fields(w, cycle_);
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGHX"), "halo exchange generator");
-    cycle_ = r.u64();
+    ckpt::load_fields(r, cycle_);
   }
 
  private:
@@ -306,12 +307,12 @@ class LayerPipelineGenerator final : public TrafficGenerator {
 
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGLP"));
-    w.u64(cycle_);
+    ckpt::save_fields(w, cycle_);
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGLP"), "layer pipeline generator");
-    cycle_ = r.u64();
+    ckpt::load_fields(r, cycle_);
   }
 
   std::uint64_t compute_cycles() const { return compute_cycles_; }
@@ -424,34 +425,24 @@ class SpikingBurstGenerator final : public TrafficGenerator {
     faults_ = faults;
   }
 
+  /// The checkpointed state, in frame order.
+  friend auto fields(Of<SpikingBurstGenerator> auto& g) {
+    return std::tie(g.rng_, g.cycle_, g.bursts_started_, g.total_spikes_,
+                    g.bursts_);
+  }
+
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGSB"));
-    for (const std::uint64_t word : rng_.state()) w.u64(word);
-    w.u64(cycle_);
-    w.u64(bursts_started_);
-    w.u64(total_spikes_);
-    w.u64(bursts_.size());
-    for (const Burst& b : bursts_) {
-      ckpt::save_fields(w, b.center);
-      w.u64(b.start_cycle);
-    }
+    ckpt::save_fields(w, fields(*this));
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGSB"), "spiking burst generator");
-    std::array<std::uint64_t, 4> s;
-    for (std::uint64_t& word : s) word = r.u64();
-    rng_.set_state(s);
-    cycle_ = r.u64();
-    bursts_started_ = r.u64();
-    total_spikes_ = r.u64();
-    const std::size_t n = r.length(16);
-    bursts_.resize(n);
-    for (Burst& b : bursts_) {
-      b.center.x = r.i32();
-      b.center.y = r.i32();
-      b.start_cycle = r.u64();
-    }
+    ckpt::load_fields(r, fields(*this));
+    for (const Burst& b : bursts_)
+      if (!faults_.grid().contains(b.center))
+        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                          "burst centre outside the grid");
   }
 
   /// Spikes emitted so far — the seed-determinism probe: two generators
@@ -463,6 +454,10 @@ class SpikingBurstGenerator final : public TrafficGenerator {
   struct Burst {
     TileCoord center{0, 0};
     std::uint64_t start_cycle = 0;
+
+    friend auto fields(Of<Burst> auto& b) {
+      return std::tie(b.center, b.start_cycle);
+    }
   };
 
   void start_burst(TileCoord center) {
@@ -559,20 +554,19 @@ class GraphWaveGenerator final : public TrafficGenerator {
     rebuild_waves();
   }
 
+  /// The checkpointed state, in frame order.
+  friend auto fields(Of<GraphWaveGenerator> auto& g) {
+    return std::tie(g.cycle_, g.level_index_, g.round_, g.gap_remaining_);
+  }
+
   void save_state(ckpt::Writer& w) const override {
     w.tag(ckpt::fourcc("TGGW"));
-    w.u64(cycle_);
-    w.u64(level_index_);
-    w.u64(round_);
-    w.u64(gap_remaining_);
+    ckpt::save_fields(w, fields(*this));
   }
 
   void load_state(ckpt::Reader& r) override {
     r.expect_tag(ckpt::fourcc("TGGW"), "graph wave generator");
-    cycle_ = r.u64();
-    level_index_ = r.u64();
-    round_ = r.u64();
-    gap_remaining_ = r.u64();
+    ckpt::load_fields(r, fields(*this));
     if (!waves_.empty()) {
       level_index_ %= waves_.size();
       const std::uint64_t rounds = waves_[level_index_].rounds();
@@ -583,6 +577,7 @@ class GraphWaveGenerator final : public TrafficGenerator {
   std::size_t level_count() const { return waves_.size(); }
 
  private:
+
   /// One frontier level's cross-tile messages, grouped per source tile.
   /// On round r each queue emits its r-th message, so a level lasts
   /// max-queue-length communicate cycles — the per-tile NoC port limit the
@@ -748,24 +743,12 @@ noc::TrafficReport TrafficDriver::report(std::uint64_t cycles) const {
 
 void TrafficDriver::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("TDRV"));
-  w.u64(start_cycle_);
-  w.u64(start_.issued);
-  w.u64(start_.completed);
-  w.u64(start_.unreachable);
-  latency_.save_state(w);
-  w.u32(digest_);
-  w.u64(injections_);
+  ckpt::save_fields(w, fields(*this));
 }
 
 void TrafficDriver::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("TDRV"), "traffic driver");
-  start_cycle_ = r.u64();
-  start_.issued = r.u64();
-  start_.completed = r.u64();
-  start_.unreachable = r.u64();
-  latency_.load_state(r);
-  digest_ = r.u32();
-  injections_ = r.u64();
+  ckpt::load_fields(r, fields(*this));
 }
 
 WorkloadRunResult run_workload_traffic(noc::NocSystem& noc,

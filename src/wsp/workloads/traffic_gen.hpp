@@ -266,6 +266,13 @@ class TrafficDriver {
  private:
   void record();
 
+  /// The checkpointed state, in frame order.
+  friend auto fields(Of<TrafficDriver> auto& d) {
+    return std::tie(d.start_cycle_, d.start_.issued, d.start_.completed,
+                    d.start_.unreachable, d.latency_, d.digest_,
+                    d.injections_);
+  }
+
   noc::NocSystem& noc_;
   TrafficGenerator& gen_;
   std::vector<std::uint64_t>* issued_ids_;

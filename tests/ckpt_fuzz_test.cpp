@@ -14,14 +14,17 @@
 //      which turns "no UB" from a claim into a check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "wsp/ckpt/checkpoint.hpp"
+#include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
+#include "wsp/cosim/cosim.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/obs/metrics.hpp"
 #include "wsp/resilience/campaign.hpp"
@@ -42,6 +45,28 @@ void expect_loads_or_typed_error(const std::vector<std::uint8_t>& bytes,
     load(bytes);
   } catch (const ckpt::Error&) {
     // typed rejection: the contract
+  }
+}
+
+// Loads `bytes` into `target` and, after a clean load, runs `step` on it.
+// Acceptable outcomes are a clean run, a ckpt::Error from the load, or a
+// wsp::Error from the step (a loaded value the simulator's own checks
+// reject).  A value that passes the loader must never crash the step —
+// under the sanitizer run, that is what makes the loader's contextual
+// checks complete.
+template <typename Target, typename Step>
+void expect_load_then_safe_step(const std::vector<std::uint8_t>& bytes,
+                                Target& target, Step&& step) {
+  ckpt::Reader r(bytes);
+  try {
+    target.load_state(r);
+  } catch (const ckpt::Error&) {
+    return;
+  }
+  try {
+    step(target);
+  } catch (const wsp::Error&) {
+    // the simulator rejected a loaded value: typed, not UB
   }
 }
 
@@ -186,7 +211,9 @@ TEST(CkptFuzz, CorruptPayloadsNeverCrashSubsystemLoaders) {
   // Damage *inside* an already-opened payload (the CRC layer bypassed on
   // purpose): every subsystem loader must bounds-check its own reads.
   // Outcomes are a clean load (the flip hit a don't-care or plausible
-  // value) or ckpt::Error — never UB, per the sanitizer run.
+  // value) or ckpt::Error — never UB, per the sanitizer run.  The NoC,
+  // cosim and generator targets also run after a clean load, so a value
+  // the loader let through cannot crash the next step either.
   const TileGrid grid(8, 8);
 
   Rng sched_rng(3);
@@ -208,16 +235,29 @@ TEST(CkptFuzz, CorruptPayloadsNeverCrashSubsystemLoaders) {
   registry.save_state(reg_w);
 
   Rng fuzz(0xFACE);
+  // Offset of the first section tag `t` in `bytes`.
+  const auto section_start = [](const std::vector<std::uint8_t>& bytes,
+                                const char* t) {
+    const auto at = std::search(bytes.begin(), bytes.end(), t, t + 4);
+    EXPECT_NE(at, bytes.end()) << t;
+    return static_cast<std::size_t>(at - bytes.begin());
+  };
+  // Flips bits in, and cuts the payload inside, bytes [from, to): a small
+  // section ahead of large slabs gets a pass of its own instead of
+  // drowning in them.
   const auto hammer = [&](const std::vector<std::uint8_t>& payload,
-                          auto&& load) {
+                          auto&& load, std::size_t from = 0,
+                          std::size_t to = SIZE_MAX) {
+    to = std::min(to, payload.size());
     for (int i = 0; i < 800; ++i) {
       std::vector<std::uint8_t> hit = payload;
-      hit[fuzz.below(hit.size())] ^= static_cast<std::uint8_t>(
+      hit[from + fuzz.below(to - from)] ^= static_cast<std::uint8_t>(
           1u << fuzz.below(8));
       expect_loads_or_typed_error(hit, load);
     }
     for (int i = 0; i < 200; ++i) {
-      const auto cut = static_cast<std::ptrdiff_t>(fuzz.below(payload.size()));
+      const auto cut =
+          static_cast<std::ptrdiff_t>(from + fuzz.below(to - from));
       expect_loads_or_typed_error(
           std::vector<std::uint8_t>(payload.begin(), payload.begin() + cut),
           load);
@@ -235,6 +275,83 @@ TEST(CkptFuzz, CorruptPayloadsNeverCrashSubsystemLoaders) {
     ckpt::Reader r(b);
     target.load_state(r);
   });
+
+  // A mid-traffic NoC with timeouts armed and the BER channel on, so the
+  // live, deadline, pending and ready sections and both mesh pools hold
+  // packets.  Every clean load is stepped 16 cycles.
+  FaultMap noc_faults(grid);
+  noc_faults.set_faulty({3, 4}, true);
+  noc::NocOptions noc_opt;
+  noc_opt.response_timeout = 200;
+  noc_opt.mesh.integrity.enabled = true;
+  noc_opt.mesh.integrity.ber.floor_ber = 1e-4;
+  noc::NocSystem noc(noc_faults, noc_opt);
+  noc::TrafficConfig traffic;
+  traffic.injection_rate = 0.08;
+  const auto noc_gen = workloads::make_synthetic(traffic, noc_faults, Rng(4));
+  workloads::TrafficDriver driver(noc, *noc_gen);
+  for (int c = 0; c < 60; ++c) driver.step();
+  ckpt::Writer noc_w;
+  noc.save_state(noc_w);
+  const auto load_noc = [&](const std::vector<std::uint8_t>& b) {
+    noc::NocSystem target(noc_faults, noc_opt);
+    expect_load_then_safe_step(b, target, [](noc::NocSystem& n) {
+      std::vector<noc::CompletedTransaction> done;
+      for (int c = 0; c < 16; ++c) n.step(done);
+    });
+  };
+  // The transaction layer (everything ahead of the first MESH section) is
+  // a few KB in front of two mesh slabs, so it gets its own pass.
+  hammer(noc_w.bytes(), load_noc, 0, section_start(noc_w.bytes(), "MESH"));
+  hammer(noc_w.bytes(), load_noc);
+
+  // A cosim loop mid-epoch after one coupled epoch; a clean load runs one
+  // more epoch (harvest, PDN re-solve, BER map).
+  cosim::CosimOptions co;
+  co.noc.mesh.integrity.enabled = true;
+  co.epoch_cycles = 16;
+  co.workload.cls = workloads::WorkloadClass::SpikingBurst;
+  co.workload.spiking.background_rate = 0.05;
+  cosim::CosimLoop loop(co);
+  loop.run(24);
+  ckpt::Writer cosim_w;
+  loop.save_state(cosim_w);
+  const auto load_cosim = [&](const std::vector<std::uint8_t>& b) {
+    cosim::CosimLoop target(co);
+    expect_load_then_safe_step(
+        b, target, [](cosim::CosimLoop& l) { l.run_epochs(1); });
+  };
+  hammer(cosim_w.bytes(), load_cosim, 0,
+         section_start(cosim_w.bytes(), "NOCS"));
+  hammer(cosim_w.bytes(), load_cosim);
+
+  // Every generator class; a clean load emits 16 cycles.
+  const SystemConfig config = SystemConfig::reduced(8, 8);
+  for (const workloads::WorkloadClass cls :
+       {workloads::WorkloadClass::Synthetic,
+        workloads::WorkloadClass::AllReduceRing,
+        workloads::WorkloadClass::HaloExchange,
+        workloads::WorkloadClass::LayerPipeline,
+        workloads::WorkloadClass::SpikingBurst,
+        workloads::WorkloadClass::GraphWave}) {
+    SCOPED_TRACE(workloads::to_string(cls));
+    workloads::WorkloadSpec spec;
+    spec.cls = cls;
+    spec.spiking.burst_rate = 0.2;
+    const auto gen = workloads::make_generator(spec, config, noc_faults);
+    std::vector<workloads::Injection> out;
+    for (int c = 0; c < 29; ++c) gen->emit(out);
+    ckpt::Writer gen_w;
+    gen->save_state(gen_w);
+    hammer(gen_w.bytes(), [&](const std::vector<std::uint8_t>& b) {
+      const auto target = workloads::make_generator(spec, config, noc_faults);
+      expect_load_then_safe_step(b, *target,
+                                 [](workloads::TrafficGenerator& g) {
+                                   std::vector<workloads::Injection> sink;
+                                   for (int c = 0; c < 16; ++c) g.emit(sink);
+                                 });
+    });
+  }
 }
 
 TEST(CkptFuzz, CorruptCampaignFilesAlwaysTyped) {

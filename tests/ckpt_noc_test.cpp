@@ -10,9 +10,11 @@
 // 1, 2 and 8.
 // MeshNetwork, ClockSelector, ResistiveGrid, FaultInjector and the obs
 // metric types get the same round-trip treatment, plus the typed-error
-// paths for topology/schema mismatches.
+// paths for topology/schema mismatches.  Mid-traffic NOCS, COSM, every
+// generator class and the HBEA heartbeat are pinned by size and CRC-32.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -22,8 +24,10 @@
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/clock/selector.hpp"
+#include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
+#include "wsp/cosim/cosim.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
@@ -278,6 +282,271 @@ TEST(MeshCkpt, FrameBytesArePinned) {
   } catch (const ckpt::Error& e) {
     EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch);
   }
+}
+
+// --- pinned frames and tampered payloads ----------------------------------
+
+// Offset of the first section tag `t` in `bytes`.
+std::size_t find_tag(const std::vector<std::uint8_t>& bytes, const char* t) {
+  for (std::size_t i = 0; i + 4 <= bytes.size(); ++i)
+    if (std::equal(t, t + 4, bytes.begin() + static_cast<std::ptrdiff_t>(i)))
+      return i;
+  ADD_FAILURE() << "tag " << t << " not found";
+  return 0;
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t k = 8; k-- > 0;) v = v << 8 | b[at + k];
+  return v;
+}
+
+void put_u64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t k = 0; k < 8; ++k)
+    b[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+void put_i32(std::vector<std::uint8_t>& b, std::size_t at, std::int32_t v) {
+  for (std::size_t k = 0; k < 4; ++k)
+    b[at + k] =
+        static_cast<std::uint8_t>(static_cast<std::uint32_t>(v) >> (8 * k));
+}
+
+void erase(std::vector<std::uint8_t>& b, std::size_t at, std::size_t n) {
+  b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+          b.begin() + static_cast<std::ptrdiff_t>(at + n));
+}
+
+template <class Load>
+void expect_schema_mismatch(const std::vector<std::uint8_t>& bytes,
+                            Load&& load) {
+  ckpt::Reader r(bytes);
+  try {
+    load(r);
+    FAIL() << "tampered snapshot loaded";
+  } catch (const ckpt::Error& e) {
+    EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch) << e.what();
+  }
+}
+
+// Size and CRC-32 of a snapshot image; the failure message prints the
+// actual CRC, so a deliberate format change re-pins from the log.
+void expect_pinned(const std::vector<std::uint8_t>& bytes, std::size_t size,
+                   std::uint32_t crc) {
+  const std::uint32_t got = ckpt::crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(got, crc) << "actual 0x" << std::hex << got;
+}
+
+TEST(NocCkpt, MidTrafficFrameBytesArePinned) {
+  // Every transaction-layer section populated: live transactions (one on a
+  // relayed plan) with armed deadlines, pending responses, a ready backlog
+  // behind a full local FIFO, and a staged BER map — so the pin covers the
+  // Packet encoding in the PEND/REDY queues and the mesh pools.
+  const TileGrid grid(8, 8);
+  FaultMap faults(grid);
+  faults.set_faulty({2, 0}, true);
+  faults.set_faulty({1, 2}, true);
+  noc::NocOptions opt;
+  opt.response_timeout = 300;
+  opt.mesh.integrity.enabled = true;
+  noc::NocSystem noc(faults, opt);
+  ASSERT_TRUE(noc.selector().plan({0, 0}, {2, 2}).relayed);
+
+  const auto gen = uniform_traffic(faults, 0.05, 7);
+  workloads::TrafficDriver driver(noc, *gen);
+  for (int c = 0; c < 40; ++c) driver.step();
+  ASSERT_TRUE(noc.issue({0, 0}, {2, 2}, noc::PacketType::ReadRequest));
+  for (std::uint64_t i = 0; i < 12; ++i)
+    ASSERT_TRUE(noc.issue({5, 5}, {1, 6}, noc::PacketType::WriteRequest, i));
+  driver.step();
+  noc::LinkBerMap ber(grid);
+  ber.set_ber({3, 3}, Direction::East, 1e-3);
+  ber.set_ber({4, 1}, Direction::North, 2e-4);
+  noc.set_link_ber(ber);
+
+  const std::vector<std::uint8_t> bytes = noc_bytes(noc);
+  expect_pinned(bytes, 126365, 0xb4ab62b6u);
+  for (const char* section : {"LIVE", "DDLN", "PEND"})
+    EXPECT_GT(get_u64(bytes, find_tag(bytes, section) + 4), 0u) << section;
+  // REDY holds the XY then the YX queues; the backlog rides one of them.
+  const std::size_t redy = find_tag(bytes, "REDY") + 4;
+  EXPECT_TRUE(get_u64(bytes, redy) > 0 || get_u64(bytes, redy + 8) > 0);
+  EXPECT_EQ(bytes[find_tag(bytes, "SBER") + 4], 1);
+
+  noc::NocSystem same(faults, opt);
+  ckpt::Reader r(bytes);
+  same.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(noc_bytes(same), bytes);
+}
+
+TEST(CosimCkpt, SpikingFrameBytesArePinned) {
+  cosim::CosimOptions o;
+  o.noc.mesh.integrity.enabled = true;
+  o.workload.cls = workloads::WorkloadClass::SpikingBurst;
+  o.workload.seed = 5;
+  o.workload.spiking.background_rate = 0.02;
+  o.workload.spiking.burst_interval = 50;
+  o.workload.spiking.hotspot = {3, 4};
+  cosim::CosimLoop loop(o);
+  loop.run_epochs(2);
+  loop.run(10);  // mid-epoch: the cursor and the staged BER map are live
+  ASSERT_EQ(loop.epochs_completed(), 2u);
+
+  ckpt::Writer w;
+  loop.save_state(w);
+  expect_pinned(w.bytes(), 163030, 0xd02f7781u);
+
+  cosim::CosimLoop same(o);
+  ckpt::Reader r(w.bytes());
+  same.load_state(r);
+  EXPECT_TRUE(r.done());
+  ckpt::Writer again;
+  same.save_state(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+}
+
+TEST(WorkloadCkpt, GeneratorFrameBytesArePinned) {
+  struct Pin {
+    workloads::WorkloadClass cls;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {workloads::WorkloadClass::Synthetic, 44, 0xac0a66a0u},
+      {workloads::WorkloadClass::AllReduceRing, 12, 0x2791c22cu},
+      {workloads::WorkloadClass::HaloExchange, 12, 0x4eaa6378u},
+      {workloads::WorkloadClass::LayerPipeline, 12, 0xfc99611au},
+      {workloads::WorkloadClass::SpikingBurst, 164, 0x4eff30bdu},
+      {workloads::WorkloadClass::GraphWave, 36, 0x519a312cu},
+  };
+  const SystemConfig config = SystemConfig::reduced(8, 8);
+  FaultMap faults(config.grid());
+  faults.set_faulty({6, 1}, true);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(workloads::to_string(pin.cls));
+    workloads::WorkloadSpec spec;
+    spec.cls = pin.cls;
+    spec.seed = 17;
+    spec.synthetic.injection_rate = 0.1;
+    spec.spiking.burst_rate = 0.2;
+    const auto gen = workloads::make_generator(spec, config, faults);
+    std::vector<workloads::Injection> out;
+    for (int c = 0; c < 37; ++c) gen->emit(out);
+    ckpt::Writer w;
+    gen->save_state(w);
+    expect_pinned(w.bytes(), pin.size, pin.crc);
+
+    const auto same = workloads::make_generator(spec, config, faults);
+    ckpt::Reader r(w.bytes());
+    same->load_state(r);
+    EXPECT_TRUE(r.done());
+    ckpt::Writer again;
+    same->save_state(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+  }
+}
+
+TEST(HeartbeatCkpt, FrameBytesArePinned) {
+  const std::string path = "CKPT_pinned_heartbeat.wsp";
+  const ckpt::Heartbeat hb{3, 2, 41, 0x1234567890ull};
+  ckpt::save_heartbeat(path, hb);
+  const std::vector<std::uint8_t> bytes = ckpt::read_file(path);
+  expect_pinned(bytes, 56, 0x24886e04u);
+  EXPECT_EQ(ckpt::load_heartbeat(path), hb);
+  ckpt::save_heartbeat(path, ckpt::load_heartbeat(path));
+  EXPECT_EQ(ckpt::read_file(path), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(NocCkpt, PendingPacketOutsideGridIsRejected) {
+  const TileGrid grid(8, 8);
+  noc::NocSystem noc{FaultMap(grid)};
+  ASSERT_TRUE(noc.issue({1, 1}, {6, 5}, noc::PacketType::ReadRequest));
+  ASSERT_TRUE(noc.issue({2, 3}, {0, 7}, noc::PacketType::WriteRequest));
+  std::vector<std::uint8_t> bytes = noc_bytes(noc);
+  // PEND: tag, count, then due_cycle, seq and the packet, src.x first.
+  put_i32(bytes, find_tag(bytes, "PEND") + 4 + 8 + 16, 100000);
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    noc::NocSystem target{FaultMap(grid)};
+    target.load_state(r);
+  });
+}
+
+TEST(MeshCkpt, PoolPacketOutsideGridIsRejected) {
+  const TileGrid grid(8, 8);
+  const FaultMap faults(grid);
+  noc::MeshNetwork mesh(faults, noc::NetworkKind::XY);
+  noc::Packet p;
+  p.src = {1, 1};
+  p.dst = {5, 6};
+  ASSERT_TRUE(mesh.inject(p));
+  ckpt::Writer w;
+  mesh.save_state(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+  // BERM: tag, width, height, four doubles per tile; then the pool count
+  // and the first pooled packet, dst.x at offset 8.
+  const std::size_t pool =
+      find_tag(bytes, "BERM") + 12 + grid.tile_count() * 32;
+  ASSERT_EQ(get_u64(bytes, pool), 1u);
+  put_i32(bytes, pool + 8 + 8, -3);
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    noc::MeshNetwork target(faults, noc::NetworkKind::XY);
+    target.load_state(r);
+  });
+}
+
+// A COSM payload after one epoch, so the activity snapshot and both
+// warm-start seeds are populated.
+std::vector<std::uint8_t> cosim_after_one_epoch(const cosim::CosimOptions& o) {
+  cosim::CosimLoop loop(o);
+  loop.run_epochs(1);
+  ckpt::Writer w;
+  loop.save_state(w);
+  return w.bytes();
+}
+
+TEST(CosimCkpt, ActivitySnapshotOfWrongTileCountIsRejected) {
+  const cosim::CosimOptions o;
+  std::vector<std::uint8_t> bytes = cosim_after_one_epoch(o);
+  const std::size_t at = find_tag(bytes, "ATRK") + 4;
+  ASSERT_EQ(get_u64(bytes, at), 64u);
+  put_u64(bytes, at, 63);
+  erase(bytes, at + 8, 24);  // drop the last tile's three counters
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    cosim::CosimLoop target(o);
+    target.load_state(r);
+  });
+}
+
+TEST(CosimCkpt, ShortWarmStartSeedIsRejected) {
+  const cosim::CosimOptions o;
+  std::vector<std::uint8_t> bytes = cosim_after_one_epoch(o);
+  const std::size_t at = find_tag(bytes, "SEED") + 4 + 8;
+  const std::uint64_t len = get_u64(bytes, at);
+  ASSERT_GT(len, 0u);
+  put_u64(bytes, at, len - 1);
+  erase(bytes, at + 8, 8);
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    cosim::CosimLoop target(o);
+    target.load_state(r);
+  });
+}
+
+TEST(CosimCkpt, WrongSeedCountIsRejected) {
+  const cosim::CosimOptions o;
+  std::vector<std::uint8_t> bytes = cosim_after_one_epoch(o);
+  const std::size_t at = find_tag(bytes, "SEED") + 4;
+  ASSERT_EQ(get_u64(bytes, at), 2u);
+  put_u64(bytes, at, 1);
+  // Drop the second buffer: its length word and its doubles.
+  const std::size_t second = at + 8 + 8 + get_u64(bytes, at + 8) * 8;
+  erase(bytes, second, 8 + get_u64(bytes, second) * 8);
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    cosim::CosimLoop target(o);
+    target.load_state(r);
+  });
 }
 
 TEST(MeshCkpt, WrongKindIsTypedError) {

@@ -8,19 +8,27 @@
 // (Truncated / BadMagic / BadCrc / VersionMismatch / SchemaMismatch /
 // TopologyMismatch / Io) instead of crashing or reading out of bounds.
 // Atomic file emission (write-temp-then-rename) and the wsp_common
-// plain-data serialisers (FaultMap, LinkFaultSet) round-trip here too.
+// plain-data serialisers (FaultMap, LinkFaultSet) round-trip here too, and
+// so does every public state record through save_fields/load_fields.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <concepts>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "field_walk.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/fault_map.hpp"
+#include "wsp/cosim/cosim.hpp"
+#include "wsp/noc/link_health.hpp"
+#include "wsp/noc/noc_system.hpp"
+#include "wsp/resilience/campaign.hpp"
+#include "wsp/resilience/fault_schedule.hpp"
 
 namespace wsp {
 namespace {
@@ -379,6 +387,77 @@ TEST(LinkFaultsCkpt, RoundTrip) {
               ckpt::load_link_faults(again, &other);
             }),
             ErrorKind::TopologyMismatch);
+}
+
+// The per-element guards Reader::length applies, derived from the types;
+// these are the sizes the hand-kept literals used to spell out.
+static_assert(ckpt::min_encoded_size<noc::Packet> == 66);
+static_assert(ckpt::min_encoded_size<resilience::FaultEvent> == 26);
+static_assert(ckpt::min_encoded_size<resilience::EventOutcome> == 71);
+static_assert(ckpt::min_encoded_size<noc::RetiredLink> == 33);
+static_assert(ckpt::min_encoded_size<cosim::EpochReport> == 92);
+static_assert(ckpt::min_encoded_size<noc::TileActivity> == 24);
+static_assert(ckpt::min_encoded_size<std::vector<noc::Packet>> == 8);
+
+// Perturbs every leaf of `base` in turn (tests/field_walk.hpp) and requires
+// load_fields to rebuild exactly the value save_fields wrote: equal by
+// operator== where the record has one, and equal re-encoded bytes always.
+template <class T>
+void expect_leafwise_round_trip(const T& base) {
+  const std::size_t leaves =
+      for_each_perturbed_leaf(base, [](const T& x, std::size_t leaf) {
+        ckpt::Writer w;
+        ckpt::save_fields(w, x);
+        EXPECT_GE(w.size(), ckpt::min_encoded_size<T>);
+        T back{};
+        ckpt::Reader r(w.bytes());
+        ckpt::load_fields(r, back);
+        EXPECT_TRUE(r.done()) << "leaf " << leaf;
+        if constexpr (std::equality_comparable<T>) {
+          EXPECT_TRUE(back == x) << "leaf " << leaf;
+        }
+        ckpt::Writer again;
+        ckpt::save_fields(again, back);
+        EXPECT_EQ(again.bytes(), w.bytes()) << "leaf " << leaf;
+      });
+  EXPECT_GT(leaves, 0u);
+}
+
+TEST(Fields, EveryStateRecordRoundTripsLeafByLeaf) {
+  expect_leafwise_round_trip(noc::Packet{});
+  expect_leafwise_round_trip(noc::TileActivity{});
+  expect_leafwise_round_trip(noc::RoutePlan{});
+  expect_leafwise_round_trip(noc::NocStats{});
+  expect_leafwise_round_trip(noc::RetiredLink{});
+  expect_leafwise_round_trip(resilience::FaultEvent{});
+  expect_leafwise_round_trip(FaultNotice{});
+  expect_leafwise_round_trip(resilience::EventOutcome{});
+  expect_leafwise_round_trip(resilience::TrajectoryPoint{});
+  expect_leafwise_round_trip(cosim::EpochReport{});
+  expect_leafwise_round_trip(ckpt::Heartbeat{});
+}
+
+TEST(Fields, EnumPastItsBoundIsSchemaMismatch) {
+  ckpt::Writer w;
+  w.u8(static_cast<std::uint8_t>(enum_max(Direction{})) + 1);
+  Direction d{};
+  EXPECT_EQ(kind_of([&] {
+              ckpt::Reader r(w.bytes());
+              ckpt::load_fields(r, d);
+            }),
+            ErrorKind::SchemaMismatch);
+}
+
+TEST(Fields, HostileVectorCountIsTruncated) {
+  ckpt::Writer w;
+  w.u64(3);  // three packets promised, two bytes follow
+  w.u16(0);
+  std::vector<noc::Packet> packets;
+  EXPECT_EQ(kind_of([&] {
+              ckpt::Reader r(w.bytes());
+              ckpt::load_fields(r, packets);
+            }),
+            ErrorKind::Truncated);
 }
 
 }  // namespace
