@@ -9,6 +9,15 @@
 
 namespace wsp::arch {
 
+std::optional<TileCoord> first_healthy_edge_tile(const FaultMap& faults) {
+  const TileGrid& grid = faults.grid();
+  for (std::size_t i = 0; i < grid.tile_count(); ++i) {
+    const TileCoord c = grid.coord_of(i);
+    if (grid.is_edge(c) && faults.is_healthy(c)) return c;
+  }
+  return std::nullopt;
+}
+
 BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
                           const BringupOptions& options) {
   config.validate();
@@ -44,12 +53,10 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
   // --- 2. clock setup ---
   std::vector<TileCoord> generators = options.clock_generators;
   if (generators.empty()) {
-    grid.for_each([&](TileCoord c) {
-      if (generators.empty() && grid.is_edge(c) && faults.is_healthy(c))
-        generators.push_back(c);
-    });
+    const std::optional<TileCoord> edge = first_healthy_edge_tile(faults);
+    require(edge.has_value(), "no healthy edge tile to generate the clock");
+    generators.push_back(*edge);
   }
-  require(!generators.empty(), "no healthy edge tile to generate the clock");
   report.clock_plan = clock::simulate_forwarding(faults, generators);
   report.duty =
       clock::analyze_plan_duty(report.clock_plan, grid, options.duty);
@@ -66,11 +73,8 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
   });
   report.usable_tiles = report.usable.healthy_count();
 
-  // --- 4. the kernel's connectivity view over the usable map ---
-  report.connectivity = noc::census_disconnection(report.usable);
-
-  // Single-system-image check: every usable pair routable, directly or
-  // through one relay.
+  // --- 4. single-system-image check: every usable pair routable,
+  // directly or through one relay ---
   const noc::PairReachability census =
       noc::NetworkSelector(report.usable).reachable_pairs();
   report.single_system_image = census.reachable == census.pairs;

@@ -5,8 +5,14 @@
 //      unrolling) confirms/locates the faulty tiles;
 //   2. clock setup: healthy edge generators, forwarding, duty-cycle and
 //      skew checks;
-//   3. the kernel's connectivity census over the fault map;
-//   4. boot-time estimate for loading all memories.
+//   3. the usable set: healthy tiles the clock reaches with a live duty
+//      cycle;
+//   4. the single-system-image check: every usable pair routable,
+//      directly or through one relay;
+//   5. boot-time estimate for loading all memories.
+//
+// The Fig. 6 disconnection census is not part of bring-up; a caller that
+// wants it runs noc::census_disconnection(report.usable).
 //
 // The result says which tiles are *usable* — healthy, clocked, and
 // reachable — which is exactly the fault map the kernel then schedules
@@ -22,13 +28,16 @@
 #include "wsp/clock/skew.hpp"
 #include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
-#include "wsp/noc/connectivity.hpp"
 #include "wsp/testinfra/test_time.hpp"
 
 namespace wsp::arch {
 
+/// The first healthy edge tile in tile-index order: the default clock
+/// generator.  nullopt when no edge tile is healthy.
+std::optional<TileCoord> first_healthy_edge_tile(const FaultMap& faults);
+
 struct BringupOptions {
-  /// Generators to configure; empty = pick the first healthy edge tile.
+  /// Generators to configure; empty = first_healthy_edge_tile().
   std::vector<TileCoord> clock_generators;
   clock::DutyCycleOptions duty{};
   double clock_hop_delay_s = 150e-12;
@@ -44,8 +53,6 @@ struct BringupReport {
   clock::ForwardingPlan clock_plan;
   clock::WaferDutyReport duty;
   clock::SkewReport skew;
-
-  noc::DisconnectionStats connectivity;
 
   testinfra::LoadTimeReport boot_load;
 

@@ -134,6 +134,10 @@ struct LinkIntegrityOptions {
   int max_retransmits = 4;
   /// Seed of the channel-sampling RNG stream (independent of traffic).
   std::uint64_t seed = 0xB17E5;
+  /// Voltage->BER mapping read only by DegradationCampaign's PDN->BER
+  /// derivation.  MeshNetwork and NocSystem never read it: they sample the
+  /// map staged by NocSystem::set_link_ber (error-free until one is
+  /// staged), and CosimLoop derives its map from CosimOptions::ber.
   BerParams ber{};
 };
 

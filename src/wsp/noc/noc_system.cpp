@@ -27,8 +27,6 @@ void NetworkSelector::rebind(const FaultMap& faults,
               links.grid().height() == old.height(),
           "rebind: link fault set grid mismatch");
   analyzer_ = ConnectivityAnalyzer(faults, links);
-  cache_.clear();
-  ++generation_;
 }
 
 bool NetworkSelector::segment_clear(TileCoord a, TileCoord b,
@@ -39,7 +37,7 @@ bool NetworkSelector::segment_clear(TileCoord a, TileCoord b,
                                  : analyzer_.yx_connected(a, b);
 }
 
-RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
+RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {
   RoutePlan plan;
   const FaultMap& faults = analyzer_.faults();
   if (!faults.grid().contains(src) || !faults.grid().contains(dst) ||
@@ -124,19 +122,6 @@ PairReachability NetworkSelector::reachable_pairs() const {
       if (ok) r.reachable += 2;
     }
   return r;
-}
-
-RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {
-  const TileGrid& grid = analyzer_.faults().grid();
-  if (!grid.contains(src) || !grid.contains(dst)) return {};
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(grid.index_of(src)) << 32) |
-      static_cast<std::uint64_t>(grid.index_of(dst));
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  RoutePlan p = compute_plan(src, dst);
-  cache_.emplace(key, p);
-  return p;
 }
 
 NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,
@@ -663,9 +648,8 @@ void NocSystem::load_state(ckpt::Reader& r) {
   xy_.load_state(r);
   yx_.load_state(r);
 
-  // The selector's plan cache memoises a pure function of the fault state;
-  // rebinding rebuilds connectivity from the restored maps and drops the
-  // cache, which replans identically on demand.
+  // Plans are a pure function of the fault state, so rebuilding the
+  // selector's connectivity from the restored maps restores it exactly.
   selector_.rebind(faults_, links_);
   eject_scratch_.clear();
 }

@@ -62,11 +62,13 @@ struct PairReachability {
 
 /// Kernel-software network selection from the fault map (Sec. VI).
 ///
-/// Plans are memoised per (src, dst) pair; `rebind()` adopts a new fault
-/// state at runtime and invalidates every cached plan, so the next packet
-/// of each pair replans with the usual fallback ladder X-Y -> Y-X ->
+/// A plan is a pure function of the bound fault state and the pair: two
+/// O(1) run-id lookups for a direct path, one scan of the wafer for a
+/// relay.  `rebind()` adopts a new fault state at runtime, so the next
+/// packet of each pair replans with the usual fallback ladder X-Y -> Y-X ->
 /// relayed.  When a LinkFaultSet is bound, a path is only used if it also
-/// avoids every failed directed link.
+/// avoids every failed directed link.  A const selector is safe to share
+/// across threads.
 class NetworkSelector {
  public:
   explicit NetworkSelector(const FaultMap& faults);
@@ -79,32 +81,26 @@ class NetworkSelector {
 
   /// Counts the pairs plan() would find reachable: O(tiles^2) run-id
   /// lookups plus O(tiles / 64) word operations per pair without a direct
-  /// path (see DESIGN.md).  Leaves the plan cache untouched.
+  /// path (see DESIGN.md).
   PairReachability reachable_pairs() const;
 
-  /// Adopts a new fault state (runtime fault injection) and drops all
-  /// cached plans.  The grids must match the original fault map's.
+  /// Adopts a new fault state (runtime fault injection).  The grids must
+  /// match the original fault map's.
   void rebind(const FaultMap& faults, const LinkFaultSet& links);
   void rebind(const FaultMap& faults) {
     rebind(faults, LinkFaultSet(faults.grid()));
   }
-
-  /// Number of rebinds so far; bumping it is what invalidates the cache.
-  std::uint64_t generation() const { return generation_; }
 
   /// Link-aware connectivity of the bound fault state.
   const ConnectivityAnalyzer& connectivity() const { return analyzer_; }
 
  private:
   ConnectivityAnalyzer analyzer_;
-  std::uint64_t generation_ = 0;
-  mutable std::unordered_map<std::uint64_t, RoutePlan> cache_;
 
   /// True when the request path a->b on `kind` is healthy tile-wise *and*
   /// crosses no failed link in either travel direction (the response rides
   /// the complementary network back over the same tiles).  O(1).
   bool segment_clear(TileCoord a, TileCoord b, NetworkKind kind) const;
-  RoutePlan compute_plan(TileCoord src, TileCoord dst) const;
 };
 
 /// Completed round-trip record.
@@ -232,10 +228,10 @@ class NocSystem {
   const FaultMap& faults() const { return faults_; }
 
   /// Adopts a new fault state mid-run (runtime fault injection): replaces
-  /// the kernel's fault map, invalidates the selector's cached plans, and
-  /// propagates the state to both mesh networks (purging packets stranded
-  /// in dead routers).  Transactions stranded by the change recover via
-  /// the timeout/retry machinery — enable options.response_timeout.
+  /// the kernel's fault map, rebinds the selector, and propagates the state
+  /// to both mesh networks (purging packets stranded in dead routers).
+  /// Transactions stranded by the change recover via the timeout/retry
+  /// machinery — enable options.response_timeout.
   void apply_fault_state(const FaultMap& faults, const LinkFaultSet& links);
   void apply_fault_state(const FaultMap& faults) {
     apply_fault_state(faults, links_);
@@ -268,10 +264,10 @@ class NocSystem {
   void accumulate_tile_activity(std::vector<TileActivity>& out) const;
 
   /// Predictively retires the directed link leaving `from` toward `d`:
-  /// marks it failed in the LinkFaultSet, rebinds the selector (dropping
-  /// every cached plan) and propagates to both meshes.  Returns false when
-  /// the link leaves the array or is already retired.  Counted in
-  /// stats().links_retired and stats().replans.
+  /// marks it failed in the LinkFaultSet, rebinds the selector and
+  /// propagates to both meshes.  Returns false when the link leaves the
+  /// array or is already retired.  Counted in stats().links_retired and
+  /// stats().replans.
   bool retire_link(TileCoord from, Direction d);
 
   /// Detected CRC errors / traversal attempts charged to the directed link

@@ -4,6 +4,7 @@
 #include <csignal>
 #include <utility>
 
+#include "wsp/arch/bringup.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/clock/recovery.hpp"
@@ -29,16 +30,6 @@ void prune_resolved(std::vector<std::uint64_t>& ids,
                 ids.begin(), ids.end(),
                 [&](std::uint64_t id) { return !noc.is_inflight(id); }),
             ids.end());
-}
-
-TileCoord first_healthy_edge_tile(const FaultMap& faults) {
-  const TileGrid& grid = faults.grid();
-  TileCoord found{-1, -1};
-  grid.for_each([&](TileCoord c) {
-    if (found.x < 0 && grid.is_edge(c) && faults.is_healthy(c)) found = c;
-  });
-  require(found.x >= 0, "no healthy edge tile to generate the clock");
-  return found;
 }
 
 }  // namespace
@@ -67,7 +58,12 @@ DegradationReport DegradationCampaign::run() const {
           : FaultMap(grid);
 
   std::vector<TileCoord> generators = options_.clock_generators;
-  if (generators.empty()) generators.push_back(first_healthy_edge_tile(assembly));
+  if (generators.empty()) {
+    const std::optional<TileCoord> edge =
+        arch::first_healthy_edge_tile(assembly);
+    require(edge.has_value(), "no healthy edge tile to generate the clock");
+    generators.push_back(*edge);
+  }
 
   clock::ForwardingPlan clock_plan =
       clock::simulate_forwarding(assembly, generators);
@@ -336,24 +332,18 @@ DegradationReport DegradationCampaign::run() const {
       census.pairs > 0 && census.reachable == census.pairs;
 
   // --- re-bring-up on the degraded wafer ---------------------------------
-  bool has_edge_gen = false;
+  // The surviving original generators; with none, run_bringup picks the
+  // first healthy edge tile, and with no such tile there is no clock.
   arch::BringupOptions bopt;
   for (TileCoord g : generators)
-    if (injector.faults().is_healthy(g)) {
-      bopt.clock_generators.push_back(g);
-      has_edge_gen = true;
-    }
-  if (!has_edge_gen) {
-    grid.for_each([&](TileCoord c) {
-      if (!has_edge_gen && grid.is_edge(c) &&
-          injector.faults().is_healthy(c)) {
-        bopt.clock_generators.push_back(c);
-        has_edge_gen = true;
-      }
-    });
+    if (injector.faults().is_healthy(g)) bopt.clock_generators.push_back(g);
+  if (!bopt.clock_generators.empty() ||
+      arch::first_healthy_edge_tile(injector.faults())) {
+    const arch::BringupReport b =
+        arch::run_bringup(config, injector.faults(), bopt);
+    report.rebringup = RebringupSummary{b.faulty_tiles, b.screening_tcks,
+                                        b.usable_tiles, b.single_system_image};
   }
-  if (has_edge_gen)
-    report.rebringup = arch::run_bringup(config, injector.faults(), bopt);
   return report;
 }
 
@@ -574,18 +564,12 @@ auto file_header(Of<CampaignReportsFile> auto& f) {
   return std::tie(f.fingerprint, f.total_trials, f.first_trial);
 }
 
-// The report after its "NSTA" tag, up to the re-bring-up summary.
+// The report after its "NSTA" tag.
 auto report_tail(Of<DegradationReport> auto& r) {
   return std::tie(r.noc_stats, r.mesh_dropped, r.initial_usable,
                   r.final_usable, r.pair_reachability_pct,
-                  r.single_system_image, r.drained, r.total_cycles);
-}
-
-// Summary numbers only: the nested clock plan / duty / skew / connectivity
-// reports are re-derivable by re-running bring-up.
-auto rebringup_summary(Of<arch::BringupReport> auto& b) {
-  return std::tie(b.faulty_tiles, b.screening_tcks, b.usable_tiles,
-                  b.single_system_image);
+                  r.single_system_image, r.drained, r.total_cycles,
+                  r.rebringup);
 }
 
 }  // namespace
@@ -600,9 +584,6 @@ void save_report(ckpt::Writer& w, const DegradationReport& report) {
   ckpt::save_fields(w, report.retirements);
   w.tag(ckpt::fourcc("NSTA"));
   ckpt::save_fields(w, report_tail(report));
-  w.b(report.rebringup.has_value());
-  if (report.rebringup)
-    ckpt::save_fields(w, rebringup_summary(*report.rebringup));
 }
 
 DegradationReport load_report(ckpt::Reader& r) {
@@ -616,8 +597,6 @@ DegradationReport load_report(ckpt::Reader& r) {
   ckpt::load_fields(r, report.retirements);
   r.expect_tag(ckpt::fourcc("NSTA"), "report NoC stats");
   ckpt::load_fields(r, report_tail(report));
-  if (r.b())
-    ckpt::load_fields(r, rebringup_summary(report.rebringup.emplace()));
   return report;
 }
 

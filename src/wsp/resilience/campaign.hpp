@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "wsp/arch/bringup.hpp"
 #include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/cosim/cosim.hpp"
@@ -137,6 +136,21 @@ auto fields(Of<EventOutcome> auto& e) {
                   e.clock_orphaned, e.pdn_undervolted);
 }
 
+/// The re-bring-up numbers a campaign report keeps (arch::BringupReport's
+/// clock plan, duty/skew reports and usable map are re-derivable by
+/// re-running bring-up on the post-burst fault map).
+struct RebringupSummary {
+  std::size_t faulty_tiles = 0;
+  std::uint64_t screening_tcks = 0;
+  std::size_t usable_tiles = 0;
+  bool single_system_image = false;
+};
+
+auto fields(Of<RebringupSummary> auto& s) {
+  return std::tie(s.faulty_tiles, s.screening_tcks, s.usable_tiles,
+                  s.single_system_image);
+}
+
 struct DegradationReport {
   std::vector<TrajectoryPoint> trajectory;
   std::vector<EventOutcome> events;
@@ -155,7 +169,7 @@ struct DegradationReport {
   std::uint64_t total_cycles = 0;
   /// Post-burst re-bring-up; nullopt when no healthy edge tile survives
   /// to generate a clock.
-  std::optional<arch::BringupReport> rebringup;
+  std::optional<RebringupSummary> rebringup;
 };
 
 /// Periodic crash-safe checkpointing for Monte Carlo campaigns
@@ -248,10 +262,8 @@ class DegradationCampaign {
 };
 
 /// DegradationReport (de)serialisation.  Everything the summarize /
-/// publish_metrics layers read round-trips exactly.  The optional
-/// rebringup is captured as its summary numbers (faulty_tiles,
-/// screening_tcks, usable_tiles, single_system_image); the nested plans
-/// and maps are derivable by re-running bring-up and are not snapshotted.
+/// publish_metrics layers read round-trips exactly, the optional
+/// RebringupSummary included.
 void save_report(ckpt::Writer& w, const DegradationReport& report);
 DegradationReport load_report(ckpt::Reader& r);
 

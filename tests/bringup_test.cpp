@@ -5,6 +5,7 @@
 #include "wsp/arch/bringup.hpp"
 #include "wsp/common/error.hpp"
 #include "wsp/io/bonding_yield.hpp"
+#include "wsp/noc/connectivity.hpp"
 
 namespace wsp::arch {
 namespace {
@@ -17,7 +18,7 @@ TEST(Bringup, CleanWaferComesUpWhole) {
   EXPECT_EQ(r.usable_tiles, 64u);
   EXPECT_TRUE(r.single_system_image);
   EXPECT_EQ(r.duty.dead_tiles, 0u);
-  EXPECT_EQ(r.connectivity.disconnected_dual, 0u);
+  EXPECT_EQ(noc::census_disconnection(r.usable).disconnected_dual, 0u);
   EXPECT_GT(r.screening_tcks, 0u);
   EXPECT_GT(r.boot_load.seconds, 0.0);
 }

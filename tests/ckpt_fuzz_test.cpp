@@ -83,10 +83,7 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     noc::NocOptions opt;
     opt.response_timeout = 150 + meta.below(200);
     opt.max_retries = 1 + static_cast<int>(meta.below(3));
-    if (meta.bernoulli(0.5)) {
-      opt.mesh.integrity.enabled = true;
-      opt.mesh.integrity.ber.floor_ber = 1e-5;
-    }
+    opt.mesh.integrity.enabled = round % 2 == 1;  // every other round
 
     // Random runtime fault schedule, applied through a FaultInjector so
     // the injector state itself rides the snapshot too.
@@ -116,8 +113,12 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
       }
     };
 
-    // Straight-through run, snapshotting at the random cycle.
+    // Straight-through run, snapshotting at the random cycle.  With the
+    // integrity channel on, a noisy BER map is staged up front so it rides
+    // the snapshot.
     noc::NocSystem noc(FaultMap(grid), opt);
+    if (opt.mesh.integrity.enabled)
+      noc.set_link_ber(noc::LinkBerMap::uniform(grid, 1e-4));
     resilience::FaultInjector injector(FaultMap(grid), schedule);
     const auto gen = traffic(injector.faults(), traffic_seed);
     drive(noc, injector, *gen, snap);
@@ -128,6 +129,8 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     const std::vector<std::uint8_t> frame = ckpt::seal(ckpt::fourcc("FUZZ"),
                                                        1, w);
     drive(noc, injector, *gen, total);
+    if (opt.mesh.integrity.enabled)  // the staged noise is live
+      EXPECT_GT(noc.stats().link_retransmits, 0u) << "round " << round;
 
     // Resume into fresh objects; the continuation must match bit for bit.
     const ckpt::Frame opened = ckpt::open_expect(frame, ckpt::fourcc("FUZZ"));
@@ -284,13 +287,14 @@ TEST(CkptFuzz, CorruptPayloadsNeverCrashSubsystemLoaders) {
   noc::NocOptions noc_opt;
   noc_opt.response_timeout = 200;
   noc_opt.mesh.integrity.enabled = true;
-  noc_opt.mesh.integrity.ber.floor_ber = 1e-4;
   noc::NocSystem noc(noc_faults, noc_opt);
+  noc.set_link_ber(noc::LinkBerMap::uniform(grid, 1e-3));
   noc::TrafficConfig traffic;
   traffic.injection_rate = 0.08;
   const auto noc_gen = workloads::make_synthetic(traffic, noc_faults, Rng(4));
   workloads::TrafficDriver driver(noc, *noc_gen);
   for (int c = 0; c < 60; ++c) driver.step();
+  ASSERT_GT(noc.stats().link_retransmits, 0u);  // the noise is live
   ckpt::Writer noc_w;
   noc.save_state(noc_w);
   const auto load_noc = [&](const std::vector<std::uint8_t>& b) {

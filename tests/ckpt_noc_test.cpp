@@ -58,20 +58,26 @@ std::unique_ptr<workloads::TrafficGenerator> uniform_traffic(
 struct ResumeResult {
   std::vector<std::uint8_t> straight;  ///< state bytes, never stopped
   std::vector<std::uint8_t> resumed;   ///< state bytes via snapshot/load
+  noc::NocStats straight_stats;        ///< counters of the straight run
 };
 
 // Runs `total` cycles with a runtime fault landing mid-window, snapshots
 // at `snap_cycle`, resumes into a fresh NocSystem and steps it to the same
 // end cycle.  Fault cycle is chosen *after* the snapshot so the resumed
-// run must reproduce the fault application too.
+// run must reproduce the fault application too.  A uniform `link_ber`
+// above zero is staged before the first cycle, so the BER map rides the
+// snapshot rather than being re-staged on the resumed run.
 ResumeResult run_snapshot_resume(int width, int height, std::uint64_t total,
                                  std::uint64_t snap_cycle,
-                                 const noc::NocOptions& opt) {
+                                 const noc::NocOptions& opt,
+                                 double link_ber = 0.0) {
   const TileGrid grid(width, height);
   FaultMap faults(grid);
   const std::uint64_t fault_cycle = snap_cycle + (total - snap_cycle) / 2;
 
   noc::NocSystem noc(faults, opt);
+  if (link_ber > 0.0)
+    noc.set_link_ber(noc::LinkBerMap::uniform(grid, link_ber));
   const auto gen = uniform_traffic(faults, 0.02, 99);
   workloads::TrafficDriver driver(noc, *gen);
   std::vector<std::uint8_t> snapshot_frame;
@@ -95,6 +101,7 @@ ResumeResult run_snapshot_resume(int width, int height, std::uint64_t total,
 
   ResumeResult out;
   out.straight = noc_bytes(noc);
+  out.straight_stats = noc.stats();
 
   // Resume from the frame into brand-new objects and replay the window.
   const ckpt::Frame frame = ckpt::open_expect(snapshot_frame,
@@ -150,13 +157,14 @@ TEST(NocCkpt, ResumeBitIdentical32x32DualNetworkAcrossThreadCounts) {
 }
 
 TEST(NocCkpt, ResumeBitIdenticalWithLinkIntegrityBer) {
-  // BER channel on: per-link RNG streams and retransmit state must ride
-  // the snapshot for the resumed channel noise to replay exactly.
+  // BER channel on: the staged BER map, per-link RNG streams and
+  // retransmit state must ride the snapshot for the resumed channel noise
+  // to replay exactly.
   noc::NocOptions opt;
   opt.response_timeout = 300;
   opt.mesh.integrity.enabled = true;
-  opt.mesh.integrity.ber.floor_ber = 1e-4;  // noisy enough to matter
-  const ResumeResult r = run_snapshot_resume(12, 12, 1600, 700, opt);
+  const ResumeResult r = run_snapshot_resume(12, 12, 1600, 700, opt, 1e-4);
+  EXPECT_GT(r.straight_stats.link_retransmits, 0u);  // the noise is live
   EXPECT_EQ(r.resumed, r.straight);
 }
 

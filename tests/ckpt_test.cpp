@@ -433,6 +433,7 @@ TEST(Fields, EveryStateRecordRoundTripsLeafByLeaf) {
   expect_leafwise_round_trip(FaultNotice{});
   expect_leafwise_round_trip(resilience::EventOutcome{});
   expect_leafwise_round_trip(resilience::TrajectoryPoint{});
+  expect_leafwise_round_trip(resilience::RebringupSummary{});
   expect_leafwise_round_trip(cosim::EpochReport{});
   expect_leafwise_round_trip(ckpt::Heartbeat{});
 }

@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
+#include "wsp/exec/parallel_for.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
@@ -227,6 +229,45 @@ TEST(ParallelInvariance, CampaignTrialsMatchSequentialSingleRuns) {
     EXPECT_EQ(flatten({batch[static_cast<std::size_t>(t)]}),
               flatten({single}));
   }
+}
+
+TEST(ParallelInvariance, SharedConstSelectorPlansMatchSerial) {
+  // plan() is a pure function of the bound fault state, so one const
+  // selector can serve every thread: all ordered pairs planned on it under
+  // parallel_for equal the serial plans of a second selector over the same
+  // fault state.
+  const TileGrid grid(16, 16);
+  FaultMap tiles(grid);
+  for (const TileCoord c : {TileCoord{5, 5}, TileCoord{10, 10},
+                            TileCoord{3, 12}, TileCoord{12, 3}})
+    tiles.set_faulty(c);
+  LinkFaultSet links(grid);
+  links.set_failed({2, 7}, Direction::East);  // row 7 pairs must relay
+  links.set_failed({8, 2}, Direction::North);
+  const noc::NetworkSelector shared(tiles, links);
+  const noc::NetworkSelector serial_sel(tiles, links);
+
+  const std::size_t n = grid.tile_count();
+  const auto pair = [&](std::size_t k) {
+    return std::pair{grid.coord_of(k / n), grid.coord_of(k % n)};
+  };
+  exec::ThreadPool pool(4);
+  std::vector<noc::RoutePlan> parallel(n * n);
+  exec::parallel_for(pool, n * n, [&](std::size_t b, std::size_t e) {
+    for (std::size_t k = b; k < e; ++k) {
+      const auto [src, dst] = pair(k);
+      parallel[k] = shared.plan(src, dst);
+    }
+  });
+
+  std::size_t relayed = 0;
+  for (std::size_t k = 0; k < n * n; ++k) {
+    const auto [src, dst] = pair(k);
+    const noc::RoutePlan serial = serial_sel.plan(src, dst);
+    EXPECT_EQ(fields(parallel[k]), fields(serial)) << "pair " << k;
+    relayed += serial.relayed;
+  }
+  EXPECT_GT(relayed, 0u);
 }
 
 // ------------------------------------------------------------ NoC stepper
