@@ -13,19 +13,26 @@ namespace {
 constexpr std::array<std::uint8_t, 8> kMagic = {'W', 'S', 'P', 'C',
                                                 'K', 'P', 'T', '\0'};
 
-// Reflected IEEE 802.3 table, generated once on first use.
-const std::uint32_t* crc_table() {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial, built once
+// on first use.  Row 0 is the classic byte table; row k advances a byte
+// through k further zero bytes, so one step folds 8 input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
     return t;
   }();
-  return table.data();
+  return tables;
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -68,10 +75,16 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
 
 std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
                            std::size_t size) {
-  const std::uint32_t* table = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 8; size -= 8, data += 8) {
+    const std::uint32_t lo = c ^ get_u32(data);
+    const std::uint32_t hi = get_u32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++data) c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -49,13 +49,14 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
   const std::size_t n = grid_.tile_count();
   q_slots_.assign(n * kPortCount * cap_, 0);
   tiles_.assign(n, TileState{});
-  link_.assign(n * 4, LinkState{0, 0, 0, static_cast<std::uint16_t>(cap_)});
+  link_.assign(n * 4, LinkState{0, 0, static_cast<std::uint16_t>(cap_)});
   ring_slab_.assign(n * 4 * cap_, LinkTransfer{});
   neighbor_.assign(n * 4, -1);
   in_ring_.assign(n * 4, -1);
   tile_faulty_.assign(n, 0);
   link_ok_.assign(n * 4, 0);
   tile_activity_.assign(n, TileActivity{});
+  active_.assign((n + 63) / 64, 0);
   for (std::size_t t = 0; t < n; ++t) {
     const TileCoord c = grid_.coord_of(t);
     for (std::size_t d = 0; d < 4; ++d)
@@ -134,6 +135,12 @@ void MeshNetwork::rebuild_topology() {
   }
 }
 
+void MeshNetwork::mark_all() {
+  std::fill(active_.begin(), active_.end(), ~0ull);
+  if (const std::size_t tail = grid_.tile_count() % 64; tail != 0)
+    active_.back() = (1ull << tail) - 1;
+}
+
 MeshStats MeshNetwork::stats() const {
   MeshStats s;
   s.injected = ctr_.injected->value;
@@ -164,6 +171,7 @@ bool MeshNetwork::inject(const Packet& packet) {
   const std::uint32_t idx = pool_alloc(packet);
   pool_[idx].network = kind_;
   q_push(t, static_cast<std::size_t>(Port::Local), idx);
+  mark(t);
   ctr_.injected->add();
   ++tile_activity_[t].injections;
   ++in_flight_;
@@ -217,7 +225,6 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
           ctr_.link_error_drops->add();
           rx_seq_[t.dst_tile][port] =
               static_cast<std::uint8_t>((t.seq + 1) & 0xF);
-          --link_[static_cast<std::size_t>(t.src_tile) * 4 + t.dir].pending;
           pool_release(t.pkt);
           return ChannelOutcome::Dropped;
         }
@@ -227,67 +234,75 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
     // the expected number is a stale replay and is rejected.
     if (t.seq != rx_seq_[t.dst_tile][port]) {
       ctr_.dup_dropped->add();
-      --link_[static_cast<std::size_t>(t.src_tile) * 4 + t.dir].pending;
       pool_release(t.pkt);
       return ChannelOutcome::Dropped;
     }
     rx_seq_[t.dst_tile][port] = static_cast<std::uint8_t>((t.seq + 1) & 0xF);
   }
 
-  --link_[static_cast<std::size_t>(t.src_tile) * 4 + t.dir].pending;
   q_push(t.dst_tile, port, t.pkt);
   return ChannelOutcome::Accept;
 }
 
 void MeshNetwork::land() {
   const std::uint64_t now = ctr_.cycles->value;
-  const std::size_t n = grid_.tile_count();
 
-  for (std::size_t t = 0; t < n; ++t) {
-    // Drain every due transfer on each incoming link.  Arrivals on one
-    // link are monotone, so the per-ring scan stops at the first future
-    // frame; a Retried outcome re-queues at now + 2*latency, which also
-    // fails the `<= now` test and ends the scan.  A frame arriving at a
-    // tile that died while it was on the wire is lost here.
-    for (std::size_t p = 0; p < 4; ++p) {
-      const std::int32_t r = in_ring_[t * 4 + p];
-      if (r < 0) continue;
-      const auto link = static_cast<std::size_t>(r);
-      while (link_[link].count != 0 &&
-             ring_front(link).arrival_cycle <= now) {
-        LinkTransfer tr = ring_front(link);
-        ring_pop(link);
-        if (tile_faulty_[t]) {
-          if (options_.integrity.enabled)
-            rx_seq_[t][p] = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
-          --link_[link].pending;
-          ctr_.dropped_at_fault->add();
-          pool_release(tr.pkt);
-          continue;
+  for (std::size_t w = 0; w < active_.size(); ++w) {
+    for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t t =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      // Drain every due transfer on each incoming link.  Arrivals on one
+      // link are monotone, so the per-ring scan stops at the first future
+      // frame; a Retried outcome re-queues at now + 2*latency, which also
+      // fails the `<= now` test and ends the scan.  A frame arriving at a
+      // tile that died while it was on the wire is lost here.
+      bool inbound = false;
+      for (std::size_t p = 0; p < 4; ++p) {
+        const std::int32_t r = in_ring_[t * 4 + p];
+        if (r < 0) continue;
+        const auto link = static_cast<std::size_t>(r);
+        while (link_[link].count != 0 &&
+               ring_front(link).arrival_cycle <= now) {
+          LinkTransfer tr = ring_front(link);
+          ring_pop(link);
+          if (tile_faulty_[t]) {
+            if (options_.integrity.enabled)
+              rx_seq_[t][p] = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
+            ctr_.dropped_at_fault->add();
+            pool_release(tr.pkt);
+            continue;
+          }
+          channel_admit(tr, now);
         }
-        channel_admit(tr, now);
+        // Freeze this cycle's credit snapshot on the upstream link record.
+        // Its source router reads (and on grant, decrements) it during
+        // route; a slot freed by this cycle's pops becomes visible to the
+        // sender one cycle later.
+        link_[link].space = static_cast<std::uint16_t>(
+            cap_ - tiles_[t].q_size[p] - link_[link].count);
+        inbound = inbound || link_[link].count != 0;
       }
-      // Freeze this cycle's credit snapshot on the upstream link record.
-      // Its source router reads (and on grant, decrements) it during
-      // route; a slot freed by this cycle's pops becomes visible to the
-      // sender one cycle later.
-      link_[link].space = static_cast<std::uint16_t>(
-          cap_ - tiles_[t].q_size[p] - link_[link].pending);
+      // Leave the worklist only now that the snapshots just frozen are
+      // full: nothing buffered here, nothing on the way.
+      if (!inbound && tiles_[t].occ == 0) active_[w] &= ~(1ull << (t % 64));
     }
   }
 }
 
 void MeshNetwork::route(std::vector<Packet>& ejected) {
   const std::uint64_t now = ctr_.cycles->value;
-  const int w = static_cast<int>(grid_.width());
-  const int h = static_cast<int>(grid_.height());
+  const auto width = static_cast<std::size_t>(grid_.width());
   const bool have_table = have_route9_;
 
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
+  // Grants only push link rings, which marks their destinations for the
+  // next land; no tile gains FIFO occupancy here, so walking a copy of
+  // each word visits every tile this pass has work for.
+  for (std::size_t w = 0; w < active_.size(); ++w) {
+    for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t t =
-          static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-          static_cast<std::size_t>(x);
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const int x = static_cast<int>(t % width);
+      const int y = static_cast<int>(t / width);
       if (tile_faulty_[t]) continue;
       TileState& ts = tiles_[t];
       if (ts.occ == 0) continue;
@@ -408,7 +423,6 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
           pool_release(idx);
           ctr_.ejected->add();
         } else {
-          ++link_[t * 4 + out].pending;
           --link_[t * 4 + out].space;
           ctr_.link_traversals->add();
           ++tile_activity_[t].traversals;
@@ -464,6 +478,7 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
   faults_ = faults;
   link_faults_ = links;
   rebuild_topology();
+  mark_all();
 
   // Packets buffered inside a router that just died are gone: the tile no
   // longer arbitrates, so they would otherwise sit in its queues forever.
@@ -474,11 +489,7 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
     for (std::size_t p = 0; p < kPortCount; ++p) {
       const std::uint16_t sz = ts.q_size[p];
       if (sz == 0) continue;
-      for (std::size_t i = 0; i < sz; ++i) {
-        std::size_t slot = static_cast<std::size_t>(ts.q_head[p]) + i;
-        if (slot >= cap_) slot -= cap_;
-        pool_release(q_slots_[qbase(t, p) + slot]);
-      }
+      for (std::size_t i = 0; i < sz; ++i) pool_release(q_at(t, p, i));
       ctr_.purged_in_dead_router->add(sz);
       ts.q_size[p] = 0;
       ts.q_head[p] = 0;
@@ -560,7 +571,13 @@ LinkBerMap load_ber_map(ckpt::Reader& r, const TileGrid& expected) {
 
 constexpr std::uint32_t kMeshTag = ckpt::fourcc("MESH");
 // v2: per-tile activity totals ("TACT" block) for epoch co-simulation.
-constexpr std::uint32_t kMeshStateVersion = 2;
+// v3: canonical and live-only — queued packets and in-flight frames in
+//     queue order, no pool, free list, head or credit words.
+constexpr std::uint32_t kMeshStateVersion = 3;
+
+[[noreturn]] void reject(const char* what) {
+  throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
+}
 
 }  // namespace
 
@@ -578,15 +595,44 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, link_faults_);
   save_ber_map(w, ber_);
-  ckpt::save_fields(w, std::tie(pool_, pool_free_));
 
+  // Per tile: the rotating priorities, a mask of the non-empty FIFOs, then
+  // each of those FIFOs' packets from the head.
   w.tag(ckpt::fourcc("TILE"));
-  for (const TileQueues& q : tiles_) ckpt::save_fields(w, q);
-  ckpt::save_each(w, q_slots_);
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    const TileState& ts = tiles_[t];
+    ckpt::save_fields(w, ts.rr);
+    std::uint8_t mask = 0;
+    for (std::size_t p = 0; p < kPortCount; ++p)
+      if (ts.q_size[p] != 0) mask |= static_cast<std::uint8_t>(1u << p);
+    w.u8(mask);
+    for (std::size_t p = 0; p < kPortCount; ++p) {
+      if (ts.q_size[p] == 0) continue;
+      w.u16(ts.q_size[p]);
+      for (std::size_t i = 0; i < ts.q_size[p]; ++i)
+        ckpt::save_fields(w, pool_[q_at(t, p, i)]);
+    }
+  }
+  // Only the links with frames on the wire, by ascending link id; the id
+  // implies each frame's source, direction and landing port.
   w.tag(ckpt::fourcc("LINK"));
-  ckpt::save_each(w, link_, ring_slab_);
+  const auto busy = static_cast<std::uint64_t>(std::ranges::count_if(
+      link_, [](const LinkState& l) { return l.count != 0; }));
+  w.u64(busy);
+  for (std::size_t link = 0; link < link_.size(); ++link) {
+    if (link_[link].count == 0) continue;
+    w.u32(static_cast<std::uint32_t>(link));
+    w.u16(link_[link].count);
+    for (std::size_t i = 0; i < link_[link].count; ++i) {
+      const LinkTransfer& tr = ring_slab_[ring_slot(link, i)];
+      w.u64(tr.arrival_cycle);
+      w.u8(tr.seq);
+      w.u8(tr.retransmits);
+      ckpt::save_fields(w, pool_[tr.pkt]);
+    }
+  }
   w.tag(ckpt::fourcc("CNTR"));
-  ckpt::save_fields(w, std::tie(ctr_, in_flight_));
+  ckpt::save_fields(w, ctr_);
   w.tag(ckpt::fourcc("TACT"));
   ckpt::save_each(w, tile_activity_);
 
@@ -613,58 +659,81 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
                           std::to_string(grid_.width()) + "x" +
                           std::to_string(grid_.height()));
   if (r.u8() != static_cast<std::uint8_t>(kind_))
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "mesh snapshot is for the other DoR network");
+    reject("mesh snapshot is for the other DoR network");
   ckpt::expect_fields(r, options_, "mesh behavioural options");
 
   faults_ = ckpt::load_fault_map(r, &grid_);
   link_faults_ = ckpt::load_link_faults(r, &grid_);
   ber_ = load_ber_map(r, grid_);
 
-  const std::size_t n = grid_.tile_count();
-  ckpt::load_fields(r, std::tie(pool_, pool_free_));
-  const std::size_t pool_size = pool_.size();
-  for (const Packet& p : pool_) expect_in_grid(p, grid_);
-  if (pool_free_.size() > pool_size)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "pool free list larger than the pool");
-  for (const std::uint32_t f : pool_free_)
-    if (f >= pool_size)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "pool free-list index out of range");
-
+  // Storage is rebuilt densely: every pool slot live, every FIFO and ring
+  // starting at slot 0.
+  const auto load_packet = [&] {
+    Packet p;
+    ckpt::load_fields(r, p);
+    expect_in_grid(p, grid_);
+    return pool_alloc(p);
+  };
+  pool_.clear();
+  pool_free_.clear();
   r.expect_tag(ckpt::fourcc("TILE"), "TileState");
-  for (TileQueues& q : tiles_) {
-    ckpt::load_fields(r, q);
-    std::uint32_t occ = 0;
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    TileState& ts = tiles_[t];
+    ckpt::load_fields(r, ts.rr);
+    for (const std::uint8_t rr : ts.rr)
+      if (rr >= kPortCount) reject("rotating priority out of range");
+    const std::uint8_t mask = r.u8();
+    if (mask >> kPortCount) reject("input FIFO mask names a missing port");
+    ts.q_head = {};
+    ts.q_size = {};
+    ts.occ = 0;
     for (std::size_t p = 0; p < kPortCount; ++p) {
-      if (q.q_head[p] >= cap_ || q.q_size[p] > cap_ || q.rr[p] >= kPortCount)
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "input queue head, occupancy or priority out of "
-                          "range");
-      occ += q.q_size[p];
+      if (!(mask >> p & 1)) continue;
+      const std::uint16_t size = r.u16();
+      if (size == 0 || size > cap_)
+        reject("input FIFO occupancy out of range");
+      for (std::size_t i = 0; i < size; ++i) q_push(t, p, load_packet());
     }
-    if (q.occ != occ)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "tile occupancy disagrees with its queues");
   }
-  ckpt::load_each(r, q_slots_);
 
   r.expect_tag(ckpt::fourcc("LINK"), "LinkState");
-  ckpt::load_each(r, link_, ring_slab_);
-  for (const LinkState& l : link_)
-    if (l.head >= cap_ || l.count > cap_)
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "link ring head/count beyond capacity");
+  for (LinkState& l : link_) l.head = l.count = 0;
+  const std::size_t busy = r.length(6);
+  std::size_t next = 0;  // link ids are strictly ascending
+  for (std::size_t k = 0; k < busy; ++k) {
+    const std::size_t link = r.u32();
+    if (link < next || link >= link_.size() || neighbor_[link] < 0)
+      reject("in-flight frames on a repeated or missing link");
+    next = link + 1;
+    LinkTransfer tr;
+    tr.src_tile = static_cast<std::uint32_t>(link / 4);
+    tr.dir = static_cast<std::uint8_t>(link % 4);
+    tr.dst_tile = static_cast<std::uint32_t>(neighbor_[link]);
+    tr.dst_port = port_from(opposite(static_cast<Direction>(tr.dir)));
+    // Each frame holds a credit of the FIFO it lands in, so the frames and
+    // that FIFO's packets can never exceed its capacity; a snapshot that
+    // claims otherwise would overflow the FIFO on landing.
+    const std::size_t count = r.u16();
+    const auto port = static_cast<std::size_t>(tr.dst_port);
+    if (count == 0 || count + tiles_[tr.dst_tile].q_size[port] > cap_)
+      reject("link frames exceed the downstream FIFO's free slots");
+    for (std::size_t i = 0; i < count; ++i) {
+      tr.arrival_cycle = r.u64();
+      tr.seq = r.u8();
+      tr.retransmits = r.u8();
+      tr.pkt = load_packet();
+      ring_push_back(link, tr);
+    }
+  }
+  in_flight_ = pool_.size();
 
   r.expect_tag(ckpt::fourcc("CNTR"), "mesh counters");
-  ckpt::load_fields(r, std::tie(ctr_, in_flight_));
+  ckpt::load_fields(r, ctr_);
   r.expect_tag(ckpt::fourcc("TACT"), "tile activity");
   ckpt::load_each(r, tile_activity_);
 
   if (r.b() != options_.integrity.enabled)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "integrity-state presence flag disagrees");
+    reject("integrity-state presence flag disagrees");
   if (options_.integrity.enabled) {
     r.expect_tag(ckpt::fourcc("INTG"), "link-integrity state");
     ckpt::load_each(r, link_rng_, link_errors_, link_traversals_, tx_seq_,
@@ -673,38 +742,12 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
 
   // Derived tables (tile_faulty_, link_ok_, route9) come from the fault
   // state just restored; apply_fault_state is wrong here — its purge side
-  // effects belong to fault *transitions*, not to state restoration.
+  // effects belong to fault *transitions*, not to state restoration.  The
+  // first land visits every tile and refreezes every credit snapshot.
   rebuild_topology();
-
-  // Cross-field sanity on the fully restored mesh: every occupied queue
-  // slot and in-flight ring frame must reference a live pool slot, the
-  // rings' occupancy must match in_flight_, and conservation must hold.
-  std::size_t live = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t p = 0; p < kPortCount; ++p) {
-      for (std::size_t i = 0; i < tiles_[t].q_size[p]; ++i) {
-        std::size_t slot = static_cast<std::size_t>(tiles_[t].q_head[p]) + i;
-        if (slot >= cap_) slot -= cap_;
-        if (q_slots_[qbase(t, p) + slot] >= pool_size)
-          throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                            "queued packet index out of pool range");
-        ++live;
-      }
-    }
-  }
-  for (std::size_t link = 0; link < link_.size(); ++link) {
-    for (std::size_t i = 0; i < link_[link].count; ++i) {
-      const LinkTransfer& t = ring_at(link, i);
-      if (t.pkt >= pool_size || t.dst_tile >= n || t.src_tile >= n ||
-          t.dir >= 4)
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "in-flight link frame references out of range");
-      ++live;
-    }
-  }
-  if (live != in_flight_ || !conservation_holds())
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "restored mesh fails packet conservation");
+  mark_all();
+  if (!conservation_holds())
+    reject("restored mesh fails packet conservation");
 }
 
 }  // namespace wsp::noc

@@ -27,8 +27,8 @@
 // ---------------------------------------------------------------------------
 // Cycle semantics (see DESIGN.md "NoC cycle semantics")
 //
-// step() runs one cycle as two passes over the tiles in tile-index order,
-// then advances the cycle counter:
+// step() runs one cycle as two passes over the active tiles in ascending
+// tile index, then advances the cycle counter:
 //
 //   land   pop every due LinkTransfer off each tile's incoming link rings,
 //          run it through the BER channel (per-link RNG streams), push it
@@ -45,6 +45,18 @@
 // its destination's land and pushed only by its source's route), and each
 // link samples its own RNG stream, so visit order cannot change the
 // result; tile-index order only fixes the order of ejections.
+//
+// Active tiles.  Each pass walks a bitset worklist, not the whole wafer.  A
+// tile is on the list while it has FIFO occupancy or a frame on an
+// incoming link ring: inject() and every ring push mark the destination
+// tile, and apply_fault_state() and load_state() mark every tile so the
+// next land trims the list.  A tile leaves the list only in a land that
+// has frozen its incoming credit snapshots with its FIFOs and incoming
+// rings all empty, so the snapshots its upstream senders read stay full
+// and current while it sleeps.  Visiting an idle tile would change
+// nothing (its land pops nothing and refreezes the same full snapshots,
+// its route finds no input), so an idle mesh costs one scan of
+// ceil(tiles / 64) words per pass.
 #pragma once
 
 #include <array>
@@ -160,9 +172,9 @@ class MeshNetwork {
   /// nothing) when the local FIFO is full or the tile is faulty.
   bool inject(const Packet& packet);
 
-  /// Advances one cycle (land, route, commit; see the header comment);
-  /// appends packets ejected at their destination this cycle to `ejected`
-  /// in tile-index order.  The buffer is append-only and identity-agnostic:
+  /// Advances one cycle (land, then route, over the active tiles; see the
+  /// header comment); appends packets ejected at their destination this
+  /// cycle to `ejected` in tile-index order.  The buffer is append-only and identity-agnostic:
   /// callers may (and should) reuse one cleared-not-shrunk vector across
   /// cycles — results are identical either way.
   void step(std::vector<Packet>& ejected);
@@ -220,14 +232,19 @@ class MeshNetwork {
   }
 
   /// Checkpoint hooks (wsp::ckpt).  The snapshot captures the complete
-  /// mutable state — packet pool, input queues, per-link rings, packed
-  /// credit words, per-link RNG streams, retransmit protocol state, BER
-  /// map, fault state and counters — so a load followed by step() is
-  /// bit-identical to never having stopped.  Derived tables (route9,
-  /// link_ok_, neighbour maps) are rebuilt, not stored.  load_state targets
-  /// a mesh constructed over the same grid, kind and behavioural options as
-  /// the saver; anything else throws ckpt::Error (TopologyMismatch /
-  /// SchemaMismatch).
+  /// mutable state — the rotating priorities, the packets of every
+  /// non-empty input FIFO and link ring in queue order, per-link RNG
+  /// streams, retransmit protocol state, BER map, fault state and counters
+  /// — so a load followed by step() is bit-identical to never having
+  /// stopped.  It is canonical and live-only: no free slot, ring head or
+  /// pool index is written, so a loaded mesh re-saves byte-identically.
+  /// Storage (pool, free list, FIFO and ring heads, the active-tile list)
+  /// and derived tables (route9, link_ok_, neighbour maps, the credit
+  /// snapshots the first land refreezes) are rebuilt, not stored.
+  /// load_state targets a mesh constructed over the same grid, kind and
+  /// behavioural options as the saver; anything else, or a ring holding
+  /// more frames than its downstream FIFO has room for, throws ckpt::Error
+  /// (TopologyMismatch / SchemaMismatch).
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -245,11 +262,6 @@ class MeshNetwork {
     std::uint8_t dir = 0;          ///< outgoing Direction at the source
     std::uint8_t seq = 0;          ///< 4-bit per-link sequence number
     std::uint8_t retransmits = 0;  ///< budget consumed by this traversal
-
-    friend auto fields(Of<LinkTransfer> auto& t) {
-      return std::tie(t.arrival_cycle, t.pkt, t.dst_tile, t.src_tile,
-                      t.dst_port, t.dir, t.seq, t.retransmits);
-    }
   };
 
   /// Registry-backed counters resolved once at construction; incrementing
@@ -298,24 +310,10 @@ class MeshNetwork {
   /// slabs stored whole Packets.  Slots are allocated only by inject()
   /// (between cycles) and released the moment their packet leaves the
   /// mesh; the order of free slots is internal and never observable.
+  /// load_state rebuilds the pool densely from the snapshot's packets.
   std::vector<Packet> pool_;
   std::vector<std::uint32_t> pool_free_;
 
-  /// Per-tile FIFO and arbitration state: the checkpointed part of a
-  /// TileState.
-  struct TileQueues {
-    std::array<std::uint16_t, kPortCount> q_head;  ///< FIFO head slot
-    std::array<std::uint16_t, kPortCount> q_size;  ///< FIFO occupancy
-    std::array<std::uint8_t, kPortCount> rr;  ///< per-output rotating priority
-    /// Packets buffered anywhere in the tile's five FIFOs: routers with
-    /// zero occupancy skip arbitration entirely, which is most of the
-    /// wafer at realistic loads.
-    std::uint16_t occ;
-
-    friend auto fields(Of<TileQueues> auto& q) {
-      return std::tie(q.q_head, q.q_size, q.rr, q.occ);
-    }
-  };
   /// All per-tile router state one arbitration pass reads, packed into a
   /// single cache line so the route want/grant loops touch one line per
   /// router instead of five parallel arrays (land pushes into its queues,
@@ -326,7 +324,14 @@ class MeshNetwork {
   /// rebuilt only on fault events (meaningless when routing adaptively:
   /// odd-even stays dynamic because its choice set depends on the packet
   /// source).  Case index: (sign(dx) + 1) * 3 + (sign(dy) + 1).
-  struct alignas(64) TileState : TileQueues {
+  struct alignas(64) TileState {
+    std::array<std::uint16_t, kPortCount> q_head;  ///< FIFO head slot
+    std::array<std::uint16_t, kPortCount> q_size;  ///< FIFO occupancy
+    std::array<std::uint8_t, kPortCount> rr;  ///< per-output rotating priority
+    /// Packets buffered anywhere in the tile's five FIFOs: routers with
+    /// zero occupancy skip arbitration entirely, which is most of the
+    /// wafer at realistic loads.
+    std::uint16_t occ;
     std::uint8_t route9[9];  ///< derived from the fault state, not saved
   };
   std::vector<TileState> tiles_;  ///< indexed by tile
@@ -334,24 +339,20 @@ class MeshNetwork {
   /// Fixed-capacity FIFO storage of pool indices, indexed by
   /// (tile * kPortCount + port) * cap_ + slot.
   std::vector<std::uint32_t> q_slots_;
-  /// Hot state of the directed link leaving (tile, direction), one 8-byte
+  /// Hot state of the directed link leaving (tile, direction), one 6-byte
   /// record per link so a router's credit check, grant bookkeeping and
-  /// ring push all hit the same cache line — a tile's four outgoing links
-  /// are 32 contiguous bytes.  `pending` counts credits reserved by
-  /// granted-but-not-landed transfers; `space` is the frozen free-slot
-  /// snapshot of the *downstream* input FIFO the sender arbitrates
-  /// against.  Land (at the destination) pops the ring and refreshes
-  /// pending/space; route (at the source) pushes the ring and consumes
+  /// ring push all hit the same cache line.  Every frame on the wire holds
+  /// one downstream credit (a grant reserves it, a landing or a loss
+  /// releases it, a go-back-N retry keeps it), so `count` is also the
+  /// number of credits reserved downstream.  `space` is the frozen
+  /// free-slot snapshot of the *downstream* input FIFO the sender
+  /// arbitrates against.  Land (at the destination) pops the ring and
+  /// refreshes space; route (at the source) pushes the ring and consumes
   /// space.
   struct LinkState {
-    std::uint16_t head = 0;     ///< ring head slot
-    std::uint16_t count = 0;    ///< frames in flight on the link
-    std::uint16_t pending = 0;  ///< credits reserved downstream
-    std::uint16_t space = 0;    ///< frozen downstream credit snapshot
-
-    friend auto fields(Of<LinkState> auto& l) {
-      return std::tie(l.head, l.count, l.pending, l.space);
-    }
+    std::uint16_t head = 0;   ///< ring head slot
+    std::uint16_t count = 0;  ///< frames in flight = credits reserved
+    std::uint16_t space = 0;  ///< frozen downstream credit snapshot
   };
   std::vector<LinkState> link_;  ///< indexed by (tile * 4 + direction)
 
@@ -375,6 +376,12 @@ class MeshNetwork {
   bool have_route9_ = false;
 
   std::vector<TileActivity> tile_activity_;  ///< indexed by tile
+
+  /// The active-tile worklist (see the header comment): bit t % 64 of
+  /// word t / 64 is set while tile t needs a land/route visit.
+  std::vector<std::uint64_t> active_;
+  void mark(std::size_t tile) { active_[tile / 64] |= 1ull << (tile % 64); }
+  void mark_all();
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -413,9 +420,14 @@ class MeshNetwork {
   std::size_t qbase(std::size_t tile, std::size_t port) const {
     return (tile * kPortCount + port) * cap_;
   }
-  /// Pool index of the FIFO head packet.
+  /// Pool index of the i-th packet of a FIFO from the front (0 = head).
+  std::uint32_t q_at(std::size_t tile, std::size_t port, std::size_t i) const {
+    std::size_t slot = tiles_[tile].q_head[port] + i;
+    if (slot >= cap_) slot -= cap_;
+    return q_slots_[qbase(tile, port) + slot];
+  }
   std::uint32_t q_front_idx(std::size_t tile, std::size_t port) const {
-    return q_slots_[qbase(tile, port) + tiles_[tile].q_head[port]];
+    return q_at(tile, port, 0);
   }
   void q_push(std::size_t tile, std::size_t port, std::uint32_t pkt) {
     TileState& ts = tiles_[tile];
@@ -438,10 +450,13 @@ class MeshNetwork {
     return ring_slab_[link * cap_ + link_[link].head];
   }
   /// i-th in-flight frame of `link` from the front (0 = front).
-  LinkTransfer& ring_at(std::size_t link, std::size_t i) {
+  std::size_t ring_slot(std::size_t link, std::size_t i) const {
     std::size_t slot = link_[link].head + i;
     if (slot >= cap_) slot -= cap_;
-    return ring_slab_[link * cap_ + slot];
+    return link * cap_ + slot;
+  }
+  LinkTransfer& ring_at(std::size_t link, std::size_t i) {
+    return ring_slab_[ring_slot(link, i)];
   }
   void ring_pop(std::size_t link) {
     const std::size_t next = static_cast<std::size_t>(link_[link].head) + 1;
@@ -454,6 +469,7 @@ class MeshNetwork {
     if (slot >= cap_) slot -= cap_;
     ring_slab_[link * cap_ + slot] = t;
     ++link_[link].count;
+    mark(t.dst_tile);
   }
   void ring_push_front(std::size_t link, const LinkTransfer& t) {
     assert(link_[link].count < cap_);
@@ -461,10 +477,11 @@ class MeshNetwork {
         link_[link].head == 0 ? cap_ - 1 : link_[link].head - 1);
     ring_slab_[link * cap_ + link_[link].head] = t;
     ++link_[link].count;
+    mark(t.dst_tile);
   }
 
   void rebuild_topology();
-  /// The two passes of step(), each over every tile in index order.
+  /// The two passes of step(), each over the active tiles in index order.
   void land();
   void route(std::vector<Packet>& ejected);
 

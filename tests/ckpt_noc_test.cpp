@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -274,8 +275,8 @@ TEST(MeshCkpt, FrameBytesArePinned) {
   ckpt::Writer w;
   mesh.save_state(w);
   const std::uint32_t crc = ckpt::crc32(w.bytes().data(), w.size());
-  EXPECT_EQ(w.size(), 67321u);
-  EXPECT_EQ(crc, 0xbd9013b3u) << "actual 0x" << std::hex << crc;
+  EXPECT_EQ(w.size(), 19369u);
+  EXPECT_EQ(crc, 0x3db2faeeu) << "actual 0x" << std::hex << crc;
 
   noc::MeshNetwork same(faults, noc::NetworkKind::YX, opt);
   ckpt::Reader r(w.bytes());
@@ -374,7 +375,7 @@ TEST(NocCkpt, MidTrafficFrameBytesArePinned) {
   noc.set_link_ber(ber);
 
   const std::vector<std::uint8_t> bytes = noc_bytes(noc);
-  expect_pinned(bytes, 126365, 0xb4ab62b6u);
+  expect_pinned(bytes, 60629, 0x813974fau);
   for (const char* section : {"LIVE", "DDLN", "PEND"})
     EXPECT_GT(get_u64(bytes, find_tag(bytes, section) + 4), 0u) << section;
   // REDY holds the XY then the YX queues; the backlog rides one of them.
@@ -404,7 +405,7 @@ TEST(CosimCkpt, SpikingFrameBytesArePinned) {
 
   ckpt::Writer w;
   loop.save_state(w);
-  expect_pinned(w.bytes(), 163030, 0xd02f7781u);
+  expect_pinned(w.bytes(), 81536, 0x61ff3016u);
 
   cosim::CosimLoop same(o);
   ckpt::Reader r(w.bytes());
@@ -482,6 +483,101 @@ TEST(NocCkpt, PendingPacketOutsideGridIsRejected) {
   });
 }
 
+// The v3 MESH layout, walked from a payload: FIFO occupancy per tile and
+// port, and the offset of each busy link's ring record by link id.
+struct MeshLayout {
+  static constexpr std::size_t kPacket = ckpt::min_encoded_size<noc::Packet>;
+  static constexpr std::size_t kFrame = 8 + 1 + 1 + kPacket;
+  std::vector<std::array<std::uint16_t, noc::kPortCount>> fifo;
+  std::map<std::uint32_t, std::size_t> ring;
+
+  MeshLayout(const std::vector<std::uint8_t>& b, std::size_t tiles) {
+    std::size_t at = find_tag(b, "TILE") + 4;
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const std::uint8_t mask = b[at + noc::kPortCount];
+      at += noc::kPortCount + 1;
+      auto& sizes = fifo.emplace_back();
+      for (std::size_t p = 0; p < noc::kPortCount; ++p) {
+        if (!(mask >> p & 1)) continue;
+        sizes[p] = static_cast<std::uint16_t>(b[at] | b[at + 1] << 8);
+        at += 2 + sizes[p] * kPacket;
+      }
+    }
+    EXPECT_TRUE(std::equal(b.begin() + static_cast<std::ptrdiff_t>(at),
+                           b.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                           "LINK"));
+    const std::uint64_t busy = get_u64(b, at + 4);
+    at += 12;
+    for (std::uint64_t k = 0; k < busy; ++k) {
+      ring[static_cast<std::uint32_t>(get_u64(b, at))] = at;  // u32 link id
+      at += 6 + count(b, at) * kFrame;
+    }
+  }
+  static std::size_t count(const std::vector<std::uint8_t>& b,
+                           std::size_t ring_at) {
+    return static_cast<std::size_t>(b[ring_at + 4] | b[ring_at + 5] << 8);
+  }
+};
+
+TEST(MeshCkpt, RingBeyondDownstreamRoomIsRejected) {
+  // Two streams converge on (1,0) of a 3x1 wafer.  Its one ejection port
+  // drains them at half their arrival rate, so the West FIFO and the link
+  // feeding it back up.  After a cycle in which the ejection port served
+  // East, as after 41 cycles, every credit of that FIFO is held: by a
+  // queued packet or by a frame on the wire.  One more frame on that link
+  // would overflow the FIFO on landing, so the loader must refuse it.
+  const TileGrid grid(3, 1);
+  const FaultMap faults(grid);
+  noc::MeshNetwork mesh(faults, noc::NetworkKind::XY);
+  std::vector<noc::Packet> ejected;
+  for (std::uint64_t c = 0; c < 41; ++c) {
+    for (const TileCoord src : {TileCoord{0, 0}, TileCoord{2, 0}}) {
+      noc::Packet p;
+      p.src = src;
+      p.dst = {1, 0};
+      p.id = c * 2 + static_cast<std::uint64_t>(src.x) / 2 + 1;
+      mesh.inject(p);
+    }
+    ejected.clear();
+    mesh.step(ejected);
+  }
+  ckpt::Writer w;
+  mesh.save_state(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+
+  const MeshLayout layout(bytes, grid.tile_count());
+  const std::uint32_t east_of_0 = static_cast<std::uint32_t>(Direction::East);
+  ASSERT_EQ(layout.ring.count(east_of_0), 1u);
+  const std::size_t ring = layout.ring.at(east_of_0);
+  const std::size_t frames = MeshLayout::count(bytes, ring);
+  const std::size_t queued =
+      layout.fifo[1][static_cast<std::size_t>(noc::Port::West)];
+  const auto cap = static_cast<std::size_t>(
+      noc::MeshOptions{}.input_queue_capacity);
+  ASSERT_EQ(frames + queued, cap);
+  ASSERT_LT(frames, cap);  // the ring alone still fits its own capacity
+
+  {  // The untampered frame loads.
+    noc::MeshNetwork same(faults, noc::NetworkKind::XY);
+    ckpt::Reader r(bytes);
+    same.load_state(r);
+    EXPECT_TRUE(r.done());
+  }
+  // Repeat the ring's first frame: one frame more than the FIFO has room
+  // for.  Count it as injected too, so packet conservation still holds
+  // and only the credit check can refuse the frame.
+  bytes[ring + 4] = static_cast<std::uint8_t>(frames + 1);
+  const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(ring + 6);
+  const std::vector<std::uint8_t> frame(first, first + MeshLayout::kFrame);
+  bytes.insert(first, frame.begin(), frame.end());
+  const std::size_t injected = find_tag(bytes, "CNTR") + 4;
+  put_u64(bytes, injected, get_u64(bytes, injected) + 1);
+  expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
+    noc::MeshNetwork target(faults, noc::NetworkKind::XY);
+    target.load_state(r);
+  });
+}
+
 TEST(MeshCkpt, PoolPacketOutsideGridIsRejected) {
   const TileGrid grid(8, 8);
   const FaultMap faults(grid);
@@ -493,12 +589,13 @@ TEST(MeshCkpt, PoolPacketOutsideGridIsRejected) {
   ckpt::Writer w;
   mesh.save_state(w);
   std::vector<std::uint8_t> bytes = w.bytes();
-  // BERM: tag, width, height, four doubles per tile; then the pool count
-  // and the first pooled packet, dst.x at offset 8.
-  const std::size_t pool =
-      find_tag(bytes, "BERM") + 12 + grid.tile_count() * 32;
-  ASSERT_EQ(get_u64(bytes, pool), 1u);
-  put_i32(bytes, pool + 8 + 8, -3);
+  // TILE: tag, then per tile five priorities and a FIFO mask, six bytes
+  // for an idle tile.  Tile (1,1) holds the packet in its Local FIFO: mask,
+  // count, then the packet, dst.x at offset 8.
+  const std::size_t tile = find_tag(bytes, "TILE") + 4 + 9 * 6;
+  ASSERT_EQ(bytes[tile + 5], 1u << static_cast<int>(noc::Port::Local));
+  ASSERT_EQ(bytes[tile + 6], 1u);
+  put_i32(bytes, tile + 8 + 8, -3);
   expect_schema_mismatch(bytes, [&](ckpt::Reader& r) {
     noc::MeshNetwork target(faults, noc::NetworkKind::XY);
     target.load_state(r);
@@ -513,6 +610,46 @@ std::vector<std::uint8_t> cosim_after_one_epoch(const cosim::CosimOptions& o) {
   ckpt::Writer w;
   loop.save_state(w);
   return w.bytes();
+}
+
+TEST(MeshCkpt, VersionTwoFrameIsVersionMismatch) {
+  // MESH v3 dropped every storage index from the wire.  A v2 MESH section,
+  // alone or inside a NOCS or COSM payload, is refused at its version word.
+  const auto expect_version_mismatch = [](std::vector<std::uint8_t> bytes,
+                                          auto&& load) {
+    const std::size_t at = find_tag(bytes, "MESH") + 4;
+    ASSERT_EQ(bytes[at], 3u);
+    bytes[at] = 2;
+    ckpt::Reader r(bytes);
+    try {
+      load(r);
+      FAIL() << "v2 mesh section loaded";
+    } catch (const ckpt::Error& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << e.what();
+    }
+  };
+  const TileGrid grid(6, 6);
+  const FaultMap faults(grid);
+  noc::MeshNetwork mesh(faults, noc::NetworkKind::XY);
+  ckpt::Writer mw;
+  mesh.save_state(mw);
+  expect_version_mismatch(mw.bytes(), [&](ckpt::Reader& r) {
+    noc::MeshNetwork target(faults, noc::NetworkKind::XY);
+    target.load_state(r);
+  });
+
+  noc::NocSystem noc{faults};
+  ASSERT_TRUE(noc.issue({0, 0}, {4, 5}, noc::PacketType::ReadRequest));
+  expect_version_mismatch(noc_bytes(noc), [&](ckpt::Reader& r) {
+    noc::NocSystem target{faults};
+    target.load_state(r);
+  });
+
+  const cosim::CosimOptions o;
+  expect_version_mismatch(cosim_after_one_epoch(o), [&](ckpt::Reader& r) {
+    cosim::CosimLoop target(o);
+    target.load_state(r);
+  });
 }
 
 TEST(CosimCkpt, ActivitySnapshotOfWrongTileCountIsRejected) {

@@ -12,6 +12,7 @@
 // so does every public state record through save_fields/load_fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "field_walk.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/fault_map.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/cosim/cosim.hpp"
 #include "wsp/noc/link_health.hpp"
 #include "wsp/noc/noc_system.hpp"
@@ -75,6 +77,43 @@ TEST(Crc32, ChunkedUpdateEqualsOneShot) {
     bytewise = ckpt::crc32_update(bytewise, check + i, 1);
   EXPECT_EQ(bytewise, 0xCBF43926u);
   EXPECT_EQ(ckpt::crc32_update(0, nullptr, 0), 0u);
+}
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320, init and xorout all ones)
+/// with no table: the definition the table-driven crc32 must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xC3C3);
+  std::vector<std::uint8_t> buf(1100 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  // Lengths 0..1100 from each of 8 start offsets: every tail length and
+  // every alignment of the 8-byte blocks.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 1100; ++len)
+      ASSERT_EQ(ckpt::crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+  // Streaming over random split points equals the one-shot reference.
+  const std::uint32_t whole = crc32_bitwise(buf.data(), buf.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          buf.size() - at, rng.below(trial % 2 == 0 ? 24 : 400));
+      crc = ckpt::crc32_update(crc, buf.data() + at, n);
+      at += n;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial;
+  }
 }
 
 TEST(WriterReader, EveryPrimitiveRoundTrips) {

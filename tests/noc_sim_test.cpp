@@ -3,6 +3,8 @@
 // intermediate-tile relaying.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "wsp/common/error.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
@@ -271,6 +273,51 @@ TEST(NocSystem, ManyTransactionsAllComplete) {
   ASSERT_TRUE(noc.drain(done));
   EXPECT_EQ(static_cast<int>(done.size()), issued);
   EXPECT_EQ(noc.stats().completed, static_cast<std::uint64_t>(issued));
+}
+
+TEST(NocSystem, ZeroLoadRoundTripMatchesClosedForm) {
+  // The one-packet extreme: each ordered pair of a fault-free 8x8 wafer is
+  // issued alone on an idle system.  From the documented cycle semantics
+  // (DESIGN.md "NoC cycle semantics"):
+  //   * issue() at cycle c queues the request for cycle c, and step c
+  //     injects it and routes it out of the source in the same cycle;
+  //   * a grant at cycle t lands at t + link_latency, and the landing tile
+  //     routes it onward, or ejects it, in that same cycle: each hop costs
+  //     link_latency and ejection costs nothing;
+  //   * the destination answers service_latency cycles after the request
+  //     ejects, over the same tiles on the complementary network.
+  // So the round trip is 2 * hops * link_latency + service_latency.
+  const TileGrid grid(8, 8);
+  const NocOptions opt;
+  NocSystem noc{FaultMap(grid), opt};
+  std::vector<CompletedTransaction> done;
+  std::uint64_t pairs = 0;
+  for (std::size_t s = 0; s < grid.tile_count(); ++s) {
+    for (std::size_t d = 0; d < grid.tile_count(); ++d) {
+      if (s == d) continue;
+      const TileCoord src = grid.coord_of(s);
+      const TileCoord dst = grid.coord_of(d);
+      const auto hops =
+          static_cast<std::uint64_t>(std::abs(dst.x - src.x) +
+                                     std::abs(dst.y - src.y));
+      const std::uint64_t expected =
+          2 * hops * static_cast<std::uint64_t>(opt.mesh.link_latency) +
+          static_cast<std::uint64_t>(opt.service_latency);
+      done.clear();
+      ASSERT_TRUE(noc.issue(src, dst, PacketType::ReadRequest));
+      ASSERT_TRUE(noc.drain(done));
+      ASSERT_EQ(done.size(), 1u);
+      EXPECT_EQ(done[0].latency(), expected)
+          << "(" << src.x << "," << src.y << ") -> (" << dst.x << ","
+          << dst.y << ")";
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 4032u);
+  EXPECT_EQ(noc.stats().completed, pairs);
+  EXPECT_EQ(noc.network(NetworkKind::XY).in_flight() +
+                noc.network(NetworkKind::YX).in_flight(),
+            0u);
 }
 
 TEST(NocSystem, RejectsResponseTypeAtIssue) {

@@ -8,7 +8,9 @@
 // drift unnoticed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -507,6 +509,100 @@ TEST(NocStepper, ConservationHoldsAcrossRuntimeFaults) {
       EXPECT_TRUE(mesh.conservation_holds()) << "cycle " << cycle;
     }
   }
+}
+
+TEST(NocStepper, SparseBurstsMatchGolden) {
+  // Event-style traffic on both 32x32 meshes: bursts of 16 injections
+  // over 8 cycles, each followed by 120 idle cycles in which every packet
+  // lands and every tile drains.  Tiles keep going idle and waking up
+  // again, which the dense goldens above (an injection every cycle) never
+  // allow.  Idle gaps also see a runtime fault (3 tiles, 1 link) and a
+  // snapshot round trip into fresh meshes; bursts see a head corruption
+  // and another round trip.  The constant was recorded before the mesh
+  // stepped only its active tiles.
+  const TileGrid grid(32, 32);
+  noc::MeshOptions opt;
+  opt.integrity.enabled = true;
+  FaultMap faults(grid);
+  LinkFaultSet links(grid);
+  const noc::NetworkKind kinds[] = {noc::NetworkKind::XY,
+                                    noc::NetworkKind::YX};
+  std::unique_ptr<noc::MeshNetwork> mesh[2];
+  for (int k = 0; k < 2; ++k) {
+    mesh[k] = std::make_unique<noc::MeshNetwork>(faults, kinds[k], opt);
+    mesh[k]->set_link_ber(noc::LinkBerMap::uniform(grid, 1e-4));
+  }
+  const auto round_trip = [&] {
+    for (int k = 0; k < 2; ++k) {
+      ckpt::Writer w;
+      mesh[k]->save_state(w);
+      auto fresh =
+          std::make_unique<noc::MeshNetwork>(FaultMap(grid), kinds[k], opt);
+      ckpt::Reader r(w.bytes());
+      fresh->load_state(r);
+      EXPECT_TRUE(r.done());
+      mesh[k] = std::move(fresh);
+    }
+  };
+
+  constexpr int kBursts = 6;
+  constexpr int kBurstCycles = 8;
+  constexpr int kGapCycles = 120;
+  Rng rng(2020);
+  const auto near = [&](int v) {
+    return std::clamp(v + static_cast<int>(rng.below(17)) - 8, 0, 31);
+  };
+  MeshRunResult out;
+  std::vector<noc::Packet> ejected;
+  std::uint64_t next_id = 1;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    for (int c = 0; c < kBurstCycles + kGapCycles; ++c) {
+      TileCoord last_src{};
+      if (c < kBurstCycles) {
+        for (int k = 0; k < 2; ++k) {
+          noc::Packet p;
+          p.src = {static_cast<int>(rng.below(32)),
+                   static_cast<int>(rng.below(32))};
+          p.dst = {near(p.src.x), near(p.src.y)};
+          p.payload = rng();
+          p.injected_cycle = mesh[k]->now();
+          p.id = next_id;
+          if (mesh[k]->inject(p)) {
+            ++next_id;
+            last_src = p.src;
+          }
+        }
+      }
+      if (burst == 2 && c == 3) {
+        EXPECT_TRUE(mesh[1]->corrupt_head_packet(last_src).has_value());
+      }
+      if (burst == 3 && c == 4) round_trip();
+      if (burst == 1 && c == kBurstCycles + kGapCycles / 2) {
+        for (const TileCoord dead : {TileCoord{5, 9}, TileCoord{17, 17},
+                                     TileCoord{26, 3}})
+          faults.set_faulty(dead);
+        links.set_failed({12, 20}, Direction::East);
+        for (auto& m : mesh) m->apply_fault_state(faults, links);
+      }
+      if (burst == 4 && c == kBurstCycles + kGapCycles / 2) round_trip();
+      for (auto& m : mesh) {
+        ejected.clear();
+        m->step(ejected);
+        for (const noc::Packet& p : ejected) append_packet(out.trace, p);
+        EXPECT_EQ(m->in_flight(), m->recount_in_flight())
+            << "burst " << burst << " cycle " << c;
+      }
+    }
+    for (auto& m : mesh) EXPECT_EQ(m->in_flight(), 0u) << "burst " << burst;
+  }
+  for (auto& m : mesh) {
+    EXPECT_TRUE(m->conservation_holds());
+    const std::vector<std::uint64_t> s = flatten(m->stats());
+    out.stats.insert(out.stats.end(), s.begin(), s.end());
+  }
+  ASSERT_FALSE(out.trace.empty());
+  EXPECT_EQ(crc_of(out), 0xdaea3aabu) << "actual 0x" << std::hex
+                                       << crc_of(out);
 }
 
 }  // namespace
