@@ -260,7 +260,8 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 // v3: the raw latency vector became the TrafficDriver frame (latency
 // histogram + delivery digest).
 // v4: CosimOptions lead the "CLOP" section, checked on load.
-constexpr std::uint32_t kCosimStateVersion = 4;
+// v5: the traffic driver's latency histogram is its (value, count) runs.
+constexpr std::uint32_t kCosimStateVersion = 5;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {

@@ -491,7 +491,8 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 // swap means a snapshot taken between set_link_ber and the next step must
 // carry the pending map to resume bit-identically.
 // v3: the option block holds all of NocOptions, the mesh options included.
-constexpr std::uint32_t kNocStateVersion = 3;
+// v4: the latency histogram in CNTR is its (value, count) run list.
+constexpr std::uint32_t kNocStateVersion = 4;
 
 // Both priority queues drain (off a copy) in comparator order, which is a
 // total order here — Deadline keys (due_cycle, id) and PendingInjection

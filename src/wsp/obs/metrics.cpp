@@ -7,98 +7,61 @@
 
 namespace wsp::obs {
 
-std::uint64_t nearest_rank_percentile(std::vector<std::uint64_t>& samples,
-                                      double p) {
-  if (samples.empty()) return 0;
-  const auto n = samples.size();
-  const double clamped = std::min(std::max(p, 0.0), 1.0);
-  auto rank = static_cast<std::size_t>(
-      std::ceil(clamped * static_cast<double>(n)));
-  rank = std::min(std::max<std::size_t>(rank, 1), n);
-  auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(samples.begin(), nth, samples.end());
-  return *nth;
-}
-
-std::uint64_t Histogram::bucket_upper_bound(int bucket) {
-  if (bucket <= 0) return 0;
-  if (bucket >= 64) return ~std::uint64_t{0};
-  return (std::uint64_t{1} << bucket) - 1;
-}
-
-void Histogram::record(std::uint64_t value) {
-  ++buckets_[bucket_of(value)];
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
+void Histogram::add(std::uint64_t value, std::uint64_t n) {
+  const auto it = std::lower_bound(
+      runs_.begin(), runs_.end(), value,
+      [](const Run& run, std::uint64_t v) { return run.value < v; });
+  if (it != runs_.end() && it->value == value) {
+    it->count += n;
   } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+    runs_.insert(it, Run{value, n});
   }
-  sum_ += value;
-  ++count_;
-  if (samples_.size() < kExactSampleCap) samples_.push_back(value);
+  count_ += n;
+  sum_ += value * n;
 }
 
 std::uint64_t Histogram::percentile(double p) const {
   if (count_ == 0) return 0;
-  if (exact()) {
-    std::vector<std::uint64_t> scratch(samples_);
-    return nearest_rank_percentile(scratch, p);
-  }
-  // Bucket-resolution fallback: walk buckets to the nearest-rank position
-  // and report that bucket's upper bound (clamped to the observed max).
   const double clamped = std::min(std::max(p, 0.0), 1.0);
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(clamped * static_cast<double>(count_)));
-  rank = std::min(std::max<std::uint64_t>(rank, 1), count_);
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kBucketCount; ++b) {
-    seen += buckets_[b];
-    if (seen >= rank) return std::min(bucket_upper_bound(b), max_);
-  }
-  return max_;
+  const double n = static_cast<double>(count_);
+  // Compared as a double first: ceil(n) may round past the u64 range.
+  const double want = std::ceil(clamped * n);
+  const std::uint64_t rank =
+      want >= n ? count_
+                : std::max<std::uint64_t>(static_cast<std::uint64_t>(want), 1);
+  auto run = runs_.begin();
+  for (std::uint64_t seen = run->count; seen < rank; seen += run->count) ++run;
+  return run->value;
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (int b = 0; b < kBucketCount; ++b) buckets_[b] += other.buckets_[b];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  sum_ += other.sum_;
-  count_ += other.count_;
-  const std::size_t room = kExactSampleCap - std::min(kExactSampleCap,
-                                                      samples_.size());
-  const std::size_t take = std::min(room, other.samples_.size());
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.begin() + static_cast<std::ptrdiff_t>(take));
-}
-
-bool operator==(const Histogram& a, const Histogram& b) {
-  return a.count_ == b.count_ && a.sum_ == b.sum_ && a.min() == b.min() &&
-         a.max_ == b.max_ && a.samples_ == b.samples_ &&
-         std::equal(a.buckets_, a.buckets_ + Histogram::kBucketCount,
-                    b.buckets_);
+  for (const Run& run : other.runs_) add(run.value, run.count);
 }
 
 void Histogram::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("HIST"));
-  ckpt::save_each(w, buckets_);
-  ckpt::save_fields(w, std::tie(count_, sum_, min_, max_, samples_));
+  ckpt::save_fields(w, runs_);
 }
 
 void Histogram::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("HIST"), "Histogram");
-  ckpt::load_each(r, buckets_);
-  ckpt::load_fields(r, std::tie(count_, sum_, min_, max_, samples_));
-  if (samples_.size() > kExactSampleCap || samples_.size() > count_)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "Histogram retained-sample count is implausible");
+  std::vector<Run> runs;
+  ckpt::load_fields(r, runs);
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& run = runs[i];
+    if ((i > 0 && run.value <= runs[i - 1].value) || run.count == 0 ||
+        run.count > ~std::uint64_t{0} - count)
+      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                        "Histogram runs must ascend strictly, with nonzero "
+                        "counts whose total fits in 64 bits");
+    count += run.count;
+    sum += run.value * run.count;
+  }
+  runs_ = std::move(runs);
+  count_ = count;
+  sum_ = sum;
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {

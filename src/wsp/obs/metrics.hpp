@@ -7,12 +7,12 @@
 //
 //   * Counter   — monotonically increasing u64 (events).
 //   * Gauge     — last-written double (levels: residuals, voltages).
-//   * Histogram — fixed 65-bucket log2 value distribution (bucket 0 holds
-//                 the value 0, bucket k holds [2^(k-1), 2^k)), plus exact
-//                 retained samples up to a cap so p50/p95/p99 extraction is
-//                 *exact* (nearest-rank over the real sample set) rather
-//                 than bucket-resolution.  Past the cap, percentiles
-//                 degrade deterministically to the bucket upper bound.
+//   * Histogram — the exact value distribution as sorted (value, count)
+//                 runs, one per distinct recorded value (in the style of
+//                 HdrHistogram).  Every statistic — count, sum, min, max,
+//                 nearest-rank p50/p95/p99 — is exact at any count, and
+//                 memory grows with the distinct values, not the samples.
+//                 Cycle latencies take a few hundred distinct values.
 //
 // Determinism contract: metrics record simulation quantities only — cycle
 // counts, iteration counts, amperes — never wall-clock time (wall time
@@ -56,66 +56,57 @@ struct Gauge {
   friend bool operator==(const Gauge&, const Gauge&) = default;
 };
 
-/// Nearest-rank percentile over `samples` (mutated in place by
-/// nth_element).  p in [0, 1]; rank = max(1, ceil(p * n)).  Exact for every
-/// n >= 1: n == 1 returns the sole element for every p, and p == 1 returns
-/// the maximum.  Empty input returns 0.
-std::uint64_t nearest_rank_percentile(std::vector<std::uint64_t>& samples,
-                                      double p);
-
-/// Log2-bucketed value distribution with exact percentile extraction.
+/// Exact value distribution: (value, count) runs in ascending value order.
 class Histogram {
  public:
-  /// 0 | [1,2) | [2,4) | ... | [2^63, 2^64): 65 fixed buckets.
-  static constexpr int kBucketCount = 65;
-  /// Samples retained verbatim for exact percentiles; beyond this the
-  /// histogram keeps only bucket counts (recording stays O(1) memory).
-  static constexpr std::size_t kExactSampleCap = std::size_t{1} << 20;
-
+  /// RunReport's log2 bucket: 0 | [1,2) | [2,4) | ... | [2^63, 2^64).
   static int bucket_of(std::uint64_t value) {
     return value == 0 ? 0 : std::bit_width(value);
   }
-  /// Largest value the bucket covers (inclusive).
-  static std::uint64_t bucket_upper_bound(int bucket);
 
-  void record(std::uint64_t value);
+  /// One distinct recorded value and how often it was recorded (> 0).
+  struct Run {
+    std::uint64_t value = 0;
+    std::uint64_t count = 0;
+    friend bool operator==(const Run&, const Run&) = default;
+    friend auto fields(Of<Run> auto& r) { return std::tie(r.value, r.count); }
+  };
+
+  void record(std::uint64_t value) { add(value, 1); }
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
-  std::uint64_t min() const { return count_ ? min_ : 0; }
-  std::uint64_t max() const { return max_; }
+  std::uint64_t min() const { return runs_.empty() ? 0 : runs_.front().value; }
+  std::uint64_t max() const { return runs_.empty() ? 0 : runs_.back().value; }
   double mean() const {
     return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
                   : 0.0;
   }
-  /// True while every recorded value is still retained (percentiles exact).
-  bool exact() const { return samples_.size() == count_; }
 
-  /// Nearest-rank percentile, p in [0, 1].  Exact while `exact()`;
-  /// afterwards the deterministic bucket upper bound at that rank.
+  /// Nearest-rank percentile, p in [0, 1]: the value at rank
+  /// max(1, ceil(p * count)).  p == 1 is the maximum; empty returns 0.
   std::uint64_t percentile(double p) const;
 
-  const std::uint64_t* buckets() const { return buckets_; }
+  const std::vector<Run>& runs() const { return runs_; }
 
-  /// Adds `other`'s recordings to this histogram (bucket-wise; retained
-  /// samples are concatenated up to the cap).
+  /// Adds `other`'s recordings to this histogram.
   void merge(const Histogram& other);
 
-  friend bool operator==(const Histogram& a, const Histogram& b);
+  friend bool operator==(const Histogram& a, const Histogram& b) {
+    return a.runs_ == b.runs_;
+  }
 
-  /// Checkpoint hooks: the full distribution state (buckets, aggregates,
-  /// retained samples) round-trips, so percentiles after a resume are the
-  /// ones an uninterrupted run would report.
+  /// Checkpoint hooks.  The frame is the run list alone; count and sum are
+  /// recomputed on load, so they cannot disagree with the runs.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
  private:
-  std::uint64_t buckets_[kBucketCount] = {};
+  void add(std::uint64_t value, std::uint64_t n);
+
+  std::vector<Run> runs_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
-  std::uint64_t min_ = 0;
-  std::uint64_t max_ = 0;
-  std::vector<std::uint64_t> samples_;
 };
 
 /// Named metrics with stable addresses and name-sorted iteration.

@@ -65,10 +65,8 @@ void RunReport::add_metrics(const std::string& section,
     hs.p50 = h.percentile(0.50);
     hs.p95 = h.percentile(0.95);
     hs.p99 = h.percentile(0.99);
-    hs.exact = h.exact();
-    for (int b = 0; b < Histogram::kBucketCount; ++b) {
-      if (h.buckets()[b] != 0) hs.buckets[b] = h.buckets()[b];
-    }
+    for (const Histogram::Run& run : h.runs())
+      hs.buckets[Histogram::bucket_of(run.value)] += run.count;
     snap.histograms[name] = std::move(hs);
   }
 }
@@ -142,7 +140,7 @@ std::string RunReport::to_json() const {
           << ",\"min\":" << h.min << ",\"max\":" << h.max
           << ",\"mean\":" << json_double(h.mean) << ",\"p50\":" << h.p50
           << ",\"p95\":" << h.p95 << ",\"p99\":" << h.p99
-          << ",\"exact\":" << (h.exact ? "true" : "false") << ",\"buckets\":{";
+          << ",\"exact\":true,\"buckets\":{";
       bool first_bucket = true;
       for (const auto& [bucket, count] : h.buckets) {
         if (!first_bucket) out << ",";

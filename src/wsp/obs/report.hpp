@@ -66,7 +66,6 @@ class RunReport {
     std::uint64_t p50 = 0;
     std::uint64_t p95 = 0;
     std::uint64_t p99 = 0;
-    bool exact = true;
     std::map<int, std::uint64_t> buckets;  // only non-empty buckets
   };
   struct MetricsSnapshot {

@@ -14,6 +14,7 @@
 #include "field_walk.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/cosim/cosim.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/noc/traffic.hpp"
@@ -297,6 +298,72 @@ TEST(CosimLoop, SpikingHotspotRecoversToIdleFloorWithinAnEpochOfBurstEnd) {
   EXPECT_LT(settled.total_power_w, burst_epoch.total_power_w);
 }
 
+// ------------------------------------------------------ physics envelope
+
+TEST(CosimLoop, SpikingEpochPowerStaysWithinTheIdleAndPeakEnvelope) {
+  // Every healthy tile draws between idle_fraction * peak (no activity) and
+  // peak (saturated); faulty tiles draw nothing.  So every epoch's total
+  // lies in [healthy * idle_fraction * peak, healthy * peak], bursts or not.
+  CosimOptions o = small_options(16);
+  o.workload.cls = workloads::WorkloadClass::SpikingBurst;
+  o.workload.seed = 3;
+  o.workload.spiking.background_rate = 0.02;
+  o.workload.spiking.burst_interval = 40;
+  o.workload.spiking.burst_intensity = 1.0;
+  o.workload.spiking.hotspot = {4, 4};
+  FaultMap faults(o.config.grid());
+  faults.set_faulty({1, 1}, true);
+  faults.set_faulty({6, 2}, true);
+  CosimLoop loop(o, faults);
+  loop.run_epochs(24);
+
+  const double healthy = static_cast<double>(faults.healthy_count());
+  const double peak_w = healthy * o.config.tile_peak_power_w;
+  const double floor_w = peak_w * o.scale.idle_fraction;
+  const double slack = 1e-9 * peak_w;  // summation rounding only
+  bool above_floor = false;
+  for (const EpochReport& e : loop.epochs()) {
+    EXPECT_GE(e.total_power_w, floor_w - slack) << "epoch " << e.epoch;
+    EXPECT_LE(e.total_power_w, peak_w + slack) << "epoch " << e.epoch;
+    above_floor = above_floor || e.total_power_w > floor_w + 0.01;
+  }
+  EXPECT_TRUE(above_floor) << "the spikes never lifted power off the floor";
+}
+
+TEST(WaferPdn, MorePowerNeverRaisesTheMinimumSupply) {
+  // The plane is a resistive network fed at its edge, so adding load
+  // anywhere can only pull every node down.  An elementwise-larger power
+  // map never reports a higher min_supply_v, up to the solve's stopping
+  // error (the last V-cycle moved no node by more than solver.tol).
+  const CosimOptions o = small_options();
+  const std::size_t tiles = o.config.grid().tile_count();
+  const double peak = o.config.tile_peak_power_w;
+  Rng rng(77);
+  double deepest_drop = 0.0;
+  for (const pdn::LoadModel model :
+       {pdn::LoadModel::ConstantCurrent, pdn::LoadModel::ConstantPower}) {
+    pdn::WaferPdnOptions popt = o.pdn;
+    popt.load_model = model;
+    pdn::WaferPdn pdn(o.config, popt);
+    const double slack = 10 * popt.solver.tol;
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<double> lower(tiles), higher(tiles);
+      for (std::size_t i = 0; i < tiles; ++i) {
+        lower[i] = peak * rng.uniform();
+        // Raise a random subset, some tiles by a lot, most not at all.
+        higher[i] = lower[i] + (rng.below(4) == 0 ? peak * rng.uniform() : 0);
+      }
+      const pdn::PdnReport lo = pdn.solve(lower);
+      const pdn::PdnReport hi = pdn.solve(higher);
+      ASSERT_TRUE(lo.solver_converged && hi.solver_converged);
+      EXPECT_LE(hi.min_supply_v, lo.min_supply_v + slack)
+          << "trial " << trial;
+      deepest_drop = std::max(deepest_drop, lo.min_supply_v - hi.min_supply_v);
+    }
+  }
+  EXPECT_GT(deepest_drop, 1e-3) << "the added power never showed up";
+}
+
 // ------------------------------------------------------------ determinism
 
 TEST(CosimLoop, BitIdenticalAcrossThreadCounts) {
@@ -480,15 +547,16 @@ TEST(CosimLoop, CheckpointRejectsForeignFrame) {
 
 TEST(CosimLoop, CheckpointRejectsStateVersion2) {
   // Version 2 carried the raw latency vector where version 3 carries the
-  // traffic driver's histogram frame, and version 3 lacks the option block
-  // version 4 leads with: older COSM frames are refused by their header,
-  // before any payload byte is interpreted.
+  // traffic driver's histogram frame, version 3 lacks the option block
+  // version 4 leads with, and version 4's histograms retain raw samples
+  // where version 5's hold (value, count) runs: older COSM frames are
+  // refused by their header, before any payload byte is interpreted.
   TempFile file("cosim_v2_test.ckpt");
   CosimLoop source(small_options());
   source.run(40);
   ckpt::Writer w;
   source.save_state(w);
-  for (const std::uint32_t version : {2u, 3u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     ckpt::save_frame_file(file.path(), ckpt::fourcc("COSM"), version, w);
     CosimLoop loop(small_options());
     try {

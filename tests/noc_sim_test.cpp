@@ -9,6 +9,7 @@
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/noc/traffic.hpp"
+#include "wsp/obs/metrics.hpp"
 #include "wsp/workloads/traffic_gen.hpp"
 
 namespace wsp::noc {
@@ -318,6 +319,42 @@ TEST(NocSystem, ZeroLoadRoundTripMatchesClosedForm) {
   EXPECT_EQ(noc.network(NetworkKind::XY).in_flight() +
                 noc.network(NetworkKind::YX).in_flight(),
             0u);
+}
+
+TEST(NocSystem, LittlesLawHoldsExactlyOverADrainedRun) {
+  // Little's law as a conservation identity over a run that starts idle
+  // and drains.  Boundary convention: issue() before step c stamps
+  // issue_cycle = c, and a completion handled during step c' leaves the
+  // live set inside that step.  So inflight_transactions() sampled after
+  // every step counts a transaction after the steps of cycles c .. c'-1:
+  // exactly c' - c = latency() times.  Summed over the run, the in-flight
+  // samples therefore equal noc.latency's sum — mean in flight equals
+  // throughput times mean latency, with no rounding.
+  const TileGrid grid(8, 8);
+  const FaultMap faults(grid);
+  NocSystem noc(faults);
+  TrafficConfig cfg;
+  cfg.injection_rate = 0.1;
+  const auto gen = workloads::make_synthetic(cfg, faults, Rng(17));
+  workloads::TrafficDriver driver(noc, *gen);
+  std::uint64_t inflight_sum = 0;
+  for (int c = 0; c < 1500; ++c) {
+    driver.step();
+    inflight_sum += noc.inflight_transactions();
+  }
+  std::vector<CompletedTransaction> done;
+  for (int c = 0; c < 10000 && noc.inflight_transactions() > 0; ++c) {
+    noc.step(done);
+    inflight_sum += noc.inflight_transactions();
+  }
+  ASSERT_EQ(noc.inflight_transactions(), 0u);
+
+  const NocStats stats = noc.stats();
+  EXPECT_GT(stats.completed, 5000u);
+  EXPECT_EQ(stats.completed, stats.issued);
+  const obs::Histogram& latency = noc.metrics().histogram("noc.latency");
+  EXPECT_EQ(latency.count(), stats.completed);
+  EXPECT_EQ(inflight_sum, latency.sum());
 }
 
 TEST(NocSystem, RejectsResponseTypeAtIssue) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,8 @@ using obs::Histogram;
 using obs::MetricsRegistry;
 
 /// Scalar nearest-rank reference: sort a copy, take element at
-/// max(1, ceil(p*n)) - 1.  The histogram's exact path must match this for
-/// every sample set and every p.
+/// max(1, ceil(p*n)) - 1.  Histogram::percentile must match this for every
+/// sample set and every p.
 std::uint64_t reference_percentile(std::vector<std::uint64_t> samples,
                                    double p) {
   if (samples.empty()) return 0;
@@ -40,17 +41,36 @@ std::uint64_t reference_percentile(std::vector<std::uint64_t> samples,
   return samples[rank - 1];
 }
 
+Histogram recorded(const std::vector<std::uint64_t>& samples) {
+  Histogram h;
+  for (const std::uint64_t v : samples) h.record(v);
+  return h;
+}
+
+// Every p the oracle streams below are checked at.
+constexpr double kOracleP[] = {0.0, 0.01, 0.5, 0.9, 0.99, 1.0};
+
+void expect_matches_reference(const Histogram& h,
+                              const std::vector<std::uint64_t>& samples) {
+  ASSERT_EQ(h.count(), samples.size());
+  for (const double p : kOracleP)
+    EXPECT_EQ(h.percentile(p), reference_percentile(samples, p)) << "p=" << p;
+}
+
 // ---------------------------------------------------------------- metrics
 
 TEST(Percentile, EmptyReturnsZero) {
-  std::vector<std::uint64_t> s;
-  EXPECT_EQ(obs::nearest_rank_percentile(s, 0.5), 0u);
+  const Histogram h;
+  for (const double p : kOracleP) EXPECT_EQ(h.percentile(p), 0u) << "p=" << p;
+  EXPECT_EQ(reference_percentile({}, 0.5), 0u);
 }
 
 TEST(Percentile, SingleSampleIsEveryPercentile) {
+  const std::vector<std::uint64_t> s{7};
+  const Histogram h = recorded(s);
   for (const double p : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    std::vector<std::uint64_t> s{7};
-    EXPECT_EQ(obs::nearest_rank_percentile(s, p), 7u) << "p=" << p;
+    EXPECT_EQ(h.percentile(p), 7u) << "p=" << p;
+    EXPECT_EQ(h.percentile(p), reference_percentile(s, p)) << "p=" << p;
   }
 }
 
@@ -58,26 +78,47 @@ TEST(Percentile, TwoSamplesTailPercentilesPickTheLarger) {
   // The old floor(p * (n-1)) formula returned index 0 for p95/p99 at n=2 —
   // reporting the MINIMUM as the tail latency.  Nearest rank: rank
   // ceil(0.95*2) = 2, the larger sample.
-  std::vector<std::uint64_t> s{10, 20};
-  EXPECT_EQ(obs::nearest_rank_percentile(s, 0.50), 10u);
-  s = {10, 20};
-  EXPECT_EQ(obs::nearest_rank_percentile(s, 0.95), 20u);
-  s = {10, 20};
-  EXPECT_EQ(obs::nearest_rank_percentile(s, 0.99), 20u);
+  const std::vector<std::uint64_t> s{20, 10};
+  const Histogram h = recorded(s);
+  for (const auto& [p, want] :
+       {std::pair{0.50, 10u}, {0.95, 20u}, {0.99, 20u}}) {
+    EXPECT_EQ(h.percentile(p), want) << "p=" << p;
+    EXPECT_EQ(h.percentile(p), reference_percentile(s, p)) << "p=" << p;
+  }
 }
 
 TEST(Percentile, HundredSamplesExactRanks) {
-  std::vector<std::uint64_t> base(100);
-  for (std::uint64_t i = 0; i < 100; ++i) base[i] = i + 1;  // 1..100
-  // Shuffle deterministically; nth_element must not depend on order.
+  std::vector<std::uint64_t> s(100);
+  for (std::uint64_t i = 0; i < 100; ++i) s[i] = i + 1;  // 1..100
+  // Shuffle deterministically; recording order must not matter.
   Rng rng(42);
-  for (std::size_t i = base.size(); i > 1; --i)
-    std::swap(base[i - 1], base[rng.below(i)]);
+  for (std::size_t i = s.size(); i > 1; --i)
+    std::swap(s[i - 1], s[rng.below(i)]);
+  const Histogram h = recorded(s);
   for (const auto& [p, want] :
        {std::pair{0.50, 50u}, {0.95, 95u}, {0.99, 99u}, {1.0, 100u}}) {
-    std::vector<std::uint64_t> s = base;
-    EXPECT_EQ(obs::nearest_rank_percentile(s, p), want) << "p=" << p;
+    EXPECT_EQ(h.percentile(p), want) << "p=" << p;
+    EXPECT_EQ(h.percentile(p), reference_percentile(s, p)) << "p=" << p;
   }
+}
+
+TEST(Percentile, RandomStreamsMatchSortOracle) {
+  Rng rng(2021);
+  std::vector<std::uint64_t> narrow(5000), wide(5000);
+  for (auto& v : narrow) v = 40 + rng.below(8);
+  for (auto& v : wide) v = rng.below(100000);
+  expect_matches_reference(recorded(narrow), narrow);
+  expect_matches_reference(recorded(wide), wide);
+}
+
+TEST(Percentile, StreamPastTwoToTheTwentyIsExact) {
+  // 2^20 + 3 latency-like samples: the count no longer bounds exactness.
+  Rng rng(20);
+  std::vector<std::uint64_t> s((std::size_t{1} << 20) + 3);
+  for (auto& v : s) v = 16 + rng.below(300);
+  const Histogram h = recorded(s);
+  EXPECT_LE(h.runs().size(), 300u);
+  expect_matches_reference(h, s);
 }
 
 TEST(Histogram, ExactStatsMatchScalarReference) {
@@ -96,9 +137,18 @@ TEST(Histogram, ExactStatsMatchScalarReference) {
   EXPECT_EQ(h.min(), *std::min_element(ref.begin(), ref.end()));
   EXPECT_EQ(h.max(), *std::max_element(ref.begin(), ref.end()));
   EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(sum) / 1000.0);
-  EXPECT_TRUE(h.exact());
   for (const double p : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0})
     EXPECT_EQ(h.percentile(p), reference_percentile(ref, p)) << "p=" << p;
+}
+
+TEST(Histogram, RunsAreAscendingDistinctValues) {
+  const Histogram h = recorded({5, 0, 5, 9, 0, 5});
+  const std::vector<Histogram::Run> want{{0, 2}, {5, 3}, {9, 1}};
+  EXPECT_EQ(h.runs(), want);
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_EQ(h.sum(), 24u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 9u);
 }
 
 TEST(Histogram, BucketBoundariesGolden) {
@@ -108,11 +158,6 @@ TEST(Histogram, BucketBoundariesGolden) {
   EXPECT_EQ(Histogram::bucket_of(3), 2);
   EXPECT_EQ(Histogram::bucket_of(4), 3);
   EXPECT_EQ(Histogram::bucket_of(UINT64_MAX), 64);
-  EXPECT_EQ(Histogram::bucket_upper_bound(0), 0u);
-  EXPECT_EQ(Histogram::bucket_upper_bound(1), 1u);
-  EXPECT_EQ(Histogram::bucket_upper_bound(2), 3u);
-  EXPECT_EQ(Histogram::bucket_upper_bound(3), 7u);
-  EXPECT_EQ(Histogram::bucket_upper_bound(64), UINT64_MAX);
 }
 
 TEST(Histogram, MergeMatchesCombinedRecording) {
@@ -124,6 +169,7 @@ TEST(Histogram, MergeMatchesCombinedRecording) {
     combined.record(v);
   }
   a.merge(b);
+  EXPECT_EQ(a, combined);
   EXPECT_EQ(a.count(), combined.count());
   EXPECT_EQ(a.sum(), combined.sum());
   EXPECT_EQ(a.min(), combined.min());
@@ -133,15 +179,19 @@ TEST(Histogram, MergeMatchesCombinedRecording) {
     EXPECT_EQ(a.percentile(p), combined.percentile(p));
 }
 
-TEST(Histogram, PastCapDegradesToBucketBoundDeterministically) {
-  Histogram h;
-  const auto cap = static_cast<std::uint64_t>(Histogram::kExactSampleCap);
-  for (std::uint64_t i = 0; i < cap + 3; ++i) h.record(1000);
-  EXPECT_FALSE(h.exact());
-  EXPECT_EQ(h.count(), cap + 3);
-  // All mass in one bucket: the fallback reports min(upper_bound, max).
-  EXPECT_EQ(h.percentile(0.5), 1000u);
-  EXPECT_EQ(h.percentile(1.0), 1000u);
+TEST(Histogram, MergePastTwoToTheTwentyIsExact) {
+  // Two halves whose combined count passes 2^20.
+  Rng rng(33);
+  std::vector<std::uint64_t> lo((std::size_t{1} << 19) + 2);
+  std::vector<std::uint64_t> hi((std::size_t{1} << 19) + 5);
+  for (auto& v : lo) v = rng.below(200);
+  for (auto& v : hi) v = 150 + rng.below(400);
+  Histogram merged = recorded(lo);
+  merged.merge(recorded(hi));
+  std::vector<std::uint64_t> all = lo;
+  all.insert(all.end(), hi.begin(), hi.end());
+  ASSERT_GT(merged.count(), std::uint64_t{1} << 20);
+  expect_matches_reference(merged, all);
 }
 
 TEST(Registry, IterationIsNameSortedAndLookupIsStable) {
@@ -206,6 +256,33 @@ TEST(RunReport, JsonIsDeterministicAndCarriesEveryField) {
   again.add_scalar("traffic", "throughput", 0.5);
   again.add_metrics("noc", r);
   EXPECT_EQ(json, again.to_json());
+}
+
+TEST(RunReport, BucketsMatchPerSampleBucketCounting) {
+  // Bucket edges and both extremes, some recorded twice: the log2 map the
+  // report derives from the runs is the one per-sample counting gives.
+  std::vector<std::uint64_t> samples{0, 1, UINT64_MAX, UINT64_MAX, 0};
+  for (const int k : {1, 2, 7, 32, 63}) {
+    samples.push_back((std::uint64_t{1} << k) - 1);
+    samples.push_back(std::uint64_t{1} << k);
+    samples.push_back(std::uint64_t{1} << k);
+  }
+  MetricsRegistry r;
+  std::map<int, std::uint64_t> want;
+  for (const std::uint64_t v : samples) {
+    r.histogram("edges").record(v);
+    ++want[Histogram::bucket_of(v)];
+  }
+  std::string buckets = "\"exact\":true,\"buckets\":{";
+  for (const auto& [bucket, count] : want) {
+    if (buckets.back() != '{') buckets += ",";
+    buckets += "\"" + std::to_string(bucket) + "\":" + std::to_string(count);
+  }
+  buckets += "}";
+  obs::RunReport report("edges");
+  report.add_metrics("obs", r);
+  EXPECT_NE(report.to_json().find(buckets), std::string::npos)
+      << report.to_json() << "\nwant " << buckets;
 }
 
 TEST(RunReport, NonFiniteDoublesSerialiseAsNull) {
