@@ -1,11 +1,7 @@
 #include "wsp/arch/bringup.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "wsp/common/error.hpp"
 #include "wsp/noc/noc_system.hpp"
-#include "wsp/testinfra/dap_chain.hpp"
 
 namespace wsp::arch {
 
@@ -30,24 +26,16 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
   report.faulty_tiles = faults.fault_count();
 
   // --- 1. JTAG screening: one chain per row, progressive unrolling ---
-  // A row's screen stops at its first faulty tile, so its TCK count depends
-  // only on that index: simulate one row per distinct index.
-  std::map<std::ptrdiff_t, std::uint64_t> tcks_by_first_fault;
+  // A row's screen stops at its first faulty tile, so its TCK count is a
+  // closed form in that index.
+  const int daps_in_path =
+      options.use_broadcast_loading ? 1 : config.cores_per_tile;
   for (int row = 0; row < config.array_height; ++row) {
-    std::vector<bool> row_faults;
-    for (int x = 0; x < config.array_width; ++x)
-      row_faults.push_back(faults.is_faulty({x, row}));
-    const auto [it, fresh] = tcks_by_first_fault.try_emplace(
-        std::find(row_faults.begin(), row_faults.end(), true) -
-            row_faults.begin(),
-        0);
-    if (fresh) {
-      testinfra::WaferTestChain chain(config.array_width,
-                                      config.cores_per_tile, row_faults);
-      if (options.use_broadcast_loading) chain.set_broadcast(true);
-      (void)chain.locate_first_faulty(&it->second);
-    }
-    report.screening_tcks += it->second;
+    std::optional<int> first_faulty;
+    for (int x = 0; x < config.array_width && !first_faulty; ++x)
+      if (faults.is_faulty({x, row})) first_faulty = x;
+    report.screening_tcks += testinfra::progressive_unroll_tcks(
+        config.array_width, daps_in_path, first_faulty);
   }
 
   // --- 2. clock setup ---

@@ -1,8 +1,8 @@
 // Wafer bring-up orchestration: the end-to-end sequence the paper's
 // sections describe, as one library call.
 //
-//   1. post-assembly JTAG screening (per-row chains, progressive
-//      unrolling) confirms/locates the faulty tiles;
+//   1. post-assembly JTAG screening (per-row progressive unrolling, its
+//      TCKs in closed form) confirms/locates the faulty tiles;
 //   2. clock setup: healthy edge generators, forwarding, duty-cycle and
 //      skew checks;
 //   3. the usable set: healthy tiles the clock reaches with a live duty

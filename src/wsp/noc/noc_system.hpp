@@ -225,6 +225,8 @@ class NocSystem {
   }
   std::size_t inflight_transactions() const { return live_.size(); }
   bool is_inflight(std::uint64_t id) const { return live_.count(id) != 0; }
+  /// The id the next accepted issue() returns; every earlier id is below it.
+  std::uint64_t next_transaction_id() const { return next_id_; }
   const FaultMap& faults() const { return faults_; }
 
   /// Adopts a new fault state mid-run (runtime fault injection): replaces

@@ -17,20 +17,13 @@ namespace wsp::resilience {
 
 namespace {
 
-/// A transaction set watched until it fully resolves (completes or is
-/// declared lost) — measures per-event recovery latency.
+/// An event watched until every transaction in flight when it landed has
+/// resolved (completed or been declared lost).  The driver is the trial's
+/// only issuer and ids rise, so that set is the live ids below `ids_below`.
 struct RecoveryTracker {
   std::size_t event_index;
-  std::vector<std::uint64_t> ids;
+  std::uint64_t ids_below;
 };
-
-void prune_resolved(std::vector<std::uint64_t>& ids,
-                    const noc::NocSystem& noc) {
-  ids.erase(std::remove_if(
-                ids.begin(), ids.end(),
-                [&](std::uint64_t id) { return !noc.is_inflight(id); }),
-            ids.end());
-}
 
 }  // namespace
 
@@ -147,27 +140,28 @@ DegradationReport DegradationCampaign::run() const {
     spec.seed = spec.seed + options_.seed;
     gen = workloads::make_generator(spec, config, usable);
   }
-  std::vector<std::uint64_t> outstanding;
-  workloads::TrafficDriver driver(noc, *gen, &outstanding);
+  workloads::TrafficDriver driver(noc, *gen);
 
   DegradationReport report;
   report.initial_usable = usable.healthy_count();
   report.trajectory.push_back({0, report.initial_usable});
 
+  // Trackers are in event order, so ids_below never decreases.  Settling
+  // advances the `oldest_live` watermark past resolved ids and closes the
+  // trackers it has passed: those events recovered at the current cycle.
   std::vector<RecoveryTracker> trackers;
-  // Closes every tracker whose transactions have all resolved: the event
-  // recovered at the current cycle.
+  std::size_t settled = 0;
+  std::uint64_t oldest_live = noc.next_transaction_id();
   const auto settle_trackers = [&] {
-    for (auto it = trackers.begin(); it != trackers.end();) {
-      prune_resolved(it->ids, noc);
-      if (!it->ids.empty()) {
-        ++it;
-        continue;
-      }
-      EventOutcome& out = report.events[it->event_index];
+    while (oldest_live < noc.next_transaction_id() &&
+           !noc.is_inflight(oldest_live))
+      ++oldest_live;
+    for (; settled < trackers.size() &&
+           trackers[settled].ids_below <= oldest_live;
+         ++settled) {
+      EventOutcome& out = report.events[trackers[settled].event_index];
       out.recovery_cycles = noc.now() - out.applied_cycle;
       out.recovered = true;
-      it = trackers.erase(it);
     }
   };
   // Usable count after the previous event (the injector mutates the map
@@ -246,8 +240,7 @@ DegradationReport DegradationCampaign::run() const {
       out.usable_after = injector.faults().healthy_count();
       out.newly_unusable = prev_usable - out.usable_after;
       prev_usable = out.usable_after;
-      prune_resolved(outstanding, noc);
-      trackers.push_back({report.events.size(), outstanding});
+      trackers.push_back({report.events.size(), noc.next_transaction_id()});
       report.events.push_back(out);
       report.trajectory.push_back({noc.now(), out.usable_after});
     }
@@ -286,7 +279,6 @@ DegradationReport DegradationCampaign::run() const {
       rebind_ber(injector);
     }
 
-    prune_resolved(outstanding, noc);
     settle_trackers();
 
     if ((cycle + 1) % options_.trajectory_sample_period == 0)
@@ -306,8 +298,8 @@ DegradationReport DegradationCampaign::run() const {
     }
   }
   report.drained = noc.inflight_transactions() == 0;
-  for (const RecoveryTracker& t : trackers) {
-    EventOutcome& out = report.events[t.event_index];
+  for (; settled < trackers.size(); ++settled) {
+    EventOutcome& out = report.events[trackers[settled].event_index];
     out.recovery_cycles = noc.now() - out.applied_cycle;
     out.recovered = false;
   }

@@ -4,6 +4,16 @@
 
 namespace wsp::testinfra {
 
+std::uint64_t progressive_unroll_tcks(int chain_tiles, int daps_in_path,
+                                      std::optional<int> first_faulty) {
+  const int last = first_faulty.value_or(chain_tiles - 1);
+  require(daps_in_path >= 1 && last >= 0 && last < chain_tiles,
+          "the screen needs a DAP per tile and a fault inside the chain");
+  const auto steps = static_cast<std::uint64_t>(last) + 1;
+  return steps * (11 + 16 * static_cast<std::uint64_t>(daps_in_path) *
+                           (steps + 1));
+}
+
 std::uint64_t total_memory_payload_bits(const SystemConfig& config) {
   const std::uint64_t private_bits =
       static_cast<std::uint64_t>(config.cores_per_tile) *

@@ -1,5 +1,8 @@
 // Analytic test / program-load time model (Sec. VII).
 //
+// Screening costs a closed form in each row's first faulty tile; the
+// bit-level WaferTestChain::locate_first_faulty is its oracle.
+//
 // Loading every memory on the wafer through JTAG is the boot-time
 // bottleneck.  The paper's numbers: a single 1024-tile daisy chain takes
 // about 2.5 hours; splitting the array into 32 row chains with independent
@@ -11,10 +14,19 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "wsp/common/config.hpp"
 
 namespace wsp::testinfra {
+
+/// TCKs of the progressive-unrolling screen (Fig. 10) on a `chain_tiles`
+/// chain with `daps_in_path` DAPs per tile in the scan path (1 in broadcast
+/// mode).  Step k resets (5 TCKs), enters Shift-DR (4), shifts the k+1
+/// active tiles' IDCODEs (32 per DAP) and updates to Idle (2).  It stops at
+/// step K, the first faulty tile or the last tile: (K+1)(11 + 16d(K+2)).
+std::uint64_t progressive_unroll_tcks(int chain_tiles, int daps_in_path,
+                                      std::optional<int> first_faulty);
 
 struct TestTimeParams {
   /// JTAG protocol overhead: TCKs spent per payload bit (state moves,

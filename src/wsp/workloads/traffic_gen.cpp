@@ -685,11 +685,9 @@ std::unique_ptr<TrafficGenerator> make_synthetic(
 
 // --- NocSystem driver -------------------------------------------------------
 
-TrafficDriver::TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen,
-                             std::vector<std::uint64_t>* issued_ids)
+TrafficDriver::TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen)
     : noc_(noc),
       gen_(gen),
-      issued_ids_(issued_ids),
       start_cycle_(noc.now()),
       start_(noc.stats()) {}
 
@@ -698,9 +696,8 @@ void TrafficDriver::step() {
   gen_.emit(pending_);
   injections_ += pending_.size();
   for (const Injection& inj : pending_) {
-    if (inj.dst == inj.src) continue;
-    const auto id = noc_.issue(inj.src, inj.dst, inj.type, inj.payload);
-    if (id && issued_ids_) issued_ids_->push_back(*id);
+    if (inj.dst != inj.src)
+      (void)noc_.issue(inj.src, inj.dst, inj.type, inj.payload);
   }
   noc_.step(done_);
   record();

@@ -240,12 +240,10 @@ std::unique_ptr<TrafficGenerator> make_synthetic(
 /// every transaction issued since construction in one histogram and folds
 /// every completion, in completion order, into a running CRC-32 of
 /// (src, dst, issue_cycle, complete_cycle, relayed): the delivery digest.
-/// When `issued_ids` is set, the id of every accepted issue is appended to
-/// it.  The NoC, generator and id vector are borrowed.
+/// The NoC and generator are borrowed.
 class TrafficDriver {
  public:
-  TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen,
-                std::vector<std::uint64_t>* issued_ids = nullptr);
+  TrafficDriver(noc::NocSystem& noc, TrafficGenerator& gen);
 
   void step();
   /// Steps without injecting until nothing is in flight.
@@ -275,7 +273,6 @@ class TrafficDriver {
 
   noc::NocSystem& noc_;
   TrafficGenerator& gen_;
-  std::vector<std::uint64_t>* issued_ids_;
   std::uint64_t start_cycle_;
   noc::NocStats start_;
   obs::Histogram latency_;

@@ -321,6 +321,57 @@ TEST(NocSystem, ZeroLoadRoundTripMatchesClosedForm) {
             0u);
 }
 
+TEST(NocSystem, ZeroLoadRelayedRoundTripMatchesClosedForm) {
+  // The same one-packet extreme on a faulty wafer, where some pairs need a
+  // relay.  Each segment is a minimal XY or YX route, so its hops are the
+  // Manhattan distance between its waypoints.  The relay tile re-injects
+  // the request, and later the response, relay_latency cycles after it
+  // ejects, so a relayed round trip is
+  //   2 * (hops over both segments) * link_latency + service_latency
+  //     + 2 * relay_latency.
+  const TileGrid grid(8, 8);
+  FaultMap faults(grid);
+  faults.set_faulty({3, 3}, true);
+  faults.set_faulty({5, 2}, true);
+  const NocOptions opt;
+  NocSystem noc{faults, opt};
+  std::vector<CompletedTransaction> done;
+  std::uint64_t pairs = 0;
+  std::uint64_t relayed = 0;
+  for (std::size_t s = 0; s < grid.tile_count(); ++s) {
+    for (std::size_t d = 0; d < grid.tile_count(); ++d) {
+      const TileCoord src = grid.coord_of(s);
+      const TileCoord dst = grid.coord_of(d);
+      if (s == d || faults.is_faulty(src) || faults.is_faulty(dst)) continue;
+      const RoutePlan plan = noc.selector().plan(src, dst);
+      if (!plan.reachable) continue;
+      std::uint64_t hops = 0;
+      for (std::size_t w = 0; w + 1 < plan.waypoints.size(); ++w)
+        hops += static_cast<std::uint64_t>(
+            std::abs(plan.waypoints[w + 1].x - plan.waypoints[w].x) +
+            std::abs(plan.waypoints[w + 1].y - plan.waypoints[w].y));
+      const std::uint64_t expected =
+          2 * hops * static_cast<std::uint64_t>(opt.mesh.link_latency) +
+          static_cast<std::uint64_t>(opt.service_latency) +
+          (plan.relayed ? 2 * static_cast<std::uint64_t>(opt.relay_latency)
+                        : 0);
+      done.clear();
+      ASSERT_TRUE(noc.issue(src, dst, PacketType::ReadRequest));
+      ASSERT_TRUE(noc.drain(done));
+      ASSERT_EQ(done.size(), 1u);
+      EXPECT_EQ(done[0].relayed, plan.relayed);
+      EXPECT_EQ(done[0].latency(), expected)
+          << "(" << src.x << "," << src.y << ") -> (" << dst.x << ","
+          << dst.y << ")" << (plan.relayed ? " relayed" : "");
+      ++pairs;
+      relayed += plan.relayed ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(pairs, 3782u);
+  EXPECT_EQ(relayed, 196u);
+  EXPECT_EQ(noc.stats().completed, pairs);
+}
+
 TEST(NocSystem, LittlesLawHoldsExactlyOverADrainedRun) {
   // Little's law as a conservation identity over a run that starts idle
   // and drains.  Boundary convention: issue() before step c stamps

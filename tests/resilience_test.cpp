@@ -798,5 +798,53 @@ TEST(DegradationCampaign, GoldenReportDigestsPinCensusAndRebringup) {
   EXPECT_EQ(report_crc(hotspot), 0x4c92a620u);
 }
 
+TEST(DegradationCampaign, RecoveryCyclesFollowTheInFlightSetAtEachEvent) {
+  // An event recovers once every transaction in flight when it landed has
+  // completed or been declared lost.  A later event's in-flight set holds
+  // every still-live id of an earlier one, so recoveries close in event
+  // order; with no traffic there is nothing to wait for and the event
+  // settles at the end of its own cycle.  The 20-cycle drain leaves some
+  // events unrecovered on purpose.
+  std::size_t events = 0;
+  std::size_t unrecovered = 0;
+  for (const int side : {8, 16}) {
+    for (const double rate : {0.0, 0.02, 0.1}) {
+      CampaignOptions o;
+      o.config = SystemConfig::reduced(side, side);
+      o.seed = 7;
+      o.run_cycles = 600;
+      o.fault_horizon = 500;
+      o.injection_rate = rate;
+      o.drain_cycles = 20;
+      o.noc.mesh.integrity.enabled = true;
+      for (const DegradationReport& r : DegradationCampaign(o).run_trials(12)) {
+        std::uint64_t last_settle = 0;
+        bool seen_unrecovered = false;
+        for (const EventOutcome& e : r.events) {
+          ++events;
+          if (rate == 0.0) {
+            EXPECT_TRUE(e.recovered);
+            EXPECT_EQ(e.recovery_cycles, 1u);
+          }
+          if (!e.recovered) {
+            ++unrecovered;
+            seen_unrecovered = true;
+            continue;
+          }
+          EXPECT_FALSE(seen_unrecovered)
+              << side << "x" << side << " rate " << rate;
+          const std::uint64_t settle = e.applied_cycle + e.recovery_cycles;
+          EXPECT_GE(settle, last_settle)
+              << side << "x" << side << " rate " << rate;
+          last_settle = settle;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(events, 6u * 12u * ScheduleMix{}.total());
+  EXPECT_GT(unrecovered, 0u);
+  EXPECT_LT(unrecovered, events);
+}
+
 }  // namespace
 }  // namespace wsp::resilience

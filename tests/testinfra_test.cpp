@@ -2,6 +2,9 @@
 // progressive unrolling (Fig. 10), pre-bond probing and load-time model.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "wsp/common/error.hpp"
 #include "wsp/testinfra/dap_chain.hpp"
 #include "wsp/testinfra/prebond.hpp"
@@ -185,6 +188,61 @@ TEST(Unrolling, WorksInBroadcastMode) {
   const auto found = chain.locate_first_faulty(&tcks);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, 4);
+}
+
+// The closed-form screen cost against the bit-level chain it summarises.
+// `first_faulty` marks that tile and, past it, every third tile faulty:
+// faults behind the first one must not change the count.
+std::uint64_t simulated_unroll_tcks(int tiles, int daps_per_tile,
+                                    bool broadcast,
+                                    std::optional<int> first_faulty) {
+  std::vector<bool> faulty(static_cast<std::size_t>(tiles), false);
+  if (first_faulty)
+    for (int t = *first_faulty; t < tiles; t += 3)
+      faulty[static_cast<std::size_t>(t)] = true;
+  WaferTestChain chain(tiles, daps_per_tile, faulty);
+  chain.set_broadcast(broadcast);
+  std::uint64_t tcks = 0;
+  EXPECT_EQ(chain.locate_first_faulty(&tcks), first_faulty);
+  return tcks;
+}
+
+TEST(Unrolling, ClosedFormTcksMatchTheChainOnEveryWidthAndFirstFault) {
+  for (int tiles = 1; tiles <= 32; ++tiles) {
+    for (const int daps : {1, 3}) {
+      for (const bool broadcast : {false, true}) {
+        const int in_path = broadcast ? 1 : daps;
+        for (int k = 0; k <= tiles; ++k) {
+          const std::optional<int> first =
+              k < tiles ? std::optional<int>(k) : std::nullopt;
+          ASSERT_EQ(progressive_unroll_tcks(tiles, in_path, first),
+                    simulated_unroll_tcks(tiles, daps, broadcast, first))
+              << tiles << " tiles, " << daps << " DAPs, broadcast "
+              << broadcast << ", first fault " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(Unrolling, ClosedFormTcksMatchThePaperTileChain) {
+  // The paper's row: 32 tiles of 14 DAPs.
+  const int daps = cfg().cores_per_tile;
+  ASSERT_EQ(daps, 14);
+  for (const std::optional<int> first :
+       {std::optional<int>(0), std::optional<int>(1), std::optional<int>(16),
+        std::optional<int>(31), std::optional<int>()}) {
+    for (const bool broadcast : {false, true})
+      EXPECT_EQ(progressive_unroll_tcks(32, broadcast ? 1 : daps, first),
+                simulated_unroll_tcks(32, daps, broadcast, first))
+          << "first fault " << first.value_or(-1) << ", broadcast "
+          << broadcast;
+  }
+  // A fault-free row without broadcast: 32 * (11 + 16 * 14 * 33).
+  EXPECT_EQ(progressive_unroll_tcks(32, daps, std::nullopt), 236896u);
+  EXPECT_THROW(progressive_unroll_tcks(0, 1, std::nullopt), Error);
+  EXPECT_THROW(progressive_unroll_tcks(4, 0, std::nullopt), Error);
+  EXPECT_THROW(progressive_unroll_tcks(4, 1, 4), Error);
 }
 
 // ---------------------------------------------------------------- prebond
