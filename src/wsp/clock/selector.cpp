@@ -1,6 +1,5 @@
 #include "wsp/clock/selector.hpp"
 
-#include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
 
 namespace wsp::clock {
@@ -63,18 +62,6 @@ std::optional<ClockSource> ClockSelector::step(
     }
   }
   return std::nullopt;
-}
-
-void ClockSelector::save_state(ckpt::Writer& w) const {
-  w.tag(ckpt::fourcc("CSEL"));
-  ckpt::save_fields(w, threshold_);
-  ckpt::save_fields(w, fields(*this));
-}
-
-void ClockSelector::load_state(ckpt::Reader& r) {
-  r.expect_tag(ckpt::fourcc("CSEL"), "ClockSelector");
-  ckpt::expect_fields(r, threshold_, "selector toggle threshold");
-  ckpt::load_fields(r, fields(*this));
 }
 
 }  // namespace wsp::clock

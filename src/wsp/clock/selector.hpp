@@ -20,11 +20,6 @@
 
 #include "wsp/common/geometry.hpp"
 
-namespace wsp::ckpt {
-class Writer;
-class Reader;
-}  // namespace wsp::ckpt
-
 namespace wsp::clock {
 
 /// Clock sources selectable by the tile mux.
@@ -36,7 +31,6 @@ enum class ClockSource : std::uint8_t {
   ForwardedS = 4,
   ForwardedW = 5,
 };
-constexpr ClockSource enum_max(ClockSource) { return ClockSource::ForwardedW; }
 
 /// Forwarded-clock source corresponding to a mesh direction.
 constexpr ClockSource forwarded_from(Direction d) {
@@ -60,9 +54,6 @@ enum class SelectorPhase : std::uint8_t {
   AutoSelect,///< counting toggles on the forwarded inputs
   Locked,    ///< functional clock chosen; forwarding active
 };
-constexpr SelectorPhase enum_max(SelectorPhase) {
-  return SelectorPhase::Locked;
-}
 
 class ClockSelector {
  public:
@@ -90,19 +81,7 @@ class ClockSelector {
     return counts_[static_cast<std::size_t>(d)];
   }
 
-  /// Checkpoint hooks (wsp::ckpt): the full FSM state — phase, latched
-  /// source, per-input toggle counts — round-trips, so a resumed selector
-  /// latches exactly when the uninterrupted one would.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
-  /// The checkpointed FSM state; the threshold is configuration, checked
-  /// rather than loaded.
-  friend auto fields(Of<ClockSelector> auto& s) {
-    return std::tie(s.phase_, s.selected_, s.counts_);
-  }
-
   int threshold_;
   SelectorPhase phase_ = SelectorPhase::Boot;
   ClockSource selected_ = ClockSource::Jtag;

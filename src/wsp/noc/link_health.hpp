@@ -66,8 +66,8 @@ std::array<std::uint32_t, 4> pack_scrub_words(const NocSystem& noc,
 
 /// Accumulates scrubbed per-link error telemetry and flags links for
 /// retirement.  The monitor only *decides*; the caller retires the link in
-/// the NoC (NocSystem::retire_link) and publishes the fault notice
-/// (FaultInjector::retire_link) so observers hear about it.
+/// the NoC (NocSystem::retire_link) and in the runtime fault state
+/// (FaultInjector::retire_link).
 class LinkHealthMonitor {
  public:
   explicit LinkHealthMonitor(const TileGrid& grid,

@@ -107,14 +107,10 @@ void MeshNetwork::rebuild_topology() {
     }
   }
 
-  if (options_.adaptive_odd_even) {
-    have_route9_ = false;
-    return;
-  }
+  if (options_.adaptive_odd_even) return;  // routes dynamically, no table
   // DoR only reads the sign pair (sign(dst.x - x), sign(dst.y - y)), so
   // the per-(src, dst) decision table factors into 9 cases per tile; fold
   // link health in so the hot path is a single byte load.
-  have_route9_ = true;
   for (std::size_t here = 0; here < n; ++here) {
     if (tile_faulty_[here]) continue;  // never arbitrates; row unread
     std::uint8_t* row = tiles_[here].route9;
@@ -292,7 +288,7 @@ void MeshNetwork::land() {
 void MeshNetwork::route(std::vector<Packet>& ejected) {
   const std::uint64_t now = ctr_.cycles->value;
   const auto width = static_cast<std::size_t>(grid_.width());
-  const bool have_table = have_route9_;
+  const bool have_table = !options_.adaptive_odd_even;
 
   // Grants only push link rings, which marks their destinations for the
   // next land; no tile gains FIFO occupancy here, so walking a copy of
@@ -352,18 +348,10 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
           continue;
         }
 
-        // No table (adaptive routing, or a grid too large for one):
-        // candidate outputs in preference order — a single DoR direction,
-        // or the odd-even minimal-adaptive choice set.
-        const TileCoord here = grid_.coord_of(t);
-        RouteChoices cand;
-        if (options_.adaptive_odd_even) {
-          cand = odd_even_route(head.src, here, head.dst);
-        } else {
-          const RouteDecision d = next_hop(here, head.dst, kind_);
-          cand.eject = d.eject;
-          if (!d.eject) cand.dirs[cand.count++] = d.dir;
-        }
+        // No table (adaptive routing): candidate outputs in preference
+        // order, the odd-even minimal-adaptive choice set.
+        const RouteChoices cand =
+            odd_even_route(head.src, grid_.coord_of(t), head.dst);
         if (cand.eject) {
           want[in] = static_cast<int>(Port::Local);
           out_mask |= 1u << static_cast<unsigned>(Port::Local);

@@ -289,7 +289,7 @@ class MeshNetwork {
     }
   };
 
-  // Route-table codes for route9_[tile * 9 + case]:
+  // Route-table codes for tiles_[tile].route9[case]:
   //   0..3  forward out that Direction (the link is currently usable)
   //   4     eject (here == dst)
   //   5     the DoR direction is dead — drop at this router
@@ -371,9 +371,6 @@ class MeshNetwork {
   std::vector<std::int32_t> in_ring_;
   std::vector<std::uint8_t> tile_faulty_;
   std::vector<std::uint8_t> link_ok_;    ///< neighbor alive && link alive
-  /// True when tiles_[t].route9 is valid (DoR); false under adaptive
-  /// odd-even, which routes dynamically.
-  bool have_route9_ = false;
 
   std::vector<TileActivity> tile_activity_;  ///< indexed by tile
 

@@ -75,48 +75,4 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
 }
 
-void MetricsRegistry::save_state(ckpt::Writer& w) const {
-  w.tag(ckpt::fourcc("MREG"));
-  w.u64(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    w.str(name);
-    w.u64(c.value);
-  }
-  w.u64(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    w.str(name);
-    w.f64(g.value);
-  }
-  w.u64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    w.str(name);
-    h.save_state(w);
-  }
-}
-
-void MetricsRegistry::load_state(ckpt::Reader& r) {
-  r.expect_tag(ckpt::fourcc("MREG"), "MetricsRegistry");
-  // In-place restore: zero what the snapshot lacks, overwrite what it has,
-  // create what this registry lacks.  Never erase — cached handle
-  // addresses must stay valid.
-  for (auto& [name, c] : counters_) c.value = 0;
-  for (auto& [name, g] : gauges_) g.value = 0.0;
-  for (auto& [name, h] : histograms_) h = Histogram{};
-  std::size_t nc = r.length(1);
-  for (std::size_t i = 0; i < nc; ++i) {
-    std::string name = r.str();
-    counters_[name].value = r.u64();
-  }
-  std::size_t ng = r.length(1);
-  for (std::size_t i = 0; i < ng; ++i) {
-    std::string name = r.str();
-    gauges_[name].value = r.f64();
-  }
-  std::size_t nh = r.length(1);
-  for (std::size_t i = 0; i < nh; ++i) {
-    std::string name = r.str();
-    histograms_[name].load_state(r);
-  }
-}
-
 }  // namespace wsp::obs

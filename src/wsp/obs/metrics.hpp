@@ -149,14 +149,6 @@ class MetricsRegistry {
            a.histograms_ == b.histograms_;
   }
 
-  /// Checkpoint hooks.  load_state updates metrics *in place* and never
-  /// erases a map node: subsystems cache Counter*/Gauge* handles resolved
-  /// at construction, and those addresses must survive a load.  Metrics
-  /// present in the snapshot are overwritten, metrics absent from it are
-  /// zeroed, missing ones are created.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
 #include "wsp/obs/trace.hpp"
 #include "wsp/pdn/multigrid.hpp"
@@ -391,32 +390,6 @@ double ResistiveGrid::dissipated_power(std::span<const double> v) const {
     }
   }
   return p;
-}
-
-void ResistiveGrid::save_state(ckpt::Writer& w) const {
-  w.tag(ckpt::fourcc("PGRD"));
-  w.i32(width_);
-  w.i32(height_);
-  ckpt::save_each(w, g_east_, g_north_, sink_, shunt_g_, shunt_v_);
-  for (char d : dirichlet_) w.b(d != 0);
-  ckpt::save_each(w, v_);
-}
-
-void ResistiveGrid::load_state(ckpt::Reader& r) {
-  r.expect_tag(ckpt::fourcc("PGRD"), "ResistiveGrid");
-  const int gw = r.i32();
-  const int gh = r.i32();
-  if (gw != width_ || gh != height_)
-    throw ckpt::Error(ckpt::ErrorKind::TopologyMismatch,
-                      "PDN grid " + std::to_string(gw) + "x" +
-                          std::to_string(gh) + " vs live " +
-                          std::to_string(width_) + "x" +
-                          std::to_string(height_));
-  ckpt::load_each(r, g_east_, g_north_, sink_, shunt_g_, shunt_v_);
-  for (char& d : dirichlet_) d = r.b() ? 1 : 0;
-  ckpt::load_each(r, v_);
-  // Conductances/Dirichlet set may have changed; rebuild both caches lazily.
-  invalidate_topology();
 }
 
 }  // namespace wsp::pdn

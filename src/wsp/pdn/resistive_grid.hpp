@@ -33,11 +33,6 @@
 #include "wsp/common/fields.hpp"
 #include "wsp/obs/metrics.hpp"
 
-namespace wsp::ckpt {
-class Writer;
-class Reader;
-}  // namespace wsp::ckpt
-
 namespace wsp::pdn {
 
 class MultigridHierarchy;
@@ -207,14 +202,6 @@ class ResistiveGrid {
   /// Resistive power dissipated in the grid edges, watts.
   double dissipated_power() const { return dissipated_power(v_); }
   double dissipated_power(std::span<const double> v) const;
-
-  /// Checkpoint hooks (wsp::ckpt): conductances, sinks, shunts, Dirichlet
-  /// constraints and the solution vector round-trip (the last solution
-  /// seeds the next solve, so restoring it keeps resumed iteration counts
-  /// identical).  The hoisted stencil is rebuilt on demand, not stored.
-  /// Metric bindings are untouched by a load.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
 
   // Loop-invariant per-node solve data, hoisted out of the sweep: flattened
   // neighbour indices and conductances (absent neighbours alias the node

@@ -87,16 +87,16 @@ PdnReport WaferPdn::solve_uniform(double activity) {
   return solve(power);
 }
 
-std::vector<double> WaferPdn::tile_currents(
+std::vector<double> WaferPdn::load_currents(
     const std::vector<double>& tile_power_w) const {
-  std::vector<double> tile_current(tile_power_w.size());
+  std::vector<double> tile_load(tile_power_w.size());
   for (std::size_t i = 0; i < tile_power_w.size(); ++i)
-    tile_current[i] = tile_power_w[i] / config_.ff_corner_voltage_v +
-                      (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
-  return tile_current;
+    tile_load[i] = tile_power_w[i] / config_.ff_corner_voltage_v;
+  return tile_load;
 }
 
-void WaferPdn::scatter_sinks(const std::vector<double>& tile_current,
+void WaferPdn::scatter_sinks(const std::vector<double>& tile_load,
+                             const std::vector<double>& tile_power_w,
                              std::vector<double>& node_sink) const {
   const TileGrid tiles = config_.grid();
   const int k = options_.nodes_per_tile;
@@ -104,7 +104,10 @@ void WaferPdn::scatter_sinks(const std::vector<double>& tile_current,
   node_sink.assign(grid_.node_count(), 0.0);
   for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
     const TileCoord c = tiles.coord_of(i);
-    const double per_node = tile_current[i] / nodes_per_tile;
+    const double tile_current =
+        tile_load[i] +
+        (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
+    const double per_node = tile_current / nodes_per_tile;
     for (int sy = 0; sy < k; ++sy)
       for (int sx = 0; sx < k; ++sx)
         node_sink[grid_.index(c.x * k + sx, c.y * k + sy)] = per_node;
@@ -122,12 +125,12 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
   // multigrid hierarchy, but the numerics must not depend on solve history.
   grid_.reset_voltages(0.0);
 
-  // Initial tile currents.  In ConstantCurrent mode the LDO passes through
-  // I = P / V_ff regardless of the plane voltage, so one linear solve
-  // suffices.  In ConstantPower mode we iterate I = P / V_node.
-  std::vector<double> tile_current = tile_currents(tile_power_w);
+  // Initial tile load currents.  In ConstantCurrent mode the LDO passes
+  // through I = P / V_ff regardless of the plane voltage, so one linear
+  // solve suffices.  In ConstantPower mode we iterate I = P / V_node.
+  std::vector<double> tile_load = load_currents(tile_power_w);
 
-  scatter_sinks(tile_current, sink_scratch_);
+  scatter_sinks(tile_load, tile_power_w, sink_scratch_);
   grid_.set_current_sinks(sink_scratch_);
   SolveStats stats = grid_.solve(options_.solver);
   bool converged = stats.converged;
@@ -139,11 +142,9 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
         const TileCoord c = tiles.coord_of(i);
         prev_v[i] = grid_.voltage(c.x * k, c.y * k);
         const double v = std::max(prev_v[i], 0.5);  // guard /small
-        tile_current[i] =
-            tile_power_w[i] / v +
-            (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
+        tile_load[i] = tile_power_w[i] / v;
       }
-      scatter_sinks(tile_current, sink_scratch_);
+      scatter_sinks(tile_load, tile_power_w, sink_scratch_);
       grid_.set_current_sinks(sink_scratch_);
       stats = grid_.solve(options_.solver);
       converged = stats.converged;
@@ -157,8 +158,10 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
     }
   }
 
+  // The report evaluates each LDO at the load current the plane actually
+  // sank, so its energy terms balance the edge input power.
   return extract_report(grid_.voltages(), grid_.current_sinks(), tile_power_w,
-                        converged);
+                        tile_load, converged);
 }
 
 std::vector<PdnReport> WaferPdn::solve_batch(
@@ -184,6 +187,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   // Stage every right-hand side: per-map node sinks plus the caller's seed
   // voltages (solve_batch itself re-seeds the Dirichlet entries, so a
   // stale or zero seed can never corrupt the boundary conditions).
+  std::vector<std::vector<double>> loads(n);
   std::vector<std::vector<double>> sinks(n);
   std::vector<RhsView> rhs(n);
   for (std::size_t m = 0; m < n; ++m) {
@@ -193,7 +197,8 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
     else
       require(seeds[m].size() == nodes,
               "warm-start seed length must equal node_count()");
-    scatter_sinks(tile_currents(tile_power_maps[m]), sinks[m]);
+    loads[m] = load_currents(tile_power_maps[m]);
+    scatter_sinks(loads[m], tile_power_maps[m], sinks[m]);
     rhs[m] = RhsView{sinks[m], std::span<double>(seeds[m])};
   }
 
@@ -205,7 +210,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   reports.reserve(n);
   for (std::size_t m = 0; m < n; ++m)
     reports.push_back(extract_report(rhs[m].v, rhs[m].sink,
-                                     tile_power_maps[m],
+                                     tile_power_maps[m], loads[m],
                                      stats[m].converged));
   return reports;
 }
@@ -213,6 +218,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
 PdnReport WaferPdn::extract_report(std::span<const double> node_v,
                                    std::span<const double> node_sink,
                                    const std::vector<double>& tile_power_w,
+                                   const std::vector<double>& tile_load_a,
                                    bool converged) const {
   const TileGrid tiles = config_.grid();
   const int k = options_.nodes_per_tile;
@@ -234,11 +240,11 @@ PdnReport WaferPdn::extract_report(std::span<const double> node_v,
 
     TilePower& tp = report.tiles[i];
     tp.supply_v = v;
-    const double i_load = tile_power_w[i] / config_.ff_corner_voltage_v;
+    const double i_load = tile_load_a[i];
     const LdoOperatingPoint op = ldo_.evaluate(v, i_load);
     tp.regulated_v = op.v_out;
     tp.in_regulation = op.in_regulation;
-    // An unpowered tile's LDO is off: tile_currents() sank no quiescent
+    // An unpowered tile's LDO is off: scatter_sinks() sank no quiescent
     // current for it, so it draws nothing from the plane and dissipates
     // nothing.  Its regulated_v stays as evaluated (link BER reads it).
     if (tile_power_w[i] > 0.0) {

@@ -163,16 +163,21 @@ class WaferPdn {
   std::vector<double> sink_scratch_;  // node sinks staged per solve
 
   ResistiveGrid build_grid() const;
-  /// Per-tile currents for a power map under ConstantCurrent (LDO
-  /// pass-through plus quiescent draw).
-  std::vector<double> tile_currents(
+  /// Per-tile LDO load currents for a power map under ConstantCurrent
+  /// (pass-through, P / V_ff; quiescent draw excluded).
+  std::vector<double> load_currents(
       const std::vector<double>& tile_power_w) const;
-  /// Scatters per-tile currents into per-node sinks (k x k nodes/tile).
-  void scatter_sinks(const std::vector<double>& tile_current,
+  /// Scatters per-tile load currents, plus the quiescent draw of every
+  /// powered tile, into per-node sinks (k x k nodes/tile).
+  void scatter_sinks(const std::vector<double>& tile_load,
+                     const std::vector<double>& tile_power_w,
                      std::vector<double>& node_sink) const;
+  /// `tile_load_a` is the per-tile load current the solve actually sank
+  /// (before quiescent draw); each LDO is evaluated at it.
   PdnReport extract_report(std::span<const double> node_v,
                            std::span<const double> node_sink,
                            const std::vector<double>& tile_power_w,
+                           const std::vector<double>& tile_load_a,
                            bool converged) const;
 };
 

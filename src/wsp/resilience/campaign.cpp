@@ -254,7 +254,7 @@ DegradationReport DegradationCampaign::run() const {
     if (integrity_on &&
         (cycle + 1) % options_.link_health.scrub_period == 0) {
       for (const noc::RetiredLink& r : monitor.scrub(noc)) {
-        injector.retire_link(r.tile, r.dir, noc.now());
+        injector.retire_link(r.tile, r.dir);
         noc.retire_link(r.tile, r.dir);
         report.retirements.push_back(r);
       }

@@ -1,20 +1,19 @@
 // Applies a FaultSchedule to a live simulation.
 //
 // The injector owns the authoritative runtime fault state — the mutable
-// FaultMap and LinkFaultSet — and a FaultBus.  advance_to(cycle) applies
-// every event that has come due, mutates the state, and publishes a
-// FaultNotice per event so subscribed subsystems (NoC replan, clock
-// re-selection, PDN re-solve) can react.  Transient events (packet
-// corruption) and policy-level events (brownouts, generator losses) do not
-// mutate the fault map directly: the injector records them and the
-// degradation layer decides which tiles become unusable.
+// FaultMap and LinkFaultSet.  advance_to(cycle) applies every event that
+// has come due, mutates the state, and returns a FaultNotice per event;
+// the caller (DegradationCampaign) reacts to those notices directly with
+// the NoC replan, the clock re-latch and the PDN re-solve.  Transient
+// events (packet corruption) and policy-level events (brownouts, generator
+// losses) do not mutate the fault map directly: the injector records them
+// and the degradation layer decides which tiles become unusable.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "wsp/common/fault_map.hpp"
-#include "wsp/common/fault_observer.hpp"
 #include "wsp/resilience/fault_schedule.hpp"
 
 namespace wsp::resilience {
@@ -23,9 +22,9 @@ class FaultInjector {
  public:
   FaultInjector(const FaultMap& initial, FaultSchedule schedule);
 
-  /// Applies every event with event.cycle <= cycle, in schedule order,
-  /// publishing each on the bus after its mutation.  Returns the notices
-  /// applied by this call (empty when nothing came due).
+  /// Applies every event with event.cycle <= cycle, in schedule order.
+  /// Returns the notices applied by this call (empty when nothing came
+  /// due); faults() and link_faults() already hold the post-event state.
   std::vector<FaultNotice> advance_to(std::uint64_t cycle);
 
   bool exhausted() const { return next_ >= schedule_.size(); }
@@ -33,12 +32,11 @@ class FaultInjector {
 
   const FaultMap& faults() const { return faults_; }
   const LinkFaultSet& link_faults() const { return links_; }
-  FaultBus& bus() { return bus_; }
 
-  /// Retires a link on the health monitor's verdict: marks it failed and
-  /// publishes a LinkRetirement notice so observers treat it like any
-  /// other runtime fault.  No-op (returns false) when already failed.
-  bool retire_link(TileCoord tile, Direction d, std::uint64_t cycle);
+  /// Retires a link on the health monitor's verdict: marks it failed in
+  /// the injector's link state.  No-op (returns false) when the link does
+  /// not exist or is already failed.
+  bool retire_link(TileCoord tile, Direction d);
 
   /// Accumulated LdoBrownout targets (the PDN layer re-solves from these).
   const std::vector<TileCoord>& brownouts() const { return brownouts_; }
@@ -60,22 +58,11 @@ class FaultInjector {
   /// their own — degradation consequences, not injected faults.
   void mark_unusable(TileCoord tile) { faults_.set_faulty(tile, true); }
 
-  /// Checkpoint hooks (wsp::ckpt): fault map, link faults, schedule,
-  /// cursor, and the accumulated brownout / generator-loss / BER lists
-  /// round-trip.  FaultBus subscriptions are raw observer pointers and are
-  /// deliberately NOT captured — owners re-subscribe after a load, exactly
-  /// as after construction.  Load throws ckpt::Error{TopologyMismatch} for
-  /// a snapshot taken on a different grid and leaves the injector
-  /// unchanged on any failure.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
  private:
   FaultMap faults_;
   LinkFaultSet links_;
   FaultSchedule schedule_;
   std::size_t next_ = 0;
-  FaultBus bus_;
   std::vector<TileCoord> brownouts_;
   std::vector<TileCoord> lost_generators_;
   std::vector<FaultEvent> ber_degradations_;

@@ -5,13 +5,14 @@
 // clock-generator losses, and transient packet corruptions.  Schedules are
 // either authored explicitly (regression scenarios) or sampled from a
 // seeded Rng (Monte Carlo campaigns) — either way they are plain data and
-// replay bit-identically.
+// replay bit-identically.  The runtime fault kinds and the FaultNotice that
+// FaultInjector::advance_to returns per applied event live here too.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "wsp/common/fault_observer.hpp"
 #include "wsp/common/geometry.hpp"
 #include "wsp/common/rng.hpp"
 
@@ -19,6 +20,51 @@ namespace wsp::ckpt {
 class Writer;
 class Reader;
 }  // namespace wsp::ckpt
+
+namespace wsp {
+
+/// Kinds of fault that can strike a live wafer (Secs. IV-VII failure
+/// modes, extended from assembly-time to runtime).
+enum class RuntimeFaultKind : std::uint8_t {
+  TileDeath = 0,        ///< whole tile (both chiplets) stops responding
+  LinkFailure = 1,      ///< one directed inter-tile link (stuck async FIFO)
+  LdoBrownout = 2,      ///< tile's LDO loses regulation under a load step
+  ClockGenLoss = 3,     ///< an edge clock-generator tile stops toggling
+  PacketCorruption = 4, ///< transient: one in-flight packet is corrupted
+  LinkRetirement = 5,   ///< health monitor retired an error-prone link
+  LinkBerDegradation = 6, ///< one link's bit-error rate jumps (marginal eye)
+};
+constexpr RuntimeFaultKind enum_max(RuntimeFaultKind) {
+  return RuntimeFaultKind::LinkBerDegradation;
+}
+
+inline const char* to_string(RuntimeFaultKind k) {
+  switch (k) {
+    case RuntimeFaultKind::TileDeath: return "TileDeath";
+    case RuntimeFaultKind::LinkFailure: return "LinkFailure";
+    case RuntimeFaultKind::LdoBrownout: return "LdoBrownout";
+    case RuntimeFaultKind::ClockGenLoss: return "ClockGenLoss";
+    case RuntimeFaultKind::PacketCorruption: return "PacketCorruption";
+    case RuntimeFaultKind::LinkRetirement: return "LinkRetirement";
+    case RuntimeFaultKind::LinkBerDegradation: return "LinkBerDegradation";
+  }
+  return "?";
+}
+
+/// One applied fault event, as FaultInjector::advance_to returns it.
+struct FaultNotice {
+  RuntimeFaultKind kind = RuntimeFaultKind::TileDeath;
+  TileCoord tile;                 ///< struck tile (or link source)
+  std::optional<Direction> link;  ///< outgoing direction, link events only
+  std::uint64_t cycle = 0;        ///< simulation cycle the fault appeared
+  double magnitude = 0.0;         ///< new BER, LinkBerDegradation only
+};
+
+auto fields(Of<FaultNotice> auto& n) {
+  return std::tie(n.kind, n.tile, n.link, n.cycle, n.magnitude);
+}
+
+}  // namespace wsp
 
 namespace wsp::resilience {
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "wsp/common/error.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/pdn/strategy.hpp"
 #include "wsp/pdn/transient.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
@@ -81,6 +85,51 @@ TEST(WaferPdn, EnergyBalanceCloses) {
   const double accounted =
       r.delivered_power_w + r.plane_loss_w + r.ldo_loss_w;
   EXPECT_NEAR(accounted / r.total_input_power_w, 1.0, 0.02);
+}
+
+TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
+  // Edge input power = delivered + plane loss + LDO loss, to the solver
+  // tolerance, on every solve entry point and both load models.  Each LDO
+  // must be evaluated at the load current the plane actually sank: under
+  // ConstantPower that is P / V_node, not P / V_ff.
+  const auto relative_error = [](const PdnReport& r) {
+    const double accounted =
+        r.delivered_power_w + r.plane_loss_w + r.ldo_loss_w;
+    return std::abs(accounted / r.total_input_power_w - 1.0);
+  };
+  constexpr double kTol = 1e-5;
+  for (const int side : {8, 32}) {
+    const SystemConfig cfg = SystemConfig::reduced(side, side);
+    const std::size_t tiles = cfg.grid().tile_count();
+    Rng rng(static_cast<std::uint64_t>(side));
+    // A random map with a fifth of the tiles unpowered.
+    const auto random_map = [&] {
+      std::vector<double> power(tiles);
+      for (double& p : power)
+        p = rng.bernoulli(0.2) ? 0.0 : rng.uniform() * cfg.tile_peak_power_w;
+      return power;
+    };
+
+    WaferPdn cc(cfg, {});
+    EXPECT_LE(relative_error(cc.solve_uniform(1.0)), kTol) << side;
+    EXPECT_LE(relative_error(cc.solve_uniform(0.3)), kTol) << side;
+    EXPECT_LE(relative_error(cc.solve(random_map())), kTol) << side;
+
+    // Three warm-started epochs of a drifting map.
+    std::vector<std::vector<double>> seeds(1);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      const std::vector<PdnReport> reports =
+          cc.solve_batch_warm({random_map()}, seeds);
+      EXPECT_LE(relative_error(reports[0]), kTol)
+          << side << " epoch " << epoch;
+    }
+
+    WaferPdnOptions cp_opt;
+    cp_opt.load_model = LoadModel::ConstantPower;
+    WaferPdn cp(cfg, cp_opt);
+    EXPECT_LE(relative_error(cp.solve_uniform(1.0)), kTol) << side;
+    EXPECT_LE(relative_error(cp.solve(random_map())), kTol) << side;
+  }
 }
 
 TEST(WaferPdn, AggregatesAreTileOrderSums) {

@@ -4,10 +4,12 @@
 // seeded random tile+link fault maps.
 //   * link-aware run ids    vs a dor_path walk with per-link checks;
 //   * reachable_pairs()     vs an all-pairs plan().reachable count;
+//   * plan()'s relay choice vs find_intermediate's pair_connectivity walk;
 //   * per-distinct-row JTAG screening vs one locate_first_faulty per row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "wsp/arch/bringup.hpp"
@@ -138,6 +140,44 @@ TEST(ReachabilityOracle, ReachablePairsMatchesAllPairsPlans) {
   // The maps exercise both the relay closure and true disconnection.
   EXPECT_TRUE(saw_relay);
   EXPECT_TRUE(saw_unreachable);
+}
+
+TEST(ReachabilityOracle, RelayChoiceMatchesFindIntermediate) {
+  // On tile-only fault maps, find_intermediate's path walks are the direct
+  // definition of plan()'s relay: same candidates, same fewest-added-hops
+  // rule, same row-major tie-break.
+  Rng rng(404);
+  std::size_t relayed = 0, unreachable = 0;
+  for (int map = 0; map < 200; ++map) {
+    const int side = 4 + static_cast<int>(rng.below(9));  // 4x4 .. 12x12
+    const TileGrid grid(side, side);
+    const FaultMap faults =
+        FaultMap::random_with_probability(grid, 0.2 * rng.uniform(), rng);
+    const NetworkSelector selector(faults);
+    const std::vector<TileCoord> healthy = faults.healthy_tiles();
+    for (const TileCoord a : healthy)
+      for (const TileCoord b : healthy) {
+        if (a == b || pair_connectivity(faults, a, b).connected()) continue;
+        const RoutePlan p = selector.plan(a, b);
+        const std::optional<TileCoord> mid = find_intermediate(faults, a, b);
+        ASSERT_EQ(p.reachable, mid.has_value())
+            << "map " << map << ": " << to_string(a) << " -> "
+            << to_string(b);
+        if (!mid) {
+          ++unreachable;
+          continue;
+        }
+        ++relayed;
+        ASSERT_TRUE(p.relayed);
+        ASSERT_EQ(p.waypoints.size(), 3u);
+        ASSERT_EQ(p.waypoints[1], *mid)
+            << "map " << map << ": " << to_string(a) << " -> "
+            << to_string(b);
+      }
+  }
+  // The maps exercise both relayed and truly disconnected pairs.
+  EXPECT_GT(relayed, 0u);
+  EXPECT_GT(unreachable, 0u);
 }
 
 TEST(ReachabilityOracle, DegenerateMapsAndGridMismatch) {

@@ -13,7 +13,6 @@
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/clock/recovery.hpp"
 #include "wsp/common/fault_map.hpp"
-#include "wsp/common/fault_observer.hpp"
 #include "wsp/common/rng.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/resilience/campaign.hpp"
@@ -98,22 +97,6 @@ TEST(FaultSchedule, RandomRespectsMixAndBounds) {
 
 // ----------------------------------------------------------- FaultInjector
 
-/// Observer that records each notice and checks the state is post-event.
-class RecordingObserver : public FaultObserver {
- public:
-  void on_fault(const FaultNotice& notice, const FaultMap& faults,
-                const LinkFaultSet& links) override {
-    if (notice.kind == RuntimeFaultKind::TileDeath) {
-      EXPECT_TRUE(faults.is_faulty(notice.tile));
-    }
-    if (notice.kind == RuntimeFaultKind::LinkFailure) {
-      EXPECT_TRUE(links.is_failed(notice.tile, *notice.link));
-    }
-    notices.push_back(notice);
-  }
-  std::vector<FaultNotice> notices;
-};
-
 TEST(FaultInjector, AppliesDueEventsAndNotifiesObservers) {
   const TileGrid grid(4, 4);
   FaultSchedule s;
@@ -124,8 +107,6 @@ TEST(FaultInjector, AppliesDueEventsAndNotifiesObservers) {
   s.add({40, RuntimeFaultKind::PacketCorruption, {2, 1}, Direction::North});
 
   FaultInjector injector(FaultMap(grid), s);
-  RecordingObserver obs;
-  injector.bus().subscribe(&obs);
 
   EXPECT_TRUE(injector.advance_to(5).empty());
   EXPECT_EQ(injector.next_due_cycle(), 10u);
@@ -133,12 +114,18 @@ TEST(FaultInjector, AppliesDueEventsAndNotifiesObservers) {
   const auto first = injector.advance_to(10);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].kind, RuntimeFaultKind::TileDeath);
+  EXPECT_EQ(first[0].tile, (TileCoord{1, 1}));
+  EXPECT_EQ(first[0].cycle, 10u);
+  EXPECT_FALSE(first[0].link.has_value());
+  // The returned notices describe state that is already applied.
   EXPECT_TRUE(injector.faults().is_faulty({1, 1}));
   EXPECT_EQ(injector.next_due_cycle(), 20u);
 
   const auto second = injector.advance_to(20);
   ASSERT_EQ(second.size(), 1u);
-  ASSERT_TRUE(second[0].link.has_value());
+  EXPECT_EQ(second[0].kind, RuntimeFaultKind::LinkFailure);
+  EXPECT_EQ(second[0].tile, (TileCoord{2, 2}));
+  EXPECT_EQ(second[0].link, Direction::East);
   EXPECT_TRUE(injector.link_faults().is_failed({2, 2}, Direction::East));
   // Link failures do not kill the tile.
   EXPECT_TRUE(injector.faults().is_healthy({2, 2}));
@@ -156,9 +143,15 @@ TEST(FaultInjector, AppliesDueEventsAndNotifiesObservers) {
   EXPECT_TRUE(injector.faults().is_healthy({3, 3}));
   EXPECT_FALSE(injector.exhausted());
 
-  injector.advance_to(1000);
+  const auto last = injector.advance_to(1000);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].kind, RuntimeFaultKind::PacketCorruption);
+  EXPECT_EQ(last[0].tile, (TileCoord{2, 1}));
+  EXPECT_EQ(last[0].cycle, 40u);
+  // Transient: the notice is the whole effect, no state changes.
+  EXPECT_TRUE(injector.faults().is_healthy({2, 1}));
   EXPECT_TRUE(injector.exhausted());
-  EXPECT_EQ(obs.notices.size(), 5u);
+  EXPECT_TRUE(injector.advance_to(2000).empty());
 
   injector.mark_unusable({2, 3});
   EXPECT_TRUE(injector.faults().is_faulty({2, 3}));
