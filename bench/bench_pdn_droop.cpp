@@ -173,7 +173,7 @@ ResistiveGrid make_plane(int n) {
 /// and a uniform sink s per node, every row of an n x n plane is the
 /// discrete parabola V_k = V0 - (s/2g) k (n-1-k).  Returns the max
 /// |solved - exact| over all nodes.
-double strip_closed_form_error(int n, const SolverConfig& cfg) {
+double strip_closed_form_error(int n, double tol) {
   constexpr double kV0 = 2.5;
   constexpr double kSink = 0.02;
   constexpr double kG = 5.0;
@@ -184,7 +184,7 @@ double strip_closed_form_error(int n, const SolverConfig& cfg) {
     g.set_dirichlet(n - 1, y, kV0);
     for (int x = 1; x < n - 1; ++x) g.set_current_sink(x, y, kSink);
   }
-  if (!g.solve(cfg).converged) return INFINITY;
+  if (!g.solve(tol).converged) return INFINITY;
   double max_err = 0.0;
   for (int y = 0; y < n; ++y)
     for (int k = 0; k < n; ++k)
@@ -205,17 +205,17 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
 
   exec::set_shared_threads(1);
   ResistiveGrid mg_grid = make_plane(64);
-  const SolverConfig mg_cfg;
+  const double mg_tol = 1e-7;
 
   std::printf("== multigrid solver (64x64 plane, 1 thread, tol %.0e) ==\n",
-              mg_cfg.tol);
+              mg_tol);
 
   SolveStats mg_stats;
   const double mg_ms = json.measure(
       "pdn_solver_multigrid_64x64", 1,
       [&] {
         mg_grid.reset_voltages(0.0);
-        mg_stats = mg_grid.solve(mg_cfg);
+        mg_stats = mg_grid.solve(mg_tol);
       },
       repeats, 1);
   // Cold start: grid construction plus hierarchy build plus the solve —
@@ -224,7 +224,7 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
       "pdn_solver_multigrid_cold_64x64", 1,
       [&] {
         ResistiveGrid g = make_plane(64);
-        benchmark::DoNotOptimize(g.solve(mg_cfg).converged);
+        benchmark::DoNotOptimize(g.solve(mg_tol).converged);
       },
       repeats, 1);
 
@@ -247,9 +247,7 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
   }
 
   // Correctness against the closed form, solved tight.
-  SolverConfig tight = mg_cfg;
-  tight.tol = 1e-11;
-  const double strip_err = strip_closed_form_error(64, tight);
+  const double strip_err = strip_closed_form_error(64, 1e-11);
   std::printf("64x64 strip vs closed-form parabola, max error at tol 1e-11: "
               "%.2e V\n",
               strip_err);
@@ -269,7 +267,7 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
   for (const int threads : thread_counts) {
     exec::set_shared_threads(threads);
     mg_grid.reset_voltages(0.0);
-    mg_grid.solve(mg_cfg);
+    mg_grid.solve(mg_tol);
     if (threads == thread_counts.front()) {
       mg_baseline = mg_grid.voltages();
     } else if (mg_grid.voltages() != mg_baseline) {
@@ -299,8 +297,6 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
   ResistiveGrid grid = make_plane(64);
   const std::size_t nodes = grid.node_count();
 
-  const SolverConfig cfg;
-
   // Distinct right-hand sides: the base draw scaled per map, plus a moving
   // hotspot so no two maps share a solution.
   std::vector<std::vector<double>> sinks(kRhs);
@@ -321,7 +317,7 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
         for (int m = 0; m < kRhs; ++m) {
           grid.set_current_sinks(sinks[m]);
           grid.reset_voltages(0.0);
-          grid.solve(cfg);
+          grid.solve();
           seq_v[m] = grid.voltages();
         }
       },
@@ -346,7 +342,7 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
           std::fill(batch_v[m].begin(), batch_v[m].end(), 0.0);
           views[m] = RhsView{sinks[m], batch_v[m]};
         }
-        grid.solve_batch(views, stats, cfg);
+        grid.solve_batch(views, stats);
       },
       repeats, 1, kRhs, seq_ms);
 

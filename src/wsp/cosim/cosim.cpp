@@ -9,6 +9,15 @@
 
 namespace wsp::cosim {
 
+namespace {
+// Flit-event weights of the utilisation estimate: per packet injected at a
+// tile, per link grant leaving it, and per retransmit landing at it (the
+// NACK and the resend both burn power).
+constexpr double kInjectionWeight = 1.0;
+constexpr double kTraversalWeight = 1.0;
+constexpr double kRetransmitWeight = 2.0;
+}  // namespace
+
 std::vector<double> activity_power_map(
     const std::vector<noc::TileActivity>& delta, const FaultMap& faults,
     double tile_peak_power_w, std::uint64_t epoch_cycles,
@@ -31,9 +40,9 @@ std::vector<double> activity_power_map(
     const std::size_t i = grid.index_of(c);
     const noc::TileActivity& a = delta[i];
     const double weighted =
-        static_cast<double>(a.injections) * scale.injection_weight +
-        static_cast<double>(a.traversals) * scale.traversal_weight +
-        static_cast<double>(a.retransmits) * scale.retransmit_weight;
+        static_cast<double>(a.injections) * kInjectionWeight +
+        static_cast<double>(a.traversals) * kTraversalWeight +
+        static_cast<double>(a.retransmits) * kRetransmitWeight;
     const double util = std::min(1.0, weighted / denom);
     power[i] =
         tile_peak_power_w * (scale.idle_fraction +
@@ -261,7 +270,9 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 // histogram + delivery digest).
 // v4: CosimOptions lead the "CLOP" section, checked on load.
 // v5: the traffic driver's latency histogram is its (value, count) runs.
-constexpr std::uint32_t kCosimStateVersion = 5;
+// v6: the option block lost the solver tuning, NoC latencies, retransmit
+//     budget, BER params of the mesh and activity weights (now constants).
+constexpr std::uint32_t kCosimStateVersion = 6;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {

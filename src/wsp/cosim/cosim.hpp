@@ -58,17 +58,14 @@ struct ActivityScale {
   /// Fraction of peak power a healthy idle tile draws (clock tree,
   /// leakage, idle cores).
   double idle_fraction = 0.3;
-  double injection_weight = 1.0;   ///< weight per packet injected at a tile
-  double traversal_weight = 1.0;   ///< weight per link grant leaving a tile
-  double retransmit_weight = 2.0;  ///< weight per retransmit landing at a
-                                   ///< tile (NACK + resend both burn power)
-  /// Weighted flit events per cycle that count as 100% utilisation.
+  /// Weighted flit events per cycle that count as 100% utilisation.  An
+  /// injection and a link grant weigh 1, a retransmit 2 (the NACK and the
+  /// resend both burn power).
   double flits_per_cycle_at_peak = 2.0;
 };
 
 auto fields(Of<ActivityScale> auto& s) {
-  return std::tie(s.idle_fraction, s.injection_weight, s.traversal_weight,
-                  s.retransmit_weight, s.flits_per_cycle_at_peak);
+  return std::tie(s.idle_fraction, s.flits_per_cycle_at_peak);
 }
 
 /// Converts one epoch's per-tile activity deltas into a per-tile power map

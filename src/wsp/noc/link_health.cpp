@@ -1,8 +1,8 @@
 #include "wsp/noc/link_health.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "wsp/common/error.hpp"
 #include "wsp/noc/noc_system.hpp"
 
 namespace wsp::noc {
@@ -12,8 +12,13 @@ constexpr std::uint64_t kHalfMax = 0xFFFFu;
 }  // namespace
 
 std::uint32_t pack_scrub_word(std::uint64_t errors, std::uint64_t traversals) {
-  const auto e = static_cast<std::uint32_t>(std::min(errors, kHalfMax));
-  const auto t = static_cast<std::uint32_t>(std::min(traversals, kHalfMax));
+  // One shared shift: saturating each half on its own would pin the
+  // traversals while the errors kept climbing, inflating the rate.
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(traversals)) - 16);
+  const auto e =
+      static_cast<std::uint32_t>(std::min(errors >> shift, kHalfMax));
+  const auto t = static_cast<std::uint32_t>(traversals >> shift);
   return (e << 16) | t;
 }
 
@@ -27,13 +32,8 @@ std::array<std::uint32_t, 4> pack_scrub_words(const NocSystem& noc,
   return words;
 }
 
-LinkHealthMonitor::LinkHealthMonitor(const TileGrid& grid,
-                                     const LinkRetirementPolicy& policy)
-    : grid_(grid), policy_(policy), flagged_(grid.tile_count()) {
-  require(policy.scrub_period >= 1, "scrub period must be >= 1 cycle");
-  require(policy.retire_error_rate > 0.0,
-          "retirement threshold must be positive");
-}
+LinkHealthMonitor::LinkHealthMonitor(const TileGrid& grid)
+    : grid_(grid), flagged_(grid.tile_count()) {}
 
 std::vector<RetiredLink> LinkHealthMonitor::ingest(
     TileCoord tile, const std::array<std::uint32_t, 4>& words,
@@ -45,11 +45,9 @@ std::vector<RetiredLink> LinkHealthMonitor::ingest(
     if (flagged_[index][i]) continue;
     const std::uint64_t errors = words[i] >> 16;
     const std::uint64_t traversals = words[i] & kHalfMax;
-    if (traversals < policy_.min_traversals ||
-        errors < policy_.min_errors)
-      continue;
+    if (traversals < kMinTraversals || errors < kMinErrors) continue;
     if (static_cast<double>(errors) <
-        policy_.retire_error_rate * static_cast<double>(traversals))
+        kRetireErrorRate * static_cast<double>(traversals))
       continue;
     flagged_[index][i] = true;
     const RetiredLink r{tile, kAllDirections[i], cycle, errors, traversals};

@@ -11,9 +11,10 @@
 //
 // The scrub word format is what the hardware path carries: one 32-bit word
 // per direction, detected errors in the high half and traversal attempts
-// in the low half, both saturating.  The monitor makes its decisions from
-// those packed words whether they arrived via JTAG or were read directly
-// from the simulator, so the two paths retire identically.
+// in the low half.  Past 16 bits of traversals both counts are scaled down
+// together, so a busy link keeps its error rate.  The monitor makes its
+// decisions from those packed words whether they arrived via JTAG or were
+// read directly from the simulator, so the two paths retire identically.
 #pragma once
 
 #include <array>
@@ -25,21 +26,6 @@
 namespace wsp::noc {
 
 class NocSystem;
-
-/// When to give up on a link.  Rate alone is too twitchy at low traffic
-/// (one error in three traversals is noise), so retirement requires a
-/// minimum observation count on both axes.
-struct LinkRetirementPolicy {
-  std::uint64_t scrub_period = 64;   ///< cycles between counter scrubs
-  std::uint64_t min_traversals = 16; ///< don't judge an idle link
-  std::uint64_t min_errors = 4;      ///< don't judge a single glitch
-  double retire_error_rate = 0.02;   ///< errors/traversals that retires
-};
-
-auto fields(Of<LinkRetirementPolicy> auto& p) {
-  return std::tie(p.scrub_period, p.min_traversals, p.min_errors,
-                  p.retire_error_rate);
-}
 
 /// One retirement decision, for the campaign report.
 struct RetiredLink {
@@ -55,7 +41,9 @@ auto fields(Of<RetiredLink> auto& l) {
 }
 
 /// Packs one direction's counters into the 32-bit scrub word the DAP
-/// chain carries: errors<<16 | traversals, each half saturating at 0xFFFF.
+/// chain carries: errors<<16 | traversals.  When traversals exceed 0xFFFF
+/// both counts are shifted right by the same amount until traversals fit,
+/// which keeps their ratio; errors beyond traversals saturate at 0xFFFF.
 std::uint32_t pack_scrub_word(std::uint64_t errors, std::uint64_t traversals);
 
 /// The four scrub words of one tile (kAllDirections order), read straight
@@ -70,8 +58,14 @@ std::array<std::uint32_t, 4> pack_scrub_words(const NocSystem& noc,
 /// (FaultInjector::retire_link).
 class LinkHealthMonitor {
  public:
-  explicit LinkHealthMonitor(const TileGrid& grid,
-                             const LinkRetirementPolicy& policy = {});
+  /// When to give up on a link.  Rate alone is too twitchy at low traffic
+  /// (one error in three traversals is noise), so retirement also needs a
+  /// minimum observation count on both axes.
+  static constexpr std::uint64_t kMinTraversals = 16;  ///< don't judge idle
+  static constexpr std::uint64_t kMinErrors = 4;  ///< don't judge a glitch
+  static constexpr double kRetireErrorRate = 0.02;  ///< errors/traversals
+
+  explicit LinkHealthMonitor(const TileGrid& grid);
 
   /// Scrubs every tile's counters directly from the simulator and returns
   /// the links newly due for retirement (each link is reported once).
@@ -87,12 +81,10 @@ class LinkHealthMonitor {
   const std::vector<RetiredLink>& retired() const { return retired_; }
   bool is_retired(TileCoord tile, Direction d) const;
 
-  const LinkRetirementPolicy& policy() const { return policy_; }
   const TileGrid& grid() const { return grid_; }
 
  private:
   TileGrid grid_;
-  LinkRetirementPolicy policy_;
   std::vector<std::array<bool, 4>> flagged_;  ///< already reported
   std::vector<RetiredLink> retired_;
 };

@@ -120,7 +120,10 @@ class LinkBerMap {
   }
 };
 
-/// Knobs of the hop-level integrity protocol (shared by both meshes).
+/// Knobs of the hop-level integrity protocol (shared by both meshes).  The
+/// meshes sample the BER map staged by NocSystem::set_link_ber
+/// (error-free until one is staged); each caller that stages one derives
+/// it from its own BerParams.
 struct LinkIntegrityOptions {
   /// Master switch: BER channel sampling + CRC check at every hop.  Off
   /// reproduces the pre-integrity simulator bit for bit.
@@ -129,20 +132,12 @@ struct LinkIntegrityOptions {
   /// the packet at the receiving hop and recovery falls back to the
   /// end-to-end timeout — the ablation arm of the BER sweep.
   bool retransmit = true;
-  /// Bounded retransmit budget per link traversal; a packet that exhausts
-  /// it is dropped (counted in link_error_drops) and recovers end to end.
-  int max_retransmits = 4;
   /// Seed of the channel-sampling RNG stream (independent of traffic).
   std::uint64_t seed = 0xB17E5;
-  /// Voltage->BER mapping read only by DegradationCampaign's PDN->BER
-  /// derivation.  MeshNetwork and NocSystem never read it: they sample the
-  /// map staged by NocSystem::set_link_ber (error-free until one is
-  /// staged), and CosimLoop derives its map from CosimOptions::ber.
-  BerParams ber{};
 };
 
 auto fields(Of<LinkIntegrityOptions> auto& o) {
-  return std::tie(o.enabled, o.retransmit, o.max_retransmits, o.seed, o.ber);
+  return std::tie(o.enabled, o.retransmit, o.seed);
 }
 
 }  // namespace wsp::noc

@@ -11,6 +11,13 @@
 
 namespace wsp::noc {
 
+namespace {
+// Hop retransmits allowed per link traversal.  A frame that exhausts the
+// budget is dropped at the link (counted in link_error_drops) and recovers
+// through the end-to-end timeout.
+constexpr std::uint8_t kMaxRetransmits = 4;
+}  // namespace
+
 MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
                          const MeshOptions& options,
                          obs::MetricsRegistry* metrics)
@@ -43,8 +50,6 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
   require(options.input_queue_capacity <= 4096,
           "input queue capacity too large");
   require(options.link_latency >= 1, "links take at least one cycle");
-  require(options.integrity.max_retransmits >= 0,
-          "retransmit budget cannot be negative");
 
   const std::size_t n = grid_.tile_count();
   q_slots_.assign(n * kPortCount * cap_, 0);
@@ -192,8 +197,7 @@ MeshNetwork::ChannelOutcome MeshNetwork::channel_admit(LinkTransfer t,
           ctr_.crc_detected->add();
           ++link_errors_[t.src_tile][t.dir];
           if (options_.integrity.retransmit &&
-              t.retransmits < static_cast<std::uint8_t>(
-                                  options_.integrity.max_retransmits)) {
+              t.retransmits < kMaxRetransmits) {
             // Go-back-N: the receiving hop NACKs; the sender replays this
             // frame (one NACK flight + one resend flight) and every frame
             // behind it on the same link, preserving per-link order.  The
@@ -561,7 +565,9 @@ constexpr std::uint32_t kMeshTag = ckpt::fourcc("MESH");
 // v2: per-tile activity totals ("TACT" block) for epoch co-simulation.
 // v3: canonical and live-only — queued packets and in-flight frames in
 //     queue order, no pool, free list, head or credit words.
-constexpr std::uint32_t kMeshStateVersion = 3;
+// v4: the integrity options lost the retransmit budget (now a constant)
+//     and the BER params no mesh reads.
+constexpr std::uint32_t kMeshStateVersion = 4;
 
 [[noreturn]] void reject(const char* what) {
   throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);

@@ -145,8 +145,6 @@ NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,
   ctr_.replans = &metrics_->counter("noc.replans");
   ctr_.links_retired = &metrics_->counter("noc.links_retired");
   ctr_.latency = &metrics_->histogram("noc.latency");
-  require(options.service_latency >= 1, "service latency must be >= 1");
-  require(options.relay_latency >= 1, "relay latency must be >= 1");
   require(options.max_retries >= 0, "max_retries cannot be negative");
   require(options.response_timeout == 0 || options.retry_backoff_base >= 1,
           "retry backoff must be >= 1 cycle");
@@ -291,8 +289,7 @@ void NocSystem::handle_ejection(const Packet& p,
       resp.request_id = p.id;
       resp.injected_cycle = cycle_;
       resp.attempt = txn.attempts;
-      schedule(cycle_ + static_cast<std::uint64_t>(options_.service_latency),
-               resp);
+      schedule(cycle_ + kServiceLatency, resp);
     } else {
       // Relay tile: the core re-injects the request toward the next
       // waypoint after spending relay cycles on it.
@@ -301,8 +298,7 @@ void NocSystem::handle_ejection(const Packet& p,
       fwd.src = wp[txn.segment];
       fwd.dst = wp[txn.segment + 1];
       fwd.network = nets[txn.segment];
-      schedule(cycle_ + static_cast<std::uint64_t>(options_.relay_latency),
-               fwd);
+      schedule(cycle_ + kRelayLatency, fwd);
     }
     return;
   }
@@ -329,7 +325,7 @@ void NocSystem::handle_ejection(const Packet& p,
   resp.src = wp[txn.segment + 1];
   resp.dst = wp[txn.segment];
   resp.network = complementary(nets[txn.segment]);
-  schedule(cycle_ + static_cast<std::uint64_t>(options_.relay_latency), resp);
+  schedule(cycle_ + kRelayLatency, resp);
 }
 
 void NocSystem::step(std::vector<CompletedTransaction>& done) {
@@ -492,7 +488,9 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 // carry the pending map to resume bit-identically.
 // v3: the option block holds all of NocOptions, the mesh options included.
 // v4: the latency histogram in CNTR is its (value, count) run list.
-constexpr std::uint32_t kNocStateVersion = 4;
+// v5: the option block lost service/relay latency (now constants) and the
+//     mesh options' retransmit budget and BER params.
+constexpr std::uint32_t kNocStateVersion = 5;
 
 // Both priority queues drain (off a copy) in comparator order, which is a
 // total order here — Deadline keys (due_cycle, id) and PendingInjection

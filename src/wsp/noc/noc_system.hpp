@@ -117,11 +117,6 @@ struct CompletedTransaction {
 
 struct NocOptions {
   MeshOptions mesh{};
-  /// Cycles the destination tile takes to produce a response (memory
-  /// access through the intra-tile crossbar).
-  int service_latency = 4;
-  /// Core cycles an intermediate tile spends relaying one packet.
-  int relay_latency = 8;
   /// End-to-end round-trip timeout in cycles; 0 disables the timeout/
   /// retry machinery (assembly-time behaviour: a static fault map never
   /// strands a planned transaction).  Enable for runtime fault injection.
@@ -136,8 +131,8 @@ struct NocOptions {
 };
 
 auto fields(Of<NocOptions> auto& o) {
-  return std::tie(o.mesh, o.service_latency, o.relay_latency,
-                  o.response_timeout, o.max_retries, o.retry_backoff_base);
+  return std::tie(o.mesh, o.response_timeout, o.max_retries,
+                  o.retry_backoff_base);
 }
 
 /// Value snapshot of the system-level counters.  The counters themselves
@@ -181,6 +176,12 @@ auto fields(Of<NocStats> auto& s) {
 /// Dual-network waferscale NoC with request/response semantics.
 class NocSystem {
  public:
+  /// Cycles the destination tile takes to produce a response (memory
+  /// access through the intra-tile crossbar).
+  static constexpr std::uint64_t kServiceLatency = 4;
+  /// Core cycles an intermediate tile spends relaying one packet.
+  static constexpr std::uint64_t kRelayLatency = 8;
+
   /// `metrics`: registry all NoC counters bind into (shared with both
   /// meshes).  When null the system owns a private registry — existing
   /// callers are unaffected.  Must outlive the NocSystem.

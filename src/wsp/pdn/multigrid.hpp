@@ -57,11 +57,16 @@ class MultigridHierarchy {
   /// Captures the coarse operators for `fine`'s current topology.  The
   /// fine grid must outlive the hierarchy and must not change topology
   /// while it is in use (ResistiveGrid enforces this by resetting its
-  /// cached hierarchy on every topology edit).  `coarsest_nodes` bounds
-  /// the direct-solve level.  Throws wsp::Error if the coarsest operator
-  /// is not positive definite (an ungrounded grid — no Dirichlet node or
-  /// shunt reaches it), whose nodal system has no unique solution.
-  MultigridHierarchy(const ResistiveGrid& fine, int coarsest_nodes);
+  /// cached hierarchy on every topology edit).  Coarsening stops at a
+  /// level of at most kCoarsestNodes nodes.  Throws wsp::Error if the
+  /// coarsest operator is not positive definite (an ungrounded grid — no
+  /// Dirichlet node or shunt reaches it), whose nodal system has no unique
+  /// solution.
+  explicit MultigridHierarchy(const ResistiveGrid& fine);
+
+  /// Coarsening stops once a level has at most this many nodes, which are
+  /// then solved by a dense Cholesky factorization.
+  static constexpr int kCoarsestNodes = 64;
 
   /// Per-solve scratch: residual and coarse-level solution/rhs vectors.
   struct Workspace {
@@ -72,12 +77,11 @@ class MultigridHierarchy {
   };
   Workspace make_workspace() const;
 
-  /// Runs one V-cycle on the fine-level problem `A v = b(sink)`, updating
-  /// `v` in place.  Returns the max |update| applied to any fine node
-  /// (smoothing deltas and prolongated corrections), the convergence
+  /// Runs one V(1,1)-cycle on the fine-level problem `A v = b(sink)`,
+  /// updating `v` in place.  Returns the max |update| applied to any fine
+  /// node (smoothing deltas and prolongated corrections), the convergence
   /// metric solve() compares against tol.
-  double v_cycle(Workspace& ws, double* v, const double* sink,
-                 const SolverConfig& config) const;
+  double v_cycle(Workspace& ws, double* v, const double* sink) const;
 
   /// Full-multigrid bootstrap: restricts the residual of the caller's seed
   /// down the whole hierarchy, direct-solves the coarsest, and works back
@@ -87,21 +91,19 @@ class MultigridHierarchy {
   /// typically replaces 2-3 full V-cycles.  Respects the seed: a good warm
   /// start leaves a small residual and the bootstrap correction shrinks
   /// accordingly.  Returns the max |update| like v_cycle.
-  double fmg_bootstrap(Workspace& ws, double* v, const double* sink,
-                       const SolverConfig& config) const;
+  double fmg_bootstrap(Workspace& ws, double* v, const double* sink) const;
 
-  int coarsest_nodes() const { return coarsest_nodes_; }
   int levels() const { return static_cast<int>(levels_.size()); }
   int level_width(int level) const { return levels_[level].width; }
   int level_height(int level) const { return levels_[level].height; }
 
   /// Cost of one V-cycle in units of one full fine-grid red+black sweep:
-  /// smoothing sweeps plus ~1.5 sweep-equivalents of residual/transfer
-  /// work per level, weighted by level size.
-  double sweep_equivalents_per_cycle(const SolverConfig& config) const;
+  /// the two smoothing sweeps plus ~1 sweep-equivalent of residual and
+  /// transfer work per level, weighted by level size.
+  double sweep_equivalents_per_cycle() const;
 
   /// Cost of the FMG bootstrap in the same fine-sweep units.
-  double fmg_sweep_equivalents(const SolverConfig& config) const;
+  double fmg_sweep_equivalents() const;
 
  private:
   // 1-D transfer map between a fine axis and its coarse axis.
@@ -154,7 +156,7 @@ class MultigridHierarchy {
 
   // V-cycle stages, all operating on caller-provided buffers.
   double cycle(std::size_t level, Workspace& ws, double* v,
-               const double* sink, const SolverConfig& config) const;
+               const double* sink) const;
   void residual(const Level& level, const double* v, const double* sink,
                 double* r) const;
   /// Full-weighting restriction: coarse_out = sign * R(fine_vals).  The
@@ -169,7 +171,6 @@ class MultigridHierarchy {
   double solve_direct(Workspace& ws, const double* rhs, double sign,
                       double* v) const;
 
-  int coarsest_nodes_;
   std::vector<Level> levels_;  // [0] mirrors the fine grid's topology
 
   // Dense Cholesky of the coarsest level over its active (non-Dirichlet,

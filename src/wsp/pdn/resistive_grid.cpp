@@ -195,12 +195,10 @@ void ResistiveGrid::invalidate_topology() {
   hierarchy_.reset();
 }
 
-void ResistiveGrid::prepare_solvers(const SolverConfig& config) {
+void ResistiveGrid::prepare_solvers() {
   if (!stencil_valid_) rebuild_stencil();
-  if (hierarchy_ == nullptr ||
-      hierarchy_->coarsest_nodes() != config.coarsest_nodes)
-    hierarchy_ = std::make_unique<MultigridHierarchy>(*this,
-                                                      config.coarsest_nodes);
+  if (hierarchy_ == nullptr)
+    hierarchy_ = std::make_unique<MultigridHierarchy>(*this);
 }
 
 double ResistiveGrid::sweep_color(const std::vector<StencilNode>& nodes,
@@ -256,31 +254,23 @@ void ResistiveGrid::record_solve(const SolveStats& stats) {
 }
 
 SolveStats ResistiveGrid::solve_on(std::span<double> v,
-                                   std::span<const double> sink,
-                                   const SolverConfig& config) {
+                                   std::span<const double> sink, double tol) {
   WSP_TRACE_SPAN("pdn.grid.solve");
-  require(config.tol > 0.0, "solver tol must be positive");
+  require(tol > 0.0, "solver tol must be positive");
   MultigridHierarchy::Workspace ws = hierarchy_->make_workspace();
   SolveStats stats;
-  double bootstrap_equivalents = 0.0;
-  if (config.fmg) {
-    // The bootstrap counts as the first iteration: it can converge solves
-    // with a warm seed outright (its correction is tol-comparable).
-    const double max_delta =
-        hierarchy_->fmg_bootstrap(ws, v.data(), sink.data(), config);
-    stats.iterations = 1;
-    stats.max_delta_v = max_delta;
-    stats.converged = max_delta < config.tol;
-    bootstrap_equivalents = hierarchy_->fmg_sweep_equivalents(config);
-  }
+  // The bootstrap counts as the first iteration: it can converge solves
+  // with a warm seed outright (its correction is tol-comparable).
+  stats.max_delta_v = hierarchy_->fmg_bootstrap(ws, v.data(), sink.data());
+  stats.iterations = 1;
+  stats.converged = stats.max_delta_v < tol;
   if (!stats.converged) {
     double prev_delta = 0.0;
-    for (int it = stats.iterations; it < config.cycles; ++it) {
-      const double max_delta = hierarchy_->v_cycle(ws, v.data(), sink.data(),
-                                                   config);
+    for (int it = stats.iterations; it < kMaxCycles; ++it) {
+      const double max_delta = hierarchy_->v_cycle(ws, v.data(), sink.data());
       stats.iterations = it + 1;
       stats.max_delta_v = max_delta;
-      if (max_delta < config.tol) {
+      if (max_delta < tol) {
         stats.converged = true;
         break;
       }
@@ -294,7 +284,7 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
       // settling or the iteration is not contracting.
       if (prev_delta > 0.0 && max_delta < prev_delta) {
         const double rho = std::min(max_delta / prev_delta, 0.5);
-        if (max_delta * rho / (1.0 - rho) < config.tol) {
+        if (max_delta * rho / (1.0 - rho) < tol) {
           stats.converged = true;
           break;
         }
@@ -303,23 +293,21 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
     }
   }
   stats.fine_sweep_equivalents =
-      bootstrap_equivalents +
-      (stats.iterations - (config.fmg ? 1 : 0)) *
-          hierarchy_->sweep_equivalents_per_cycle(config);
+      hierarchy_->fmg_sweep_equivalents() +
+      (stats.iterations - 1) * hierarchy_->sweep_equivalents_per_cycle();
   stats.residual = max_kcl_residual(v, sink);
   return stats;
 }
 
-SolveStats ResistiveGrid::solve(const SolverConfig& config) {
-  prepare_solvers(config);
-  const SolveStats stats = solve_on(v_, sink_, config);
+SolveStats ResistiveGrid::solve(double tol) {
+  prepare_solvers();
+  const SolveStats stats = solve_on(v_, sink_, tol);
   record_solve(stats);
   return stats;
 }
 
 void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
-                                std::span<SolveStats> stats,
-                                const SolverConfig& config) {
+                                std::span<SolveStats> stats, double tol) {
   WSP_TRACE_SPAN("pdn.solve_batch");
   require(stats.size() == rhs.size(),
           "solve_batch needs one SolveStats per RhsView");
@@ -328,7 +316,7 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
     require(r.sink.size() == nodes && r.v.size() == nodes,
             "RhsView spans must cover every grid node");
   }
-  prepare_solvers(config);
+  prepare_solvers();
 
   // Reset the Dirichlet entries of every seed from the grid's fixed values
   // up front — the solvers assume they hold and never write them.
@@ -338,9 +326,9 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
   }
 
   // Serial per right-hand side: every solve shares the one prepared
-  // hierarchy and is bit-identical to a solve(config) on that RHS.
+  // hierarchy and is bit-identical to a solve(tol) on that RHS.
   for (std::size_t k = 0; k < rhs.size(); ++k)
-    stats[k] = solve_on(rhs[k].v, rhs[k].sink, config);
+    stats[k] = solve_on(rhs[k].v, rhs[k].sink, tol);
   for (const SolveStats& s : stats) record_solve(s);
 }
 

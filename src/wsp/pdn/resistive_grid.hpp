@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "wsp/common/fields.hpp"
 #include "wsp/obs/metrics.hpp"
 
 namespace wsp::pdn {
@@ -52,40 +51,6 @@ struct SolveStats {
   /// size.
   double fine_sweep_equivalents = 0.0;
 };
-
-/// Multigrid tuning, plumbed from WaferPdnOptions / ThermalOptions down to
-/// the grid.
-struct SolverConfig {
-  /// Convergence threshold on the max per-node update, volts.
-  double tol = 1e-7;
-  /// V-cycle cap.  Convergence is grid-size-independent, so a converged
-  /// solve takes ~6-10 cycles regardless of resolution.
-  int cycles = 60;
-  /// Red-black smoothing sweeps before/after coarse-grid correction at
-  /// every level.  V(1,1) with a mild over-relaxation measured fastest to
-  /// converge across 16x16-128x128 wafer planes (the per-cycle contraction
-  /// is ~0.04, so extra sweeps per cycle buy less than they cost).
-  int pre_smooth = 1;
-  int post_smooth = 1;
-  /// Smoothing over-relaxation.  It stays near 1: the smoother's job is
-  /// killing high-frequency error, not propagating information across the
-  /// grid — the coarse levels do that.
-  double smooth_omega = 1.10;
-  /// Start with a full-multigrid bootstrap — restrict the seed's residual
-  /// to the coarsest level, solve there, and interpolate back up with one
-  /// V-cycle per level.  Costs a fraction of a V-cycle and typically saves
-  /// 2-3 of them; a warm seed just shrinks the bootstrap correction, so
-  /// warm-start batches still benefit.
-  bool fmg = true;
-  /// Stop coarsening once a level has at most this many nodes and solve it
-  /// with a dense Cholesky factorization instead.
-  int coarsest_nodes = 64;
-};
-
-auto fields(Of<SolverConfig> auto& c) {
-  return std::tie(c.tol, c.cycles, c.pre_smooth, c.post_smooth,
-                  c.smooth_omega, c.fmg, c.coarsest_nodes);
-}
 
 /// One right-hand side of a batched solve: a per-node sink vector and the
 /// caller-owned voltage buffer it solves into (seeded with the initial
@@ -152,13 +117,21 @@ class ResistiveGrid {
   /// plate at ambient temperature.
   void set_shunt(int x, int y, double siemens, double v_ref);
 
-  /// Solves the nodal system by multigrid V-cycles.  The first solve
-  /// builds (and caches) a MultigridHierarchy from the current topology;
-  /// the cache is invalidated by conductance/Dirichlet/shunt changes but
-  /// survives sink updates, so repeated solves against one topology pay
-  /// the setup cost once.  The previous solution (if any) seeds the
-  /// iteration.  Bit-identical for every thread count.
-  SolveStats solve(const SolverConfig& config = {});
+  /// Solves the nodal system by multigrid: a full-multigrid start, then
+  /// V(1,1) cycles until the max per-node update (or the error bound the
+  /// observed contraction puts on it) drops below `tol` volts, at most
+  /// kMaxCycles iterations.  The first solve builds (and caches) a
+  /// MultigridHierarchy from the current topology; the cache is
+  /// invalidated by conductance/Dirichlet/shunt changes but survives sink
+  /// updates, so repeated solves against one topology pay the setup cost
+  /// once.  The previous solution (if any) seeds the iteration.
+  /// Bit-identical for every thread count.  Throws unless tol > 0.
+  SolveStats solve(double tol = 1e-7);
+
+  /// Iteration cap of one solve, FMG start included.  Convergence is
+  /// grid-size-independent, so a converged solve takes ~6-10 cycles at
+  /// any resolution; the cap only stops a solve that cannot converge.
+  static constexpr int kMaxCycles = 60;
 
   /// Solves many independent right-hand sides against this one topology,
   /// serially in order, amortizing one hierarchy/stencil over the whole
@@ -166,10 +139,10 @@ class ResistiveGrid {
   /// are reset from the grid's fixed values first) and holds that solve's
   /// solution on return; stats[i] reports it.  The grid's own solution
   /// vector and sinks are untouched.  Results are bit-identical to solving
-  /// each RHS with solve(config) from the same seed.
+  /// each RHS with solve(tol) from the same seed.
   /// Requires stats.size() == rhs.size().
   void solve_batch(std::span<const RhsView> rhs, std::span<SolveStats> stats,
-                   const SolverConfig& config = {});
+                   double tol = 1e-7);
 
   /// Binds solver metrics into `registry` under `prefix`: counters
   /// <prefix>solves / <prefix>iterations / <prefix>converged and gauges
@@ -285,9 +258,9 @@ class ResistiveGrid {
   // Out-of-line: resets hierarchy_, which is incomplete here.
   void invalidate_topology();
   /// Stencil + hierarchy brought up to date for the current topology.
-  void prepare_solvers(const SolverConfig& config);
+  void prepare_solvers();
   SolveStats solve_on(std::span<double> v, std::span<const double> sink,
-                      const SolverConfig& config);
+                      double tol);
   void record_solve(const SolveStats& stats);
   double max_kcl_residual() const { return max_kcl_residual(v_, sink_); }
   double max_kcl_residual(std::span<const double> v,

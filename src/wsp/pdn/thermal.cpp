@@ -61,7 +61,7 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
 
   // Cold-start seed each solve: results must not depend on solve history.
   grid_.reset_voltages(0.0);
-  const SolveStats stats = grid_.solve(options_.solver);
+  const SolveStats stats = grid_.solve(options_.solver_tol);
 
   ThermalReport report;
   report.solver_converged = stats.converged;

@@ -32,9 +32,8 @@ struct ThermalOptions {
   double cooling_w_m2k = 2000.0;
   double ambient_c = 25.0;
   double junction_limit_c = 105.0;
-  /// Multigrid tuning for the duality solve, at a tighter tolerance than
-  /// the PDN's.
-  SolverConfig solver{.tol = 1e-8};
+  /// Tolerance of the duality solve, kelvin, tighter than the PDN's.
+  double solver_tol = 1e-8;
 };
 
 struct ThermalReport {

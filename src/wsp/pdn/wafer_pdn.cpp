@@ -132,7 +132,7 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
 
   scatter_sinks(tile_load, tile_power_w, sink_scratch_);
   grid_.set_current_sinks(sink_scratch_);
-  SolveStats stats = grid_.solve(options_.solver);
+  SolveStats stats = grid_.solve(options_.solver_tol);
   bool converged = stats.converged;
 
   if (options_.load_model == LoadModel::ConstantPower) {
@@ -146,7 +146,7 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
       }
       scatter_sinks(tile_load, tile_power_w, sink_scratch_);
       grid_.set_current_sinks(sink_scratch_);
-      stats = grid_.solve(options_.solver);
+      stats = grid_.solve(options_.solver_tol);
       converged = stats.converged;
       double max_dv = 0.0;
       for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
@@ -203,7 +203,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   }
 
   std::vector<SolveStats> stats(n);
-  grid_.solve_batch(rhs, stats, options_.solver);
+  grid_.solve_batch(rhs, stats, options_.solver_tol);
   if (stats_out != nullptr) *stats_out = stats;
 
   std::vector<PdnReport> reports;

@@ -43,15 +43,16 @@ struct WaferPdnOptions {
   std::array<bool, 4> powered_edges{true, true, true, true};
   LoadModel load_model = LoadModel::ConstantCurrent;
   LdoParams ldo{};
-  /// Plane-solver (multigrid) tuning.  The grid topology is fixed per
-  /// WaferPdn, so the multigrid hierarchy is built once and amortized over
-  /// every solve / batch / brownout re-solve.
-  SolverConfig solver{};
+  /// Plane-solve tolerance on the max per-node update, volts (see
+  /// ResistiveGrid::solve).  The grid topology is fixed per WaferPdn, so
+  /// the multigrid hierarchy is built once and amortized over every solve
+  /// / batch / brownout re-solve.
+  double solver_tol = 1e-7;
 };
 
 auto fields(Of<WaferPdnOptions> auto& o) {
   return std::tie(o.nodes_per_tile, o.plane_slotting_factor, o.powered_edges,
-                  o.load_model, o.ldo, o.solver);
+                  o.load_model, o.ldo, o.solver_tol);
 }
 
 /// Per-tile result of a PDN solve.

@@ -9,6 +9,7 @@
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/clock/recovery.hpp"
 #include "wsp/common/error.hpp"
+#include "wsp/cosim/cosim.hpp"
 #include "wsp/exec/parallel_for.hpp"
 #include "wsp/obs/trace.hpp"
 #include "wsp/resilience/fault_injector.hpp"
@@ -24,6 +25,9 @@ struct RecoveryTracker {
   std::size_t event_index;
   std::uint64_t ids_below;
 };
+
+/// Cycles between firmware scrubs of the per-link error counters.
+constexpr std::uint64_t kLinkScrubPeriod = 64;
 
 }  // namespace
 
@@ -98,11 +102,10 @@ DegradationReport DegradationCampaign::run() const {
   // brownout event per trial.
   noc::LinkBerMap ber_scratch(grid);
   const auto ber_from_report = [&](const pdn::PdnReport& pr) {
-    std::vector<double> v(grid.tile_count(), nopt.mesh.integrity.ber.nominal_v);
+    std::vector<double> v(grid.tile_count(), options_.ber.nominal_v);
     for (std::size_t i = 0; i < v.size() && i < pr.tiles.size(); ++i)
       v[i] = pr.tiles[i].regulated_v;
-    return noc::LinkBerMap::from_tile_voltages(grid, v,
-                                               nopt.mesh.integrity.ber);
+    return noc::LinkBerMap::from_tile_voltages(grid, v, options_.ber);
   };
   const auto rebind_ber = [&](const FaultInjector& inj) {
     if (!integrity_on) return;
@@ -117,14 +120,14 @@ DegradationReport DegradationCampaign::run() const {
   std::optional<pdn::WaferPdn> wafer_pdn;
   if (integrity_on) {
     wafer_pdn.emplace(config, options_.pdn.pdn);
-    base_ber = ber_from_report(wafer_pdn->solve_uniform(options_.pdn.activity));
+    base_ber = ber_from_report(wafer_pdn->solve_uniform());  // at peak
     rebind_ber(injector);
   }
   const bool coupled = integrity_on && options_.cosim_epoch_cycles > 0;
   cosim::ActivityTracker activity;
   std::vector<std::vector<double>> epoch_power(1);
   std::vector<std::vector<double>> epoch_seed(1);
-  noc::LinkHealthMonitor monitor(grid, options_.link_health);
+  noc::LinkHealthMonitor monitor(grid);
 
   // The trial's traffic.  Synthetic draws from the trial RNG itself,
   // handed over once the assembly faults and the schedule (its only other
@@ -251,8 +254,7 @@ DegradationReport DegradationCampaign::run() const {
     // Firmware link-health scrub: harvest the per-link error counters and
     // retire links whose observed error rate says they are dying, routing
     // around them before they fail hard.
-    if (integrity_on &&
-        (cycle + 1) % options_.link_health.scrub_period == 0) {
+    if (integrity_on && (cycle + 1) % kLinkScrubPeriod == 0) {
       for (const noc::RetiredLink& r : monitor.scrub(noc)) {
         injector.retire_link(r.tile, r.dir);
         noc.retire_link(r.tile, r.dir);
@@ -267,7 +269,7 @@ DegradationReport DegradationCampaign::run() const {
     if (coupled && (cycle + 1) % options_.cosim_epoch_cycles == 0) {
       epoch_power[0] = cosim::activity_power_map(
           activity.harvest(noc), injector.faults(), config.tile_peak_power_w,
-          options_.cosim_epoch_cycles, options_.cosim_scale);
+          options_.cosim_epoch_cycles);
       // Browned-out LDOs draw their elevated load wherever they sit.
       for (const TileCoord t : injector.brownouts())
         if (injector.faults().is_healthy(t))

@@ -27,8 +27,8 @@
 
 #include "wsp/common/config.hpp"
 #include "wsp/common/fault_map.hpp"
-#include "wsp/cosim/cosim.hpp"
 #include "wsp/noc/link_health.hpp"
+#include "wsp/noc/link_integrity.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/noc/traffic.hpp"
 #include "wsp/obs/metrics.hpp"
@@ -65,13 +65,13 @@ struct CampaignOptions {
   /// Clock generators; empty = first healthy edge tile.
   std::vector<TileCoord> clock_generators;
   std::uint64_t trajectory_sample_period = 256;
-  /// Link-health scrub/retirement policy.  Active only when
+  /// Voltage->BER mapping of the link channel.  Active only when
   /// noc.mesh.integrity.enabled: the campaign then derives a voltage-aware
   /// BER map from the PDN solve (re-derived after every brownout), layers
   /// scheduled LinkBerDegradation events on top, scrubs the per-link error
-  /// counters every scrub_period cycles and retires links that cross the
-  /// threshold — all before they fail hard.
-  noc::LinkRetirementPolicy link_health{};
+  /// counters on a fixed firmware period and retires the links that
+  /// noc::LinkHealthMonitor flags — all before they fail hard.
+  noc::BerParams ber{};
   /// PDN<->NoC epoch coupling (wsp::cosim) inside each trial.  0 keeps the
   /// classic static behaviour: one uniform-activity solve up front, BER
   /// re-derived only on brownout events.  >= 1 re-solves the planes every
@@ -80,8 +80,6 @@ struct CampaignOptions {
   /// voltage-aware BER map, so droop follows traffic and BER follows droop
   /// for the whole trial.  Active only when noc.mesh.integrity.enabled.
   std::uint64_t cosim_epoch_cycles = 0;
-  /// Activity -> power scaling for the coupled re-solve.
-  cosim::ActivityScale cosim_scale{};
   /// Workload driving each trial's traffic window through a
   /// wsp::workloads::TrafficDriver.  For the Synthetic class (the default)
   /// the generator runs `pattern` / `injection_rate` above on the trial
@@ -98,8 +96,7 @@ auto fields(Of<CampaignOptions> auto& o) {
                   o.fault_horizon, o.schedule, o.run_cycles, o.drain_cycles,
                   o.pattern, o.injection_rate, o.noc, o.pdn,
                   o.clock_generators, o.trajectory_sample_period,
-                  o.link_health, o.cosim_epoch_cycles, o.cosim_scale,
-                  o.workload);
+                  o.ber, o.cosim_epoch_cycles, o.workload);
 }
 
 /// Usable-tile count at a point in time.

@@ -31,8 +31,7 @@ PdnDegradationReport resolve_after_brownouts(
     require(grid.contains(t), "browned-out tile outside the grid");
 
   pdn::WaferPdn model(config, options.pdn);
-  std::vector<double> tile_power(
-      grid.tile_count(), config.tile_peak_power_w * options.activity);
+  std::vector<double> tile_power(grid.tile_count(), config.tile_peak_power_w);
   report.baseline = model.solve(tile_power);
 
   for (TileCoord t : report.browned_out)

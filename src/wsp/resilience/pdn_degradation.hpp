@@ -20,15 +20,13 @@ namespace wsp::resilience {
 
 struct PdnDegradationOptions {
   pdn::WaferPdnOptions pdn{};
-  /// Activity factor for the baseline and degraded solves (1.0 = peak).
-  double activity = 1.0;
   /// A browned-out LDO's pass device leaks: the struck tile draws this
   /// multiple of its nominal load from the plane.
   double brownout_load_factor = 1.5;
 };
 
 auto fields(Of<PdnDegradationOptions> auto& o) {
-  return std::tie(o.pdn, o.activity, o.brownout_load_factor);
+  return std::tie(o.pdn, o.brownout_load_factor);
 }
 
 struct PdnDegradationReport {
@@ -46,8 +44,9 @@ struct PdnDegradationReport {
   std::vector<TileCoord> unusable() const;
 };
 
-/// Re-solves the wafer PDN with `browned_out` LDOs failed.  Deterministic;
-/// tiles listed twice are only counted once.
+/// Re-solves the wafer PDN with `browned_out` LDOs failed, every tile at
+/// peak power (the worst case a brownout can meet).  Deterministic; tiles
+/// listed twice are only counted once.
 PdnDegradationReport resolve_after_brownouts(
     const SystemConfig& config, const std::vector<TileCoord>& browned_out,
     const PdnDegradationOptions& options = {});

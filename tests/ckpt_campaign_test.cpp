@@ -318,8 +318,9 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   EXPECT_EQ(a.options_fingerprint(), b.options_fingerprint())
       << "identical options, identical identity";
   // Pinned: a checkpoint written by an earlier build must keep resuming.
-  // (Last moved when the plane-solver fields joined the fingerprint.)
-  EXPECT_EQ(a.options_fingerprint(), 0x88cddd73u)
+  // (Last moved when the solver tuning, NoC latencies and link-health
+  // policy left the options as constants.)
+  EXPECT_EQ(a.options_fingerprint(), 0x44362c04u)
       << "actual 0x" << std::hex << a.options_fingerprint();
 
   CampaignOptions changed = small_campaign();
@@ -338,7 +339,7 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   rich.schedule = resilience::FaultSchedule{};
   rich.clock_generators = {{1, 2}, {3, 4}};
   rich.workload.cls = workloads::WorkloadClass::SpikingBurst;
-  EXPECT_EQ(DegradationCampaign(rich).options_fingerprint(), 0xa9eb01c1u)
+  EXPECT_EQ(DegradationCampaign(rich).options_fingerprint(), 0x6dd22d57u)
       << "actual 0x" << std::hex
       << DegradationCampaign(rich).options_fingerprint();
 }

@@ -265,19 +265,19 @@ TEST(MeshCkpt, FrameBytesArePinned) {
   opt.input_queue_capacity = 6;
   opt.link_latency = 3;
   opt.adaptive_odd_even = true;
-  opt.integrity = {true, false, 2, 77, {1.05, 1e-9, 0.02, 0.1}};
+  opt.integrity = {.enabled = true, .retransmit = false, .seed = 77};
   const noc::MeshNetwork mesh(faults, noc::NetworkKind::YX, opt);
   ckpt::Writer w;
   mesh.save_state(w);
   const std::uint32_t crc = ckpt::crc32(w.bytes().data(), w.size());
-  EXPECT_EQ(w.size(), 19369u);
-  EXPECT_EQ(crc, 0x3db2faeeu) << "actual 0x" << std::hex << crc;
+  EXPECT_EQ(w.size(), 19333u);
+  EXPECT_EQ(crc, 0x5cb52205u) << "actual 0x" << std::hex << crc;
 
   noc::MeshNetwork same(faults, noc::NetworkKind::YX, opt);
   ckpt::Reader r(w.bytes());
   same.load_state(r);
   EXPECT_TRUE(r.done());
-  opt.integrity.ber.max_ber = 0.2;  // one nested option leaf differs
+  opt.integrity.retransmit = true;  // one nested option leaf differs
   noc::MeshNetwork other(faults, noc::NetworkKind::YX, opt);
   ckpt::Reader r2(w.bytes());
   try {
@@ -370,7 +370,7 @@ TEST(NocCkpt, MidTrafficFrameBytesArePinned) {
   noc.set_link_ber(ber);
 
   const std::vector<std::uint8_t> bytes = noc_bytes(noc);
-  expect_pinned(bytes, 59925, 0x00fc6693u);
+  expect_pinned(bytes, 59809, 0x3d34b94au);
   for (const char* section : {"LIVE", "DDLN", "PEND"})
     EXPECT_GT(get_u64(bytes, find_tag(bytes, section) + 4), 0u) << section;
   // REDY holds the XY then the YX queues; the backlog rides one of them.
@@ -400,7 +400,7 @@ TEST(CosimCkpt, SpikingFrameBytesArePinned) {
 
   ckpt::Writer w;
   loop.save_state(w);
-  expect_pinned(w.bytes(), 55664, 0xade0c1b5u);
+  expect_pinned(w.bytes(), 55455, 0x06c91055u);
 
   cosim::CosimLoop same(o);
   ckpt::Reader r(w.bytes());
@@ -608,19 +608,22 @@ std::vector<std::uint8_t> cosim_after_one_epoch(const cosim::CosimOptions& o) {
 }
 
 TEST(MeshCkpt, VersionTwoFrameIsVersionMismatch) {
-  // MESH v3 dropped every storage index from the wire.  A v2 MESH section,
-  // alone or inside a NOCS or COSM payload, is refused at its version word.
+  // MESH v3 dropped every storage index from the wire and v4 shrank the
+  // option block.  A v2 or v3 MESH section, alone or inside a NOCS or COSM
+  // payload, is refused at its version word.
   const auto expect_version_mismatch = [](std::vector<std::uint8_t> bytes,
                                           auto&& load) {
     const std::size_t at = find_tag(bytes, "MESH") + 4;
-    ASSERT_EQ(bytes[at], 3u);
-    bytes[at] = 2;
-    ckpt::Reader r(bytes);
-    try {
-      load(r);
-      FAIL() << "v2 mesh section loaded";
-    } catch (const ckpt::Error& e) {
-      EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << e.what();
+    ASSERT_EQ(bytes[at], 4u);
+    for (const std::uint8_t old : {2, 3}) {
+      bytes[at] = old;
+      ckpt::Reader r(bytes);
+      try {
+        load(r);
+        FAIL() << "v" << int{old} << " mesh section loaded";
+      } catch (const ckpt::Error& e) {
+        EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << e.what();
+      }
     }
   };
   const TileGrid grid(6, 6);
@@ -781,22 +784,25 @@ TEST(ObsCkpt, HistogramCountOverflowIsRejected) {
 }
 
 TEST(NocCkpt, VersionThreeFrameIsVersionMismatch) {
-  // NOCS v4 carries the latency histogram as its run list; a v3 section is
-  // refused at its version word.
+  // NOCS v4 carries the latency histogram as its run list and v5 a
+  // smaller option block; a v3 or v4 section is refused at its version
+  // word.
   const TileGrid grid(6, 6);
   const FaultMap faults(grid);
   noc::NocSystem noc{faults};
   std::vector<std::uint8_t> bytes = noc_bytes(noc);
   const std::size_t at = find_tag(bytes, "NOCS") + 4;
-  ASSERT_EQ(bytes[at], 4u);
-  bytes[at] = 3;
-  noc::NocSystem target{faults};
-  ckpt::Reader r(bytes);
-  try {
-    target.load_state(r);
-    FAIL() << "v3 NOCS section loaded";
-  } catch (const ckpt::Error& e) {
-    EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << e.what();
+  ASSERT_EQ(bytes[at], 5u);
+  for (const std::uint8_t old : {3, 4}) {
+    bytes[at] = old;
+    noc::NocSystem target{faults};
+    ckpt::Reader r(bytes);
+    try {
+      target.load_state(r);
+      FAIL() << "v" << int{old} << " NOCS section loaded";
+    } catch (const ckpt::Error& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::VersionMismatch) << e.what();
+    }
   }
 }
 

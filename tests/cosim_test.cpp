@@ -334,7 +334,7 @@ TEST(WaferPdn, MorePowerNeverRaisesTheMinimumSupply) {
   // The plane is a resistive network fed at its edge, so adding load
   // anywhere can only pull every node down.  An elementwise-larger power
   // map never reports a higher min_supply_v, up to the solve's stopping
-  // error (the last V-cycle moved no node by more than solver.tol).
+  // error (the last V-cycle moved no node by more than solver_tol).
   const CosimOptions o = small_options();
   const std::size_t tiles = o.config.grid().tile_count();
   const double peak = o.config.tile_peak_power_w;
@@ -345,7 +345,7 @@ TEST(WaferPdn, MorePowerNeverRaisesTheMinimumSupply) {
     pdn::WaferPdnOptions popt = o.pdn;
     popt.load_model = model;
     pdn::WaferPdn pdn(o.config, popt);
-    const double slack = 10 * popt.solver.tol;
+    const double slack = 10 * popt.solver_tol;
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<double> lower(tiles), higher(tiles);
       for (std::size_t i = 0; i < tiles; ++i) {
@@ -587,7 +587,7 @@ TEST(CosimLoop, CheckpointRejectsForeignOptions) {
     return std::nullopt;
   };
   CosimOptions tol = small_options(16);
-  tol.pdn.solver.tol *= 2.0;
+  tol.pdn.solver_tol *= 2.0;
   CosimOptions idle = small_options(16);
   idle.scale.idle_fraction = 0.4;
   EXPECT_EQ(load_error(small_options(64)), ckpt::ErrorKind::SchemaMismatch);

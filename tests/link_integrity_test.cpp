@@ -459,8 +459,8 @@ TEST(LinkHealth, MonitorRetiresASustainedHighBerLink) {
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].tile, (TileCoord{2, 2}));
   EXPECT_EQ(due[0].dir, Direction::East);
-  EXPECT_GE(due[0].errors, monitor.policy().min_errors);
-  EXPECT_GE(due[0].traversals, monitor.policy().min_traversals);
+  EXPECT_GE(due[0].errors, noc::LinkHealthMonitor::kMinErrors);
+  EXPECT_GE(due[0].traversals, noc::LinkHealthMonitor::kMinTraversals);
   EXPECT_TRUE(monitor.is_retired({2, 2}, Direction::East));
   // Reported once: a second scrub returns nothing new.
   EXPECT_TRUE(monitor.scrub(noc).empty());
@@ -526,7 +526,43 @@ TEST(LinkHealth, JtagScrubPathMatchesDirectScrub) {
 TEST(LinkHealth, ScrubWordSaturates) {
   EXPECT_EQ(noc::pack_scrub_word(0, 0), 0u);
   EXPECT_EQ(noc::pack_scrub_word(3, 100), (3u << 16) | 100u);
-  EXPECT_EQ(noc::pack_scrub_word(1u << 20, 1u << 20), 0xFFFFFFFFu);
+  EXPECT_EQ(noc::pack_scrub_word(0xFFFF, 0xFFFF), 0xFFFFFFFFu);
+  // Past 16 bits of traversals both halves shift right together (here by
+  // 5), so the packed ratio is the true one.
+  EXPECT_EQ(noc::pack_scrub_word(1u << 20, 1u << 20), 0x80008000u);
+  EXPECT_EQ(noc::pack_scrub_word(3u << 18, 1u << 20), 0x60008000u);
+  // Errors beyond traversals still saturate their own half.
+  EXPECT_EQ(noc::pack_scrub_word(1u << 30, 1u << 20), 0xFFFF8000u);
+}
+
+TEST(LinkHealth, SaturatedScrubWordKeepsTheErrorRate) {
+  // A busy link's counters overflow 16 bits.  The monitor must judge it by
+  // its true error rate: 1,311 errors in 2^24 traversals (7.8e-5) stays
+  // in service, and a link at a true 3% rate is retired.
+  const TileGrid grid(2, 2);
+  const std::uint32_t idle = noc::pack_scrub_word(0, 0);
+  noc::LinkHealthMonitor monitor(grid);
+  EXPECT_TRUE(monitor
+                  .ingest({0, 0},
+                          {noc::pack_scrub_word(1311, 1u << 24), idle, idle,
+                           idle},
+                          100)
+                  .empty());
+  EXPECT_FALSE(monitor.is_retired({0, 0}, kAllDirections[0]));
+
+  const std::uint64_t traversals = 3'000'000;
+  const std::uint64_t errors = traversals * 3 / 100;
+  const auto due = monitor.ingest(
+      {1, 1}, {idle, noc::pack_scrub_word(errors, traversals), idle, idle},
+      200);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].dir, kAllDirections[1]);
+  EXPECT_TRUE(monitor.is_retired({1, 1}, kAllDirections[1]));
+  // The report carries the scaled counts, whose ratio is the true rate.
+  EXPECT_LT(due[0].traversals, 1u << 16);
+  EXPECT_NEAR(static_cast<double>(due[0].errors) /
+                  static_cast<double>(due[0].traversals),
+              0.03, 1e-3);
 }
 
 // ------------------------------------------------- campaign integration

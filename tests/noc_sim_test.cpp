@@ -285,9 +285,9 @@ TEST(NocSystem, ZeroLoadRoundTripMatchesClosedForm) {
   //   * a grant at cycle t lands at t + link_latency, and the landing tile
   //     routes it onward, or ejects it, in that same cycle: each hop costs
   //     link_latency and ejection costs nothing;
-  //   * the destination answers service_latency cycles after the request
+  //   * the destination answers kServiceLatency cycles after the request
   //     ejects, over the same tiles on the complementary network.
-  // So the round trip is 2 * hops * link_latency + service_latency.
+  // So the round trip is 2 * hops * link_latency + kServiceLatency.
   const TileGrid grid(8, 8);
   const NocOptions opt;
   NocSystem noc{FaultMap(grid), opt};
@@ -303,7 +303,7 @@ TEST(NocSystem, ZeroLoadRoundTripMatchesClosedForm) {
                                      std::abs(dst.y - src.y));
       const std::uint64_t expected =
           2 * hops * static_cast<std::uint64_t>(opt.mesh.link_latency) +
-          static_cast<std::uint64_t>(opt.service_latency);
+          NocSystem::kServiceLatency;
       done.clear();
       ASSERT_TRUE(noc.issue(src, dst, PacketType::ReadRequest));
       ASSERT_TRUE(noc.drain(done));
@@ -325,10 +325,10 @@ TEST(NocSystem, ZeroLoadRelayedRoundTripMatchesClosedForm) {
   // The same one-packet extreme on a faulty wafer, where some pairs need a
   // relay.  Each segment is a minimal XY or YX route, so its hops are the
   // Manhattan distance between its waypoints.  The relay tile re-injects
-  // the request, and later the response, relay_latency cycles after it
+  // the request, and later the response, kRelayLatency cycles after it
   // ejects, so a relayed round trip is
-  //   2 * (hops over both segments) * link_latency + service_latency
-  //     + 2 * relay_latency.
+  //   2 * (hops over both segments) * link_latency + kServiceLatency
+  //     + 2 * kRelayLatency.
   const TileGrid grid(8, 8);
   FaultMap faults(grid);
   faults.set_faulty({3, 3}, true);
@@ -352,9 +352,8 @@ TEST(NocSystem, ZeroLoadRelayedRoundTripMatchesClosedForm) {
             std::abs(plan.waypoints[w + 1].y - plan.waypoints[w].y));
       const std::uint64_t expected =
           2 * hops * static_cast<std::uint64_t>(opt.mesh.link_latency) +
-          static_cast<std::uint64_t>(opt.service_latency) +
-          (plan.relayed ? 2 * static_cast<std::uint64_t>(opt.relay_latency)
-                        : 0);
+          NocSystem::kServiceLatency +
+          (plan.relayed ? 2 * NocSystem::kRelayLatency : 0);
       done.clear();
       ASSERT_TRUE(noc.issue(src, dst, PacketType::ReadRequest));
       ASSERT_TRUE(noc.drain(done));

@@ -111,14 +111,11 @@ TEST_F(PdnDroopClaims, MidlineProfileDroopsMonotonicallyTowardCenter) {
 }
 
 TEST_F(PdnDroopClaims, Fig2HoldsUnderMultigridSolver) {
-  // The Fig. 2 claims are about the wafer, not the solver configuration:
-  // re-running the worst-case operating point with a deeper hierarchy, no
-  // FMG start and a tighter tolerance must reproduce the same droop
-  // profile to within solver tolerance.
+  // The Fig. 2 claims are about the wafer, not the solver tolerance:
+  // re-running the worst-case operating point at a tighter tolerance must
+  // reproduce the same droop profile to within solver tolerance.
   pdn::WaferPdnOptions opt;
-  opt.solver.tol = 1e-9;
-  opt.solver.fmg = false;
-  opt.solver.coarsest_nodes = 16;
+  opt.solver_tol = 1e-9;
   pdn::WaferPdn mg_pdn(*config_, opt);
   const pdn::PdnReport mg = mg_pdn.solve_uniform(1.0);
   ASSERT_TRUE(mg.solver_converged);

@@ -57,7 +57,7 @@ TEST(ParallelInvariance, RedBlackSolveVoltagesBitIdentical) {
     }
     for (int y = 8; y < 56; ++y)
       for (int x = 4; x < 60; ++x) g.set_current_sink(x, y, 0.003);
-    const pdn::SolveStats stats = g.solve(pdn::SolverConfig{.tol = 1e-9});
+    const pdn::SolveStats stats = g.solve(1e-9);
     EXPECT_TRUE(stats.converged);
     return g.voltages();  // compared bit-for-bit via operator==
   });
@@ -72,7 +72,7 @@ TEST(ParallelInvariance, SolveStatsBitIdentical) {
     for (int y = 0; y < 48; ++y) g.set_dirichlet(0, y, 1.0);
     for (int x = 1; x < 32; ++x)
       for (int y = 0; y < 48; ++y) g.set_current_sink(x, y, 1e-4);
-    const pdn::SolveStats s = g.solve(pdn::SolverConfig{.tol = 1e-10});
+    const pdn::SolveStats s = g.solve(1e-10);
     return std::tuple{s.iterations, s.residual, s.max_delta_v, s.converged};
   });
   EXPECT_EQ(runs[0], runs[1]);

@@ -25,7 +25,7 @@ TEST(ResistiveGrid, VoltageDividerTwoNodes) {
   g.fill_conductances(1.0, 0.0);  // horizontal chain only
   g.set_dirichlet(0, 0, 1.0);
   g.set_dirichlet(2, 0, 0.0);
-  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-10});
+  const SolveStats stats = g.solve(1e-10);
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-8);
 }
@@ -37,7 +37,7 @@ TEST(ResistiveGrid, OhmsLawSingleSink) {
   g.set_conductance_east(0, 0, 2.0);
   g.set_dirichlet(0, 0, 1.0);
   g.set_current_sink(1, 0, 1.0);
-  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-12});
+  const SolveStats stats = g.solve(1e-12);
   EXPECT_TRUE(stats.converged);
   EXPECT_NEAR(g.voltage(1, 0), 0.5, 1e-9);
   // KCL at the supply: it must deliver exactly the sink current.
@@ -58,7 +58,7 @@ TEST(ResistiveGrid, SymmetricLoadGivesSymmetricSolution) {
     g.set_dirichlet(8, y, 1.0);
   }
   g.set_current_sink(4, 4, 0.1);
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
+  ASSERT_TRUE(g.solve(1e-11).converged);
   // 4-fold symmetry of the Laplace solution.
   EXPECT_NEAR(g.voltage(3, 4), g.voltage(5, 4), 1e-8);
   EXPECT_NEAR(g.voltage(4, 3), g.voltage(4, 5), 1e-8);
@@ -78,7 +78,7 @@ TEST(ResistiveGrid, MaximumPrincipleNoSinks) {
     g.set_dirichlet(x, 0, 1.0);
     g.set_dirichlet(x, 5, 2.0);
   }
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
+  ASSERT_TRUE(g.solve(1e-11).converged);
   for (int y = 1; y < 5; ++y)
     for (int x = 0; x < 6; ++x) {
       EXPECT_GE(g.voltage(x, y), 1.0 - 1e-9);
@@ -96,7 +96,7 @@ TEST(ResistiveGrid, CurrentConservationManySinks) {
       g.set_current_sink(x, y, 0.01);
       total_load += 0.01;
     }
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
+  ASSERT_TRUE(g.solve(1e-11).converged);
   EXPECT_NEAR(g.total_supply_current(), total_load, 1e-5);
 }
 
@@ -108,7 +108,7 @@ TEST(ResistiveGrid, DeeperNodesDroopMore) {
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.0);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.001);
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-11}).converged);
+  ASSERT_TRUE(g.solve(1e-11).converged);
   for (int y = 1; y < 7; ++y)
     EXPECT_GT(g.voltage(4, y), g.voltage(4, y + 1));
 }
@@ -118,10 +118,10 @@ TEST(ResistiveGrid, SolverSeedsFromPreviousSolution) {
   g.fill_conductances(1.0, 1.0);
   for (int x = 0; x < 10; ++x) g.set_dirichlet(x, 0, 1.0);
   g.set_current_sink(5, 5, 0.01);
-  const SolveStats cold = g.solve(SolverConfig{.tol = 1e-10});
+  const SolveStats cold = g.solve(1e-10);
   ASSERT_TRUE(cold.converged);
   // Re-solving the identical system from the converged state is ~free.
-  const SolveStats warm = g.solve(SolverConfig{.tol = 1e-10});
+  const SolveStats warm = g.solve(1e-10);
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2);
 }
@@ -135,7 +135,7 @@ TEST(ResistiveGrid, ResidualReportsKirchhoffCurrentLaw) {
   for (int x = 0; x < 8; ++x) g.set_dirichlet(x, 0, 1.5);
   for (int y = 1; y < 8; ++y)
     for (int x = 0; x < 8; ++x) g.set_current_sink(x, y, 0.002);
-  const SolveStats stats = g.solve(SolverConfig{.tol = 1e-12});
+  const SolveStats stats = g.solve(1e-12);
   ASSERT_TRUE(stats.converged);
 
   double max_kcl = 0.0;
@@ -180,7 +180,7 @@ TEST(ResistiveGrid, StripMatchesDiscreteParabola) {
         total_sink += kSink;
       }
     }
-    ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-12}).converged)
+    ASSERT_TRUE(g.solve(1e-12).converged)
         << w << "x" << h;
     double max_err = 0.0;
     for (int y = 0; y < h; ++y)
@@ -200,7 +200,7 @@ TEST(ResistiveGrid, InvalidArgumentsThrow) {
   EXPECT_THROW(g.set_conductance_east(3, 0, 1.0), Error);  // off the edge
   EXPECT_THROW(g.set_conductance_north(0, 3, 1.0), Error);
   EXPECT_THROW(g.set_conductance_east(0, 0, -1.0), Error);
-  EXPECT_THROW(g.solve(SolverConfig{.tol = 0.0}), Error);
+  EXPECT_THROW(g.solve(0.0), Error);
 }
 
 }  // namespace

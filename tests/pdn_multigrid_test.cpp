@@ -20,12 +20,6 @@
 namespace wsp::pdn {
 namespace {
 
-SolverConfig multigrid_config(double tol = 1e-9) {
-  SolverConfig cfg;
-  cfg.tol = tol;
-  return cfg;
-}
-
 /// Edge-supplied power plane: Dirichlet ring at 2.5 V, uniform interior
 /// draw — the wafer solve's structure at grid level.
 ResistiveGrid make_plane(int n) {
@@ -138,30 +132,19 @@ double ripple_east(int x, int y) { return 1.0 + 0.25 * ((3 * x + 5 * y) % 7); }
 double ripple_north(int x, int y) { return 0.6 + 0.2 * ((2 * x + 3 * y) % 5); }
 
 /// Multigrid must land on the dense solution and balance current:
-/// Dirichlet supply plus shunt inflow equals the total sink.  Each case is
-/// solved with the default hierarchy, a deep one (coarsening down to 4
-/// nodes) and with the FMG start off.
+/// Dirichlet supply plus shunt inflow equals the total sink.
 void expect_matches_dense_oracle(const OracleCase& c) {
   const std::vector<double> exact = c.dense_solve();
-  SolverConfig deep = multigrid_config(1e-12);
-  deep.coarsest_nodes = 4;
-  SolverConfig no_fmg = multigrid_config(1e-12);
-  no_fmg.fmg = false;
-  for (const SolverConfig& cfg : {multigrid_config(1e-12), deep, no_fmg}) {
-    ResistiveGrid g = c.build();
-    const SolveStats stats = g.solve(cfg);
-    ASSERT_TRUE(stats.converged)
-        << c.w << "x" << c.h << " coarsest " << cfg.coarsest_nodes;
-    double max_diff = 0.0;
-    for (std::size_t i = 0; i < exact.size(); ++i)
-      max_diff = std::max(max_diff, std::fabs(g.voltages()[i] - exact[i]));
-    EXPECT_LE(max_diff, 1e-9)
-        << c.w << "x" << c.h << " coarsest " << cfg.coarsest_nodes
-        << " fmg " << cfg.fmg;
-    EXPECT_NEAR(g.total_supply_current() + c.shunt_inflow(g.voltages()),
-                c.total_sink(), 1e-9)
-        << c.w << "x" << c.h;
-  }
+  ResistiveGrid g = c.build();
+  const SolveStats stats = g.solve(1e-12);
+  ASSERT_TRUE(stats.converged) << c.w << "x" << c.h;
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < exact.size(); ++i)
+    max_diff = std::max(max_diff, std::fabs(g.voltages()[i] - exact[i]));
+  EXPECT_LE(max_diff, 1e-9) << c.w << "x" << c.h;
+  EXPECT_NEAR(g.total_supply_current() + c.shunt_inflow(g.voltages()),
+              c.total_sink(), 1e-9)
+      << c.w << "x" << c.h;
 }
 
 double max_voltage_diff(const ResistiveGrid& a, const ResistiveGrid& b) {
@@ -185,7 +168,7 @@ TEST(Multigrid, MatchesEigenExpansionOnDirichletRing) {
   constexpr int kInterior = kN - 2;
   constexpr double kV0 = 2.5, kG = 5.0, kSink = 0.02;  // make_plane's values
   ResistiveGrid mg = make_plane(kN);
-  ASSERT_TRUE(mg.solve(multigrid_config(1e-11)).converged);
+  ASSERT_TRUE(mg.solve(1e-11).converged);
 
   const double t = std::numbers::pi / (kInterior + 1);
   std::vector<std::vector<double>> sines(kInterior + 1,
@@ -317,7 +300,7 @@ TEST(Multigrid, VCycleCountIsGridSizeIndependent) {
   int max_cycles = 0;
   for (const int n : {16, 32, 64, 128}) {
     ResistiveGrid g = make_plane(n);
-    const SolveStats stats = g.solve(multigrid_config(1e-7));
+    const SolveStats stats = g.solve(1e-7);
     ASSERT_TRUE(stats.converged) << "n=" << n;
     min_cycles = std::min(min_cycles, stats.iterations);
     max_cycles = std::max(max_cycles, stats.iterations);
@@ -331,21 +314,9 @@ TEST(Multigrid, ConvergedSolveCostsFewSweepEquivalents) {
   // start included — a fifth of the ~175 sweeps Chebyshev-optimal SOR
   // needed on the same plane.
   ResistiveGrid mg = make_plane(64);
-  const SolveStats stats = mg.solve(multigrid_config(1e-7));
+  const SolveStats stats = mg.solve(1e-7);
   ASSERT_TRUE(stats.converged);
   EXPECT_LE(stats.fine_sweep_equivalents, 35.0);
-}
-
-TEST(Multigrid, FmgOffConvergesToSameSolution) {
-  ResistiveGrid with_fmg = make_plane(48);
-  ResistiveGrid without_fmg = make_plane(48);
-  SolverConfig no_fmg = multigrid_config();
-  no_fmg.fmg = false;
-  const SolveStats a = with_fmg.solve(multigrid_config());
-  const SolveStats b = without_fmg.solve(no_fmg);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  EXPECT_LE(max_voltage_diff(with_fmg, without_fmg), 1e-7);
 }
 
 TEST(Multigrid, HierarchySurvivesSinkUpdatesAndTracksTopologyEdits) {
@@ -353,22 +324,22 @@ TEST(Multigrid, HierarchySurvivesSinkUpdatesAndTracksTopologyEdits) {
   // a topology edit must rebuild it (solve 3 must match a grid built with
   // the edit from scratch, which never had a stale hierarchy).
   ResistiveGrid mg = make_plane(33);
-  ASSERT_TRUE(mg.solve(multigrid_config()).converged);
+  ASSERT_TRUE(mg.solve(1e-9).converged);
 
   std::vector<double> heavier = mg.current_sinks();
   for (double& s : heavier) s *= 2.0;
   mg.set_current_sinks(heavier);
   mg.reset_voltages(0.0);
-  ASSERT_TRUE(mg.solve(multigrid_config()).converged);
+  ASSERT_TRUE(mg.solve(1e-9).converged);
 
   mg.set_conductance_east(10, 10, 0.01);  // topology change
   mg.reset_voltages(0.0);
-  ASSERT_TRUE(mg.solve(multigrid_config()).converged);
+  ASSERT_TRUE(mg.solve(1e-9).converged);
 
   ResistiveGrid fresh = make_plane(33);
   fresh.set_current_sinks(heavier);
   fresh.set_conductance_east(10, 10, 0.01);
-  ASSERT_TRUE(fresh.solve(multigrid_config()).converged);
+  ASSERT_TRUE(fresh.solve(1e-9).converged);
   EXPECT_LE(max_voltage_diff(fresh, mg), 1e-7);
 }
 
@@ -377,7 +348,7 @@ TEST(Multigrid, BitIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 2, 8}) {
     exec::set_shared_threads(threads);
     ResistiveGrid g = make_plane(64);
-    ASSERT_TRUE(g.solve(multigrid_config(1e-7)).converged);
+    ASSERT_TRUE(g.solve(1e-7).converged);
     if (baseline.empty()) {
       baseline = g.voltages();
     } else {
@@ -389,7 +360,7 @@ TEST(Multigrid, BitIdenticalAcrossThreadCounts) {
 
 TEST(SolveBatch, MultigridMatchesSequentialSolves) {
   ResistiveGrid grid = make_plane(33);
-  const SolverConfig cfg = multigrid_config(1e-7);
+  constexpr double kTol = 1e-7;
   const std::size_t nodes = grid.node_count();
   constexpr int kRhs = 8;
 
@@ -404,7 +375,7 @@ TEST(SolveBatch, MultigridMatchesSequentialSolves) {
   for (int m = 0; m < kRhs; ++m) {
     grid.set_current_sinks(sinks[m]);
     grid.reset_voltages(0.0);
-    ASSERT_TRUE(grid.solve(cfg).converged);
+    ASSERT_TRUE(grid.solve(kTol).converged);
     expected[m] = grid.voltages();
   }
 
@@ -412,7 +383,7 @@ TEST(SolveBatch, MultigridMatchesSequentialSolves) {
   std::vector<SolveStats> stats(kRhs);
   std::vector<RhsView> views(kRhs);
   for (int m = 0; m < kRhs; ++m) views[m] = RhsView{sinks[m], got[m]};
-  grid.solve_batch(views, stats, cfg);
+  grid.solve_batch(views, stats, kTol);
   for (int m = 0; m < kRhs; ++m) {
     EXPECT_TRUE(stats[m].converged) << "rhs " << m;
     EXPECT_EQ(got[m], expected[m]) << "rhs " << m;  // bitwise
@@ -421,7 +392,7 @@ TEST(SolveBatch, MultigridMatchesSequentialSolves) {
 
 TEST(SolveBatch, BitIdenticalAcrossThreadCounts) {
   ResistiveGrid grid = make_plane(33);
-  const SolverConfig cfg = multigrid_config(1e-7);
+  constexpr double kTol = 1e-7;
   const std::size_t nodes = grid.node_count();
   constexpr int kRhs = 6;
 
@@ -439,7 +410,7 @@ TEST(SolveBatch, BitIdenticalAcrossThreadCounts) {
     std::vector<SolveStats> stats(kRhs);
     std::vector<RhsView> views(kRhs);
     for (int m = 0; m < kRhs; ++m) views[m] = RhsView{sinks[m], got[m]};
-    grid.solve_batch(views, stats, cfg);
+    grid.solve_batch(views, stats, kTol);
     if (baseline.empty()) {
       baseline = got;
     } else {

@@ -132,6 +132,44 @@ TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
   }
 }
 
+TEST(WaferPdn, MorePowerNeverRaisesAnyTileSupply) {
+  // Maximum principle, tile by tile.  With Dirichlet edges the plane
+  // operator is an M-matrix, so its inverse is elementwise non-negative:
+  // drawing more current anywhere lowers (or keeps) the voltage at every
+  // node.  ConstantCurrent loads are monotone in power, so under an
+  // elementwise-larger power map no tile's supply may rise, up to the
+  // stopping error of the two solves.
+  for (const int n : {8, 32}) {
+    const SystemConfig cfg = SystemConfig::reduced(n, n);
+    const std::size_t tiles = cfg.grid().tile_count();
+    const double peak = cfg.tile_peak_power_w;
+    WaferPdnOptions opt;
+    opt.load_model = LoadModel::ConstantCurrent;
+    WaferPdn pdn(cfg, opt);
+    const double slack = 10 * opt.solver_tol;
+    Rng rng(static_cast<std::uint64_t>(n));
+    double deepest_drop = 0.0;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> lower(tiles), higher(tiles);
+      for (std::size_t i = 0; i < tiles; ++i) {
+        lower[i] = peak * rng.uniform();
+        higher[i] = lower[i] + (rng.below(3) == 0 ? peak * rng.uniform() : 0);
+      }
+      const PdnReport lo = pdn.solve(lower);
+      const PdnReport hi = pdn.solve(higher);
+      ASSERT_TRUE(lo.solver_converged && hi.solver_converged);
+      for (std::size_t i = 0; i < tiles; ++i) {
+        EXPECT_LE(hi.tiles[i].supply_v, lo.tiles[i].supply_v + slack)
+            << n << "x" << n << " trial " << trial << " tile " << i;
+        deepest_drop = std::max(
+            deepest_drop, lo.tiles[i].supply_v - hi.tiles[i].supply_v);
+      }
+    }
+    EXPECT_GT(deepest_drop, 1e-3) << n << "x" << n
+                                  << ": the added power never showed up";
+  }
+}
+
 TEST(WaferPdn, AggregatesAreTileOrderSums) {
   // The report's sums accumulate tile by tile in index order, so summing
   // the per-tile figures the same way reproduces them exactly.

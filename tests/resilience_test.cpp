@@ -679,13 +679,13 @@ TEST(DegradationCampaign, CoupledEpochResolveIsDeterministicAndDiverges) {
   o.config.tile_peak_power_w *= 6.0;
   o.injection_rate = 0.04;
   o.noc.mesh.integrity.enabled = true;
-  o.noc.mesh.integrity.ber.floor_ber = 1e-6;
-  o.noc.mesh.integrity.ber.volts_per_decade = 0.01;
+  o.ber.floor_ber = 1e-6;
+  o.ber.volts_per_decade = 0.01;
   // Put the BER knee just above this wafer's regulated band (~1.14-1.15 V
   // at line_regulation 0.1) so the line-regulation residue of any supply
   // difference shows up on the wire instead of clamping to the floor on a
   // small, lightly-drooped wafer.
-  o.noc.mesh.integrity.ber.nominal_v = 1.16;
+  o.ber.nominal_v = 1.16;
   o.pdn.pdn.ldo.line_regulation = 0.1;
   o.cosim_epoch_cycles = 64;
 

@@ -19,7 +19,7 @@ TEST(ResistiveGridShunt, DividerAgainstReference) {
   ResistiveGrid g(2, 2);
   g.set_shunt(0, 0, 2.0, 0.0);
   g.set_current_sink(0, 0, -1.0);  // inject
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-12}).converged);
+  ASSERT_TRUE(g.solve(1e-12).converged);
   EXPECT_NEAR(g.voltage(0, 0), 0.5, 1e-9);
 }
 
@@ -27,7 +27,7 @@ TEST(ResistiveGridShunt, ReferenceOffsetRespected) {
   ResistiveGrid g(2, 2);
   g.set_shunt(1, 1, 1.0, 25.0);
   g.set_current_sink(1, 1, -10.0);
-  ASSERT_TRUE(g.solve(SolverConfig{.tol = 1e-12}).converged);
+  ASSERT_TRUE(g.solve(1e-12).converged);
   EXPECT_NEAR(g.voltage(1, 1), 35.0, 1e-8);
   EXPECT_THROW(g.set_shunt(0, 0, -1.0, 0.0), Error);
 }
