@@ -133,11 +133,10 @@ CosimLoop::CosimLoop(const CosimOptions& options, const FaultMap& faults)
   // and the static idle-floor reference solved alongside it.
   seeds_.assign(2, {});
   power_maps_.assign(2, {});
-  static_power_ = activity_power_map(
+  power_maps_[1] = activity_power_map(
       std::vector<noc::TileActivity>(faults_.grid().tile_count()), faults_,
       options_.config.tile_peak_power_w, options_.epoch_cycles,
       options_.scale);
-  power_maps_[1] = static_power_;
 }
 
 void CosimLoop::step_cycle() {
@@ -175,11 +174,21 @@ void CosimLoop::couple() {
                                       options_.epoch_cycles, options_.scale);
   for (const double p : power_maps_[0]) e.total_power_w += p;
 
+  // The static reference rides in the batch until a solve reports 0
+  // iterations: its seed is then a fixed point of the solver, so every
+  // later re-solve would return last_static_ byte for byte.
+  const std::size_t batch = static_settled_ ? 1 : 2;
   std::vector<pdn::SolveStats> stats;
-  const std::vector<pdn::PdnReport> reports =
-      pdn_.solve_batch_warm(power_maps_, seeds_, &stats);
-  const pdn::PdnReport& coupled = reports[0];
-  const pdn::PdnReport& baseline = reports[1];
+  std::vector<pdn::PdnReport> reports = pdn_.solve_batch_warm(
+      std::span(power_maps_).first(batch), std::span(seeds_).first(batch),
+      &stats);
+  if (!static_settled_) {
+    last_static_ = std::move(reports[1]);
+    static_settled_ = stats[1].iterations == 0;
+  }
+  last_coupled_ = std::move(reports[0]);
+  const pdn::PdnReport& coupled = last_coupled_;
+  const pdn::PdnReport& baseline = last_static_;
   e.min_supply_v = coupled.min_supply_v;
   e.coupled_iterations = stats[0].iterations;
 
@@ -196,27 +205,25 @@ void CosimLoop::couple() {
   e.max_excess_droop_v = excess;
 
   if (options_.noc.mesh.integrity.enabled) {
-    const noc::LinkBerMap ber =
+    noc::LinkBerMap ber =
         noc::LinkBerMap::from_tile_voltages(grid, regulated, options_.ber);
+    // Tile-major, directions in kAllDirections order.  Links leaving the
+    // array hold exactly 0, which leaves the sum and the max unchanged.
     double sum = 0.0;
-    std::size_t links = 0;
-    grid.for_each([&](TileCoord c) {
-      for (Direction d : kAllDirections) {
-        if (!grid.contains(step(c, d))) continue;
-        const double b = ber.ber(c, d);
+    for (std::size_t t = 0; t < grid.tile_count(); ++t)
+      for (std::size_t d = 0; d < kAllDirections.size(); ++d) {
+        const double b = ber.ber_at(t, d);
         sum += b;
         e.max_ber = std::max(e.max_ber, b);
-        ++links;
       }
-    });
+    const std::size_t w = grid.width(), h = grid.height();
+    const std::size_t links = 2 * ((w - 1) * h + w * (h - 1));
     e.mean_ber = links ? sum / static_cast<double>(links) : 0.0;
     // Staged: both meshes adopt it at the top of the next step(), i.e.
     // exactly at the first cycle of the next epoch.
-    noc_.set_link_ber(ber);
+    noc_.set_link_ber(std::move(ber));
   }
 
-  last_coupled_ = coupled;
-  last_static_ = baseline;
   epochs_.push_back(e);
   publish_gauges(e);
 }
@@ -311,6 +318,7 @@ void CosimLoop::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("EPRP"), "epoch reports");
   ckpt::load_fields(r, epochs_);
   noc_.load_state(r);
+  static_settled_ = false;  // derived: re-checked by the next epoch's solve
   if (!epochs_.empty()) publish_gauges(epochs_.back());
 }
 

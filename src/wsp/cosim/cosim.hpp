@@ -15,10 +15,10 @@
 //                   (cheap per-tile activity counters accumulate for free)
 //   every N cycles: diff the activity counters against the previous epoch
 //                   -> per-tile power map -> re-solve the wafer PDN
-//                   (warm-started, batched with an uncoupled static
-//                   reference RHS) -> derive per-link BER from the
-//                   regulated tile voltages -> stage it on the NoC, which
-//                   adopts it at the next cycle boundary.
+//                   (warm-started; the uncoupled static reference RHS
+//                   rides along until it settles) -> derive per-link BER
+//                   from the regulated tile voltages -> stage it on the
+//                   NoC, which adopts it at the next cycle boundary.
 //
 // Determinism: every stage runs serially on the calling thread (generator
 // RNG, mesh phases, batched multigrid), the coupling points are fixed
@@ -248,14 +248,16 @@ class CosimLoop {
   ActivityTracker tracker_;
   /// Warm-start seeds persisted across epochs: [0] coupled map, [1] static
   /// idle-floor reference (solved in the same batch for the excess-droop
-  /// comparison, converging instantly once warm).
+  /// comparison until it settles).
   std::vector<std::vector<double>> seeds_;
   /// Batch staged per epoch: [0] coupled map (rewritten each epoch),
   /// [1] static idle-floor reference (constant).
   std::vector<std::vector<double>> power_maps_;
-  std::vector<double> static_power_;  ///< idle-floor reference map
   pdn::PdnReport last_coupled_;  ///< derived cache (see last_coupled_pdn)
   pdn::PdnReport last_static_;
+  /// Derived, not checkpoint state (cleared by load_state): a solve of the
+  /// static reference reported 0 iterations, so last_static_ is reused.
+  bool static_settled_ = false;
   std::vector<EpochReport> epochs_;
   std::uint64_t cycle_in_epoch_ = 0;
 

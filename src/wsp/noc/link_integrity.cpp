@@ -63,16 +63,33 @@ LinkBerMap LinkBerMap::from_tile_voltages(const TileGrid& grid,
                                           const BerParams& params) {
   require(v_out.size() == grid.tile_count(),
           "from_tile_voltages: one voltage per tile required");
+  // The curve is evaluated once per tile; each link copies the pair of
+  // the endpoint std::min(v_a, v_b) would pick, so the map is bit-identical
+  // to evaluating the curve per link at the weaker endpoint's voltage.
+  std::vector<double> tile_ber(v_out.size());
+  std::vector<double> tile_pkt(v_out.size());
+  for (std::size_t t = 0; t < v_out.size(); ++t) {
+    // A NaN BER fails every sampling comparison: the link would never err.
+    require(std::isfinite(v_out[t]), "from_tile_voltages: non-finite voltage");
+    tile_ber[t] = std::clamp(ber_from_voltage(v_out[t], params), 0.0, 1.0);
+    tile_pkt[t] = packet_error_probability(tile_ber[t]);
+  }
   LinkBerMap map(grid);
-  grid.for_each([&](TileCoord c) {
-    for (const Direction d : kAllDirections) {
-      const auto n = grid.neighbor(c, d);
-      if (!n) continue;
-      const double v = std::min(v_out[grid.index_of(c)],
-                                v_out[grid.index_of(*n)]);
-      map.set_ber(c, d, ber_from_voltage(v, params));
+  for (int y = 0; y < grid.height(); ++y)
+    for (int x = 0; x < grid.width(); ++x) {
+      const TileCoord c{x, y};
+      const std::size_t a = grid.index_of(c);
+      for (const Direction d : kAllDirections) {
+        const TileCoord n = step(c, d);
+        if (!grid.contains(n)) continue;
+        const std::size_t b = grid.index_of(n);
+        const std::size_t weak = v_out[b] < v_out[a] ? b : a;
+        const std::size_t i = map.index_of(c, d);
+        map.ber_[i] = tile_ber[weak];
+        map.pkt_p_[i] = tile_pkt[weak];
+        map.any_ = map.any_ || tile_pkt[weak] > 0.0;
+      }
     }
-  });
   return map;
 }
 

@@ -81,6 +81,7 @@ class LinkBerMap {
   /// Derives each link's BER from the *weaker* endpoint's regulated
   /// voltage (`v_out` indexed by TileGrid::index_of): the low-supply side
   /// limits both its transmit swing and its receive sensing margin.
+  /// Every voltage must be finite (throws wsp::Error otherwise).
   static LinkBerMap from_tile_voltages(const TileGrid& grid,
                                        const std::vector<double>& v_out,
                                        const BerParams& params = {});
@@ -90,6 +91,10 @@ class LinkBerMap {
   double ber(TileCoord from, Direction d) const {
     if (ber_.empty() || !grid_.contains(from)) return 0.0;
     return ber_[index_of(from, d)];
+  }
+  /// ber() by flat tile index and direction; 0 for links leaving the array.
+  double ber_at(std::size_t tile, std::size_t dir) const {
+    return ber_.empty() ? 0.0 : ber_[tile * 4 + dir];
   }
 
   /// Per-traversal packet corruption probability (precomputed).

@@ -505,11 +505,11 @@ std::optional<std::uint64_t> MeshNetwork::corrupt_head_packet(TileCoord tile) {
   return std::nullopt;
 }
 
-void MeshNetwork::set_link_ber(const LinkBerMap& ber) {
+void MeshNetwork::set_link_ber(LinkBerMap ber) {
   require(ber.grid().width() == grid_.width() &&
               ber.grid().height() == grid_.height(),
           "set_link_ber: BER map grid mismatch");
-  ber_ = ber;
+  ber_ = std::move(ber);
 }
 
 std::uint64_t MeshNetwork::link_error_count(TileCoord from,

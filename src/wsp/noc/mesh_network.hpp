@@ -209,8 +209,9 @@ class MeshNetwork {
   }
 
   /// Binds the per-link BER map the channel model samples (no-op effect
-  /// unless options.integrity.enabled).  Grids must match.
-  void set_link_ber(const LinkBerMap& ber);
+  /// unless options.integrity.enabled).  Grids must match.  Taken by
+  /// value: pass an rvalue to move the map in instead of copying it.
+  void set_link_ber(LinkBerMap ber);
   const LinkBerMap& link_ber() const { return ber_; }
 
   /// Detected CRC errors charged to the directed link leaving `from`.

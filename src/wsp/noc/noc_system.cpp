@@ -335,7 +335,7 @@ void NocSystem::step(std::vector<CompletedTransaction>& done) {
   // mid-cycle between the two meshes (see the set_link_ber contract).
   if (staged_ber_) {
     xy_.set_link_ber(*staged_ber_);
-    yx_.set_link_ber(*staged_ber_);
+    yx_.set_link_ber(std::move(*staged_ber_));
     staged_ber_.reset();
   }
   // Move everything due into the per-tile ready queues, then drain each
@@ -437,11 +437,11 @@ NocStats NocSystem::stats() const {
   return s;
 }
 
-void NocSystem::set_link_ber(const LinkBerMap& ber) {
+void NocSystem::set_link_ber(LinkBerMap ber) {
   require(ber.grid().width() == faults_.grid().width() &&
               ber.grid().height() == faults_.grid().height(),
           "set_link_ber: BER map grid mismatch");
-  staged_ber_ = ber;
+  staged_ber_ = std::move(ber);
 }
 
 void NocSystem::accumulate_tile_activity(

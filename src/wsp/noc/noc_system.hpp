@@ -256,7 +256,8 @@ class NocSystem {
   /// that calls this between steps gets an exact epoch-boundary swap.
   /// Calling it again before the next step simply replaces the staged map
   /// (last writer wins).  The grids must match (throws wsp::Error).
-  void set_link_ber(const LinkBerMap& ber);
+  /// Taken by value: an rvalue map is moved in, not copied.
+  void set_link_ber(LinkBerMap ber);
   /// Map the meshes are currently sampling (the staged map before the next
   /// cycle boundary is NOT yet visible here).
   const LinkBerMap& link_ber() const { return xy_.link_ber(); }

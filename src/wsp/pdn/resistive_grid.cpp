@@ -259,12 +259,18 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
   require(tol > 0.0, "solver tol must be positive");
   MultigridHierarchy::Workspace ws = hierarchy_->make_workspace();
   SolveStats stats;
-  // The bootstrap counts as the first iteration: it can converge solves
-  // with a warm seed outright (its correction is tol-comparable).
+  // The bootstrap counts as the first iteration.  If its correction is
+  // already below tol, the seed met tol: restore it and report 0
+  // iterations, so re-solving a converged state returns it byte for byte
+  // instead of taking one more step of a round-off random walk.
+  const std::vector<double> seed(v.begin(), v.end());
   stats.max_delta_v = hierarchy_->fmg_bootstrap(ws, v.data(), sink.data());
   stats.iterations = 1;
   stats.converged = stats.max_delta_v < tol;
-  if (!stats.converged) {
+  if (stats.converged) {
+    std::copy(seed.begin(), seed.end(), v.begin());
+    stats.iterations = 0;
+  } else {
     double prev_delta = 0.0;
     for (int it = stats.iterations; it < kMaxCycles; ++it) {
       const double max_delta = hierarchy_->v_cycle(ws, v.data(), sink.data());
@@ -294,7 +300,8 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
   }
   stats.fine_sweep_equivalents =
       hierarchy_->fmg_sweep_equivalents() +
-      (stats.iterations - 1) * hierarchy_->sweep_equivalents_per_cycle();
+      std::max(stats.iterations - 1, 0) *
+          hierarchy_->sweep_equivalents_per_cycle();
   stats.residual = max_kcl_residual(v, sink);
   return stats;
 }

@@ -38,7 +38,10 @@ class MultigridHierarchy;
 
 /// Result of a grid solve.
 struct SolveStats {
-  int iterations = 0;     ///< multigrid V-cycles (FMG start included)
+  /// Multigrid V-cycles, FMG start included.  0 means the seed already
+  /// met tol: the FMG start's update was below it, so the seed is
+  /// returned unchanged (re-solving a converged state is idempotent).
+  int iterations = 0;
   /// Max |Kirchhoff current-law residual| over non-Dirichlet nodes at exit,
   /// amperes: how much current each nodal balance fails to conserve.
   double residual = 0.0;
@@ -48,7 +51,7 @@ struct SolveStats {
   bool converged = false;
   /// Total smoothing work in units of one full fine-grid red+black sweep:
   /// every level's sweeps, residual and transfer passes, weighted by level
-  /// size.
+  /// size.  The FMG start is charged even when its update is discarded.
   double fine_sweep_equivalents = 0.0;
 };
 
@@ -124,7 +127,8 @@ class ResistiveGrid {
   /// MultigridHierarchy from the current topology; the cache is
   /// invalidated by conductance/Dirichlet/shunt changes but survives sink
   /// updates, so repeated solves against one topology pay the setup cost
-  /// once.  The previous solution (if any) seeds the iteration.
+  /// once.  The previous solution (if any) seeds the iteration; a seed the
+  /// FMG start moves by less than `tol` is kept as is (iterations == 0).
   /// Bit-identical for every thread count.  Throws unless tol > 0.
   SolveStats solve(double tol = 1e-7);
 

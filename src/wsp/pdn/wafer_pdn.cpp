@@ -172,8 +172,8 @@ std::vector<PdnReport> WaferPdn::solve_batch(
 }
 
 std::vector<PdnReport> WaferPdn::solve_batch_warm(
-    const std::vector<std::vector<double>>& tile_power_maps,
-    std::vector<std::vector<double>>& seeds,
+    std::span<const std::vector<double>> tile_power_maps,
+    std::span<std::vector<double>> seeds,
     std::vector<SolveStats>* stats_out) {
   WSP_TRACE_SPAN("pdn.wafer.solve_batch");
   require(options_.load_model == LoadModel::ConstantCurrent,

@@ -115,11 +115,14 @@ class WaferPdn {
   /// epoch's solution and converges in a fraction of the cold-start
   /// V-cycles.  An empty seeds[m] is cold-started (zeros) and resized;
   /// any other length throws wsp::Error.  `seeds.size()` must equal
-  /// `tile_power_maps.size()`.  stats_out, when non-null, receives the
-  /// per-map solver stats (iteration counts for warm-vs-cold accounting).
+  /// `tile_power_maps.size()`; either may be a sub-span of a longer list.
+  /// A seed that already solves its map (iterations == 0) comes back
+  /// unchanged, as does its report.  stats_out, when non-null, receives
+  /// the per-map solver stats (iteration counts for warm-vs-cold
+  /// accounting).
   std::vector<PdnReport> solve_batch_warm(
-      const std::vector<std::vector<double>>& tile_power_maps,
-      std::vector<std::vector<double>>& seeds,
+      std::span<const std::vector<double>> tile_power_maps,
+      std::span<std::vector<double>> seeds,
       std::vector<SolveStats>* stats_out = nullptr);
 
   /// Solver nodes per plane solve — the seed-buffer length for

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "field_walk.hpp"
@@ -328,6 +329,48 @@ TEST(CosimLoop, SpikingEpochPowerStaysWithinTheIdleAndPeakEnvelope) {
     above_floor = above_floor || e.total_power_w > floor_w + 0.01;
   }
   EXPECT_TRUE(above_floor) << "the spikes never lifted power off the floor";
+}
+
+TEST(CosimLoop, StaticReferenceMatchesAColdSolveAndBoundsEveryTileDroop) {
+  // Two oracles at every epoch, with the reference solved and then reused:
+  // (a) last_static_pdn() agrees with a cold WaferPdn::solve of the
+  //     idle-floor map to the solver tolerance;
+  // (b) no healthy tile's coupled power is below the idle floor, so no
+  //     tile's coupled supply sits above its reference supply, up to the
+  //     stopping error of the two solves.
+  CosimOptions spiking = small_options(16);
+  spiking.workload.cls = workloads::WorkloadClass::SpikingBurst;
+  spiking.workload.seed = 9;
+  spiking.workload.spiking.background_rate = 0.02;
+  spiking.workload.spiking.burst_interval = 40;
+  spiking.workload.spiking.hotspot = {4, 4};
+  FaultMap faulty(spiking.config.grid());
+  faulty.set_faulty({2, 5}, true);
+  const std::pair<CosimOptions, FaultMap> cases[] = {
+      {small_options(), FaultMap(small_options().config.grid())},
+      {spiking, faulty}};
+  for (const auto& [o, faults] : cases) {
+    const double tol = o.pdn.solver_tol;
+    const std::size_t tiles = o.config.grid().tile_count();
+    pdn::WaferPdn cold_pdn(o.config, o.pdn);
+    const pdn::PdnReport cold = cold_pdn.solve(activity_power_map(
+        std::vector<noc::TileActivity>(tiles), faults,
+        o.config.tile_peak_power_w, o.epoch_cycles, o.scale));
+    CosimLoop loop(o, faults);
+    for (int epoch = 0; epoch < 12; ++epoch) {
+      loop.run_epochs(1);
+      const pdn::PdnReport& ref = loop.last_static_pdn();
+      const pdn::PdnReport& coupled = loop.last_coupled_pdn();
+      ASSERT_EQ(ref.tiles.size(), tiles);
+      for (std::size_t i = 0; i < tiles; ++i) {
+        EXPECT_NEAR(ref.tiles[i].supply_v, cold.tiles[i].supply_v, tol)
+            << "epoch " << epoch << " tile " << i;
+        EXPECT_GE(ref.tiles[i].supply_v - coupled.tiles[i].supply_v,
+                  -10 * tol)
+            << "epoch " << epoch << " tile " << i;
+      }
+    }
+  }
 }
 
 TEST(WaferPdn, MorePowerNeverRaisesTheMinimumSupply) {

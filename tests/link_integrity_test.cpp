@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "wsp/common/error.hpp"
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/rng.hpp"
 #include "wsp/noc/link_health.hpp"
@@ -152,6 +157,61 @@ TEST(BerModel, LinkBerMapUsesTheWeakerEndpoint) {
                    noc::BerParams{}.floor_ber);
   EXPECT_FALSE(map.error_free());
   EXPECT_TRUE(noc::LinkBerMap(grid).error_free());
+}
+
+TEST(BerModel, LinkBerMapMatchesThePerLinkOracleByteForByte) {
+  // The oracle evaluates the curve per link at min(v_a, v_b), clamped, as
+  // set_ber would store it.  Voltages are drawn from a few levels (ties),
+  // above nominal (floor) and far below it (max_ber).
+  const noc::BerParams params{1.1, 1e-6, 0.003, 0.05};
+  const double levels[] = {1.2, 1.1, 1.1 - 1e-12, 1.095, 1.09, 1.0, 0.3};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng(0x0BE5);
+  const int shapes[][2] = {{1, 1}, {1, 7}, {7, 1}, {2, 2}, {5, 3}, {16, 16}};
+  for (const auto& shape : shapes) {
+    const TileGrid grid(shape[0], shape[1]);
+    for (int trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE(std::to_string(shape[0]) + "x" + std::to_string(shape[1]) +
+                   " trial " + std::to_string(trial));
+      std::vector<double> v(grid.tile_count());
+      for (double& x : v)
+        x = rng.uniform() < 0.5 ? levels[rng.below(std::size(levels))]
+                                : 1.08 + 0.03 * rng.uniform();
+      const noc::LinkBerMap map =
+          noc::LinkBerMap::from_tile_voltages(grid, v, params);
+      bool any = false;
+      grid.for_each([&](TileCoord c) {
+        for (const Direction d : kAllDirections) {
+          double ber = 0.0;
+          if (const auto n = grid.neighbor(c, d)) {
+            ber = std::clamp(
+                noc::ber_from_voltage(
+                    std::min(v[grid.index_of(c)], v[grid.index_of(*n)]),
+                    params),
+                0.0, 1.0);
+          }
+          const double p = noc::packet_error_probability(ber);
+          any = any || p > 0.0;
+          EXPECT_EQ(bits(map.ber(c, d)), bits(ber));
+          EXPECT_EQ(bits(map.packet_error_prob(c, d)), bits(p));
+        }
+      });
+      EXPECT_EQ(map.error_free(), !any);
+    }
+  }
+}
+
+TEST(BerModel, LinkBerMapRejectsNonFiniteVoltages) {
+  // A NaN BER fails every `p > 0` and `uniform() < p` test, so the link
+  // would silently never err; the map refuses such a voltage instead.
+  const TileGrid grid(3, 2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> v(grid.tile_count(), 1.05);
+    v[grid.index_of({1, 1})] = bad;
+    EXPECT_THROW(noc::LinkBerMap::from_tile_voltages(grid, v), Error) << bad;
+  }
 }
 
 // ------------------------------------------- channel + CRC + retransmit

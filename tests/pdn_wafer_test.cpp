@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "wsp/common/error.hpp"
@@ -119,7 +121,8 @@ TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
     std::vector<std::vector<double>> seeds(1);
     for (int epoch = 0; epoch < 3; ++epoch) {
       const std::vector<PdnReport> reports =
-          cc.solve_batch_warm({random_map()}, seeds);
+          cc.solve_batch_warm(std::vector<std::vector<double>>{random_map()},
+                              seeds);
       EXPECT_LE(relative_error(reports[0]), kTol)
           << side << " epoch " << epoch;
     }
@@ -178,6 +181,104 @@ TEST(WaferPdn, AggregatesAreTileOrderSums) {
   double ldo_loss = 0.0;
   for (const TilePower& t : r.tiles) ldo_loss += t.ldo_loss_w;
   EXPECT_EQ(r.ldo_loss_w, ldo_loss);
+}
+
+/// Every PdnReport field, per tile and aggregate, as raw bits.
+std::vector<std::uint64_t> report_bits(const PdnReport& r) {
+  std::vector<std::uint64_t> out;
+  const auto put = [&](double x) {
+    out.push_back(std::bit_cast<std::uint64_t>(x));
+  };
+  for (const TilePower& t : r.tiles) {
+    put(t.supply_v);
+    put(t.regulated_v);
+    put(t.plane_current_a);
+    put(t.ldo_loss_w);
+    out.push_back(t.in_regulation);
+  }
+  for (const double x : {r.min_supply_v, r.max_supply_v,
+                         r.total_supply_current_a, r.total_input_power_w,
+                         r.plane_loss_w, r.ldo_loss_w, r.delivered_power_w,
+                         r.efficiency})
+    put(x);
+  out.push_back(static_cast<std::uint64_t>(r.tiles_out_of_regulation));
+  out.push_back(r.solver_converged);
+  return out;
+}
+
+std::vector<double> random_power_map(const SystemConfig& cfg,
+                                     std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> power(cfg.grid().tile_count());
+  for (double& p : power)
+    p = cfg.tile_peak_power_w * (0.2 + 0.8 * rng.uniform());
+  return power;
+}
+
+TEST(WaferPdn, ResolvingAConvergedWarmSeedIsIdempotent) {
+  // A seed the FMG start moves by less than tol is returned unchanged with
+  // iterations == 0, so re-solving a converged state is a fixed point
+  // instead of one more step of a round-off random walk.
+  for (const int n : {8, 32}) {
+    SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(n));
+    const SystemConfig cfg = SystemConfig::reduced(n, n);
+    WaferPdn pdn(cfg, {});
+    const std::vector<std::vector<double>> maps{
+        random_power_map(cfg, static_cast<std::uint64_t>(n))};
+    std::vector<std::vector<double>> seeds(1);
+    std::vector<SolveStats> stats;
+    const PdnReport cold = pdn.solve_batch_warm(maps, seeds, &stats)[0];
+    ASSERT_TRUE(cold.solver_converged);
+    ASSERT_GT(stats[0].iterations, 0);
+    const std::vector<double> converged = seeds[0];
+    for (int again = 0; again < 3; ++again) {
+      const PdnReport warm = pdn.solve_batch_warm(maps, seeds, &stats)[0];
+      EXPECT_EQ(stats[0].iterations, 0) << "re-solve " << again;
+      EXPECT_TRUE(stats[0].converged);
+      EXPECT_LT(stats[0].max_delta_v, pdn.options().solver_tol);
+      EXPECT_GT(stats[0].fine_sweep_equivalents, 0.0);  // the FMG start ran
+      EXPECT_TRUE(seeds[0] == converged) << "re-solve " << again;
+      EXPECT_EQ(report_bits(warm), report_bits(cold)) << "re-solve " << again;
+    }
+  }
+}
+
+TEST(WaferPdn, PerturbedWarmSeedRunsAVCycleAndReconverges) {
+  // 10 x tol off the fixed point is more than the FMG start may absorb:
+  // the solve iterates, converges, and lands back within tol.
+  const SystemConfig cfg = SystemConfig::reduced(32, 32);
+  WaferPdn pdn(cfg, {});
+  const double tol = pdn.options().solver_tol;
+  const std::vector<std::vector<double>> maps{random_power_map(cfg, 3)};
+  std::vector<std::vector<double>> seeds(1);
+  const PdnReport ref = pdn.solve_batch_warm(maps, seeds)[0];
+  for (double& v : seeds[0]) v += 10 * tol;
+  std::vector<SolveStats> stats;
+  const PdnReport again = pdn.solve_batch_warm(maps, seeds, &stats)[0];
+  EXPECT_GE(stats[0].iterations, 1);
+  ASSERT_TRUE(stats[0].converged);
+  for (std::size_t i = 0; i < ref.tiles.size(); ++i)
+    EXPECT_NEAR(again.tiles[i].supply_v, ref.tiles[i].supply_v, tol) << i;
+}
+
+TEST(WaferPdn, IdleFloorMapSettlesOnItsFirstWarmResolve) {
+  // The cosim loop's static reference: every healthy tile at the idle
+  // floor (30% of peak, ActivityScale's default).  Its cold solve is
+  // already a fixed point of the warm re-solve.
+  for (const int n : {8, 32}) {
+    SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(n));
+    const SystemConfig cfg = SystemConfig::reduced(n, n);
+    WaferPdn pdn(cfg, {});
+    const std::vector<std::vector<double>> maps{std::vector<double>(
+        cfg.grid().tile_count(), 0.3 * cfg.tile_peak_power_w)};
+    std::vector<std::vector<double>> seeds(1);
+    std::vector<SolveStats> stats;
+    const PdnReport cold = pdn.solve_batch_warm(maps, seeds, &stats)[0];
+    ASSERT_GT(stats[0].iterations, 0);
+    const PdnReport warm = pdn.solve_batch_warm(maps, seeds, &stats)[0];
+    EXPECT_EQ(stats[0].iterations, 0);
+    EXPECT_EQ(report_bits(warm), report_bits(cold));
+  }
 }
 
 TEST(WaferPdn, FewerPoweredEdgesDroopMore) {
