@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/exec/thread_pool.hpp"
 #include "wsp/pdn/resistive_grid.hpp"
+#include "wsp/pdn/thermal.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
 
 namespace wsp::pdn {
@@ -356,6 +361,134 @@ TEST(Multigrid, BitIdenticalAcrossThreadCounts) {
     }
   }
   exec::set_shared_threads(0);
+}
+
+/// CRC-32 over values folded in as little-endian 8-byte words (doubles by
+/// their IEEE-754 bits), so a pin reads the same on every host.
+class ByteCrc {
+ public:
+  void u64(std::uint64_t bits) {
+    std::uint8_t b[8];
+    for (int k = 0; k < 8; ++k)
+      b[k] = static_cast<std::uint8_t>(bits >> (8 * k));
+    crc_ = ckpt::crc32_update(crc_, b, sizeof b);
+  }
+  void f64(double d) { u64(std::bit_cast<std::uint64_t>(d)); }
+  /// A solve's whole output: every node voltage, then each SolveStats
+  /// field in declaration order.
+  void solve(std::span<const double> v, const SolveStats& s) {
+    for (const double d : v) f64(d);
+    u64(static_cast<std::uint64_t>(s.iterations));
+    f64(s.residual);
+    f64(s.max_delta_v);
+    u64(s.converged ? 1 : 0);
+    f64(s.fine_sweep_equivalents);
+  }
+  std::uint32_t value() const { return crc_; }
+
+ private:
+  std::uint32_t crc_ = 0;
+};
+
+std::uint32_t solve_crc(std::span<const double> v, const SolveStats& s) {
+  ByteCrc crc;
+  crc.solve(v, s);
+  return crc.value();
+}
+
+TEST(Multigrid, SolveBytesArePinned) {
+  // Every byte a solve returns is pinned: the solver kernels may be
+  // rewritten for speed, but each must keep its accumulation order, so a
+  // change that moves one of these CRCs changed the arithmetic.
+  const SystemConfig cfg = SystemConfig::paper_prototype();
+  const std::size_t tiles = cfg.grid().tile_count();
+
+  // The paper wafer's 64x64 plane: a cold solve, then a warm re-solve of
+  // a perturbed map from its solution.
+  std::vector<double> power(tiles);
+  for (std::size_t i = 0; i < tiles; ++i)
+    power[i] = cfg.tile_peak_power_w * (0.3 + 0.007 * ((i * 37) % 101));
+  WaferPdn pdn(cfg, {});
+  std::vector<std::vector<double>> seeds(1);
+  std::vector<SolveStats> stats;
+  const PdnReport cold =
+      pdn.solve_batch_warm(std::vector<std::vector<double>>{power}, seeds,
+                           &stats)[0];
+  ASSERT_TRUE(cold.solver_converged);
+  EXPECT_EQ(solve_crc(seeds[0], stats[0]), 0x952e6422u) << "wafer cold";
+  for (std::size_t i = 0; i < tiles; i += 7) power[i] *= 0.5;
+  pdn.solve_batch_warm(std::vector<std::vector<double>>{power}, seeds, &stats);
+  ASSERT_TRUE(stats[0].converged);
+  EXPECT_GT(stats[0].iterations, 0);
+  EXPECT_EQ(solve_crc(seeds[0], stats[0]), 0x32fdced5u) << "wafer warm";
+
+  // A 37x29 plane with interior supply posts, a zero-conductance slot, a
+  // floating island (with a load on it the solve must leave alone), shunts
+  // to non-zero references, scattered loads and one injection; solved
+  // cold, then warm after the loads change.
+  ResistiveGrid mixed(37, 29);
+  for (int y = 0; y < 29; ++y)
+    for (int x = 0; x + 1 < 37; ++x)
+      mixed.set_conductance_east(x, y, ripple_east(x, y));
+  for (int y = 0; y + 1 < 29; ++y)
+    for (int x = 0; x < 37; ++x)
+      mixed.set_conductance_north(x, y, ripple_north(x, y));
+  for (int y = 0; y < 29; ++y) mixed.set_dirichlet(0, y, 1.8);
+  mixed.set_dirichlet(18, 14, 1.5);
+  mixed.set_dirichlet(30, 7, 1.6);
+  for (int y = 10; y <= 12; ++y) mixed.set_conductance_east(24, y, 0.0);
+  for (int y = 20; y <= 22; ++y) {
+    mixed.set_conductance_east(7, y, 0.0);
+    mixed.set_conductance_east(11, y, 0.0);
+  }
+  for (int x = 8; x <= 11; ++x) {
+    mixed.set_conductance_north(x, 19, 0.0);
+    mixed.set_conductance_north(x, 22, 0.0);
+  }
+  for (int k = 0; k < 8; ++k)
+    mixed.set_shunt(33, 2 + 3 * k, 0.05 * (k + 1), 0.9 + 0.1 * k);
+  for (int y = 0; y < 29; ++y)
+    for (int x = 1; x < 37; ++x)
+      if ((7 * x + 3 * y) % 5 == 0)
+        mixed.set_current_sink(x, y, 0.01 + 0.002 * (x % 4));
+  mixed.set_current_sink(20, 25, -0.05);
+  mixed.set_current_sink(9, 21, 0.3);  // on the island
+  SolveStats s = mixed.solve(1e-9);
+  ASSERT_TRUE(s.converged);
+  EXPECT_EQ(mixed.voltage(9, 21), 0.0);
+  EXPECT_EQ(solve_crc(mixed.voltages(), s), 0xfa34a884u) << "37x29 cold";
+  std::vector<double> loads = mixed.current_sinks();
+  for (std::size_t i = 0; i < loads.size(); i += 3) loads[i] *= 1.5;
+  mixed.set_current_sinks(loads);
+  s = mixed.solve(1e-9);
+  ASSERT_TRUE(s.converged);
+  EXPECT_EQ(solve_crc(mixed.voltages(), s), 0x0a4eb747u) << "37x29 warm";
+
+  // A 2x40 strip: one axis can never coarsen.
+  ResistiveGrid strip(2, 40);
+  strip.fill_conductances(3.0, 2.0);
+  strip.set_dirichlet(0, 0, 1.0);
+  strip.set_dirichlet(1, 0, 1.0);
+  for (int y = 1; y < 40; ++y)
+    for (int x = 0; x < 2; ++x)
+      strip.set_current_sink(x, y, 0.001 * (y % 3 + 1 + x));
+  strip.set_shunt(1, 39, 0.5, 0.8);
+  s = strip.solve(1e-10);
+  ASSERT_TRUE(s.converged);
+  EXPECT_EQ(solve_crc(strip.voltages(), s), 0x937c7831u) << "2x40 strip";
+
+  // A thermal extraction from the cold wafer report: shunts to ambient on
+  // every node and no Dirichlet node at all.
+  WaferThermal thermal(cfg);
+  const ThermalReport t = thermal.solve(heat_map_from_pdn(cfg, cold));
+  ASSERT_TRUE(t.solver_converged);
+  ByteCrc tc;
+  for (const double c : t.tile_temperature_c) tc.f64(c);
+  tc.f64(t.max_c);
+  tc.f64(t.mean_c);
+  tc.f64(t.total_heat_w);
+  tc.u64(static_cast<std::uint64_t>(t.tiles_over_limit));
+  EXPECT_EQ(tc.value(), 0x9e64d3e5u) << "thermal";
 }
 
 TEST(SolveBatch, MultigridMatchesSequentialSolves) {
