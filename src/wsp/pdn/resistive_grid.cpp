@@ -2,31 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "wsp/common/error.hpp"
 #include "wsp/obs/trace.hpp"
 #include "wsp/pdn/multigrid.hpp"
 
 namespace wsp::pdn {
-
-namespace {
-// One red-black half-sweep; with kResidual it also stores each node's
-// post-update residual to r (see sweep_color_residual).
-template <bool kResidual>
-double relax_color(const std::vector<ResistiveGrid::StencilNode>& nodes,
-                   double omega, double* v, const double* sink, double* r) {
-  double max_update = 0.0;
-  for (const ResistiveGrid::StencilNode& s : nodes) {
-    const double v_new = (s.flow(v) - sink[s.node]) * s.inv_gsum;
-    const double old = v[s.node];
-    const double updated = old + omega * (v_new - old);
-    max_update = std::max(max_update, std::abs(updated - old));
-    v[s.node] = updated;
-    if constexpr (kResidual) r[s.node] = s.gsum * (v_new - updated);
-  }
-  return max_update;
-}
-}  // namespace
 
 ResistiveGrid::ResistiveGrid(int width, int height)
     : width_(width), height_(height) {
@@ -82,7 +64,7 @@ void ResistiveGrid::clear_dirichlet(int x, int y) {
 
 void ResistiveGrid::set_current_sink(int x, int y, double amperes) {
   // Sinks enter only the right-hand side (read live during sweeps), so the
-  // stencil and multigrid hierarchy survive per-solve load updates — the
+  // multigrid hierarchy survives per-solve load updates — the
   // WaferPdn constant-power loop re-solves with new sinks on an unchanged
   // topology.
   sink_[index(x, y)] = amperes;
@@ -91,7 +73,7 @@ void ResistiveGrid::set_current_sink(int x, int y, double amperes) {
 void ResistiveGrid::set_current_sinks(const std::vector<double>& amperes) {
   require(amperes.size() == sink_.size(),
           "sink vector must cover every grid node");
-  sink_ = amperes;  // right-hand side only: stencil and hierarchy survive
+  sink_ = amperes;  // right-hand side only: the hierarchy survives
 }
 
 void ResistiveGrid::set_shunt(int x, int y, double siemens, double v_ref) {
@@ -131,104 +113,15 @@ std::vector<char> ResistiveGrid::grounded_nodes() const {
   return grounded;
 }
 
-void ResistiveGrid::build_stencil(int width, int height,
-                                  std::span<const double> g_east,
-                                  std::span<const double> g_north,
-                                  std::span<const double> shunt_g,
-                                  const double* shunt_v,
-                                  std::span<const char> skip,
-                                  std::vector<StencilNode> (&out)[2]) {
-  out[0].clear();
-  out[1].clear();
-  const auto w = static_cast<std::size_t>(width);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const std::size_t i = static_cast<std::size_t>(y) * w + x;
-      if (skip[i]) continue;
-      StencilNode n{};
-      n.node = static_cast<std::uint32_t>(i);
-      // Absent neighbours alias the node itself with g = 0: the flow term
-      // contributes exactly 0.0 and the sweep body stays branch-free.
-      for (int k = 0; k < 4; ++k) {
-        n.nbr[k] = static_cast<std::uint32_t>(i);
-        n.g[k] = 0.0;
-      }
-      if (x > 0) {
-        n.g[0] = g_east[static_cast<std::size_t>(y) * (w - 1) + x - 1];
-        n.nbr[0] = static_cast<std::uint32_t>(i - 1);
-      }
-      if (x < width - 1) {
-        n.g[1] = g_east[static_cast<std::size_t>(y) * (w - 1) + x];
-        n.nbr[1] = static_cast<std::uint32_t>(i + 1);
-      }
-      if (y > 0) {
-        n.g[2] = g_north[i - w];
-        n.nbr[2] = static_cast<std::uint32_t>(i - w);
-      }
-      if (y < height - 1) {
-        n.g[3] = g_north[i];
-        n.nbr[3] = static_cast<std::uint32_t>(i + w);
-      }
-      n.shunt_flow = shunt_v != nullptr ? shunt_g[i] * shunt_v[i] : 0.0;
-      n.gsum = n.g[0] + n.g[1] + n.g[2] + n.g[3] + shunt_g[i];
-      if (n.gsum <= 0.0) continue;  // isolated node: leave as-is
-      n.inv_gsum = 1.0 / n.gsum;
-      out[(x + y) & 1].push_back(n);
-    }
-  }
-}
-
-void ResistiveGrid::rebuild_stencil() {
-  // A region no Dirichlet node or shunt reaches has no unique solution
-  // (its level floats): like an isolated node it stays out of the solve
-  // and keeps its current values.
-  std::vector<char> skip = grounded_nodes();
-  for (std::size_t i = 0; i < skip.size(); ++i)
-    skip[i] = dirichlet_[i] || !skip[i];
-  build_stencil(width_, height_, g_east_, g_north_, shunt_g_, shunt_v_.data(),
-                skip, stencil_);
-  stencil_valid_ = true;
-}
-
 void ResistiveGrid::invalidate_topology() {
-  stencil_valid_ = false;
   hierarchy_.reset();
+  seed_ = {};
 }
 
 void ResistiveGrid::prepare_solvers() {
-  if (!stencil_valid_) rebuild_stencil();
-  if (hierarchy_ == nullptr)
-    hierarchy_ = std::make_unique<MultigridHierarchy>(*this);
-}
-
-double ResistiveGrid::sweep_color(const std::vector<StencilNode>& nodes,
-                                  double omega, double* v,
-                                  const double* sink) {
-  WSP_TRACE_SPAN("pdn.grid.sweep");
-  return relax_color<false>(nodes, omega, v, sink, nullptr);
-}
-
-double ResistiveGrid::sweep_color_residual(const std::vector<StencilNode>& nodes,
-                                           double omega, double* v,
-                                           const double* sink, double* r) {
-  // On a 5-point stencil the neighbours of a node are all the other color,
-  // so once this (second) half-sweep runs, flow is final and
-  // r = flow - gsum * v_new - sink = gsum * (v_gs - v_new) falls out of
-  // values already in registers — the multigrid cycle gets the residual of
-  // this color for free instead of re-walking the stencil.
-  return relax_color<true>(nodes, omega, v, sink, r);
-}
-
-double ResistiveGrid::max_kcl_residual(std::span<const double> v,
-                                       std::span<const double> sink) const {
-  // True nodal current residual: |sum_j g_ij (v_j - v_i) + shunt - sink_i|,
-  // amperes — zero at the exact solution of every balanced node.
-  double max_r = 0.0;
-  for (const auto& nodes : stencil_)
-    for (const StencilNode& s : nodes)
-      max_r = std::max(max_r, std::abs(s.flow(v.data()) -
-                                       s.gsum * v[s.node] - sink[s.node]));
-  return max_r;
+  if (hierarchy_ != nullptr) return;
+  hierarchy_ = std::make_unique<MultigridHierarchy>(*this);
+  seed_.resize(node_count());
 }
 
 void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
@@ -257,23 +150,22 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
                                    std::span<const double> sink, double tol) {
   WSP_TRACE_SPAN("pdn.grid.solve");
   require(tol > 0.0, "solver tol must be positive");
-  MultigridHierarchy::Workspace ws = hierarchy_->make_workspace();
   SolveStats stats;
   // The bootstrap counts as the first iteration.  If its correction is
   // already below tol, the seed met tol: restore it and report 0
   // iterations, so re-solving a converged state returns it byte for byte
   // instead of taking one more step of a round-off random walk.
-  const std::vector<double> seed(v.begin(), v.end());
-  stats.max_delta_v = hierarchy_->fmg_bootstrap(ws, v.data(), sink.data());
+  std::copy(v.begin(), v.end(), seed_.begin());
+  stats.max_delta_v = hierarchy_->fmg_bootstrap(v.data(), sink.data());
   stats.iterations = 1;
   stats.converged = stats.max_delta_v < tol;
   if (stats.converged) {
-    std::copy(seed.begin(), seed.end(), v.begin());
+    std::copy(seed_.begin(), seed_.end(), v.begin());
     stats.iterations = 0;
   } else {
     double prev_delta = 0.0;
     for (int it = stats.iterations; it < kMaxCycles; ++it) {
-      const double max_delta = hierarchy_->v_cycle(ws, v.data(), sink.data());
+      const double max_delta = hierarchy_->v_cycle(v.data(), sink.data());
       stats.iterations = it + 1;
       stats.max_delta_v = max_delta;
       if (max_delta < tol) {
@@ -302,7 +194,7 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
       hierarchy_->fmg_sweep_equivalents() +
       std::max(stats.iterations - 1, 0) *
           hierarchy_->sweep_equivalents_per_cycle();
-  stats.residual = max_kcl_residual(v, sink);
+  stats.residual = hierarchy_->max_kcl_residual(v.data(), sink.data());
   return stats;
 }
 

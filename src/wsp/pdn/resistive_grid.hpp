@@ -14,17 +14,15 @@
 // nodes of one color only ever read the other color's values within a
 // half-sweep, so the update is independent of traversal order.  Every
 // solve, batched or not, runs serially on its calling thread.  The
-// loop-invariant per-node work
-// (neighbour indices, conductance sums) is hoisted into a stencil built once
-// per topology change, and the multigrid hierarchy is cached under the same
-// invalidation rule — sink updates never touch either, which is what makes
-// solve_batch() able to amortize one setup across many right-hand sides.
+// hierarchy holds every level's operator as row-major plane arrays, and
+// its solve scratch; it is built once per topology change and cached, so
+// sink updates never touch it, which is what makes solve_batch() able to
+// amortize one setup across many right-hand sides.
 // It is deliberately self-contained so it can also model other planes (e.g.
 // the thermal heat-spreader model).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -108,9 +106,9 @@ class ResistiveGrid {
 
   /// Replaces the whole sink vector in one call (node_count() entries,
   /// amperes out of each node, indexed by index()).  Like
-  /// set_current_sink, this touches only the right-hand side: the hoisted
-  /// stencil and any cached multigrid hierarchy survive, so per-solve load
-  /// updates (power maps, DSE sweep points) stay amortized.
+  /// set_current_sink, this touches only the right-hand side: any cached
+  /// multigrid hierarchy survives, so per-solve load updates (power maps,
+  /// DSE sweep points) stay amortized.
   void set_current_sinks(const std::vector<double>& amperes);
   const std::vector<double>& current_sinks() const { return sink_; }
 
@@ -138,7 +136,7 @@ class ResistiveGrid {
   static constexpr int kMaxCycles = 60;
 
   /// Solves many independent right-hand sides against this one topology,
-  /// serially in order, amortizing one hierarchy/stencil over the whole
+  /// serially in order, amortizing one hierarchy over the whole
   /// batch.  Each rhs[i].v is seeded by the caller (its Dirichlet entries
   /// are reset from the grid's fixed values first) and holds that solve's
   /// solution on return; stats[i] reports it.  The grid's own solution
@@ -161,7 +159,7 @@ class ResistiveGrid {
 
   /// Resets every non-Dirichlet node to `volts` (Dirichlet nodes keep their
   /// fixed values).  Gives a freshly-constructed-grid seed without paying
-  /// for a rebuild: the stencil, hierarchy and sinks all survive.  Callers
+  /// for a rebuild: the hierarchy and sinks survive.  Callers
   /// that want history-independent solves against a cached grid (WaferPdn,
   /// WaferThermal) call this before each solve.
   void reset_voltages(double volts = 0.0);
@@ -180,56 +178,6 @@ class ResistiveGrid {
   double dissipated_power() const { return dissipated_power(v_); }
   double dissipated_power(std::span<const double> v) const;
 
-  // Loop-invariant per-node solve data, hoisted out of the sweep: flattened
-  // neighbour indices and conductances (absent neighbours alias the node
-  // itself with zero conductance), the shunt injection, and the inverse
-  // diagonal.  Split by checkerboard color; rebuilt on topology change.
-  // Public so MultigridHierarchy levels share the exact sweep kernel (the
-  // determinism argument holds once, for every level).
- public:
-  struct StencilNode {
-    std::uint32_t node;
-    std::uint32_t nbr[4];  // W, E, S, N neighbour indices
-    double g[4];           // matching edge conductances (0 when absent)
-    double shunt_flow;     // shunt_g * shunt_v
-    double gsum;           // diagonal: sum of g[] + shunt_g
-    double inv_gsum;
-
-    /// Current the neighbours and the shunt push into the node at `v`.
-    double flow(const double* v) const {
-      return g[0] * v[nbr[0]] + g[1] * v[nbr[1]] + g[2] * v[nbr[2]] +
-             g[3] * v[nbr[3]] + shunt_flow;
-    }
-  };
-
-  /// Builds the two-color stencil ([0] = red, x+y even) of a width x
-  /// height grid from its edge conductances (east/north layouts as in
-  /// ResistiveGrid) and shunts, leaving out `skip`ped nodes and nodes with
-  /// no conductance at all.  A null `shunt_v` puts every shunt reference
-  /// at 0 V, as on the multigrid's error-equation levels.  Shared by the
-  /// fine grid and every multigrid level.
-  static void build_stencil(int width, int height,
-                            std::span<const double> g_east,
-                            std::span<const double> g_north,
-                            std::span<const double> shunt_g,
-                            const double* shunt_v, std::span<const char> skip,
-                            std::vector<StencilNode> (&out)[2]);
-
-  /// One red-black half-sweep of over-relaxed Gauss-Seidel over `nodes`,
-  /// updating `v` in place against `sink`; returns the max |relaxed
-  /// update|.  Every multigrid level's smoother.
-  static double sweep_color(const std::vector<StencilNode>& nodes,
-                            double omega, double* v, const double* sink);
-
-  /// sweep_color plus a free residual: when this runs as the *second*
-  /// color of a sweep, every neighbour is final, so each node's KCL
-  /// residual is a by-product of the update already in registers and gets
-  /// stored to `r`.  The multigrid cycle uses it to skip half of every
-  /// explicit residual pass.
-  static double sweep_color_residual(const std::vector<StencilNode>& nodes,
-                                     double omega, double* v,
-                                     const double* sink, double* r);
-
  private:
   int width_;
   int height_;
@@ -240,12 +188,11 @@ class ResistiveGrid {
   std::vector<double> shunt_v_;  // shunt reference voltage
   std::vector<char> dirichlet_;
   std::vector<double> v_;
-  std::vector<StencilNode> stencil_[2];  // [0] = red (x+y even), [1] = black
-  bool stencil_valid_ = false;
-  // Cached multigrid hierarchy: built on the first solve, reused until the
-  // topology changes (same invalidation sites as the stencil;
-  // sink updates preserve it).
+  // Cached multigrid hierarchy with its solve scratch, and solve_on's copy
+  // of the caller's seed: built on the first solve, reused by every solve
+  // until the topology changes (sink updates preserve them).
   std::unique_ptr<MultigridHierarchy> hierarchy_;
+  std::vector<double> seed_;
 
   // Registry-backed solver metrics (all null while unbound).
   struct Metrics {
@@ -258,17 +205,13 @@ class ResistiveGrid {
 
   /// Per node: 1 if a conducting path reaches a Dirichlet node or shunt.
   std::vector<char> grounded_nodes() const;
-  void rebuild_stencil();
   // Out-of-line: resets hierarchy_, which is incomplete here.
   void invalidate_topology();
-  /// Stencil + hierarchy brought up to date for the current topology.
+  /// Builds the hierarchy for the current topology unless it is cached.
   void prepare_solvers();
   SolveStats solve_on(std::span<double> v, std::span<const double> sink,
                       double tol);
   void record_solve(const SolveStats& stats);
-  double max_kcl_residual() const { return max_kcl_residual(v_, sink_); }
-  double max_kcl_residual(std::span<const double> v,
-                          std::span<const double> sink) const;
 
   friend class MultigridHierarchy;
 

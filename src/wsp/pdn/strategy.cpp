@@ -8,7 +8,7 @@ namespace {
 
 // Both plane-based schemes are scored off the same peak-draw plane
 // solution, so compare_strategies() runs one solve (one cached
-// stencil/hierarchy) and derives both reports from it.
+// hierarchy) and derives both reports from it.
 StrategyReport ldo_report_from(const SystemConfig& config,
                                const PdnReport& r) {
   StrategyReport s;

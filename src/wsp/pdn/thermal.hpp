@@ -61,7 +61,7 @@ class WaferThermal {
   SystemConfig config_;
   ThermalOptions options_;
   // Cached duality grid: topology (slab conductances, cold-plate shunts)
-  // is fixed per WaferThermal, so stencil/hierarchy setup is paid once.
+  // is fixed per WaferThermal, so the hierarchy setup is paid once.
   ResistiveGrid grid_;
   std::vector<double> sink_scratch_;
 

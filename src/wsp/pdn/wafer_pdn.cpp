@@ -121,8 +121,8 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
 
   const int k = options_.nodes_per_tile;
 
-  // Cold-start seed: the grid is cached across solves for its stencil and
-  // multigrid hierarchy, but the numerics must not depend on solve history.
+  // Cold-start seed: the grid is cached across solves for its multigrid
+  // hierarchy, but the numerics must not depend on solve history.
   grid_.reset_voltages(0.0);
 
   // Initial tile load currents.  In ConstantCurrent mode the LDO passes

@@ -93,7 +93,7 @@ class WaferPdn {
   /// TileGrid::index_of) — used for workload-dependent power maps.  Every
   /// entry must be finite and non-negative (throws wsp::Error otherwise).
   /// Results are history-independent: each solve re-seeds the cached grid
-  /// to the fresh cold-start state, so only the stencil/hierarchy setup is
+  /// to the fresh cold-start state, so only the hierarchy setup is
   /// amortized, never the numerics.
   PdnReport solve(const std::vector<double>& tile_power_w);
 
@@ -161,8 +161,8 @@ class WaferPdn {
   Ldo ldo_;
   obs::MetricsRegistry* metrics_ = nullptr;
   // The plane model, built once: topology (conductances, Dirichlet edges)
-  // never changes after construction, so the hoisted stencil and any
-  // multigrid hierarchy survive for the WaferPdn's whole lifetime.
+  // never changes after construction, so the cached multigrid hierarchy
+  // survives for the WaferPdn's whole lifetime.
   ResistiveGrid grid_;
   std::vector<double> sink_scratch_;  // node sinks staged per solve
 
