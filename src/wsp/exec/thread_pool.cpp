@@ -1,137 +1,32 @@
 #include "wsp/exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "wsp/obs/trace.hpp"
 
 namespace wsp::exec {
 
 namespace {
-thread_local bool tls_on_worker = false;
 
-/// RAII flag so the participating caller also counts as a worker for
-/// nested-call detection.
-struct WorkerScope {
-  bool prev;
-  WorkerScope() : prev(tls_on_worker) { tls_on_worker = true; }
-  ~WorkerScope() { tls_on_worker = prev; }
-};
-}  // namespace
-
-ThreadPool::ThreadPool(int threads) {
-  const int workers = std::max(0, threads - 1);
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i] {
-      // Each worker owns one trace lane so exported spans show per-worker
-      // occupancy (one Chrome-trace row per pool thread).
-      obs::Tracer::instance().set_thread_lane_name(
-          "wsp-pool-worker-" + std::to_string(i + 1));
-      worker_loop();
-    });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-bool ThreadPool::on_worker_thread() { return tls_on_worker; }
-
-void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(
-          lock, [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-      job = current_;
-    }
-    if (job) {
-      WorkerScope scope;
-      execute(*job);
-    }
-  }
-}
-
-void ThreadPool::execute(Job& job) {
-  std::size_t completed = 0;
-  std::exception_ptr first_error;
-  for (std::size_t i = job.next.fetch_add(1); i < job.chunk_count;
-       i = job.next.fetch_add(1)) {
-    try {
-      // Span scope closes before the done-count handshake below, so every
-      // recorded write on this lane happens-before the dispatcher's mutex
-      // acquire — the trace export after quiesce is race-free.
-      WSP_TRACE_SPAN("exec.chunk");
-      job.fn(i);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-    ++completed;
-  }
-  if (completed > 0 || first_error) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job.done += completed;
-    if (first_error && !job.error) job.error = first_error;
-    if (job.done == job.chunk_count) job_done_.notify_all();
-  }
-}
-
-void ThreadPool::run_chunks(std::size_t chunk_count,
-                            const std::function<void(std::size_t)>& fn) {
-  if (chunk_count == 0) return;
-  // Serial paths: no workers, a single chunk, or a nested call from inside
-  // a chunk (running inline avoids self-deadlock and keeps the outermost
-  // parallel level in charge of the partitioning).
-  if (workers_.empty() || chunk_count == 1 || tls_on_worker) {
-    WorkerScope scope;
-    for (std::size_t i = 0; i < chunk_count; ++i) fn(i);
-    return;
-  }
-
-  auto job = std::make_shared<Job>();
-  job->fn = fn;
-  job->chunk_count = chunk_count;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    current_ = job;
-    ++generation_;
-  }
-  work_ready_.notify_all();
-
-  {
-    WorkerScope scope;
-    execute(*job);
-  }
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  job_done_.wait(lock, [&] { return job->done == job->chunk_count; });
-  if (current_ == job) current_.reset();
-  if (job->error) std::rethrow_exception(job->error);
-}
-
-namespace {
-
-std::mutex g_shared_mutex;
-std::unique_ptr<ThreadPool> g_shared_pool;
-int g_override_threads = 0;  // 0 = use environment / hardware default
+thread_local bool tls_in_chunk = false;
+std::atomic<int> g_override_threads{0};  // 0 = environment / hardware
 
 int hardware_default() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  static const int hw = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n > 0 ? static_cast<int>(n) : 1;
+  }();
+  return hw;
 }
 
 int env_thread_count() {
@@ -140,19 +35,70 @@ int env_thread_count() {
   if (const auto n = parse_thread_count(env)) return *n;
   // Malformed value: fall back loudly, once — a silently ignored
   // WSP_THREADS=4x (old atoi read it as 4) corrupts every thread sweep.
-  static bool warned = false;
+  static std::once_flag warned;
   const int fallback = hardware_default();
-  if (!warned) {
-    warned = true;
+  std::call_once(warned, [&] {
     std::fprintf(stderr,
                  "wsp: ignoring invalid WSP_THREADS='%s' "
                  "(expected an integer in [1, 65536]); using %d threads\n",
                  env, fallback);
-  }
+  });
   return fallback;
 }
 
 }  // namespace
+
+void run_chunks(std::size_t chunk_count,
+                const std::function<void(std::size_t)>& fn) {
+  if (chunk_count == 0) return;
+  // A nested call runs inline: the outermost level owns the partitioning,
+  // and the thread count never multiplies.
+  const std::size_t threads =
+      tls_in_chunk ? 1
+                   : std::min(static_cast<std::size_t>(shared_threads()),
+                              chunk_count);
+
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // first failure, guarded by error_mutex
+  const auto keep_first_error = [&] {
+    const std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = std::current_exception();
+  };
+  const auto claim_chunks = [&] {
+    const bool outer = tls_in_chunk;
+    tls_in_chunk = true;
+    for (std::size_t i = next.fetch_add(1); i < chunk_count;
+         i = next.fetch_add(1)) {
+      try {
+        WSP_TRACE_SPAN("exec.chunk");
+        fn(i);
+      } catch (...) {
+        keep_first_error();
+      }
+    }
+    tls_in_chunk = outer;
+  };
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(threads - 1);
+    for (std::size_t k = 1; k < threads; ++k)
+      workers.emplace_back([&, k] {
+        // One trace lane per spawned worker, registered only when traced.
+        if (obs::Tracer::enabled()) {
+          try {
+            obs::Tracer::instance().set_thread_lane_name(
+                "wsp-exec-worker-" + std::to_string(k));
+          } catch (...) {
+            keep_first_error();
+          }
+        }
+        claim_chunks();
+      });
+    claim_chunks();
+  }  // joins every worker: their writes happen-before the return
+  if (error) std::rethrow_exception(error);
+}
 
 std::optional<int> parse_thread_count(const char* text) {
   if (text == nullptr) return std::nullopt;
@@ -168,31 +114,13 @@ std::optional<int> parse_thread_count(const char* text) {
   return static_cast<int>(n);
 }
 
-int default_thread_count() {
-  std::lock_guard<std::mutex> lock(g_shared_mutex);
-  return g_override_threads > 0 ? g_override_threads : env_thread_count();
-}
-
-ThreadPool& shared_pool() {
-  std::lock_guard<std::mutex> lock(g_shared_mutex);
-  if (!g_shared_pool) {
-    const int n =
-        g_override_threads > 0 ? g_override_threads : env_thread_count();
-    g_shared_pool = std::make_unique<ThreadPool>(n);
-  }
-  return *g_shared_pool;
-}
-
 void set_shared_threads(int threads) {
-  std::lock_guard<std::mutex> lock(g_shared_mutex);
-  g_override_threads = threads > 0 ? threads : 0;
-  g_shared_pool.reset();  // rebuilt lazily at the next shared_pool() call
+  g_override_threads.store(std::max(threads, 0));
 }
 
 int shared_threads() {
-  std::lock_guard<std::mutex> lock(g_shared_mutex);
-  if (g_shared_pool) return g_shared_pool->thread_count();
-  return g_override_threads > 0 ? g_override_threads : env_thread_count();
+  const int n = g_override_threads.load();
+  return n > 0 ? n : env_thread_count();
 }
 
 }  // namespace wsp::exec

@@ -68,10 +68,9 @@ struct ShardSpec {
 struct WorkerCommand {
   /// Executable to exec in the forked child.  Empty selects in-process
   /// mode: the child calls `entry` and _exits with its return value —
-  /// no exec, which is what unit tests want.  In-process children run the
-  /// campaign on the calling thread; callers must keep the shared exec
-  /// pool single-threaded around the dispatch (fork does not carry worker
-  /// threads into the child).
+  /// no exec, which is what unit tests want.  wsp::exec keeps no threads
+  /// between calls, so a dispatch made outside any exec call forks no
+  /// half-finished worker into the child.
   std::string program;
   /// Fixed argv after the program name, before the generated worker tail
   /// (typically {"--worker"}).

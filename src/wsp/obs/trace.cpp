@@ -61,7 +61,7 @@ namespace {
 // Lane registry.  std::deque keeps lane addresses stable so each thread
 // caches a raw pointer; the mutex guards registration and export only —
 // recording touches nothing shared.  The registry is intentionally
-// immortal (never destroyed): pool workers may outlive any particular
+// immortal (never destroyed): worker threads may outlive any particular
 // static destruction order, and an atexit teardown would race their
 // lane writes.  It stays reachable through the static pointer, so leak
 // checkers don't flag it.

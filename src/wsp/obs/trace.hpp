@@ -1,7 +1,7 @@
 // Observability: structured span tracing with Chrome trace_event export.
 //
 // A process-wide `Tracer` owns one lane per participating thread (the main
-// thread plus each `wsp::exec` pool worker).  `WSP_TRACE_SPAN("name")`
+// thread plus each `wsp::exec` worker started while tracing is on).  `WSP_TRACE_SPAN("name")`
 // opens a RAII span on the current thread's lane; when tracing is disabled
 // (the default) the macro costs a single relaxed atomic load and no
 // allocation — hot simulator loops keep their spans compiled in.
@@ -15,8 +15,8 @@
 // Lanes are thread-local ring buffers (fixed capacity, oldest spans
 // overwritten), so recording takes no lock.  The registration list is the
 // only shared state, guarded by a mutex; export requires the traced
-// threads to be quiescent (pool idle), which the thread-pool's job
-// handshake already guarantees before `write_chrome_trace` is called.
+// threads to be quiescent, which holds between `wsp::exec` calls: each
+// joins its workers before it returns.
 //
 // Export format: Chrome trace_event JSON ("X" complete events, ts/dur in
 // microseconds) — open in chrome://tracing or https://ui.perfetto.dev.
@@ -56,11 +56,11 @@ class Tracer {
   }
 
   /// Names the calling thread's lane in the exported trace (e.g.
-  /// "wsp-pool-worker-3").  Creates the lane if needed.
+  /// "wsp-exec-worker-3").  Creates the lane if needed.
   void set_thread_lane_name(const std::string& name);
 
   /// Serialises every lane's spans as Chrome trace_event JSON.  Caller
-  /// must ensure traced threads are quiescent (pool idle / joined).
+  /// must ensure traced threads are quiescent (joined).
   std::string chrome_trace_json();
 
   /// chrome_trace_json() written to `path`; returns false on I/O failure.

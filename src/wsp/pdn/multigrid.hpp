@@ -44,8 +44,8 @@
 // so it is bit-identical for every thread count.  Parallelism never paid
 // inside the PDN: the 64x64 wafer solve ran slower at 2, 4 and 8 threads
 // than at 1, and fanning solve_batch right-hand sides or per-tile loops
-// over the pool never won on a shape a caller issues (DESIGN.md "Parallel
-// execution").  The pool works one level up instead, across campaign
+// over threads never won on a shape a caller issues (DESIGN.md "Parallel
+// execution").  Threads work one level up instead, across campaign
 // trials.
 #pragma once
 

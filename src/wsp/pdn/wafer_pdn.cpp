@@ -133,7 +133,6 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
   scatter_sinks(tile_load, tile_power_w, sink_scratch_);
   grid_.set_current_sinks(sink_scratch_);
   SolveStats stats = grid_.solve(options_.solver_tol);
-  bool converged = stats.converged;
 
   if (options_.load_model == LoadModel::ConstantPower) {
     for (int outer = 0; outer < kMaxConstantPowerIterations; ++outer) {
@@ -147,7 +146,6 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
       scatter_sinks(tile_load, tile_power_w, sink_scratch_);
       grid_.set_current_sinks(sink_scratch_);
       stats = grid_.solve(options_.solver_tol);
-      converged = stats.converged;
       double max_dv = 0.0;
       for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
         const TileCoord c = tiles.coord_of(i);
@@ -161,7 +159,7 @@ PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
   // The report evaluates each LDO at the load current the plane actually
   // sank, so its energy terms balance the edge input power.
   return extract_report(grid_.voltages(), grid_.current_sinks(), tile_power_w,
-                        tile_load, converged);
+                        tile_load, stats);
 }
 
 std::vector<PdnReport> WaferPdn::solve_batch(
@@ -211,7 +209,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   for (std::size_t m = 0; m < n; ++m)
     reports.push_back(extract_report(rhs[m].v, rhs[m].sink,
                                      tile_power_maps[m], loads[m],
-                                     stats[m].converged));
+                                     stats[m]));
   return reports;
 }
 
@@ -219,12 +217,12 @@ PdnReport WaferPdn::extract_report(std::span<const double> node_v,
                                    std::span<const double> node_sink,
                                    const std::vector<double>& tile_power_w,
                                    const std::vector<double>& tile_load_a,
-                                   bool converged) const {
+                                   const SolveStats& stats) const {
   const TileGrid tiles = config_.grid();
   const int k = options_.nodes_per_tile;
 
   PdnReport report;
-  report.solver_converged = converged;
+  report.solver_converged = stats.converged;
   report.tiles.resize(tiles.tile_count());
 
   report.min_supply_v = std::numeric_limits<double>::infinity();
@@ -267,6 +265,27 @@ PdnReport WaferPdn::extract_report(std::span<const double> node_v,
   report.efficiency = report.total_input_power_w > 0.0
                           ? report.delivered_power_w / report.total_input_power_w
                           : 0.0;
+
+  // Energy balance.  Internal edge currents cancel in pairs, and each
+  // tile's sink times its mean voltage is its LDO's delivered + loss, so
+  // input − (delivered + plane + LDO loss) = Σ r_i·v_i over the free
+  // nodes' KCL residuals r_i: at most max|v| · nodes · residual, plus the
+  // round-off of summing the four terms.
+  if (stats.converged) {
+    const double terms[] = {report.total_input_power_w,
+                            report.delivered_power_w, report.plane_loss_w,
+                            report.ldo_loss_w};
+    double max_v = 0.0;
+    for (const double v : node_v) max_v = std::max(max_v, std::abs(v));
+    const double nodes = static_cast<double>(node_v.size());
+    double magnitude = 0.0;
+    for (const double t : terms) magnitude += std::abs(t);
+    const double bound =
+        max_v * nodes * stats.residual +
+        nodes * std::numeric_limits<double>::epsilon() * magnitude;
+    require(std::abs(terms[0] - terms[1] - terms[2] - terms[3]) <= bound,
+            "PDN energy balance exceeds the solve's residual bound");
+  }
   if (metrics_ != nullptr) {
     metrics_->counter("pdn.solves").add();
     metrics_->gauge("pdn.min_supply_v").set(report.min_supply_v);

@@ -177,12 +177,14 @@ class WaferPdn {
                      const std::vector<double>& tile_power_w,
                      std::vector<double>& node_sink) const;
   /// `tile_load_a` is the per-tile load current the solve actually sank
-  /// (before quiescent draw); each LDO is evaluated at it.
+  /// (before quiescent draw); each LDO is evaluated at it.  Throws if a
+  /// converged report's energy balance misses by more than the solve's
+  /// KCL residual allows.
   PdnReport extract_report(std::span<const double> node_v,
                            std::span<const double> node_sink,
                            const std::vector<double>& tile_power_w,
                            const std::vector<double>& tile_load_a,
-                           bool converged) const;
+                           const SolveStats& stats) const;
 };
 
 }  // namespace wsp::pdn

@@ -352,12 +352,13 @@ std::vector<DegradationReport> DegradationCampaign::run_trial_range(
   require(first >= 0, "first trial must be non-negative");
   require(count >= 1, "at least one trial");
   // Trials are embarrassingly parallel: each one owns its wafer state and
-  // is a pure function of (options, seed + trial index), so dispatching
-  // them onto the exec pool keeps the report vector bit-identical for any
-  // thread count — and, because trial t always means seed + t no matter
-  // which range (or process) computes it, for any sharding too.  This is
-  // the pool's only hot-loop user: everything inside a trial (the PDN
-  // re-solves included) is serial, so the pool is never oversubscribed.
+  // is a pure function of (options, seed + trial index), so fanning them
+  // out with exec::parallel_for keeps the report vector bit-identical for
+  // any thread count — and, because trial t always means seed + t no
+  // matter which range (or process) computes it, for any sharding too.
+  // This is wsp::exec's only user: everything inside a trial (the PDN
+  // re-solves included) is serial, so the threads are never
+  // oversubscribed.
   std::vector<DegradationReport> reports(static_cast<std::size_t>(count));
   exec::parallel_for(
       reports.size(), [&](std::size_t b, std::size_t e) {

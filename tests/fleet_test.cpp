@@ -10,10 +10,9 @@
 // the sanitizers too.  The process-level exec path is covered by
 // tools/fleet_chaos_gate.py driving examples/fleet_campaign.
 //
-// Fork safety: every dispatch test pins the shared exec pool to one
-// thread first — a ThreadPool with no worker threads is safe to fork,
-// and the in-process worker children run the campaign on their own
-// calling thread.
+// Fork safety: wsp::exec keeps no threads between calls, so the fork
+// carries none.  Every dispatch test still pins the exec thread count to
+// one, so each in-process child runs its shard on its calling thread.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -82,7 +81,7 @@ class TempDir {
   std::string path_;
 };
 
-/// Pins the shared exec pool to one thread (fork-safe) for a scope.
+/// Pins the exec thread count to one for a scope.
 class SingleThreadScope {
  public:
   SingleThreadScope() { exec::set_shared_threads(1); }

@@ -479,21 +479,21 @@ class WspThreadsEnv : public ::testing::Test {
 
 TEST_F(WspThreadsEnv, ValidValueSelectsThatManyThreads) {
   ::setenv("WSP_THREADS", "3", 1);
-  exec::set_shared_threads(0);  // drop any cached pool/override
-  EXPECT_EQ(exec::default_thread_count(), 3);
+  exec::set_shared_threads(0);  // drop any override
+  EXPECT_EQ(exec::shared_threads(), 3);
 }
 
 TEST_F(WspThreadsEnv, GarbageFallsBackToHardwareDefault) {
   ::unsetenv("WSP_THREADS");
   exec::set_shared_threads(0);
-  const int hardware = exec::default_thread_count();
+  const int hardware = exec::shared_threads();
   ::setenv("WSP_THREADS", "4x", 1);
-  EXPECT_EQ(exec::default_thread_count(), hardware)
+  EXPECT_EQ(exec::shared_threads(), hardware)
       << "malformed WSP_THREADS must fall back, not atoi-truncate to 4";
   ::setenv("WSP_THREADS", "0", 1);
-  EXPECT_EQ(exec::default_thread_count(), hardware);
+  EXPECT_EQ(exec::shared_threads(), hardware);
   ::setenv("WSP_THREADS", "-2", 1);
-  EXPECT_EQ(exec::default_thread_count(), hardware);
+  EXPECT_EQ(exec::shared_threads(), hardware);
 }
 
 }  // namespace

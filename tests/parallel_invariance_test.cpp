@@ -253,14 +253,15 @@ TEST(ParallelInvariance, SharedConstSelectorPlansMatchSerial) {
   const auto pair = [&](std::size_t k) {
     return std::pair{grid.coord_of(k / n), grid.coord_of(k % n)};
   };
-  exec::ThreadPool pool(4);
+  exec::set_shared_threads(4);
   std::vector<noc::RoutePlan> parallel(n * n);
-  exec::parallel_for(pool, n * n, [&](std::size_t b, std::size_t e) {
+  exec::parallel_for(n * n, [&](std::size_t b, std::size_t e) {
     for (std::size_t k = b; k < e; ++k) {
       const auto [src, dst] = pair(k);
       parallel[k] = shared.plan(src, dst);
     }
   });
+  exec::set_shared_threads(0);
 
   std::size_t relayed = 0;
   for (std::size_t k = 0; k < n * n; ++k) {
