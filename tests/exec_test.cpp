@@ -51,11 +51,12 @@ void mark_if_spawned(std::thread::id caller) {
   }
 }
 
-TEST(RunChunks, RunsEveryChunkExactlyOnce) {
-  // Back-to-back calls at every thread count, zero chunks included.
+// The ThreadPool suite is named for the module (thread_pool.hpp); it
+// checks the free run_chunks that replaced the pool class.
+TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
   for (int threads = 1; threads <= 8; ++threads) {
     const ThreadsScope scope(threads);
-    for (std::size_t chunks = 0; chunks <= 70; ++chunks) {
+    for (std::size_t chunks = 1; chunks <= 70; ++chunks) {
       std::vector<std::atomic<int>> hits(chunks);
       run_chunks(chunks, [&](std::size_t c) { hits[c].fetch_add(1); });
       for (std::size_t c = 0; c < chunks; ++c)
@@ -63,6 +64,26 @@ TEST(RunChunks, RunsEveryChunkExactlyOnce) {
             << "threads " << threads << " chunks " << chunks << " chunk "
             << c;
     }
+  }
+}
+
+TEST(ThreadPool, ZeroChunksIsANoOp) {
+  for (int threads = 1; threads <= 8; ++threads) {
+    const ThreadsScope scope(threads);
+    bool ran = false;
+    run_chunks(0, [&](std::size_t) { ran = true; });
+    EXPECT_FALSE(ran) << "threads " << threads;
+  }
+}
+
+TEST(ThreadPool, BackToBackJobsDoNotInterfere) {
+  // Each call's threads are joined before it returns, so a call never
+  // sees a chunk of the one before it.
+  const ThreadsScope scope(4);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> hits(8);
+    run_chunks(hits.size(), [&](std::size_t c) { hits[c].fetch_add(1); });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "round " << round;
   }
 }
 
