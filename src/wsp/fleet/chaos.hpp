@@ -48,8 +48,10 @@ struct FleetChaosOptions {
   /// dispatcher's SIGCONT+SIGTERM / SIGKILL escalation is exercised.
   double stall_resume_s = 0.0;
   /// Deterministic trigger: SIGKILL each shard's attempt-1 worker as soon
-  /// as its heartbeat reports >= this many completed trials (0 = off).
-  /// The retry then resumes from the snapshot and re-does only the tail.
+  /// as its heartbeat reports >= this many completed trials (0 = off).  The
+  /// worker stops itself at that trial boundary (WorkerShardArgs::
+  /// pause_after), so the kill always lands mid-range.  The retry then
+  /// resumes from the snapshot and re-does only the tail.
   std::uint64_t first_attempt_kill_after = 0;
   /// Same deterministic trigger with SIGSTOP (0 = off).  Combined with
   /// stall_resume_s <= 0 this forces the escalation path on every shard.

@@ -128,6 +128,15 @@ FleetReport FleetDispatcher::run(const WorkerCommand& command) const {
     args.count = sc.spec.count;
     args.total_trials = options_.trials;
     args.duplicate = duplicate;
+    // A deterministic chaos trigger acts at a trial boundary: the first
+    // attempt stops itself there, and decide() then kills or stalls it.
+    const FleetChaosOptions& chaos = options_.chaos;
+    if (chaos.enabled && attempt == 1 && !duplicate) {
+      const std::uint64_t kill = chaos.first_attempt_kill_after;
+      const std::uint64_t stall = chaos.first_attempt_stall_after;
+      args.pause_after = static_cast<int>(
+          kill > 0 && (stall == 0 || kill <= stall) ? kill : stall);
+    }
     args.out = shard_path(sc.spec.shard, duplicate, ".wsp");
     args.ckpt = shard_path(sc.spec.shard, duplicate, ".ckpt");
     args.heartbeat = shard_path(sc.spec.shard, duplicate, ".hb");
@@ -317,15 +326,17 @@ FleetReport FleetDispatcher::run(const WorkerCommand& command) const {
              seconds_between(w.started, now) > options_.attempt_deadline_s);
         if (overdue && !w.term_sent) {
           // SIGCONT first: a SIGSTOPped worker cannot run its flush-on-
-          // SIGTERM path while frozen.
-          ::kill(w.pid, SIGCONT);
-          ::kill(w.pid, SIGTERM);
+          // SIGTERM path while frozen.  Zero grace goes straight to SIGKILL.
+          if (options_.term_grace_s > 0.0) {
+            ::kill(w.pid, SIGCONT);
+            ::kill(w.pid, SIGTERM);
+          }
           w.stalled = false;
           w.term_sent = true;
           w.term_time = now;
-        } else if (w.term_sent && !w.hard_killed &&
-                   seconds_between(w.term_time, now) >
-                       options_.term_grace_s) {
+        }
+        if (w.term_sent && !w.hard_killed &&
+            seconds_between(w.term_time, now) >= options_.term_grace_s) {
           ::kill(w.pid, SIGKILL);
           w.hard_killed = true;
           ++worker_kills;

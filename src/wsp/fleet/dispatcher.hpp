@@ -98,7 +98,8 @@ struct FleetOptions {
   double heartbeat_timeout_s = 30.0;
   /// Hard per-attempt wall-clock deadline (0 = none).
   double attempt_deadline_s = 0.0;
-  /// Grace between the cooperative SIGTERM and the SIGKILL escalation.
+  /// Grace between the cooperative SIGTERM and the SIGKILL escalation;
+  /// <= 0 skips the SIGTERM and kills an overdue worker at once.
   double term_grace_s = 2.0;
   /// Dispatch attempts per shard before it is quarantined as poison.
   int max_attempts = 3;

@@ -1,5 +1,6 @@
 #include "wsp/fleet/worker.hpp"
 
+#include <csignal>
 #include <cstdio>
 #include <utility>
 
@@ -20,6 +21,8 @@ std::vector<std::string> worker_argv(const WorkerShardArgs& args) {
       "--heartbeat", args.heartbeat,
   };
   if (args.duplicate) argv.push_back("--duplicate");
+  if (args.pause_after > 0)
+    argv.insert(argv.end(), {"--pause-after", std::to_string(args.pause_after)});
   return argv;
 }
 
@@ -54,6 +57,7 @@ WorkerShardArgs parse_worker_argv(const std::vector<std::string>& argv) {
     else if (arg == "--out") { args.out = value; have_out = true; }
     else if (arg == "--ckpt") args.ckpt = value;
     else if (arg == "--heartbeat") args.heartbeat = value;
+    else if (arg == "--pause-after") args.pause_after = to_int(arg, value);
     else throw Error("worker argv: unknown flag " + arg);
   }
   require(have_count && have_total && have_out,
@@ -87,6 +91,7 @@ int run_worker(const resilience::DegradationCampaign& campaign,
     ck.flush_on_sigterm = true;
     ck.after_checkpoint = [&](int completed) {
       beat(static_cast<std::uint64_t>(completed));
+      if (completed == args.pause_after) std::raise(SIGSTOP);
     };
     std::vector<resilience::DegradationReport> reports =
         campaign.run_trial_range_checkpointed(args.first, args.count,

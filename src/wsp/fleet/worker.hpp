@@ -47,6 +47,11 @@ struct WorkerShardArgs {
   int count = 0;         ///< trials in the range
   int total_trials = 0;  ///< trials in the whole campaign
   bool duplicate = false;  ///< straggler re-issue copy (own ckpt/out files)
+  /// Chaos trial boundary (0 = none): after this many completed trials the
+  /// worker stops itself (SIGSTOP) right after its heartbeat, so the
+  /// dispatcher's deterministic kill or stall lands there, mid-range, however
+  /// fast the trials run.
+  int pause_after = 0;
   std::string out;         ///< finished CAMP partial (written last)
   std::string ckpt;        ///< crash-safe snapshot (resume seam)
   std::string heartbeat;   ///< HBEA liveness beacon
