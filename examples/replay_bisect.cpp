@@ -145,7 +145,7 @@ int main() {
   const std::string path = "CKPT_replay_bisect.wsp";
   ckpt::atomic_write_file(path, base->frame.data(), base->frame.size());
   const ckpt::Frame frame = ckpt::load_frame_file(path, kFrameKind);
-  ckpt::Reader r(frame.payload);
+  ckpt::Reader r(frame.payload());
 
   noc::NocSystem replay(FaultMap(grid), opt);
   replay.load_state(r);

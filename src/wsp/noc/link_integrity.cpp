@@ -93,6 +93,18 @@ LinkBerMap LinkBerMap::from_tile_voltages(const TileGrid& grid,
   return map;
 }
 
+LinkBerMap LinkBerMap::from_bers(const TileGrid& grid,
+                                 const std::vector<double>& bers) {
+  require(bers.size() == grid.tile_count() * 4,
+          "from_bers: one BER per tile and direction required");
+  LinkBerMap map(grid);
+  for (std::size_t i = 0; i < bers.size(); ++i)
+    if (bers[i] != 0.0)
+      map.set_ber(grid.coord_of(i / 4), static_cast<Direction>(i % 4),
+                  bers[i]);
+  return map;
+}
+
 void LinkBerMap::set_ber(TileCoord from, Direction d, double ber) {
   if (ber_.empty() || !grid_.contains(from) || !grid_.neighbor(from, d))
     return;

@@ -540,12 +540,7 @@ void NocSystem::save_state(ckpt::Writer& w) const {
 
   w.tag(ckpt::fourcc("SBER"));
   w.b(staged_ber_.has_value());
-  if (staged_ber_) {
-    faults_.grid().for_each([&](TileCoord c) {
-      for (int d = 0; d < 4; ++d)
-        w.f64(staged_ber_->ber(c, static_cast<Direction>(d)));
-    });
-  }
+  if (staged_ber_) ckpt::save_each(w, staged_ber_->bers());
 
   xy_.save_state(w);
   yx_.save_state(w);
@@ -632,14 +627,9 @@ void NocSystem::load_state(ckpt::Reader& r) {
 
   r.expect_tag(ckpt::fourcc("SBER"), "staged BER map");
   if (r.b()) {
-    LinkBerMap staged(grid);
-    grid.for_each([&](TileCoord c) {
-      for (int d = 0; d < 4; ++d) {
-        const double v = r.f64();
-        if (v != 0.0) staged.set_ber(c, static_cast<Direction>(d), v);
-      }
-    });
-    staged_ber_ = std::move(staged);
+    std::vector<double> bers(grid.tile_count() * 4);
+    ckpt::load_each(r, bers);
+    staged_ber_ = LinkBerMap::from_bers(grid, bers);
   } else {
     staged_ber_.reset();
   }
@@ -661,7 +651,7 @@ void NocSystem::save_checkpoint(const std::string& path) const {
 
 void NocSystem::load_checkpoint(const std::string& path) {
   const ckpt::Frame frame = ckpt::load_frame_file(path, kNocTag);
-  ckpt::Reader r(frame.payload);
+  ckpt::Reader r(frame.payload());
   load_state(r);
   if (!r.done())
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,

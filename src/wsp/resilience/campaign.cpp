@@ -615,7 +615,7 @@ CampaignReportsFile load_campaign_reports(const std::string& path) {
   if (frame.state_version != kCampaignStateVersion)
     throw ckpt::Error(ckpt::ErrorKind::VersionMismatch,
                       "campaign snapshot schema revision unknown");
-  ckpt::Reader r(frame.payload);
+  ckpt::Reader r(frame.payload());
   CampaignReportsFile file;
   ckpt::load_fields(r, file_header(file));
   if (file.total_trials < 1 || file.first_trial < 0 ||

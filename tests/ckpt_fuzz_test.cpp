@@ -133,7 +133,7 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
 
     // Resume into fresh objects; the continuation must match bit for bit.
     const ckpt::Frame opened = ckpt::open_expect(frame, ckpt::fourcc("FUZZ"));
-    ckpt::Reader r(opened.payload);
+    ckpt::Reader r(opened.payload());
     noc::NocSystem resumed(FaultMap(grid), opt);
     resumed.load_state(r);
     // drive() last advanced the injector to snap - 1 before stopping.
@@ -185,7 +185,7 @@ TEST(CkptFuzz, BitFlippedFramesNeverEscapeTheOpener) {
       // Payload survived CRC: loading it must still be crash-free (the
       // flip can only have hit the state_version header field).
       noc::NocSystem target(FaultMap(grid), opt);
-      ckpt::Reader r(f.payload);
+      ckpt::Reader r(f.payload());
       target.load_state(r);
     });
   }
