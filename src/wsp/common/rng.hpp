@@ -15,25 +15,29 @@
 
 namespace wsp {
 
+/// splitmix64's increment (2^64 / golden ratio) and output mix: a bijection
+/// of 64-bit words with full avalanche.  mix64(seed + kGolden64 * i) for
+/// i = 1, 2, ... is the splitmix64 stream of `seed`.
+inline constexpr std::uint64_t kGolden64 = 0x9e3779b97f4a7c15ull;
+
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm),
 /// seeded via splitmix64 so that any 64-bit seed yields a well-mixed state.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kGolden64) { reseed(seed); }
 
-  /// Re-initialises the state from a single 64-bit seed.
+  /// Re-initialises the state from a single 64-bit seed: the first four
+  /// words of its splitmix64 stream.
   void reseed(std::uint64_t seed) {
-    std::uint64_t x = seed;
-    for (auto& word : state_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      word = z ^ (z >> 31);
-    }
+    for (auto& word : state_) word = mix64(seed += kGolden64);
   }
 
   /// Next raw 64-bit value.
