@@ -153,12 +153,14 @@ auto fields(Of<LayerPipelineOptions> auto& o) {
 }
 
 /// Spiking bursts: per cycle, every healthy tile fires a background spike
-/// with probability background_rate (Poisson thinning); avalanches start
-/// either stochastically (probability burst_rate per cycle, random healthy
-/// centre) or deterministically (every burst_interval cycles at `hotspot`,
-/// capped at max_bursts).  An active avalanche makes every healthy tile
-/// within Chebyshev distance burst_radius of its centre fire with
-/// probability burst_intensity decaying linearly to zero over burst_cycles.
+/// with probability background_rate (Poisson thinning, drawn as geometric
+/// gaps over the healthy tiles, so it costs one draw per spike); avalanches
+/// start either stochastically (probability burst_rate per cycle, random
+/// healthy centre) or deterministically (every burst_interval cycles at
+/// `hotspot`, capped at max_bursts).  An active avalanche makes every
+/// healthy tile within Chebyshev distance burst_radius of its centre fire
+/// with probability burst_intensity decaying linearly to zero over
+/// burst_cycles.
 /// Spikes target a random healthy tile within distance 2 of the source.
 struct SpikingOptions {
   double background_rate = 0.002;
@@ -225,8 +227,10 @@ std::unique_ptr<TrafficGenerator> make_generator(const WorkloadSpec& spec,
                                                  const FaultMap& faults);
 
 /// The Synthetic generator drawing from `rng` (taken as is, not re-seeded):
-/// per cycle, in grid order, one bernoulli(injection_rate) per healthy
-/// tile, then noc::pick_destination; self-addressed picks are skipped.
+/// per cycle, each healthy tile injects with probability injection_rate,
+/// the successes found in grid order by geometric gaps (one draw per
+/// injection, not per tile), then noc::pick_destination; self-addressed
+/// picks are skipped.
 /// make_generator passes Rng(spec.seed); a campaign trial hands over its
 /// own RNG once the assembly faults and the schedule are drawn from it.
 std::unique_ptr<TrafficGenerator> make_synthetic(
