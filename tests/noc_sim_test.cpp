@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "stat_oracles.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
@@ -140,6 +141,66 @@ TEST(MeshNetwork, ThroughputUnderContention) {
   EXPECT_EQ(out.size() + net.stats().dropped_at_fault,
             net.stats().injected);
   EXPECT_EQ(net.in_flight(), 0u);
+}
+
+TEST(MeshNetwork, RotatingPriorityGrantsAllFiveInputsInTurn) {
+  // Eight tiles on the cross through (2,2) of a 5x5 XY mesh, and (2,2)
+  // itself, keep injecting toward (2,2), so all five of its input FIFOs
+  // hold packets for the Local output.  It grants one per cycle, and the
+  // rotating priority walks N, E, S, W, Local.  Then the feeders stop one
+  // by one, so the priority also has to skip idle inputs and wrap past the
+  // last port.  The corners (0,0) and (4,4) deliver to themselves every
+  // cycle, so most cycles eject at three tiles, in tile-index order.
+  const TileGrid grid(5, 5);
+  MeshNetwork net(FaultMap(grid), NetworkKind::XY);
+  const TileCoord hot{2, 2};
+  const TileCoord feeders[] = {{2, 4}, {2, 3}, {4, 2}, {3, 2}, {0, 2},
+                               {1, 2}, {2, 0}, {2, 1}, {2, 2}};
+  // Input port of `hot` a packet from `src` arrives on.
+  const auto port_letter = [&](TileCoord src) {
+    if (src.y > hot.y) return 'N';
+    if (src.x > hot.x) return 'E';
+    if (src.y < hot.y) return 'S';
+    if (src.x < hot.x) return 'W';
+    return 'L';
+  };
+  ckpt::Writer trace;
+  std::string ports;
+  std::vector<Packet> out;
+  std::uint64_t id = 1;
+  for (int cycle = 0; cycle < 60 || net.in_flight() != 0; ++cycle) {
+    ASSERT_LT(cycle, 300) << "mesh did not drain";
+    for (int k = 0; k < 9; ++k)
+      if (cycle < 40 + 3 * (k * 5 % 9) &&
+          net.inject(make_packet(feeders[k], hot, id)))
+        ++id;
+    if (cycle < 60) {
+      for (const TileCoord c : {TileCoord{0, 0}, TileCoord{4, 4}})
+        ASSERT_TRUE(net.inject(make_packet(c, c, id++)));
+    }
+    out.clear();
+    net.step(out);
+    for (std::size_t i = 1; i < out.size(); ++i)
+      ASSERT_LT(grid.index_of(out[i - 1].dst), grid.index_of(out[i].dst))
+          << "cycle " << cycle;
+    for (const Packet& p : out) {
+      trace.u64(p.id);
+      trace.u64(p.delivered_cycle);
+      if (p.dst == hot) ports += port_letter(p.src);
+    }
+  }
+  EXPECT_TRUE(net.conservation_holds());
+
+  // Until the link inputs fill, Local is the only requester; from then on
+  // every input holds a packet each cycle and wins once every five.  Once
+  // Local's feeder stops, the other four take turns until they drain.
+  EXPECT_EQ(ports.substr(0, 60),
+            "LLNESWLNESWLNESWLNESWLNESWLNESWLNESWLNESWLNESWLNESWLNESWLNES");
+  EXPECT_EQ(ports.substr(60),
+            "WLNESWLNESWNESWNESWNESWNESWNESWNESWNESWNESWNESWNESWNESWSS");
+  // The whole ejection trace (ids and delivery cycles, in ejection order).
+  const std::uint32_t crc = ckpt::crc32(trace.bytes().data(), trace.size());
+  EXPECT_EQ(crc, 0x44bc4242u) << "actual 0x" << std::hex << crc;
 }
 
 struct EdgeRun {
