@@ -53,6 +53,7 @@ ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults,
       }
     }
   }
+  run_count_ = next_run;
 }
 
 bool ConnectivityAnalyzer::xy_connected(TileCoord src, TileCoord dst) const {

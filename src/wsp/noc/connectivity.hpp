@@ -41,18 +41,21 @@ class ConnectivityAnalyzer {
 
   const FaultMap& faults() const { return faults_; }
 
+  /// Maximal healthy-run ids; -1 on faulty tiles.  Two tiles in the same
+  /// row (column) are joined by a healthy straight segment iff their run
+  /// ids match.  Runs break at faulty tiles and at failed links.  Row and
+  /// column runs share one id space, 1 .. run_count().
+  int row_run(TileCoord c) const { return row_run_[static_cast<std::size_t>(c.y) * width_ + c.x]; }
+  int col_run(TileCoord c) const { return col_run_[static_cast<std::size_t>(c.x) * height_ + c.y]; }
+  int run_count() const { return run_count_; }
+
  private:
   FaultMap faults_;
   int width_;
   int height_;
-  // Maximal healthy-run ids; -1 on faulty tiles.  Two tiles in the same
-  // row (column) are joined by a healthy straight segment iff their run
-  // ids match.  Runs break at faulty tiles and at failed links.
+  int run_count_ = 0;
   std::vector<int> row_run_;  // indexed y*width+x
   std::vector<int> col_run_;  // indexed x*height+y
-
-  int row_run(TileCoord c) const { return row_run_[static_cast<std::size_t>(c.y) * width_ + c.x]; }
-  int col_run(TileCoord c) const { return col_run_[static_cast<std::size_t>(c.x) * height_ + c.y]; }
 };
 
 /// Disconnection census over all ordered pairs of distinct healthy tiles.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <ranges>
 #include <string>
 
 #include "wsp/ckpt/checkpoint.hpp"
@@ -77,6 +78,8 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
   occupied_.assign((n + 63) / 64, 0);
   for (std::size_t t = 0; t < n; ++t) {
     const TileCoord c = grid_.coord_of(t);
+    tiles_[t].x = static_cast<std::int16_t>(c.x);
+    tiles_[t].y = static_cast<std::int16_t>(c.y);
     for (std::size_t d = 0; d < 4; ++d)
       if (const auto nb = grid_.neighbor(c, static_cast<Direction>(d)))
         neighbor_[t * 4 + d] =
@@ -94,10 +97,7 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
 
   if (options_.integrity.enabled) {
     link_errors_.assign(n * 4, 0);
-    link_traversals_.assign(n * 4, 0);
-    tx_seq_.assign(n * 4, 0);
     rx_seq_.assign(n * 4, 0);
-    link_next_free_.assign(n * 4, 0);
   }
   rebuild_topology();
 }
@@ -217,7 +217,7 @@ bool MeshNetwork::channel_admit(LinkTransfer t, std::size_t link,
       const std::uint64_t seed = options_.integrity.seed ^
                                  (static_cast<std::uint64_t>(kind_) << 32);
       const std::uint64_t index =
-          link_traversals_[link] - link_[link].count - 1;
+          link_[link].traversals - link_[link].count - 1;
       if (channel_uniform(seed, link, index, 0) < p) {
         // The channel flipped at least one of the 100 wire bits.
         if (channel_uniform(seed, link, index, 1) < kCrcEscapeProbability) {
@@ -236,14 +236,14 @@ bool MeshNetwork::channel_admit(LinkTransfer t, std::size_t link,
             ctr_.link_retransmits->add();
             ctr_.link_traversals->add();
             ++tile_activity_[dst].retransmits;
-            ++link_traversals_[link];
+            ++link_[link].traversals;
             ++t.retransmits;
             std::uint64_t slot =
                 now + 2 * static_cast<std::uint64_t>(options_.link_latency);
             t.arrival_cycle = slot;
             for (std::size_t i = 0; i < link_[link].count; ++i)
               ring_at(link, i).arrival_cycle = ++slot;
-            link_next_free_[link] = std::max(link_next_free_[link], slot + 1);
+            link_[link].next_free = std::max(link_[link].next_free, slot + 1);
             ring_push_front(link, t);
             return true;
           }
@@ -296,8 +296,8 @@ void MeshNetwork::land() {
 
 void MeshNetwork::route(std::vector<Packet>& ejected) {
   const std::uint64_t now = ctr_.cycles->value;
-  const auto width = static_cast<std::size_t>(grid_.width());
   const bool have_table = !options_.adaptive_odd_even;
+  constexpr auto kLocal = static_cast<unsigned>(Port::Local);
 
   // Grants only push link rings; no tile gains FIFO occupancy here, so
   // walking a copy of each word visits every tile this pass has work for.
@@ -305,21 +305,21 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
     for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t t =
           w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      const int x = static_cast<int>(t % width);
-      const int y = static_cast<int>(t / width);
       if (tile_faulty_[t]) continue;
       TileState& ts = tiles_[t];
 
-      // Desired output per input port (-1: empty input or stalled), and a
-      // bitmask of outputs some input actually wants so the grant loop
-      // below skips idle outputs.
-      std::array<int, kPortCount> want{};
+      // Bit in of request field `out` (bits 5*out .. 5*out+4) is set when
+      // input `in`'s head wants output `out` and can have it this cycle;
+      // out_mask marks the requested outputs.
+      std::uint32_t req = 0;
       unsigned out_mask = 0;
-      for (std::size_t in = 0; in < kPortCount; ++in) {
-        if (ts.q_size[in] == 0) {
-          want[in] = -1;
-          continue;
-        }
+      const auto request = [&](unsigned out, unsigned in) {
+        req |= 1u << (kPortCount * out + in);
+        out_mask |= 1u << out;
+      };
+      // Iterating a copy: a drop below pops its own input, never another.
+      for (unsigned busy = ts.busy; busy != 0; busy &= busy - 1) {
+        const auto in = static_cast<unsigned>(std::countr_zero(busy));
         const Packet& head = pool_[q_front_idx(t, in)];
 
         if (have_table) {
@@ -328,29 +328,19 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
           // tile (see rebuild_topology).  Off-grid destinations fall into
           // a non-zero sign case and drop at the wafer edge via link
           // health, same as the direct next_hop computation.
-          const int sx = (head.dst.x > x) - (head.dst.x < x);
-          const int sy = (head.dst.y > y) - (head.dst.y < y);
-          const std::uint8_t r =
-              ts.route9[(sx + 1) * 3 + (sy + 1)];
+          const int sx = (head.dst.x > ts.x) - (head.dst.x < ts.x);
+          const int sy = (head.dst.y > ts.y) - (head.dst.y < ts.y);
+          const std::uint8_t r = ts.route9[(sx + 1) * 3 + (sy + 1)];
           if (r == kRouteEject) {
-            want[in] = static_cast<int>(Port::Local);
-            out_mask |= 1u << static_cast<unsigned>(Port::Local);
-            continue;
-          }
-          if (r == kRouteDrop) {
+            request(kLocal, in);
+          } else if (r == kRouteDrop) {
             // The single DoR direction is dead (the kernel's fault-map
             // discipline exists to prevent this).
-            want[in] = -1;
             pool_release(q_front_idx(t, in));
             q_pop(t, in);
             ctr_.dropped_at_fault->add();
-            continue;
-          }
-          if (link_[t * 4 + r].space > 0) {
-            want[in] = static_cast<int>(r);
-            out_mask |= 1u << r;
-          } else {
-            want[in] = -1;
+          } else if (link_[t * 4 + r].space > 0) {
+            request(r, in);
           }
           continue;
         }
@@ -358,24 +348,21 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
         // No table (adaptive routing): candidate outputs in preference
         // order, the odd-even minimal-adaptive choice set.
         const RouteChoices cand =
-            odd_even_route(head.src, grid_.coord_of(t), head.dst);
+            odd_even_route(head.src, TileCoord{ts.x, ts.y}, head.dst);
         if (cand.eject) {
-          want[in] = static_cast<int>(Port::Local);
-          out_mask |= 1u << static_cast<unsigned>(Port::Local);
+          request(kLocal, in);
           continue;
         }
         // Pick the first candidate that is healthy and has downstream
         // credit; a healthy-but-full candidate stalls the input for this
         // cycle, a route with no healthy candidate at all drops the packet.
-        want[in] = -1;
         bool any_healthy = false;
         for (int i = 0; i < cand.count; ++i) {
-          const auto dir = static_cast<std::size_t>(cand.dirs[i]);
+          const auto dir = static_cast<unsigned>(cand.dirs[i]);
           if (!link_ok_[t * 4 + dir]) continue;
           any_healthy = true;
           if (link_[t * 4 + dir].space > 0) {
-            want[in] = static_cast<int>(dir);
-            out_mask |= 1u << static_cast<unsigned>(dir);
+            request(dir, in);
             break;
           }
         }
@@ -386,55 +373,48 @@ void MeshNetwork::route(std::vector<Packet>& ejected) {
         }
       }
 
-      // Each output grants at most one input per cycle, rotating priority,
-      // against the frozen credit snapshot.  countr_zero walks the wanted
-      // outputs in ascending index order, identical to the full 0..4 scan.
-      while (out_mask != 0) {
-        const auto out =
-            static_cast<std::size_t>(std::countr_zero(out_mask));
-        out_mask &= out_mask - 1;
-        if (out != static_cast<std::size_t>(Port::Local)) {
-          if (!link_ok_[t * 4 + out]) continue;
-          if (link_[t * 4 + out].space == 0) continue;
-        }
+      // Each requested output grants one input per cycle, in ascending
+      // output order: the first requester at or after its rotating
+      // priority.  A link output was requested only while healthy with a
+      // credit, and no other output spends that credit.
+      for (; out_mask != 0; out_mask &= out_mask - 1) {
+        const auto out = static_cast<unsigned>(std::countr_zero(out_mask));
+        const unsigned mask = req >> (kPortCount * out) & 0x1fu;
+        const unsigned rr = ts.rr[out];
+        const unsigned rotated = (mask >> rr | mask << (kPortCount - rr));
+        unsigned winner =
+            rr + static_cast<unsigned>(std::countr_zero(rotated & 0x1fu));
+        if (winner >= kPortCount) winner -= kPortCount;
+        ts.rr[out] = static_cast<std::uint8_t>(
+            winner + 1 == kPortCount ? 0 : winner + 1);
 
-        int winner = -1;
-        for (std::size_t k = 0; k < kPortCount; ++k) {
-          const std::size_t in = (ts.rr[out] + k) % kPortCount;
-          if (want[in] == static_cast<int>(out)) {
-            winner = static_cast<int>(in);
-            break;
-          }
-        }
-        if (winner < 0) continue;
-        ts.rr[out] = static_cast<std::uint8_t>((winner + 1) % kPortCount);
+        const std::uint32_t idx = q_front_idx(t, winner);
+        q_pop(t, winner);
 
-        const std::uint32_t idx = q_front_idx(t, static_cast<std::size_t>(winner));
-        q_pop(t, static_cast<std::size_t>(winner));
-
-        if (out == static_cast<std::size_t>(Port::Local)) {
+        if (out == kLocal) {
           pool_[idx].delivered_cycle = now;
           ejected.push_back(pool_[idx]);
           pool_release(idx);
           ctr_.ejected->add();
         } else {
-          --link_[t * 4 + out].space;
+          const std::size_t link = t * 4 + out;
+          assert(link_ok_[link] && link_[link].space > 0);
+          --link_[link].space;
           ctr_.link_traversals->add();
           ++tile_activity_[t].traversals;
-          const std::size_t link = t * 4 + out;
           LinkTransfer tr;
           tr.arrival_cycle =
               now + static_cast<std::uint64_t>(options_.link_latency);
           tr.pkt = idx;
           if (options_.integrity.enabled) {
-            tr.seq = tx_seq_[link];
-            tx_seq_[link] = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
-            ++link_traversals_[link];
+            tr.seq = link_[link].tx_seq;
+            link_[link].tx_seq = static_cast<std::uint8_t>((tr.seq + 1) & 0xF);
+            ++link_[link].traversals;
             // The per-link watermark keeps frames granted after a
             // retransmission from overtaking the replayed window.
             tr.arrival_cycle =
-                std::max(tr.arrival_cycle, link_next_free_[link]);
-            link_next_free_[link] = tr.arrival_cycle + 1;
+                std::max(tr.arrival_cycle, link_[link].next_free);
+            link_[link].next_free = tr.arrival_cycle + 1;
           }
           const bool idle = link_[link].count == 0;
           ring_push_back(link, tr);
@@ -475,7 +455,7 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
   const std::size_t n = grid_.tile_count();
   for (std::size_t t = 0; t < n; ++t) {
     TileState& ts = tiles_[t];
-    if (!tile_faulty_[t] || ts.occ == 0) continue;
+    if (!tile_faulty_[t] || ts.busy == 0) continue;
     for (std::size_t p = 0; p < kPortCount; ++p) {
       const std::uint16_t sz = ts.q_size[p];
       if (sz == 0) continue;
@@ -484,7 +464,7 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
       ts.q_size[p] = 0;
       ts.q_head[p] = 0;
     }
-    ts.occ = 0;
+    ts.busy = 0;
     occupied_[t / 64] &= ~(1ull << (t % 64));
   }
   resync();
@@ -520,9 +500,9 @@ std::uint64_t MeshNetwork::link_error_count(TileCoord from,
 
 std::uint64_t MeshNetwork::link_traversal_count(TileCoord from,
                                                 Direction d) const {
-  if (link_traversals_.empty() || !grid_.contains(from)) return 0;
-  return link_traversals_[grid_.index_of(from) * 4 +
-                          static_cast<std::size_t>(d)];
+  if (!grid_.contains(from)) return 0;
+  return link_[grid_.index_of(from) * 4 + static_cast<std::size_t>(d)]
+      .traversals;
 }
 
 // --- checkpointing ----------------------------------------------------------
@@ -568,10 +548,15 @@ constexpr std::uint32_t kMeshStateVersion = 5;
   throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
 }
 
+/// One field of every LinkState, as a range of references.
+auto link_field(auto& links, auto member) {
+  return std::views::transform(
+      links, [member](auto& l) -> auto& { return l.*member; });
+}
+
 /// The entries of a per-link array that `keep` selects (never zeros), as a
 /// count then (link id, value) pairs by ascending id.
-void save_sparse(ckpt::Writer& w, const std::vector<std::uint64_t>& v,
-                 auto keep) {
+void save_sparse(ckpt::Writer& w, const auto& v, auto keep) {
   w.u64(static_cast<std::uint64_t>(std::ranges::count_if(v, keep)));
   for (std::size_t link = 0; link < v.size(); ++link) {
     if (!keep(v[link])) continue;
@@ -581,7 +566,7 @@ void save_sparse(ckpt::Writer& w, const std::vector<std::uint64_t>& v,
 }
 
 /// Inverse of save_sparse; every entry not listed is zero.
-void load_sparse(ckpt::Reader& r, std::vector<std::uint64_t>& v) {
+void load_sparse(ckpt::Reader& r, auto&& v) {
   std::ranges::fill(v, 0);
   const std::size_t n = r.length(12);
   std::size_t next = 0;  // link ids are strictly ascending
@@ -617,10 +602,7 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   for (std::size_t t = 0; t < tiles_.size(); ++t) {
     const TileState& ts = tiles_[t];
     ckpt::save_fields(w, ts.rr);
-    std::uint8_t mask = 0;
-    for (std::size_t p = 0; p < kPortCount; ++p)
-      if (ts.q_size[p] != 0) mask |= static_cast<std::uint8_t>(1u << p);
-    w.u8(mask);
+    w.u8(ts.busy);
     for (std::size_t p = 0; p < kPortCount; ++p) {
       if (ts.q_size[p] == 0) continue;
       w.u16(ts.q_size[p]);
@@ -656,13 +638,14 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
     w.tag(ckpt::fourcc("INTG"));
     // Detected errors are rare: only the links that have any.
     save_sparse(w, link_errors_, [](std::uint64_t e) { return e != 0; });
-    ckpt::save_each(w, link_traversals_, tx_seq_, rx_seq_);
+    ckpt::save_each(w, link_field(link_, &LinkState::traversals),
+                    link_field(link_, &LinkState::tx_seq), rx_seq_);
     // A watermark at or below now + link_latency bounds no future arrival
     // (a grant lands at least that late, a retry later still), so only
     // the live ones are written and a loaded mesh holds 0 for the rest.
     const std::uint64_t horizon =
         now() + static_cast<std::uint64_t>(options_.link_latency);
-    save_sparse(w, link_next_free_,
+    save_sparse(w, link_field(link_, &LinkState::next_free),
                 [horizon](std::uint64_t f) { return f > horizon; });
   }
 }
@@ -710,7 +693,7 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
     if (mask >> kPortCount) reject("input FIFO mask names a missing port");
     ts.q_head = {};
     ts.q_size = {};
-    ts.occ = 0;
+    ts.busy = 0;
     for (std::size_t p = 0; p < kPortCount; ++p) {
       if (!(mask >> p & 1)) continue;
       const std::uint16_t size = r.u16();
@@ -759,8 +742,10 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
   if (options_.integrity.enabled) {
     r.expect_tag(ckpt::fourcc("INTG"), "link-integrity state");
     load_sparse(r, link_errors_);
-    ckpt::load_each(r, link_traversals_, tx_seq_, rx_seq_);
-    load_sparse(r, link_next_free_);
+    auto traversals = link_field(link_, &LinkState::traversals);
+    auto tx_seq = link_field(link_, &LinkState::tx_seq);
+    ckpt::load_each(r, traversals, tx_seq, rx_seq_);
+    load_sparse(r, link_field(link_, &LinkState::next_free));
   }
 
   // Derived tables (tile_faulty_, link_ok_, route9) come from the fault

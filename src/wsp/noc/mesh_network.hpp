@@ -34,8 +34,12 @@
 //          through the BER channel (counter-based per-link draws) and push
 //          it into the destination input queue.
 //   route  arbitrate every router with FIFO occupancy, in ascending tile
-//          index, against the credit snapshots; grants pop the local input
-//          queue and push onto the outgoing link ring, or eject.
+//          index, against the credit snapshots.  The head of each busy
+//          input requests one output, which sets that input's bit in the
+//          output's request mask; each requested output, in ascending port
+//          order, grants the first requester at or after its rotating
+//          priority (one rotate and one countr_zero).  Grants pop the local
+//          input queue and push onto the outgoing link ring, or eject.
 //
 // A slot freed by a pop becomes visible to the upstream sender one cycle
 // later, as on real credit-return wires.  Each link has its own ring,
@@ -236,8 +240,9 @@ class MeshNetwork {
   /// counts and retransmit watermarks only where they are non-zero and
   /// live, so a loaded mesh re-saves byte-identically.
   /// Storage (pool, free list, FIFO and ring heads, the occupied-tile
-  /// bitset, the arrival wheel) and derived tables (route9, link_ok_,
-  /// neighbour maps, the credit snapshots) are rebuilt, not stored.
+  /// bitset and busy-port masks, the arrival wheel) and derived tables
+  /// (route9, link_ok_, neighbour maps, the credit snapshots) are rebuilt,
+  /// not stored.
   /// load_state targets a mesh constructed over the same grid, kind and
   /// behavioural options as the saver; anything else, or a ring holding
   /// more frames than its downstream FIFO has room for, throws ckpt::Error
@@ -308,9 +313,8 @@ class MeshNetwork {
   std::vector<std::uint32_t> pool_free_;
 
   /// All per-tile router state one arbitration pass reads, packed into a
-  /// single cache line so the route want/grant loops touch one line per
-  /// router instead of five parallel arrays (land pushes into its queues,
-  /// route pops).
+  /// single cache line so route touches one line per router (land pushes
+  /// into its queues, route pops).
   /// route9: precomputed DoR decision per sign-pair case — dimension-order
   /// routing only reads (sign(dst.x - x), sign(dst.y - y)), so the full
   /// (src, dst) table factors into 9 cases with link health folded in,
@@ -321,10 +325,11 @@ class MeshNetwork {
     std::array<std::uint16_t, kPortCount> q_head;  ///< FIFO head slot
     std::array<std::uint16_t, kPortCount> q_size;  ///< FIFO occupancy
     std::array<std::uint8_t, kPortCount> rr;  ///< per-output rotating priority
-    /// Packets buffered anywhere in the tile's five FIFOs: routers with
-    /// zero occupancy skip arbitration entirely, which is most of the
-    /// wafer at realistic loads.
-    std::uint16_t occ;
+    /// Bit p set while input FIFO p is non-empty: route visits only the
+    /// busy ports.  Kept by q_push and q_pop (and cleared by the dead-router
+    /// purge and load_state), so it is derived state and never saved.
+    std::uint8_t busy;
+    std::int16_t x, y;       ///< the tile's coordinates
     std::uint8_t route9[9];  ///< derived from the fault state, not saved
   };
   std::vector<TileState> tiles_;  ///< indexed by tile
@@ -332,19 +337,25 @@ class MeshNetwork {
   /// Fixed-capacity FIFO storage of pool indices, indexed by
   /// (tile * kPortCount + port) * cap_ + slot.
   std::vector<std::uint32_t> q_slots_;
-  /// Hot state of the directed link leaving (tile, direction), one 6-byte
-  /// record per link so a router's credit check, grant bookkeeping and
-  /// ring push all hit the same cache line.  Every frame on the wire holds
-  /// one downstream credit (a grant reserves it, a landing or a loss
-  /// releases it, a go-back-N retry keeps it), so `count` is also the
-  /// number of credits reserved downstream.  `space` is the credit
-  /// snapshot of the *downstream* input FIFO the sender arbitrates
-  /// against (see the header comment): route consumes it on a grant, and
-  /// land adds the returned and lost credits.
+  /// Hot state of the directed link leaving (tile, direction), one record
+  /// per link so a router's credit check, grant bookkeeping and ring push,
+  /// and a landing's channel draw, all hit the same cache line.  Every
+  /// frame on the wire holds one downstream credit (a grant reserves it, a
+  /// landing or a loss releases it, a go-back-N retry keeps it), so
+  /// `count` is also the number of credits reserved downstream.  `space`
+  /// is the credit snapshot of the *downstream* input FIFO the sender
+  /// arbitrates against (see the header comment): route consumes it on a
+  /// grant, and land adds the returned and lost credits.  The last three
+  /// fields are link-integrity state and stay zero while it is off.
   struct LinkState {
     std::uint16_t head = 0;   ///< ring head slot
     std::uint16_t count = 0;  ///< frames in flight = credits reserved
     std::uint16_t space = 0;  ///< downstream credit snapshot
+    std::uint8_t tx_seq = 0;  ///< next 4-bit sequence number to send
+    std::uint64_t traversals = 0;  ///< attempts, retransmissions included
+    /// Earliest free arrival slot: keeps frames granted after a
+    /// retransmission from overtaking it (go-back-N ordering).
+    std::uint64_t next_free = 0;
   };
   std::vector<LinkState> link_;  ///< indexed by (tile * 4 + direction)
 
@@ -382,18 +393,15 @@ class MeshNetwork {
   std::size_t in_flight_ = 0;
 
   // Link-integrity state (allocated only when integrity is enabled),
-  // indexed by link id (tile * 4 + direction) unless noted.  A link's
-  // channel draws are a pure function of its id and its traversal count
-  // (see channel_admit), so what a link draws depends only on the frames
-  // crossing it, never on tile visit order, and no generator is stored.
+  // indexed by link id (tile * 4 + direction) unless noted; the per-link
+  // sequence number, traversal count and watermark live in LinkState.  A
+  // link's channel draws are a pure function of its id and its traversal
+  // count (see channel_admit), so what a link draws depends only on the
+  // frames crossing it, never on tile visit order, and no generator is
+  // stored.
   LinkBerMap ber_;
   std::vector<std::uint64_t> link_errors_;
-  std::vector<std::uint64_t> link_traversals_;
-  std::vector<std::uint8_t> tx_seq_;
   std::vector<std::uint8_t> rx_seq_;  ///< by dst * 4 + input port
-  /// Earliest free arrival slot per directed link: keeps frames granted
-  /// after a retransmission from overtaking it (go-back-N ordering).
-  std::vector<std::uint64_t> link_next_free_;
 
   std::uint32_t pool_alloc(const Packet& p) {
     if (!pool_free_.empty()) {
@@ -430,7 +438,7 @@ class MeshNetwork {
     if (slot >= cap_) slot -= cap_;
     q_slots_[qbase(tile, port) + slot] = pkt;
     ++ts.q_size[port];
-    ++ts.occ;
+    ts.busy |= static_cast<std::uint8_t>(1u << port);
     occupied_[tile / 64] |= 1ull << (tile % 64);
   }
   /// Pops a FIFO head; a link port owes its incoming link one credit.
@@ -438,8 +446,10 @@ class MeshNetwork {
     TileState& ts = tiles_[tile];
     const std::size_t next = static_cast<std::size_t>(ts.q_head[port]) + 1;
     ts.q_head[port] = static_cast<std::uint16_t>(next == cap_ ? 0 : next);
-    --ts.q_size[port];
-    if (--ts.occ == 0) occupied_[tile / 64] &= ~(1ull << (tile % 64));
+    if (--ts.q_size[port] == 0) {
+      ts.busy &= static_cast<std::uint8_t>(~(1u << port));
+      if (ts.busy == 0) occupied_[tile / 64] &= ~(1ull << (tile % 64));
+    }
     if (port != static_cast<std::size_t>(Port::Local))
       credit_returns_.push_back(
           static_cast<std::uint32_t>(in_ring_[tile * 4 + port]));

@@ -91,23 +91,43 @@ RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {
 }
 
 PairReachability NetworkSelector::reachable_pairs() const {
-  const FaultMap& faults = analyzer_.faults();
-  const std::vector<TileCoord> healthy = faults.healthy_tiles();
+  const ConnectivityAnalyzer& an = analyzer_;
+  const std::vector<TileCoord> healthy = an.faults().healthy_tiles();
   const std::size_t n = healthy.size();
   const std::size_t words = (n + 63) / 64;
+  // Bit rows over the healthy tiles, one per run id.  XY a -> b is clear
+  // iff the corner (b.x, a.y) shares a's row run and b's column run, so
+  // every tile of a row run XY-reaches the same set: the union of the
+  // column runs through it.  Likewise every tile of a column run
+  // YX-reaches the union of the row runs through it.
+  const auto runs = static_cast<std::size_t>(an.run_count()) + 1;
+  std::vector<std::uint64_t> members(runs * words, 0), reach(runs * words, 0);
+  const auto run_of = [&](std::vector<std::uint64_t>& v, int id) {
+    return v.data() + static_cast<std::size_t>(id) * words;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    run_of(members, an.row_run(healthy[i]))[i / 64] |= bit;
+    run_of(members, an.col_run(healthy[i]))[i / 64] |= bit;
+  }
+  for (const TileCoord c : healthy) {
+    const int row = an.row_run(c), col = an.col_run(c);
+    for (std::size_t w = 0; w < words; ++w) {
+      run_of(reach, row)[w] |= run_of(members, col)[w];
+      run_of(reach, col)[w] |= run_of(members, row)[w];
+    }
+  }
   // direct[i] is the bit row of tile i: bit j set when i and j share a
-  // clear DoR path.  The relation is symmetric (XY a -> b and YX b -> a
-  // cover the same tiles, and links are checked both ways), so the upper
-  // triangle fills both halves.
+  // clear DoR path, its row run's XY set or its column run's YX set (the
+  // relation is symmetric: XY a -> b and YX b -> a cover the same tiles).
   std::vector<std::uint64_t> direct(n * words, 0);
   const auto row = [&](std::size_t i) { return direct.data() + i * words; };
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      if (segment_clear(healthy[i], healthy[j], NetworkKind::XY) ||
-          segment_clear(healthy[i], healthy[j], NetworkKind::YX)) {
-        row(i)[j / 64] |= std::uint64_t{1} << (j % 64);
-        row(j)[i / 64] |= std::uint64_t{1} << (i % 64);
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t* xy = run_of(reach, an.row_run(healthy[i]));
+    const std::uint64_t* yx = run_of(reach, an.col_run(healthy[i]));
+    for (std::size_t w = 0; w < words; ++w) row(i)[w] = xy[w] | yx[w];
+    row(i)[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
 
   // A pair without a direct path is relayable iff some third tile is
   // directly connected to both: the two bit rows intersect (the diagonal

@@ -79,9 +79,10 @@ class NetworkSelector {
   /// any one pair always uses a single network (in-order delivery).
   RoutePlan plan(TileCoord src, TileCoord dst) const;
 
-  /// Counts the pairs plan() would find reachable: O(tiles^2) run-id
-  /// lookups plus O(tiles / 64) word operations per pair without a direct
-  /// path (see DESIGN.md).
+  /// Counts the pairs plan() would find reachable.  Every tile of a row
+  /// (column) run reaches one XY (YX) set, so the direct-path bit rows cost
+  /// O(tiles × tiles / 64) word operations, and each pair without a direct
+  /// path O(tiles / 64) more (see DESIGN.md).
   PairReachability reachable_pairs() const;
 
   /// Adopts a new fault state (runtime fault injection).  The grids must

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <queue>
-#include <set>
 #include <vector>
 
 namespace wsp::noc {
@@ -85,67 +84,6 @@ OddEvenStats census_odd_even(const FaultMap& faults) {
     }
   }
   return stats;
-}
-
-bool channel_dependency_graph_is_acyclic(int width, int height) {
-  const TileGrid grid(width, height);
-  // Channel id: tile index * 4 + direction of travel.
-  const auto channel = [&](TileCoord from, Direction d) {
-    return grid.index_of(from) * 4 + static_cast<std::size_t>(d);
-  };
-  const std::size_t channels = grid.tile_count() * 4;
-  std::vector<std::set<std::size_t>> deps(channels);
-
-  // A dependency c1 -> c2 exists when some (src, dst) routing can use
-  // channel c1 into a tile and continue on channel c2 out of it.
-  grid.for_each([&](TileCoord src) {
-    grid.for_each([&](TileCoord dst) {
-      if (src == dst) return;
-      // Walk all allowed minimal paths with BFS over (tile, in-channel).
-      std::set<std::pair<std::size_t, int>> seen;  // (tile, in-channel id)
-      std::queue<std::pair<TileCoord, int>> frontier;
-      frontier.push({src, -1});
-      while (!frontier.empty()) {
-        const auto [cur, in_ch] = frontier.front();
-        frontier.pop();
-        const RouteChoices choices = odd_even_route(src, cur, dst);
-        if (choices.eject) continue;
-        for (int i = 0; i < choices.count; ++i) {
-          const Direction d = choices.dirs[i];
-          const TileCoord next = step(cur, d);
-          if (!grid.contains(next)) continue;
-          const auto out_ch = static_cast<int>(channel(cur, d));
-          if (in_ch >= 0)
-            deps[static_cast<std::size_t>(in_ch)].insert(
-                static_cast<std::size_t>(out_ch));
-          const auto key = std::make_pair(grid.index_of(next), out_ch);
-          if (seen.insert(key).second) frontier.push({next, out_ch});
-        }
-      }
-    });
-  });
-
-  // Cycle detection by iterative DFS colouring.
-  std::vector<char> color(channels, 0);  // 0 white, 1 grey, 2 black
-  std::vector<std::size_t> stack;
-  for (std::size_t start = 0; start < channels; ++start) {
-    if (color[start] != 0) continue;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const std::size_t c = stack.back();
-      if (color[c] == 0) {
-        color[c] = 1;
-        for (const std::size_t next : deps[c]) {
-          if (color[next] == 1) return false;  // back edge: cycle
-          if (color[next] == 0) stack.push_back(next);
-        }
-      } else {
-        color[c] = 2;
-        stack.pop_back();
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace wsp::noc

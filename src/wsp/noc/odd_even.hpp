@@ -57,10 +57,4 @@ struct OddEvenStats {
 };
 OddEvenStats census_odd_even(const FaultMap& faults);
 
-/// Verifies the turn model's deadlock-freedom structurally: builds the
-/// channel-dependency graph induced by odd_even_route over a WxH mesh and
-/// reports whether it is acyclic (used by the property tests; DoR passes
-/// too, a fully adaptive router would not).
-bool channel_dependency_graph_is_acyclic(int width, int height);
-
 }  // namespace wsp::noc

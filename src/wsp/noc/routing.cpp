@@ -1,9 +1,5 @@
 #include "wsp/noc/routing.hpp"
 
-#include <cmath>
-#include <cstdlib>
-#include <limits>
-
 namespace wsp::noc {
 
 const char* to_string(NetworkKind k) {
@@ -28,60 +24,6 @@ RouteDecision next_hop(TileCoord current, TileCoord dst, NetworkKind kind) {
   else
     d.dir = dst.y > current.y ? Direction::North : Direction::South;
   return d;
-}
-
-std::vector<TileCoord> dor_path(TileCoord src, TileCoord dst,
-                                NetworkKind kind) {
-  std::vector<TileCoord> path;
-  path.reserve(static_cast<std::size_t>(hop_distance(src, dst)) + 1);
-  TileCoord cur = src;
-  path.push_back(cur);
-  while (cur != dst) {
-    const RouteDecision d = next_hop(cur, dst, kind);
-    cur = step(cur, d.dir);
-    path.push_back(cur);
-  }
-  return path;
-}
-
-bool path_is_healthy(const FaultMap& faults, TileCoord src, TileCoord dst,
-                     NetworkKind kind) {
-  TileCoord cur = src;
-  if (faults.is_faulty(cur)) return false;
-  while (cur != dst) {
-    const RouteDecision d = next_hop(cur, dst, kind);
-    cur = step(cur, d.dir);
-    if (!faults.grid().contains(cur) || faults.is_faulty(cur)) return false;
-  }
-  return true;
-}
-
-PairConnectivity pair_connectivity(const FaultMap& faults, TileCoord src,
-                                   TileCoord dst) {
-  return {
-      .xy_ok = path_is_healthy(faults, src, dst, NetworkKind::XY),
-      .yx_ok = path_is_healthy(faults, src, dst, NetworkKind::YX),
-  };
-}
-
-std::optional<TileCoord> find_intermediate(const FaultMap& faults,
-                                           TileCoord src, TileCoord dst) {
-  const TileGrid& grid = faults.grid();
-  std::optional<TileCoord> best;
-  int best_extra = std::numeric_limits<int>::max();
-  const int direct = hop_distance(src, dst);
-
-  grid.for_each([&](TileCoord mid) {
-    if (faults.is_faulty(mid) || mid == src || mid == dst) return;
-    const int extra = hop_distance(src, mid) + hop_distance(mid, dst) - direct;
-    if (extra >= best_extra) return;
-    if (pair_connectivity(faults, src, mid).connected() &&
-        pair_connectivity(faults, mid, dst).connected()) {
-      best = mid;
-      best_extra = extra;
-    }
-  });
-  return best;
 }
 
 }  // namespace wsp::noc

@@ -7,8 +7,7 @@
 // which is the basis of the fault-tolerance result in Fig. 6.
 #pragma once
 
-#include <optional>
-#include <vector>
+#include <cstdlib>
 
 #include "wsp/common/fault_map.hpp"
 #include "wsp/common/geometry.hpp"
@@ -26,31 +25,6 @@ struct RouteDecision {
 /// The DoR next-hop function evaluated at `current` for a packet headed to
 /// `dst` on network `kind`.
 RouteDecision next_hop(TileCoord current, TileCoord dst, NetworkKind kind);
-
-/// Complete tile sequence of the DoR path from `src` to `dst` (inclusive
-/// of both endpoints).
-std::vector<TileCoord> dor_path(TileCoord src, TileCoord dst,
-                                NetworkKind kind);
-
-/// True when every tile of the DoR path (endpoints included) is healthy.
-bool path_is_healthy(const FaultMap& faults, TileCoord src, TileCoord dst,
-                     NetworkKind kind);
-
-/// Healthy-path availability between a pair under the dual-network scheme.
-struct PairConnectivity {
-  bool xy_ok = false;
-  bool yx_ok = false;
-  bool connected() const { return xy_ok || yx_ok; }
-};
-PairConnectivity pair_connectivity(const FaultMap& faults, TileCoord src,
-                                   TileCoord dst);
-
-/// Searches for an intermediate tile I such that src->I and I->dst are both
-/// connected (on any network): the kernel-software escape hatch of Sec. VI
-/// for pairs whose direct paths are all faulty.  Returns the intermediate
-/// with the smallest added hop count, or nullopt when none exists.
-std::optional<TileCoord> find_intermediate(const FaultMap& faults,
-                                           TileCoord src, TileCoord dst);
 
 /// Manhattan hop count between two tiles.
 inline int hop_distance(TileCoord a, TileCoord b) {

@@ -7,6 +7,7 @@
 #include <queue>
 #include <set>
 
+#include "noc_oracles.hpp"
 #include "wsp/noc/connectivity.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/odd_even.hpp"

@@ -2,6 +2,7 @@
 // (the fast analyzer vs brute-force path walking) and the Fig. 6 census.
 #include <gtest/gtest.h>
 
+#include "noc_oracles.hpp"
 #include "wsp/noc/connectivity.hpp"
 #include "wsp/noc/routing.hpp"
 
