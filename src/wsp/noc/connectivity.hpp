@@ -8,15 +8,18 @@
 // paths and the number collapses to <2 %; the remaining casualties are
 // mostly same-row/same-column pairs, whose two paths coincide.
 //
-// `ConnectivityAnalyzer` answers pair-connectivity queries in O(1) after an
+// `NetworkSelector` answers pair-connectivity queries in O(1) after an
 // O(tiles) preprocessing pass: a DoR path is healthy iff its row segment
 // and its column segment each lie inside a single maximal healthy run of
 // that row/column, so two run-id lookups decide each path.  Given failed
 // links, a run also ends at every link that has failed in either
-// direction, so the same lookups decide link-aware paths.
+// direction, so the same lookups decide link-aware paths.  The all-pairs
+// counts (the Fig. 6 census and reachable_pairs) are popcounts over one
+// reach set per run instead of lookups per pair (see DESIGN.md).
 #pragma once
 
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "wsp/common/fault_map.hpp"
@@ -25,19 +28,60 @@
 
 namespace wsp::noc {
 
-/// O(1) pair-connectivity queries over a fixed fault map.
-class ConnectivityAnalyzer {
- public:
-  explicit ConnectivityAnalyzer(const FaultMap& faults);
-  /// Link-aware: a path is connected only if it also crosses no link that
-  /// has failed in either travel direction.
-  ConnectivityAnalyzer(const FaultMap& faults, const LinkFaultSet& links);
+/// The kernel's per-pair network choice.
+struct RoutePlan {
+  /// Tile sequence of transaction segments: {src, dst} for a direct route,
+  /// {src, mid, dst} when relayed through an intermediate tile.
+  std::vector<TileCoord> waypoints;
+  /// Network of the *request* on each segment (responses use the
+  /// complement).  networks[i] covers waypoints[i] -> waypoints[i+1].
+  std::vector<NetworkKind> segment_networks;
+  bool reachable = false;
+  bool relayed = false;
+};
 
+auto fields(Of<RoutePlan> auto& p) {
+  return std::tie(p.waypoints, p.segment_networks, p.reachable, p.relayed);
+}
+
+/// All-pairs census: ordered pairs of distinct healthy tiles, and how many
+/// of them NetworkSelector::plan() finds reachable (directly or relayed).
+struct PairReachability {
+  std::size_t pairs = 0;
+  std::size_t reachable = 0;
+};
+
+/// Kernel-software network selection from a fixed fault state (Sec. VI).
+///
+/// A plan is a pure function of the fault state and the pair: two O(1)
+/// run-id lookups for a direct path, one scan of the wafer for a relay.
+/// Runtime fault injection builds a new selector from the new fault state,
+/// so the next packet of each pair replans with the usual fallback ladder
+/// X-Y -> Y-X -> relayed.  With a LinkFaultSet, a path is only used if it
+/// also avoids every failed directed link.  A const selector is safe to
+/// share across threads.
+class NetworkSelector {
+ public:
+  explicit NetworkSelector(const FaultMap& faults);
+  /// Link-aware: a path is connected only if it also crosses no link that
+  /// has failed in either travel direction.  The grids must match.
+  NetworkSelector(const FaultMap& faults, const LinkFaultSet& links);
+
+  /// True when the DoR path src -> dst is clear.  Runs end at failed links
+  /// both ways, so the response's complementary path back is clear too.
   bool xy_connected(TileCoord src, TileCoord dst) const;
   bool yx_connected(TileCoord src, TileCoord dst) const;
-  bool dual_connected(TileCoord src, TileCoord dst) const {
-    return xy_connected(src, dst) || yx_connected(src, dst);
-  }
+
+  /// Route plan for src -> dst.  Balanced pairs alternate networks via a
+  /// deterministic parity hash so both networks are equally utilised while
+  /// any one pair always uses a single network (in-order delivery).
+  RoutePlan plan(TileCoord src, TileCoord dst) const;
+
+  /// Counts the pairs plan() would find reachable: the direct-path bit
+  /// rows come from the run reach sets in O(tiles × tiles / 64) word
+  /// operations, and each pair without a direct path costs O(tiles / 64)
+  /// more (see DESIGN.md).
+  PairReachability reachable_pairs() const;
 
   const FaultMap& faults() const { return faults_; }
 
@@ -87,7 +131,7 @@ struct DisconnectionStats {
   }
 };
 
-/// Exhaustive census for one fault map.
+/// Exhaustive census for one fault map, counted from the run reach sets.
 DisconnectionStats census_disconnection(const FaultMap& faults);
 
 /// One point of the Fig. 6 curve.
@@ -99,7 +143,7 @@ struct Fig6Point {
 };
 
 /// Monte Carlo sweep reproducing Fig. 6: for each entry of `fault_counts`,
-/// averages the disconnection percentages over `trials` random fault maps.
+/// averages the disconnection percentages over `trials` (≥ 1) random maps.
 std::vector<Fig6Point> fig6_sweep(const TileGrid& grid,
                                   const std::vector<std::size_t>& fault_counts,
                                   int trials, Rng& rng);

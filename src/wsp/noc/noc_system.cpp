@@ -1,148 +1,12 @@
 #include "wsp/noc/noc_system.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
-#include "wsp/noc/routing.hpp"
 #include "wsp/obs/trace.hpp"
 
 namespace wsp::noc {
-
-NetworkSelector::NetworkSelector(const FaultMap& faults)
-    : analyzer_(faults) {}
-
-NetworkSelector::NetworkSelector(const FaultMap& faults,
-                                 const LinkFaultSet& links)
-    : analyzer_(faults, links) {}
-
-void NetworkSelector::rebind(const FaultMap& faults,
-                             const LinkFaultSet& links) {
-  const TileGrid& old = analyzer_.faults().grid();
-  require(faults.grid().width() == old.width() &&
-              faults.grid().height() == old.height(),
-          "rebind: fault map grid mismatch");
-  require(links.grid().width() == old.width() &&
-              links.grid().height() == old.height(),
-          "rebind: link fault set grid mismatch");
-  analyzer_ = ConnectivityAnalyzer(faults, links);
-}
-
-bool NetworkSelector::segment_clear(TileCoord a, TileCoord b,
-                                    NetworkKind kind) const {
-  // The analyzer's runs already end at failed links, so one lookup covers
-  // both the request a -> b and its complementary response b -> a.
-  return kind == NetworkKind::XY ? analyzer_.xy_connected(a, b)
-                                 : analyzer_.yx_connected(a, b);
-}
-
-RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {
-  RoutePlan plan;
-  const FaultMap& faults = analyzer_.faults();
-  if (!faults.grid().contains(src) || !faults.grid().contains(dst) ||
-      faults.is_faulty(src) || faults.is_faulty(dst))
-    return plan;
-
-  auto choose = [&](TileCoord a, TileCoord b) -> std::optional<NetworkKind> {
-    const bool xy = segment_clear(a, b, NetworkKind::XY);
-    const bool yx = segment_clear(a, b, NetworkKind::YX);
-    if (xy && yx) {
-      // Both paths healthy: balance pairs across the networks with a
-      // deterministic parity hash; one pair always maps to one network so
-      // its packets stay in order.
-      const unsigned h = static_cast<unsigned>(a.x + 3 * a.y + 5 * b.x +
-                                               7 * b.y);
-      return (h & 1u) ? NetworkKind::YX : NetworkKind::XY;
-    }
-    if (xy) return NetworkKind::XY;
-    if (yx) return NetworkKind::YX;
-    return std::nullopt;
-  };
-
-  if (const auto direct = choose(src, dst)) {
-    plan.waypoints = {src, dst};
-    plan.segment_networks = {*direct};
-    plan.reachable = true;
-    return plan;
-  }
-
-  // No direct path on either network: relay through the healthy
-  // intermediate with the fewest added hops (lowest index on ties) whose
-  // two segments are both clear.
-  const TileGrid& grid = faults.grid();
-  const int direct = hop_distance(src, dst);
-  int best_added = std::numeric_limits<int>::max();
-  for (std::size_t i = 0; i < grid.tile_count(); ++i) {
-    const TileCoord mid = grid.coord_of(i);
-    if (faults.is_faulty(mid) || mid == src || mid == dst) continue;
-    const int added = hop_distance(src, mid) + hop_distance(mid, dst) - direct;
-    if (added >= best_added) continue;
-    const auto first = choose(src, mid);
-    const auto second = first ? choose(mid, dst) : std::nullopt;
-    if (!second) continue;
-    plan.waypoints = {src, mid, dst};
-    plan.segment_networks = {*first, *second};
-    plan.reachable = true;
-    plan.relayed = true;
-    best_added = added;
-  }
-  return plan;
-}
-
-PairReachability NetworkSelector::reachable_pairs() const {
-  const ConnectivityAnalyzer& an = analyzer_;
-  const std::vector<TileCoord> healthy = an.faults().healthy_tiles();
-  const std::size_t n = healthy.size();
-  const std::size_t words = (n + 63) / 64;
-  // Bit rows over the healthy tiles, one per run id.  XY a -> b is clear
-  // iff the corner (b.x, a.y) shares a's row run and b's column run, so
-  // every tile of a row run XY-reaches the same set: the union of the
-  // column runs through it.  Likewise every tile of a column run
-  // YX-reaches the union of the row runs through it.
-  const auto runs = static_cast<std::size_t>(an.run_count()) + 1;
-  std::vector<std::uint64_t> members(runs * words, 0), reach(runs * words, 0);
-  const auto run_of = [&](std::vector<std::uint64_t>& v, int id) {
-    return v.data() + static_cast<std::size_t>(id) * words;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    run_of(members, an.row_run(healthy[i]))[i / 64] |= bit;
-    run_of(members, an.col_run(healthy[i]))[i / 64] |= bit;
-  }
-  for (const TileCoord c : healthy) {
-    const int row = an.row_run(c), col = an.col_run(c);
-    for (std::size_t w = 0; w < words; ++w) {
-      run_of(reach, row)[w] |= run_of(members, col)[w];
-      run_of(reach, col)[w] |= run_of(members, row)[w];
-    }
-  }
-  // direct[i] is the bit row of tile i: bit j set when i and j share a
-  // clear DoR path, its row run's XY set or its column run's YX set (the
-  // relation is symmetric: XY a -> b and YX b -> a cover the same tiles).
-  std::vector<std::uint64_t> direct(n * words, 0);
-  const auto row = [&](std::size_t i) { return direct.data() + i * words; };
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t* xy = run_of(reach, an.row_run(healthy[i]));
-    const std::uint64_t* yx = run_of(reach, an.col_run(healthy[i]));
-    for (std::size_t w = 0; w < words; ++w) row(i)[w] = xy[w] | yx[w];
-    row(i)[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-  }
-
-  // A pair without a direct path is relayable iff some third tile is
-  // directly connected to both: the two bit rows intersect (the diagonal
-  // is clear, so neither endpoint can be its own relay).
-  PairReachability r;
-  r.pairs = n > 1 ? n * (n - 1) : 0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      bool ok = (row(i)[j / 64] >> (j % 64)) & 1u;
-      for (std::size_t w = 0; !ok && w < words; ++w)
-        ok = (row(i)[w] & row(j)[w]) != 0;
-      if (ok) r.reachable += 2;
-    }
-  return r;
-}
 
 NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,
                      obs::MetricsRegistry* metrics)
@@ -407,7 +271,7 @@ void NocSystem::apply_fault_state(const FaultMap& faults,
           "apply_fault_state: fault map grid mismatch");
   faults_ = faults;
   links_ = links;
-  selector_.rebind(faults_, links_);
+  selector_ = NetworkSelector(faults_, links_);
   xy_.apply_fault_state(faults_, links_);
   yx_.apply_fault_state(faults_, links_);
 
@@ -481,7 +345,7 @@ bool NocSystem::retire_link(TileCoord from, Direction d) {
     return false;
   if (links_.is_failed(from, d)) return false;
   links_.set_failed(from, d);
-  selector_.rebind(faults_, links_);
+  selector_ = NetworkSelector(faults_, links_);
   xy_.apply_fault_state(faults_, links_);
   yx_.apply_fault_state(faults_, links_);
   ctr_.links_retired->add();
@@ -657,9 +521,9 @@ void NocSystem::load_state(ckpt::Reader& r) {
   xy_.load_state(r);
   yx_.load_state(r);
 
-  // Plans are a pure function of the fault state, so rebuilding the
-  // selector's connectivity from the restored maps restores it exactly.
-  selector_.rebind(faults_, links_);
+  // Plans are a pure function of the fault state, so a selector built
+  // from the restored maps restores them exactly.
+  selector_ = NetworkSelector(faults_, links_);
   eject_scratch_.clear();
 }
 

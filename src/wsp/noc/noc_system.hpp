@@ -14,6 +14,8 @@
 //   * If neither direct path is healthy, the kernel routes via an
 //     intermediate tile whose core forwards the packets (two chained
 //     transactions), costing extra hops and core cycles.
+// The choice is NetworkSelector::plan (connectivity.hpp); every fault-state
+// change builds a new selector.
 #pragma once
 
 #include <array>
@@ -36,73 +38,6 @@
 #include "wsp/noc/packet.hpp"
 
 namespace wsp::noc {
-
-/// The kernel's per-pair network choice.
-struct RoutePlan {
-  /// Tile sequence of transaction segments: {src, dst} for a direct route,
-  /// {src, mid, dst} when relayed through an intermediate tile.
-  std::vector<TileCoord> waypoints;
-  /// Network of the *request* on each segment (responses use the
-  /// complement).  networks[i] covers waypoints[i] -> waypoints[i+1].
-  std::vector<NetworkKind> segment_networks;
-  bool reachable = false;
-  bool relayed = false;
-};
-
-auto fields(Of<RoutePlan> auto& p) {
-  return std::tie(p.waypoints, p.segment_networks, p.reachable, p.relayed);
-}
-
-/// All-pairs census: ordered pairs of distinct healthy tiles, and how many
-/// of them NetworkSelector::plan() finds reachable (directly or relayed).
-struct PairReachability {
-  std::size_t pairs = 0;
-  std::size_t reachable = 0;
-};
-
-/// Kernel-software network selection from the fault map (Sec. VI).
-///
-/// A plan is a pure function of the bound fault state and the pair: two
-/// O(1) run-id lookups for a direct path, one scan of the wafer for a
-/// relay.  `rebind()` adopts a new fault state at runtime, so the next
-/// packet of each pair replans with the usual fallback ladder X-Y -> Y-X ->
-/// relayed.  When a LinkFaultSet is bound, a path is only used if it also
-/// avoids every failed directed link.  A const selector is safe to share
-/// across threads.
-class NetworkSelector {
- public:
-  explicit NetworkSelector(const FaultMap& faults);
-  NetworkSelector(const FaultMap& faults, const LinkFaultSet& links);
-
-  /// Route plan for src -> dst.  Balanced pairs alternate networks via a
-  /// deterministic parity hash so both networks are equally utilised while
-  /// any one pair always uses a single network (in-order delivery).
-  RoutePlan plan(TileCoord src, TileCoord dst) const;
-
-  /// Counts the pairs plan() would find reachable.  Every tile of a row
-  /// (column) run reaches one XY (YX) set, so the direct-path bit rows cost
-  /// O(tiles × tiles / 64) word operations, and each pair without a direct
-  /// path O(tiles / 64) more (see DESIGN.md).
-  PairReachability reachable_pairs() const;
-
-  /// Adopts a new fault state (runtime fault injection).  The grids must
-  /// match the original fault map's.
-  void rebind(const FaultMap& faults, const LinkFaultSet& links);
-  void rebind(const FaultMap& faults) {
-    rebind(faults, LinkFaultSet(faults.grid()));
-  }
-
-  /// Link-aware connectivity of the bound fault state.
-  const ConnectivityAnalyzer& connectivity() const { return analyzer_; }
-
- private:
-  ConnectivityAnalyzer analyzer_;
-
-  /// True when the request path a->b on `kind` is healthy tile-wise *and*
-  /// crosses no failed link in either travel direction (the response rides
-  /// the complementary network back over the same tiles).  O(1).
-  bool segment_clear(TileCoord a, TileCoord b, NetworkKind kind) const;
-};
 
 /// Completed round-trip record.
 struct CompletedTransaction {
@@ -232,10 +167,10 @@ class NocSystem {
   const FaultMap& faults() const { return faults_; }
 
   /// Adopts a new fault state mid-run (runtime fault injection): replaces
-  /// the kernel's fault map, rebinds the selector, and propagates the state
-  /// to both mesh networks (purging packets stranded in dead routers).
-  /// Transactions stranded by the change recover via the timeout/retry
-  /// machinery — enable options.response_timeout.
+  /// the kernel's fault map, builds a new selector from it, and propagates
+  /// the state to both mesh networks (purging packets stranded in dead
+  /// routers).  Transactions stranded by the change recover via the
+  /// timeout/retry machinery — enable options.response_timeout.
   void apply_fault_state(const FaultMap& faults, const LinkFaultSet& links);
   void apply_fault_state(const FaultMap& faults) {
     apply_fault_state(faults, links_);
@@ -269,7 +204,7 @@ class NocSystem {
   void accumulate_tile_activity(std::vector<TileActivity>& out) const;
 
   /// Predictively retires the directed link leaving `from` toward `d`:
-  /// marks it failed in the LinkFaultSet, rebinds the selector and
+  /// marks it failed in the LinkFaultSet, builds a new selector and
   /// propagates to both meshes.  Returns false when the link leaves the
   /// array or is already retired.  Counted in stats().links_retired and
   /// stats().replans.

@@ -2,6 +2,7 @@
 // (Fig. 4) and duty-cycle distortion handling.
 #include <gtest/gtest.h>
 
+#include "clock_oracles.hpp"
 #include "wsp/clock/duty_cycle.hpp"
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/clock/pll.hpp"

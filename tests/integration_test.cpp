@@ -6,6 +6,7 @@
 //   selection  ->  running a graph workload on the surviving tiles.
 #include <gtest/gtest.h>
 
+#include "clock_oracles.hpp"
 #include "wsp/clock/duty_cycle.hpp"
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/io/bonding_yield.hpp"

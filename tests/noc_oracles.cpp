@@ -126,7 +126,7 @@ bool channel_dependency_graph_is_acyclic(int width, int height) {
   return true;
 }
 
-PairReachability pairwise_reachable_pairs(const ConnectivityAnalyzer& an) {
+PairReachability pairwise_reachable_pairs(const NetworkSelector& an) {
   const std::vector<TileCoord> healthy = an.faults().healthy_tiles();
   const std::size_t n = healthy.size();
   const std::size_t words = (n + 63) / 64;
@@ -150,6 +150,32 @@ PairReachability pairwise_reachable_pairs(const ConnectivityAnalyzer& an) {
       if (ok) r.reachable += 2;
     }
   return r;
+}
+
+DisconnectionStats pairwise_census_disconnection(const FaultMap& faults) {
+  const NetworkSelector an(faults);
+  const std::vector<TileCoord> healthy = faults.healthy_tiles();
+
+  DisconnectionStats stats;
+  for (const TileCoord src : healthy) {
+    for (const TileCoord dst : healthy) {
+      if (src == dst) continue;
+      ++stats.healthy_pairs;
+      const bool xy = an.xy_connected(src, dst);
+      const bool yx = an.yx_connected(src, dst);
+      // Round trip on one network: the response comes back on the same
+      // network via its own dimension-ordered path.
+      if (!xy || !an.xy_connected(dst, src))
+        ++stats.disconnected_single_roundtrip;
+      if (!xy) ++stats.disconnected_single_xy;
+      if (!xy && !yx) {
+        ++stats.disconnected_dual;
+        if (src.x == dst.x || src.y == dst.y)
+          ++stats.disconnected_dual_same_row_col;
+      }
+    }
+  }
+  return stats;
 }
 
 }  // namespace wsp::noc

@@ -50,6 +50,10 @@ bool channel_dependency_graph_is_acyclic(int width, int height);
 /// NetworkSelector::reachable_pairs() by its definition: two run-id
 /// lookups per unordered pair of healthy tiles fill the direct-path bit
 /// rows, then the same relay closure.
-PairReachability pairwise_reachable_pairs(const ConnectivityAnalyzer& an);
+PairReachability pairwise_reachable_pairs(const NetworkSelector& an);
+
+/// census_disconnection() by its definition: three path checks per
+/// ordered pair of distinct healthy tiles.
+DisconnectionStats pairwise_census_disconnection(const FaultMap& faults);
 
 }  // namespace wsp::noc

@@ -5,12 +5,14 @@
 //   * link-aware run ids    vs a dor_path walk with per-link checks;
 //   * reachable_pairs()     vs an all-pairs plan().reachable count and the
 //                           pairwise census it replaced;
+//   * census_disconnection  vs the pairwise census it replaced;
 //   * plan()'s relay choice vs find_intermediate's pair_connectivity walk;
 //   * per-distinct-row JTAG screening vs one locate_first_faulty per row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "noc_oracles.hpp"
@@ -86,7 +88,7 @@ TEST(ReachabilityOracle, LinkAwareRunIdsMatchThePathWalk) {
     const TileGrid grid(c.width, c.height);
     for (int trial = 0; trial < c.trials; ++trial) {
       const RandomFaults f = random_faults(grid, c.tile_p, c.links, rng);
-      const ConnectivityAnalyzer an(f.tiles, f.links);
+      const NetworkSelector an(f.tiles, f.links);
       std::size_t cut = 0;
       for (std::size_t i = 0; i < grid.tile_count(); ++i)
         for (std::size_t j = 0; j < grid.tile_count(); ++j) {
@@ -109,8 +111,8 @@ TEST(ReachabilityOracle, TileOnlyAnalyzerEqualsEmptyLinkSet) {
   Rng rng(7);
   const TileGrid grid(8, 8);
   const FaultMap tiles = FaultMap::random_with_probability(grid, 0.15, rng);
-  const ConnectivityAnalyzer plain(tiles);
-  const ConnectivityAnalyzer linked(tiles, LinkFaultSet(grid));
+  const NetworkSelector plain(tiles);
+  const NetworkSelector linked(tiles, LinkFaultSet(grid));
   for (std::size_t i = 0; i < grid.tile_count(); ++i)
     for (std::size_t j = 0; j < grid.tile_count(); ++j) {
       const TileCoord a = grid.coord_of(i), b = grid.coord_of(j);
@@ -144,7 +146,7 @@ TEST(ReachabilityOracle, ReachablePairsMatchesAllPairsPlans) {
       EXPECT_EQ(got.pairs, pairs);
       EXPECT_EQ(got.reachable, reachable);
       const PairReachability pairwise =
-          pairwise_reachable_pairs(fast.connectivity());
+          pairwise_reachable_pairs(fast);
       EXPECT_EQ(pairwise.pairs, pairs);
       EXPECT_EQ(pairwise.reachable, reachable);
       // Counting again after plans are cached changes nothing.
@@ -154,6 +156,33 @@ TEST(ReachabilityOracle, ReachablePairsMatchesAllPairsPlans) {
   // The maps exercise both the relay closure and true disconnection.
   EXPECT_TRUE(saw_relay);
   EXPECT_TRUE(saw_unreachable);
+}
+
+TEST(ReachabilityOracle, CensusMatchesPairwise) {
+  // The Fig. 6 census counts by popcounts over the run reach sets; the
+  // pairwise loop makes three path checks per ordered pair.  Every count
+  // must agree, on strips, rectangles and squares at 0-30 % faults.
+  const auto counts = [](const DisconnectionStats& s) {
+    return std::vector<std::size_t>{
+        s.healthy_pairs, s.disconnected_single_xy,
+        s.disconnected_single_roundtrip, s.disconnected_dual,
+        s.disconnected_dual_same_row_col};
+  };
+  const std::pair<int, int> sizes[] = {{1, 1},  {2, 2},   {1, 9},
+                                       {9, 1},  {5, 17},  {13, 29},
+                                       {16, 16}, {32, 32}};
+  Rng rng(505);
+  std::size_t same_rc = 0;
+  for (const auto& [w, h] : sizes)
+    for (const double p : {0.0, 0.05, 0.1, 0.2, 0.3}) {
+      const FaultMap faults =
+          FaultMap::random_with_probability(TileGrid(w, h), p, rng);
+      const DisconnectionStats fast = census_disconnection(faults);
+      ASSERT_EQ(counts(fast), counts(pairwise_census_disconnection(faults)))
+          << w << "x" << h << " at p = " << p;
+      same_rc += fast.disconnected_dual_same_row_col;
+    }
+  EXPECT_GT(same_rc, 0u);  // the maps do cut same-line pairs
 }
 
 TEST(ReachabilityOracle, RelayChoiceMatchesFindIntermediate) {
@@ -210,7 +239,7 @@ TEST(ReachabilityOracle, DegenerateMapsAndGridMismatch) {
   EXPECT_EQ(clean.reachable, clean.pairs);
 
   EXPECT_THROW(
-      ConnectivityAnalyzer(FaultMap(grid), LinkFaultSet(TileGrid(3, 4))),
+      NetworkSelector(FaultMap(grid), LinkFaultSet(TileGrid(3, 4))),
       Error);
 }
 

