@@ -51,38 +51,6 @@ std::vector<double> activity_power_map(
   return power;
 }
 
-// --- ActivityTracker --------------------------------------------------------
-
-const std::vector<noc::TileActivity>& ActivityTracker::harvest(
-    const noc::NocSystem& noc) {
-  noc.accumulate_tile_activity(scratch_);
-  if (prev_.size() != scratch_.size())
-    prev_.assign(scratch_.size(), noc::TileActivity{});
-  delta_.resize(scratch_.size());
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    delta_[i].injections = scratch_[i].injections - prev_[i].injections;
-    delta_[i].traversals = scratch_[i].traversals - prev_[i].traversals;
-    delta_[i].retransmits = scratch_[i].retransmits - prev_[i].retransmits;
-  }
-  std::swap(prev_, scratch_);
-  return delta_;
-}
-
-void ActivityTracker::save_state(ckpt::Writer& w) const {
-  w.tag(ckpt::fourcc("ATRK"));
-  ckpt::save_fields(w, prev_);
-}
-
-void ActivityTracker::load_state(ckpt::Reader& r, std::size_t tiles) {
-  r.expect_tag(ckpt::fourcc("ATRK"), "activity tracker");
-  std::vector<noc::TileActivity> prev;
-  ckpt::load_fields(r, prev);
-  if (!prev.empty() && prev.size() != tiles)
-    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                      "activity snapshot does not cover the grid");
-  prev_ = std::move(prev);
-}
-
 // --- report serialisation ---------------------------------------------------
 
 std::vector<std::uint8_t> serialize_report(const CosimReport& report) {
@@ -219,8 +187,7 @@ void CosimLoop::couple() {
     const std::size_t w = grid.width(), h = grid.height();
     const std::size_t links = 2 * ((w - 1) * h + w * (h - 1));
     e.mean_ber = links ? sum / static_cast<double>(links) : 0.0;
-    // Staged: both meshes adopt it at the top of the next step(), i.e.
-    // exactly at the first cycle of the next epoch.
+    // Both meshes sample it from the first cycle of the next epoch.
     noc_.set_link_ber(std::move(ber));
   }
 
@@ -281,7 +248,9 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 //     budget, BER params of the mesh and activity weights (now constants).
 // v7: the stochastic generators checkpoint their geometric gap, and the
 //     mesh blocks are MESH v5.
-constexpr std::uint32_t kCosimStateVersion = 7;
+// v8: no ATRK block (the meshes' counters hold the epoch's activity), and
+//     the NoC block is NOCS v6.
+constexpr std::uint32_t kCosimStateVersion = 8;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {
@@ -290,7 +259,6 @@ void CosimLoop::save_state(ckpt::Writer& w) const {
   gen_->save_state(w);
   w.u64(cycle_in_epoch_);
   driver_.save_state(w);
-  tracker_.save_state(w);
   w.tag(ckpt::fourcc("SEED"));
   ckpt::save_fields(w, seeds_);
   w.tag(ckpt::fourcc("EPRP"));
@@ -307,7 +275,6 @@ void CosimLoop::load_state(ckpt::Reader& r) {
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                       "epoch cursor past the epoch length");
   driver_.load_state(r);
-  tracker_.load_state(r, faults_.grid().tile_count());
   r.expect_tag(ckpt::fourcc("SEED"), "warm-start seeds");
   ckpt::load_fields(r, seeds_);
   if (seeds_.size() != 2)

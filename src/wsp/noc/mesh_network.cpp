@@ -485,6 +485,15 @@ std::optional<std::uint64_t> MeshNetwork::corrupt_head_packet(TileCoord tile) {
   return std::nullopt;
 }
 
+void MeshNetwork::take_tile_activity(std::vector<TileActivity>& sum) {
+  for (std::size_t t = 0; t < tile_activity_.size(); ++t) {
+    sum[t].injections += tile_activity_[t].injections;
+    sum[t].traversals += tile_activity_[t].traversals;
+    sum[t].retransmits += tile_activity_[t].retransmits;
+  }
+  std::ranges::fill(tile_activity_, TileActivity{});
+}
+
 void MeshNetwork::set_link_ber(LinkBerMap ber) {
   require(ber.grid().width() == grid_.width() &&
               ber.grid().height() == grid_.height(),
@@ -650,7 +659,7 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   }
 }
 
-void MeshNetwork::load_state(ckpt::Reader& r) {
+void MeshNetwork::load_state(ckpt::Reader& r, std::uint64_t id_limit) {
   r.expect_tag(kMeshTag, "MeshNetwork");
   const std::uint32_t version = r.u32();
   if (version != kMeshStateVersion)
@@ -678,6 +687,7 @@ void MeshNetwork::load_state(ckpt::Reader& r) {
     Packet p;
     ckpt::load_fields(r, p);
     expect_in_grid(p, grid_);
+    if (p.id >= id_limit) reject("packet id at or above the owner's next id");
     return pool_alloc(p);
   };
   pool_.clear();

@@ -104,11 +104,12 @@ auto fields(Of<MeshOptions> auto& o) {
                   o.integrity);
 }
 
-/// Cumulative per-tile activity counters for epoch-coupled co-simulation
-/// (wsp::cosim).  Totals since construction, never reset: an epoch driver
-/// diffs successive snapshots, so resuming from a checkpoint reproduces the
-/// same deltas.  `retransmits` are charged to the *landing* tile of the
-/// corrupted hop (the receiver pays the NACK/resend cost).
+/// Per-tile activity counters for epoch-coupled co-simulation (wsp::cosim).
+/// A mesh counts since its owner last took them (take_tile_activity), so
+/// a snapshot saved mid-epoch holds the epoch's partial counts and a
+/// resumed run takes the same per-epoch activity.  `retransmits` are
+/// charged to the *landing* tile of the corrupted hop (the receiver pays
+/// the NACK/resend cost).
 struct TileActivity {
   std::uint64_t injections = 0;   ///< packets entering at this source
   std::uint64_t traversals = 0;   ///< link grants leaving this tile
@@ -191,6 +192,7 @@ class MeshNetwork {
   /// dead tile are dropped on arrival.  The grids must match.
   void apply_fault_state(const FaultMap& faults, const LinkFaultSet& links);
 
+  const FaultMap& faults() const { return faults_; }
   const LinkFaultSet& link_faults() const { return link_faults_; }
 
   /// Transient-fault model: corrupts (drops) the oldest packet buffered at
@@ -199,11 +201,11 @@ class MeshNetwork {
   /// packet surfaces upstream as a transaction timeout.
   std::optional<std::uint64_t> corrupt_head_packet(TileCoord tile);
 
-  /// Per-tile activity totals (see TileActivity), indexed by tile.  Always
-  /// maintained: one increment per injection, grant or retry, not a branch.
-  const std::vector<TileActivity>& tile_activity() const {
-    return tile_activity_;
-  }
+  /// Adds the per-tile activity counted since the last take (see
+  /// TileActivity) into `sum`, indexed by tile, and zeroes the counters.
+  /// Always maintained: one increment per injection, grant or retry, not a
+  /// branch.
+  void take_tile_activity(std::vector<TileActivity>& sum);
 
   /// Binds the per-link BER map the channel model samples (no-op effect
   /// unless options.integrity.enabled).  Grids must match.  Taken by
@@ -244,11 +246,13 @@ class MeshNetwork {
   /// (route9, link_ok_, neighbour maps, the credit snapshots) are rebuilt,
   /// not stored.
   /// load_state targets a mesh constructed over the same grid, kind and
-  /// behavioural options as the saver; anything else, or a ring holding
-  /// more frames than its downstream FIFO has room for, throws ckpt::Error
+  /// behavioural options as the saver; anything else, a ring holding more
+  /// frames than its downstream FIFO has room for, or a packet id at or
+  /// above `id_limit` (the owner's next id) throws ckpt::Error
   /// (TopologyMismatch / SchemaMismatch).
   void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
+  void load_state(ckpt::Reader& r,
+                  std::uint64_t id_limit = ~std::uint64_t{0});
 
  private:
   /// One frame on a directed link (its ends and ports follow from the link

@@ -19,7 +19,9 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 // v4: the latency histogram in CNTR is its (value, count) run list.
 // v5: the option block lost service/relay latency (now constants) and the
 //     mesh options' retransmit budget and BER params.
-constexpr std::uint32_t kNocStateVersion = 5;
+// v6: no SBER block: set_link_ber hands the map to both meshes at once, so
+//     their BERM blocks hold it.
+constexpr std::uint32_t kNocStateVersion = 6;
 
 // A copy of a heap, popped: comparator order, a total order here
 // (Deadline keys (due_cycle, id) and PendingInjection keys (due_cycle,
@@ -297,14 +299,6 @@ void NocSystem::handle_ejection(const Packet& p,
 
 void NocSystem::step(std::vector<CompletedTransaction>& done) {
   WSP_TRACE_SPAN("noc.step");
-  // Cycle-boundary BER swap: a map staged by set_link_ber becomes visible
-  // to both meshes here, before any packet moves this cycle — never
-  // mid-cycle between the two meshes (see the set_link_ber contract).
-  if (staged_ber_) {
-    xy_.set_link_ber(*staged_ber_);
-    yx_.set_link_ber(std::move(*staged_ber_));
-    staged_ber_.reset();
-  }
   // Move everything due into the per-tile ready queues, then drain each
   // tile's queue head-first while its local FIFO accepts packets.  A
   // packet whose source tile died while it waited is dropped here — its
@@ -407,22 +401,14 @@ NocStats NocSystem::stats() const {
 }
 
 void NocSystem::set_link_ber(LinkBerMap ber) {
-  require(ber.grid().width() == faults_.grid().width() &&
-              ber.grid().height() == faults_.grid().height(),
-          "set_link_ber: BER map grid mismatch");
-  staged_ber_ = std::move(ber);
+  xy_.set_link_ber(ber);  // checks the grid before either mesh changes
+  yx_.set_link_ber(std::move(ber));
 }
 
-void NocSystem::accumulate_tile_activity(
-    std::vector<TileActivity>& out) const {
-  const std::vector<TileActivity>& a = xy_.tile_activity();
-  const std::vector<TileActivity>& b = yx_.tile_activity();
-  out.assign(a.size(), TileActivity{});
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    out[t].injections = a[t].injections + b[t].injections;
-    out[t].traversals = a[t].traversals + b[t].traversals;
-    out[t].retransmits = a[t].retransmits + b[t].retransmits;
-  }
+void NocSystem::take_tile_activity(std::vector<TileActivity>& out) {
+  out.assign(faults_.grid().tile_count(), TileActivity{});
+  xy_.take_tile_activity(out);
+  yx_.take_tile_activity(out);
 }
 
 bool NocSystem::retire_link(TileCoord from, Direction d) {
@@ -496,10 +482,6 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   w.tag(ckpt::fourcc("CNTR"));
   ckpt::save_fields(w, ctr_);
 
-  w.tag(ckpt::fourcc("SBER"));
-  w.b(staged_ber_.has_value());
-  if (staged_ber_) ckpt::save_each(w, staged_ber_->bers());
-
   xy_.save_state(w);
   yx_.save_state(w);
 }
@@ -520,6 +502,9 @@ void NocSystem::load_state(ckpt::Reader& r) {
                           std::to_string(grid.width()) + "x" +
                           std::to_string(grid.height()));
   ckpt::expect_fields(r, options_, "NoC options");
+  const auto reject = [](const char* what) {
+    throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
+  };
 
   faults_ = ckpt::load_fault_map(r, &grid);
   links_ = ckpt::load_link_faults(r, &grid);
@@ -533,15 +518,11 @@ void NocSystem::load_state(ckpt::Reader& r) {
     const std::vector<TileCoord>& wp = txn.plan.waypoints;
     if (wp.size() < 2 || txn.plan.segment_networks.size() + 1 != wp.size() ||
         txn.segment + 1 >= wp.size())
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "route plan shape or segment index is invalid");
+      reject("route plan shape or segment index is invalid");
     for (const TileCoord c : wp)
-      if (!grid.contains(c))
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "route waypoint outside the grid");
+      if (!grid.contains(c)) reject("route waypoint outside the grid");
     if (txn.id >= next_id_ || (&txn != &txns_[0] && txn.id <= (&txn)[-1].id))
-      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                        "live transaction ids must rise below the next id");
+      reject("live transaction ids must rise below the next id");
   }
   // Sized by the live count, not by the id span: ids the window does not
   // cover stay in old_.
@@ -555,6 +536,14 @@ void NocSystem::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("DDLN"), "deadlines");
   std::vector<Deadline> deadlines;
   ckpt::load_fields(r, deadlines);
+  // A restored deadline or packet for an id not yet issued would act on
+  // the transaction that later gets that id.
+  for (const Deadline& d : deadlines)
+    if (d.id >= next_id_) reject("deadline id at or above the next id");
+  const auto expect_issued = [&](const Packet& p) {
+    expect_in_grid(p, grid);
+    if (p.id >= next_id_) reject("packet id at or above the next id");
+  };
   first_deadlines_.clear();
   first_head_ = 0;
   retry_deadlines_ = {deadlines.begin(), deadlines.end()};
@@ -566,7 +555,7 @@ void NocSystem::load_state(ckpt::Reader& r) {
   ckpt::load_fields(r, pending);
   pending_ = {};
   for (const auto& [due, seq, p] : pending) {
-    expect_in_grid(p, grid);
+    expect_issued(p);
     pending_.push({due, seq, store_packet(p)});
   }
 
@@ -579,13 +568,11 @@ void NocSystem::load_state(ckpt::Reader& r) {
     ckpt::load_fields(r, queues);
     for (const auto& [tile, q] : queues) {
       if (tile >= grid.tile_count())
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "ready-queue tile index out of range");
+        reject("ready-queue tile index out of range");
       if (ready_head_[ready_key(n, tile)] != kNone)
-        throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
-                          "duplicate ready-queue tile");
+        reject("duplicate ready-queue tile");
       for (const Packet& p : q) {
-        expect_in_grid(p, grid);
+        expect_issued(p);
         push_ready(ready_key(n, tile), store_packet(p));
       }
     }
@@ -594,17 +581,15 @@ void NocSystem::load_state(ckpt::Reader& r) {
   r.expect_tag(ckpt::fourcc("CNTR"), "NoC counters");
   ckpt::load_fields(r, ctr_);
 
-  r.expect_tag(ckpt::fourcc("SBER"), "staged BER map");
-  if (r.b()) {
-    std::vector<double> bers(grid.tile_count() * 4);
-    ckpt::load_each(r, bers);
-    staged_ber_ = LinkBerMap::from_bers(grid, bers);
-  } else {
-    staged_ber_.reset();
-  }
-
-  xy_.load_state(r);
-  yx_.load_state(r);
+  xy_.load_state(r, next_id_);
+  yx_.load_state(r, next_id_);
+  // Each mesh keeps its own copy of the fault state and the BER map so a
+  // standalone mesh frame is whole; in a system frame the copies agree.
+  for (const MeshNetwork* m : {&xy_, &yx_})
+    if (!(m->faults() == faults_) || !(m->link_faults() == links_))
+      reject("mesh fault state disagrees with the system's");
+  if (xy_.link_ber().bers() != yx_.link_ber().bers())
+    reject("the two meshes' BER maps disagree");
 
   // Plans are a pure function of the fault state, so a selector built
   // from the restored maps restores them exactly.

@@ -180,27 +180,21 @@ class NocSystem {
   /// killed; the owning transaction recovers via timeout + retry.
   bool inject_corruption(TileCoord tile);
 
-  /// Stages the per-link BER map both meshes sample (takes effect only
-  /// when NocOptions::mesh.integrity.enabled).  Re-call after every PDN
-  /// re-solve so supply sag shows up on the wire.
-  ///
-  /// Defined swap semantics vs in-flight packets: the staged map is
-  /// adopted at the *next cycle boundary* (the top of the following
-  /// step()), never mid-cycle — so every link samples one coherent map per
-  /// cycle, and an epoch driver
-  /// that calls this between steps gets an exact epoch-boundary swap.
-  /// Calling it again before the next step simply replaces the staged map
-  /// (last writer wins).  The grids must match (throws wsp::Error).
-  /// Taken by value: an rvalue map is moved in, not copied.
+  /// Sets the per-link BER map both meshes sample (takes effect only when
+  /// NocOptions::mesh.integrity.enabled).  Re-call after every PDN
+  /// re-solve so supply sag shows up on the wire.  The meshes step only
+  /// inside step(), so the map is adopted between cycles and every cycle
+  /// samples one coherent map: the last one set before it.  The grids must
+  /// match (throws wsp::Error).  Taken by value: an rvalue map is moved
+  /// into one mesh and copied into the other.
   void set_link_ber(LinkBerMap ber);
-  /// Map the meshes are currently sampling (the staged map before the next
-  /// cycle boundary is NOT yet visible here).
+  /// Map the meshes sample, the last one set.
   const LinkBerMap& link_ber() const { return xy_.link_ber(); }
 
-  /// Sums both meshes' cumulative per-tile activity counters into `out`
-  /// (assigned, sized to the tile count).  Epoch-coupled drivers diff
-  /// successive snapshots to get per-epoch activity.
-  void accumulate_tile_activity(std::vector<TileActivity>& out) const;
+  /// Sums both meshes' per-tile activity since the previous take into
+  /// `out` (assigned, sized to the tile count) and zeroes their counters:
+  /// an epoch driver takes one epoch's activity per call.
+  void take_tile_activity(std::vector<TileActivity>& out);
 
   /// Predictively retires the directed link leaving `from` toward `d`:
   /// marks it failed in the LinkFaultSet, builds a new selector and
@@ -227,7 +221,9 @@ class NocSystem {
   /// never having stopped.  The delivery listener is NOT captured (it is
   /// an arbitrary std::function); the owner re-attaches it after loading.
   /// load_state targets a system constructed over the same grid and
-  /// options; mismatches throw ckpt::Error.
+  /// options; mismatches throw ckpt::Error, as does a frame holding an id
+  /// at or above its next id, or meshes whose fault state or BER map
+  /// disagree with the system's or with each other.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -350,9 +346,6 @@ class NocSystem {
   /// Per-cycle ejection buffer, cleared (never shrunk) each step so the
   /// steady-state hot loop allocates nothing.
   std::vector<Packet> eject_scratch_;
-  /// BER map staged by set_link_ber, adopted by both meshes at the top of
-  /// the next step() (cycle-boundary swap; see set_link_ber).
-  std::optional<LinkBerMap> staged_ber_;
 
   MeshNetwork& net(NetworkKind k) { return k == NetworkKind::XY ? xy_ : yx_; }
   std::uint32_t live_slot(std::uint64_t id) const {  // kNone unless live

@@ -97,10 +97,6 @@ DegradationReport DegradationCampaign::run() const {
   // wins, since they re-apply in order).
   const bool integrity_on = nopt.mesh.integrity.enabled;
   noc::LinkBerMap base_ber(grid);
-  // Per-trial scratch reused by every rebind: copy-assigning base_ber into
-  // it reuses the allocation, instead of constructing a fresh full map per
-  // brownout event per trial.
-  noc::LinkBerMap ber_scratch(grid);
   const auto ber_from_report = [&](const pdn::PdnReport& pr) {
     std::vector<double> v(grid.tile_count(), options_.ber.nominal_v);
     for (std::size_t i = 0; i < v.size() && i < pr.tiles.size(); ++i)
@@ -109,10 +105,10 @@ DegradationReport DegradationCampaign::run() const {
   };
   const auto rebind_ber = [&](const FaultInjector& inj) {
     if (!integrity_on) return;
-    ber_scratch = base_ber;
+    noc::LinkBerMap ber = base_ber;
     for (const FaultEvent& e : inj.ber_degradations())
-      ber_scratch.set_ber(e.tile, e.link, e.magnitude);
-    noc.set_link_ber(ber_scratch);
+      ber.set_ber(e.tile, e.link, e.magnitude);
+    noc.set_link_ber(std::move(ber));
   };
   // Kept alive for the whole trial when coupling is on: the cached
   // multigrid hierarchy and the warm-start seed below are what make the

@@ -114,8 +114,8 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     };
 
     // Straight-through run, snapshotting at the random cycle.  With the
-    // integrity channel on, a noisy BER map is staged up front so it rides
-    // the snapshot.
+    // integrity channel on, a noisy BER map is set up front, so the meshes
+    // carry it in the snapshot.
     noc::NocSystem noc(FaultMap(grid), opt);
     if (opt.mesh.integrity.enabled)
       noc.set_link_ber(noc::LinkBerMap::uniform(grid, 1e-4));
@@ -128,8 +128,9 @@ TEST(CkptFuzz, RandomCycleSnapshotsResumeBitIdentical) {
     const std::vector<std::uint8_t> frame = ckpt::seal(ckpt::fourcc("FUZZ"),
                                                        1, w);
     drive(noc, injector, *gen, total);
-    if (opt.mesh.integrity.enabled)  // the staged noise is live
+    if (opt.mesh.integrity.enabled) {  // the noise is live
       EXPECT_GT(noc.stats().link_retransmits, 0u) << "round " << round;
+    }
 
     // Resume into fresh objects; the continuation must match bit for bit.
     const ckpt::Frame opened = ckpt::open_expect(frame, ckpt::fourcc("FUZZ"));

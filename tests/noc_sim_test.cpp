@@ -702,7 +702,7 @@ TEST(NocSystem, BacklogAtOneTileDoesNotDelayAnother) {
   std::vector<CompletedTransaction> done;
   noc.step(done);
   std::vector<TileActivity> activity;
-  noc.accumulate_tile_activity(activity);
+  noc.take_tile_activity(activity);
   EXPECT_EQ(activity[grid.index_of(b)].injections, 1u);
   EXPECT_GT(activity[grid.index_of(a)].injections, 0u);
   EXPECT_LT(activity[grid.index_of(a)].injections, 12u);
@@ -712,6 +712,50 @@ TEST(NocSystem, BacklogAtOneTileDoesNotDelayAnother) {
   std::vector<std::uint64_t> in_order(12);
   for (std::uint64_t i = 0; i < 12; ++i) in_order[i] = i;
   EXPECT_EQ(a_payloads, in_order);
+}
+
+TEST(NocSystem, TakeTileActivityReturnsTheCountsSinceTheLastTake) {
+  // Two equal systems: one taken every 10 cycles, one taken once.  The
+  // takes add up to the single one, and a take right after a take is zero.
+  const TileGrid grid(8, 8);
+  NocOptions opt;
+  opt.mesh.integrity.enabled = true;
+  NocSystem often(FaultMap(grid), opt);
+  NocSystem once(FaultMap(grid), opt);
+  for (NocSystem* noc : {&often, &once})
+    noc->set_link_ber(LinkBerMap::uniform(grid, 2e-3));
+  Rng rng(9);
+  std::vector<CompletedTransaction> done;
+  std::vector<TileActivity> take;
+  std::vector<TileActivity> sum(grid.tile_count());
+  for (int c = 1; c <= 60; ++c) {
+    const TileCoord src = grid.coord_of(rng.below(grid.tile_count()));
+    const TileCoord dst = grid.coord_of(rng.below(grid.tile_count()));
+    for (NocSystem* noc : {&often, &once}) {
+      noc->issue(src, dst, PacketType::ReadRequest);
+      noc->step(done);
+    }
+    if (c % 10 != 0) continue;
+    often.take_tile_activity(take);
+    ASSERT_EQ(take.size(), grid.tile_count());
+    for (std::size_t t = 0; t < take.size(); ++t) {
+      sum[t].injections += take[t].injections;
+      sum[t].traversals += take[t].traversals;
+      sum[t].retransmits += take[t].retransmits;
+    }
+    often.take_tile_activity(take);
+    const TileActivity zero{};
+    for (const TileActivity& a : take) EXPECT_EQ(fields(a), fields(zero));
+  }
+  once.take_tile_activity(take);
+  std::uint64_t injections = 0, retransmits = 0;
+  for (std::size_t t = 0; t < take.size(); ++t) {
+    EXPECT_EQ(fields(take[t]), fields(sum[t])) << "tile " << t;
+    injections += take[t].injections;
+    retransmits += take[t].retransmits;
+  }
+  EXPECT_GT(injections, 60u);
+  EXPECT_GT(retransmits, 0u);
 }
 
 TEST(NocSystem, DeliveryListenerMayIssue) {
