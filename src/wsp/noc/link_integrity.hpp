@@ -134,9 +134,9 @@ class LinkBerMap {
 };
 
 /// Knobs of the hop-level integrity protocol (shared by both meshes).  The
-/// meshes sample the BER map staged by NocSystem::set_link_ber
-/// (error-free until one is staged); each caller that stages one derives
-/// it from its own BerParams.
+/// meshes sample the BER map set by NocSystem::set_link_ber
+/// (error-free until one is set); each caller that sets one derives it
+/// from its own BerParams.
 struct LinkIntegrityOptions {
   /// Master switch: BER channel sampling + CRC check at every hop.  Off
   /// reproduces the pre-integrity simulator bit for bit.
