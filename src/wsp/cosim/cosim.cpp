@@ -94,8 +94,6 @@ CosimLoop::CosimLoop(const CosimOptions& options, const FaultMap& faults)
   require(faults_.grid().width() == options_.config.grid().width() &&
               faults_.grid().height() == options_.config.grid().height(),
           "cosim fault map grid must match the config grid");
-  require(options_.pdn.load_model == pdn::LoadModel::ConstantCurrent,
-          "cosim requires LoadModel::ConstantCurrent (batched re-solve)");
   pdn_.bind_metrics(&metrics_);
   // Two warm-start seed buffers persisted across epochs: the coupled map
   // and the static idle-floor reference solved alongside it.
@@ -250,7 +248,9 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 //     mesh blocks are MESH v5.
 // v8: no ATRK block (the meshes' counters hold the epoch's activity), and
 //     the NoC block is NOCS v6.
-constexpr std::uint32_t kCosimStateVersion = 8;
+// v9: the CLOP option block lost the PDN load-model byte (constant current
+//     is the only load law).
+constexpr std::uint32_t kCosimStateVersion = 9;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {

@@ -64,9 +64,7 @@ void ResistiveGrid::clear_dirichlet(int x, int y) {
 
 void ResistiveGrid::set_current_sink(int x, int y, double amperes) {
   // Sinks enter only the right-hand side (read live during sweeps), so the
-  // multigrid hierarchy survives per-solve load updates — the
-  // WaferPdn constant-power loop re-solves with new sinks on an unchanged
-  // topology.
+  // multigrid hierarchy survives per-solve load updates.
   sink_[index(x, y)] = amperes;
 }
 

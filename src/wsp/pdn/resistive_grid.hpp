@@ -159,9 +159,10 @@ class ResistiveGrid {
 
   /// Resets every non-Dirichlet node to `volts` (Dirichlet nodes keep their
   /// fixed values).  Gives a freshly-constructed-grid seed without paying
-  /// for a rebuild: the hierarchy and sinks survive.  Callers
-  /// that want history-independent solves against a cached grid (WaferPdn,
-  /// WaferThermal) call this before each solve.
+  /// for a rebuild: the hierarchy and sinks survive.  Callers that want
+  /// history-independent solve()s against a cached grid call this before
+  /// each one (WaferPdn and WaferThermal pass solve_batch a zero seed
+  /// instead).
   void reset_voltages(double volts = 0.0);
 
   /// Total current delivered through all Dirichlet nodes (should equal the

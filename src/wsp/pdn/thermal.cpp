@@ -16,7 +16,6 @@ WaferThermal::WaferThermal(const SystemConfig& config,
               options.wafer_thickness_m > 0.0 && options.cooling_w_m2k > 0.0,
           "thermal parameters must be positive");
   grid_ = build_grid();
-  sink_scratch_.assign(grid_.node_count(), 0.0);
 }
 
 ResistiveGrid WaferThermal::build_grid() const {
@@ -47,21 +46,24 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
 
   const int k = options_.nodes_per_tile;
 
-  // Heat injection: negative current sinks, staged into one bulk setter.
+  // Heat injection: negative current sinks.
   const double nodes_per_tile = static_cast<double>(k) * k;
-  std::fill(sink_scratch_.begin(), sink_scratch_.end(), 0.0);
+  std::vector<double> sink(grid_.node_count(), 0.0);
   for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
     const TileCoord c = tiles.coord_of(i);
     const double per_node = tile_power_w[i] / nodes_per_tile;
     for (int sy = 0; sy < k; ++sy)
       for (int sx = 0; sx < k; ++sx)
-        sink_scratch_[grid_.index(c.x * k + sx, c.y * k + sy)] = -per_node;
+        sink[grid_.index(c.x * k + sx, c.y * k + sy)] = -per_node;
   }
-  grid_.set_current_sinks(sink_scratch_);
 
-  // Cold-start seed each solve: results must not depend on solve history.
-  grid_.reset_voltages(0.0);
-  const SolveStats stats = grid_.solve(options_.solver_tol);
+  // A one-RHS batch from a zero seed: results must not depend on solve
+  // history.
+  std::vector<double> node_c(grid_.node_count(), 0.0);
+  const RhsView rhs{sink, node_c};
+  SolveStats stats;
+  grid_.solve_batch(std::span(&rhs, 1), std::span(&stats, 1),
+                    options_.solver_tol);
 
   ThermalReport report;
   report.solver_converged = stats.converged;
@@ -74,7 +76,7 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
     double t = 0.0;
     for (int sy = 0; sy < k; ++sy)
       for (int sx = 0; sx < k; ++sx)
-        t += grid_.voltage(c.x * k + sx, c.y * k + sy);
+        t += node_c[grid_.index(c.x * k + sx, c.y * k + sy)];
     t /= nodes_per_tile;
     report.tile_temperature_c[i] = t;
     report.max_c = std::max(report.max_c, t);

@@ -63,7 +63,6 @@ class WaferThermal {
   // Cached duality grid: topology (slab conductances, cold-plate shunts)
   // is fixed per WaferThermal, so the hierarchy setup is paid once.
   ResistiveGrid grid_;
-  std::vector<double> sink_scratch_;
 
   ResistiveGrid build_grid() const;
 };

@@ -9,11 +9,6 @@
 
 namespace wsp::pdn {
 
-namespace {
-constexpr int kMaxConstantPowerIterations = 40;
-constexpr double kConstantPowerTolV = 1e-5;
-}  // namespace
-
 WaferPdn::WaferPdn(const SystemConfig& config, const WaferPdnOptions& options)
     : config_(config), options_(options), ldo_(options.ldo), grid_(2, 2) {
   config_.validate();
@@ -24,7 +19,6 @@ WaferPdn::WaferPdn(const SystemConfig& config, const WaferPdnOptions& options)
               options.powered_edges[2] || options.powered_edges[3],
           "at least one wafer edge must be powered");
   grid_ = build_grid();
-  sink_scratch_.assign(grid_.node_count(), 0.0);
 }
 
 double WaferPdn::loop_sheet_resistance() const {
@@ -87,16 +81,7 @@ PdnReport WaferPdn::solve_uniform(double activity) {
   return solve(power);
 }
 
-std::vector<double> WaferPdn::load_currents(
-    const std::vector<double>& tile_power_w) const {
-  std::vector<double> tile_load(tile_power_w.size());
-  for (std::size_t i = 0; i < tile_power_w.size(); ++i)
-    tile_load[i] = tile_power_w[i] / config_.ff_corner_voltage_v;
-  return tile_load;
-}
-
-void WaferPdn::scatter_sinks(const std::vector<double>& tile_load,
-                             const std::vector<double>& tile_power_w,
+void WaferPdn::scatter_sinks(const std::vector<double>& tile_power_w,
                              std::vector<double>& node_sink) const {
   const TileGrid tiles = config_.grid();
   const int k = options_.nodes_per_tile;
@@ -105,7 +90,7 @@ void WaferPdn::scatter_sinks(const std::vector<double>& tile_load,
   for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
     const TileCoord c = tiles.coord_of(i);
     const double tile_current =
-        tile_load[i] +
+        load_current(tile_power_w[i]) +
         (tile_power_w[i] > 0.0 ? options_.ldo.quiescent_a : 0.0);
     const double per_node = tile_current / nodes_per_tile;
     for (int sy = 0; sy < k; ++sy)
@@ -115,51 +100,10 @@ void WaferPdn::scatter_sinks(const std::vector<double>& tile_load,
 }
 
 PdnReport WaferPdn::solve(const std::vector<double>& tile_power_w) {
-  WSP_TRACE_SPAN("pdn.wafer.solve");
-  const TileGrid tiles = config_.grid();
-  validate_power_map(tile_power_w, tiles.tile_count());
-
-  const int k = options_.nodes_per_tile;
-
-  // Cold-start seed: the grid is cached across solves for its multigrid
-  // hierarchy, but the numerics must not depend on solve history.
-  grid_.reset_voltages(0.0);
-
-  // Initial tile load currents.  In ConstantCurrent mode the LDO passes
-  // through I = P / V_ff regardless of the plane voltage, so one linear
-  // solve suffices.  In ConstantPower mode we iterate I = P / V_node.
-  std::vector<double> tile_load = load_currents(tile_power_w);
-
-  scatter_sinks(tile_load, tile_power_w, sink_scratch_);
-  grid_.set_current_sinks(sink_scratch_);
-  SolveStats stats = grid_.solve(options_.solver_tol);
-
-  if (options_.load_model == LoadModel::ConstantPower) {
-    for (int outer = 0; outer < kMaxConstantPowerIterations; ++outer) {
-      std::vector<double> prev_v(tile_power_w.size());
-      for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
-        const TileCoord c = tiles.coord_of(i);
-        prev_v[i] = grid_.voltage(c.x * k, c.y * k);
-        const double v = std::max(prev_v[i], 0.5);  // guard /small
-        tile_load[i] = tile_power_w[i] / v;
-      }
-      scatter_sinks(tile_load, tile_power_w, sink_scratch_);
-      grid_.set_current_sinks(sink_scratch_);
-      stats = grid_.solve(options_.solver_tol);
-      double max_dv = 0.0;
-      for (std::size_t i = 0; i < tiles.tile_count(); ++i) {
-        const TileCoord c = tiles.coord_of(i);
-        max_dv = std::max(
-            max_dv, std::abs(grid_.voltage(c.x * k, c.y * k) - prev_v[i]));
-      }
-      if (max_dv < kConstantPowerTolV) break;
-    }
-  }
-
-  // The report evaluates each LDO at the load current the plane actually
-  // sank, so its energy terms balance the edge input power.
-  return extract_report(grid_.voltages(), grid_.current_sinks(), tile_power_w,
-                        tile_load, stats);
+  // A one-map cold batch: the zero seed makes every solve independent of
+  // what the cached grid solved before.
+  std::vector<double> seed;
+  return solve_batch_warm(std::span(&tile_power_w, 1), std::span(&seed, 1))[0];
 }
 
 std::vector<PdnReport> WaferPdn::solve_batch(
@@ -174,9 +118,6 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
     std::span<std::vector<double>> seeds,
     std::vector<SolveStats>* stats_out) {
   WSP_TRACE_SPAN("pdn.wafer.solve_batch");
-  require(options_.load_model == LoadModel::ConstantCurrent,
-          "solve_batch requires ConstantCurrent loads (constant-power "
-          "iteration couples sinks to its own solution)");
   const TileGrid tiles = config_.grid();
   const std::size_t n = tile_power_maps.size();
   const std::size_t nodes = grid_.node_count();
@@ -185,7 +126,6 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   // Stage every right-hand side: per-map node sinks plus the caller's seed
   // voltages (solve_batch itself re-seeds the Dirichlet entries, so a
   // stale or zero seed can never corrupt the boundary conditions).
-  std::vector<std::vector<double>> loads(n);
   std::vector<std::vector<double>> sinks(n);
   std::vector<RhsView> rhs(n);
   for (std::size_t m = 0; m < n; ++m) {
@@ -195,8 +135,7 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
     else
       require(seeds[m].size() == nodes,
               "warm-start seed length must equal node_count()");
-    loads[m] = load_currents(tile_power_maps[m]);
-    scatter_sinks(loads[m], tile_power_maps[m], sinks[m]);
+    scatter_sinks(tile_power_maps[m], sinks[m]);
     rhs[m] = RhsView{sinks[m], std::span<double>(seeds[m])};
   }
 
@@ -207,16 +146,14 @@ std::vector<PdnReport> WaferPdn::solve_batch_warm(
   std::vector<PdnReport> reports;
   reports.reserve(n);
   for (std::size_t m = 0; m < n; ++m)
-    reports.push_back(extract_report(rhs[m].v, rhs[m].sink,
-                                     tile_power_maps[m], loads[m],
-                                     stats[m]));
+    reports.push_back(
+        extract_report(rhs[m].v, rhs[m].sink, tile_power_maps[m], stats[m]));
   return reports;
 }
 
 PdnReport WaferPdn::extract_report(std::span<const double> node_v,
                                    std::span<const double> node_sink,
                                    const std::vector<double>& tile_power_w,
-                                   const std::vector<double>& tile_load_a,
                                    const SolveStats& stats) const {
   const TileGrid tiles = config_.grid();
   const int k = options_.nodes_per_tile;
@@ -238,7 +175,7 @@ PdnReport WaferPdn::extract_report(std::span<const double> node_v,
 
     TilePower& tp = report.tiles[i];
     tp.supply_v = v;
-    const double i_load = tile_load_a[i];
+    const double i_load = load_current(tile_power_w[i]);
     const LdoOperatingPoint op = ldo_.evaluate(v, i_load);
     tp.regulated_v = op.v_out;
     tp.in_regulation = op.in_regulation;

@@ -110,13 +110,22 @@ DegradationReport DegradationCampaign::run() const {
       ber.set_ber(e.tile, e.link, e.magnitude);
     noc.set_link_ber(std::move(ber));
   };
-  // Kept alive for the whole trial when coupling is on: the cached
-  // multigrid hierarchy and the warm-start seed below are what make the
-  // per-epoch re-solves cheap.
+  // One PDN model per trial, built on first use (at the start when
+  // integrity is on, else at the first brownout) with its all-peak solve.
+  // Every brownout re-solve and coupled epoch then shares its cached
+  // multigrid hierarchy; solve() starts cold, so sharing changes no result.
   std::optional<pdn::WaferPdn> wafer_pdn;
+  pdn::PdnReport peak_pdn;
+  const auto pdn_model = [&]() -> pdn::WaferPdn& {
+    if (!wafer_pdn) {
+      wafer_pdn.emplace(config, options_.pdn.pdn);
+      peak_pdn = wafer_pdn->solve_uniform();
+    }
+    return *wafer_pdn;
+  };
   if (integrity_on) {
-    wafer_pdn.emplace(config, options_.pdn.pdn);
-    base_ber = ber_from_report(wafer_pdn->solve_uniform());  // at peak
+    pdn_model();
+    base_ber = ber_from_report(peak_pdn);
     rebind_ber(injector);
   }
   const bool coupled = integrity_on && options_.cosim_epoch_cycles > 0;
@@ -197,8 +206,10 @@ DegradationReport DegradationCampaign::run() const {
           break;
         }
         case RuntimeFaultKind::LdoBrownout: {
+          pdn::WaferPdn& model = pdn_model();
           const PdnDegradationReport pr = resolve_after_brownouts(
-              config, injector.brownouts(), options_.pdn);
+              model, peak_pdn, injector.brownouts(),
+              options_.pdn.brownout_load_factor);
           for (TileCoord t : pr.unusable())
             if (injector.faults().is_healthy(t)) injector.mark_unusable(t);
           out.pdn_undervolted = static_cast<int>(pr.undervolted.size());

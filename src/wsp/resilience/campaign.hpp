@@ -10,8 +10,8 @@
 //                source died (clock::reselect_after_faults), orphans
 //                marked unusable;
 //   * PDN      — droop re-solve with browned-out LDO loads
-//                (resolve_after_brownouts), undervolted tiles marked
-//                unusable.
+//                (resolve_after_brownouts) on the trial's one WaferPdn,
+//                undervolted tiles marked unusable.
 // It then drains all traffic, censuses pair reachability on the surviving
 // fabric, and re-runs arch bring-up so the wafer's post-burst single-
 // system-image status is established the same way assembly-time bring-up

@@ -15,11 +15,14 @@ std::vector<TileCoord> PdnDegradationReport::unusable() const {
 }
 
 PdnDegradationReport resolve_after_brownouts(
-    const SystemConfig& config, const std::vector<TileCoord>& browned_out,
-    const PdnDegradationOptions& options) {
-  require(options.brownout_load_factor >= 1.0,
+    pdn::WaferPdn& model, const pdn::PdnReport& baseline,
+    const std::vector<TileCoord>& browned_out, double brownout_load_factor) {
+  require(brownout_load_factor >= 1.0,
           "a browned-out LDO cannot draw less than its nominal load");
+  const SystemConfig& config = model.config();
   const TileGrid grid = config.grid();
+  require(baseline.tiles.size() == grid.tile_count(),
+          "baseline report must come from the same model");
 
   PdnDegradationReport report;
   report.browned_out = browned_out;
@@ -30,12 +33,10 @@ PdnDegradationReport resolve_after_brownouts(
   for (TileCoord t : report.browned_out)
     require(grid.contains(t), "browned-out tile outside the grid");
 
-  pdn::WaferPdn model(config, options.pdn);
+  report.baseline = baseline;
   std::vector<double> tile_power(grid.tile_count(), config.tile_peak_power_w);
-  report.baseline = model.solve(tile_power);
-
   for (TileCoord t : report.browned_out)
-    tile_power[grid.index_of(t)] *= options.brownout_load_factor;
+    tile_power[grid.index_of(t)] *= brownout_load_factor;
   report.degraded = model.solve(tile_power);
   report.min_supply_v = report.degraded.min_supply_v;
 

@@ -6,8 +6,9 @@
 // a failed pass device leaks extra plane current — the surrounding droop
 // deepens, which can push *neighbouring* tiles' inputs below the voltage
 // the LDO can regulate from.  This module re-runs the nodal plane solve
-// with the browned-out loads and reports every tile pushed out of the
-// regulated band, so the degradation layer can mark them unusable.
+// with the browned-out loads on the caller's PDN model and reports every
+// tile pushed out of the regulated band, so the degradation layer can mark
+// them unusable.
 #pragma once
 
 #include <vector>
@@ -44,11 +45,14 @@ struct PdnDegradationReport {
   std::vector<TileCoord> unusable() const;
 };
 
-/// Re-solves the wafer PDN with `browned_out` LDOs failed, every tile at
-/// peak power (the worst case a brownout can meet).  Deterministic; tiles
-/// listed twice are only counted once.
+/// Re-solves `model` with `browned_out` LDOs failed, every tile at peak
+/// power (the worst case a brownout can meet), each struck tile drawing
+/// `brownout_load_factor` x its peak.  `baseline` is the same model's
+/// all-peak solve (`model.solve_uniform(1.0)`); only the degraded map is
+/// solved here.  Deterministic, since WaferPdn::solve is
+/// history-independent; tiles listed twice are only counted once.
 PdnDegradationReport resolve_after_brownouts(
-    const SystemConfig& config, const std::vector<TileCoord>& browned_out,
-    const PdnDegradationOptions& options = {});
+    pdn::WaferPdn& model, const pdn::PdnReport& baseline,
+    const std::vector<TileCoord>& browned_out, double brownout_load_factor);
 
 }  // namespace wsp::resilience

@@ -318,9 +318,8 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   EXPECT_EQ(a.options_fingerprint(), b.options_fingerprint())
       << "identical options, identical identity";
   // Pinned: a checkpoint written by an earlier build must keep resuming.
-  // (Last moved when the solver tuning, NoC latencies and link-health
-  // policy left the options as constants.)
-  EXPECT_EQ(a.options_fingerprint(), 0x44362c04u)
+  // (Last moved when the PDN load-model enum left WaferPdnOptions.)
+  EXPECT_EQ(a.options_fingerprint(), 0x70ad4f97u)
       << "actual 0x" << std::hex << a.options_fingerprint();
 
   CampaignOptions changed = small_campaign();
@@ -339,7 +338,7 @@ TEST(CampaignCkpt, FingerprintTracksBehaviouralOptionsOnly) {
   rich.schedule = resilience::FaultSchedule{};
   rich.clock_generators = {{1, 2}, {3, 4}};
   rich.workload.cls = workloads::WorkloadClass::SpikingBurst;
-  EXPECT_EQ(DegradationCampaign(rich).options_fingerprint(), 0x6dd22d57u)
+  EXPECT_EQ(DegradationCampaign(rich).options_fingerprint(), 0x4448a9b0u)
       << "actual 0x" << std::hex
       << DegradationCampaign(rich).options_fingerprint();
 }

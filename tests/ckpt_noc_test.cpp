@@ -513,7 +513,7 @@ TEST(CosimCkpt, SpikingFrameBytesArePinned) {
 
   ckpt::Writer w;
   loop.save_state(w);
-  expect_pinned(w.bytes(), 29288, 0x4489f41fu);
+  expect_pinned(w.bytes(), 29287, 0x3a9dfecfu);
 
   cosim::CosimLoop same(o);
   ckpt::Reader r(w.bytes());

@@ -131,9 +131,10 @@ TEST(FleetPlan, PartitionsTrialsContiguouslyAndExactly) {
     }
     EXPECT_EQ(next, trials) << "covers [0, trials) exactly";
     EXPECT_LE(max_size - min_size, 1) << "balanced within one trial";
-    if (shards == 0)
+    if (shards == 0) {
       EXPECT_EQ(static_cast<int>(plan.size()),
                 (trials + o.trials_per_shard - 1) / o.trials_per_shard);
+    }
   }
 }
 

@@ -99,21 +99,6 @@ TEST(ParallelInvariance, WaferPdnReportBitIdentical) {
   EXPECT_EQ(runs[0], runs[2]);
 }
 
-TEST(ParallelInvariance, ConstantPowerLoadModelBitIdentical) {
-  const SystemConfig cfg = SystemConfig::reduced(12, 12);
-  pdn::WaferPdnOptions opt;
-  opt.load_model = pdn::LoadModel::ConstantPower;
-  const auto runs = at_thread_counts([&] {
-    pdn::WaferPdn pdn(cfg, opt);
-    const pdn::PdnReport r = pdn.solve_uniform(1.0);
-    std::vector<double> flat;
-    for (const pdn::TilePower& t : r.tiles) flat.push_back(t.supply_v);
-    return flat;
-  });
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
-}
-
 TEST(ParallelInvariance, ThermalReportBitIdentical) {
   const SystemConfig cfg = SystemConfig::reduced(16, 16);
   const auto runs = at_thread_counts([&] {

@@ -89,11 +89,10 @@ TEST(WaferPdn, EnergyBalanceCloses) {
   EXPECT_NEAR(accounted / r.total_input_power_w, 1.0, 0.02);
 }
 
-TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
+TEST(WaferPdn, EnergyBalanceClosesOnEverySolveEntryPoint) {
   // Edge input power = delivered + plane loss + LDO loss, to the solver
-  // tolerance, on every solve entry point and both load models.  Each LDO
-  // must be evaluated at the load current the plane actually sank: under
-  // ConstantPower that is P / V_node, not P / V_ff.
+  // tolerance, on every solve entry point.  Each LDO must be evaluated at
+  // the load current the plane actually sank.
   const auto relative_error = [](const PdnReport& r) {
     const double accounted =
         r.delivered_power_w + r.plane_loss_w + r.ldo_loss_w;
@@ -126,12 +125,6 @@ TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
       EXPECT_LE(relative_error(reports[0]), kTol)
           << side << " epoch " << epoch;
     }
-
-    WaferPdnOptions cp_opt;
-    cp_opt.load_model = LoadModel::ConstantPower;
-    WaferPdn cp(cfg, cp_opt);
-    EXPECT_LE(relative_error(cp.solve_uniform(1.0)), kTol) << side;
-    EXPECT_LE(relative_error(cp.solve(random_map())), kTol) << side;
   }
 
   // A light load: one tile at peak on 8×8.  The edge current's truncation
@@ -158,9 +151,6 @@ TEST(WaferPdn, EnergyBalanceClosesOnEveryLoadModel) {
                      r.plane_loss_w - r.ldo_loss_w),
             max_v * nodes * stats[0].residual +
                 nodes * std::numeric_limits<double>::epsilon() * magnitude);
-  WaferPdnOptions cp_opt;
-  cp_opt.load_model = LoadModel::ConstantPower;
-  EXPECT_NO_THROW(WaferPdn(cfg, cp_opt).solve(one_tile));
 }
 
 TEST(WaferPdn, MorePowerNeverRaisesAnyTileSupply) {
@@ -175,7 +165,6 @@ TEST(WaferPdn, MorePowerNeverRaisesAnyTileSupply) {
     const std::size_t tiles = cfg.grid().tile_count();
     const double peak = cfg.tile_peak_power_w;
     WaferPdnOptions opt;
-    opt.load_model = LoadModel::ConstantCurrent;
     WaferPdn pdn(cfg, opt);
     const double slack = 10 * opt.solver_tol;
     Rng rng(static_cast<std::uint64_t>(n));
@@ -309,6 +298,31 @@ TEST(WaferPdn, IdleFloorMapSettlesOnItsFirstWarmResolve) {
   }
 }
 
+TEST(WaferPdn, ColdSolveAfterWarmEpochsMatchesAFreshModel) {
+  // solve() is a one-map cold batch, so a model that has already run warm
+  // epochs (and other cold solves) reports exactly what a fresh model
+  // does.  A campaign trial shares one model between its brownout
+  // re-solves and its coupled epochs on the strength of this.
+  for (const int n : {8, 32}) {
+    SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(n));
+    const SystemConfig cfg = SystemConfig::reduced(n, n);
+    const std::vector<double> map = random_power_map(cfg, 17);
+    WaferPdn used(cfg, {});
+    used.solve_uniform(0.5);
+    std::vector<std::vector<double>> seeds(1);
+    for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+      const std::vector<std::vector<double>> maps{
+          random_power_map(cfg, 100 + epoch)};
+      ASSERT_TRUE(used.solve_batch_warm(maps, seeds)[0].solver_converged);
+    }
+    const PdnReport after = used.solve(map);
+    ASSERT_TRUE(after.solver_converged);
+    EXPECT_EQ(report_bits(after), report_bits(WaferPdn(cfg, {}).solve(map)));
+    EXPECT_EQ(report_bits(used.solve_uniform(1.0)),
+              report_bits(WaferPdn(cfg, {}).solve_uniform(1.0)));
+  }
+}
+
 TEST(WaferPdn, FewerPoweredEdgesDroopMore) {
   WaferPdnOptions all_edges;
   WaferPdnOptions two_edges;
@@ -318,22 +332,6 @@ TEST(WaferPdn, FewerPoweredEdgesDroopMore) {
   const double min4 = pdn4.solve_uniform(1.0).min_supply_v;
   const double min2 = pdn2.solve_uniform(1.0).min_supply_v;
   EXPECT_LT(min2, min4);
-}
-
-TEST(WaferPdn, ConstantPowerLoadDroopsLessAtHighPlaneVoltage) {
-  // Ablation: a hypothetical power-conserving regulator (buck-like) draws
-  // I = P / V_node.  Because the plane voltage (1.4-2.5 V) sits far above
-  // the logic voltage, such a load pulls *less* current than the LDO's
-  // pass-through I = P / V_ff, so the droop is shallower.  (The LDO's
-  // constant-current behaviour is exactly why the full ~290 A crosses the
-  // planes, Sec. III.)
-  WaferPdnOptions cc;
-  WaferPdnOptions cp;
-  cp.load_model = LoadModel::ConstantPower;
-  const double min_cc = WaferPdn(full(), cc).solve_uniform(1.0).min_supply_v;
-  const double min_cp = WaferPdn(full(), cp).solve_uniform(1.0).min_supply_v;
-  EXPECT_GT(min_cp, min_cc);
-  EXPECT_LT(min_cp, full().edge_supply_voltage_v);
 }
 
 TEST(WaferPdn, RefinementIsConsistent) {
