@@ -151,22 +151,28 @@ int run_parallel_scaling(bool quick, wsp::bench::JsonReporter& json) {
   return rc;
 }
 
-/// Synthetic 64x64 power plane mirroring the wafer solve's structure: the
-/// edge ring pinned at the 2.5 V edge supply, a uniform draw everywhere
-/// else.  Solver-level (no WaferPdn wrapper) so the rows isolate the
-/// algorithms from report extraction.
+/// Synthetic 64x64 power plane mirroring the wafer solve's structure: all
+/// four edges powered at the 2.5 V edge supply.  Solver-level (no WaferPdn
+/// wrapper) so the rows isolate the algorithms from report extraction.
 ResistiveGrid make_plane(int n) {
-  ResistiveGrid g(n, n);
-  g.fill_conductances(5.0, 5.0);
-  for (int i = 0; i < n; ++i) {
-    g.set_dirichlet(i, 0, 2.5);
-    g.set_dirichlet(i, n - 1, 2.5);
-    g.set_dirichlet(0, i, 2.5);
-    g.set_dirichlet(n - 1, i, 2.5);
-  }
-  for (int y = 1; y < n - 1; ++y)
-    for (int x = 1; x < n - 1; ++x) g.set_current_sink(x, y, 0.02);
-  return g;
+  return ResistiveGrid({.width = n, .height = n, .gx = 5.0, .gy = 5.0,
+                        .powered_edges = {true, true, true, true},
+                        .edge_v = 2.5});
+}
+
+/// make_plane's load: a uniform draw on every node off the edges.
+std::vector<double> plane_sinks(const ResistiveGrid& g) {
+  std::vector<double> sink(g.node_count(), 0.0);
+  for (int y = 1; y < g.height() - 1; ++y)
+    for (int x = 1; x < g.width() - 1; ++x) sink[g.index(x, y)] = 0.02;
+  return sink;
+}
+
+/// Solves `sink` from a zero seed into `v`.
+SolveStats solve_cold(ResistiveGrid& g, const std::vector<double>& sink,
+                      std::vector<double>& v, double tol) {
+  v.assign(g.node_count(), 0.0);
+  return g.solve(sink, v, tol);
 }
 
 /// Closed-form strip check: with only the x=0 and x=n-1 columns held at V0
@@ -177,19 +183,19 @@ double strip_closed_form_error(int n, double tol) {
   constexpr double kV0 = 2.5;
   constexpr double kSink = 0.02;
   constexpr double kG = 5.0;
-  ResistiveGrid g(n, n);
-  g.fill_conductances(kG, kG);
-  for (int y = 0; y < n; ++y) {
-    g.set_dirichlet(0, y, kV0);
-    g.set_dirichlet(n - 1, y, kV0);
-    for (int x = 1; x < n - 1; ++x) g.set_current_sink(x, y, kSink);
-  }
-  if (!g.solve(tol).converged) return INFINITY;
+  ResistiveGrid g({.width = n, .height = n, .gx = kG, .gy = kG,
+                   .powered_edges = {false, true, false, true},
+                   .edge_v = kV0});
+  std::vector<double> sink(g.node_count(), 0.0);
+  for (int y = 0; y < n; ++y)
+    for (int x = 1; x < n - 1; ++x) sink[g.index(x, y)] = kSink;
+  std::vector<double> v;
+  if (!solve_cold(g, sink, v, tol).converged) return INFINITY;
   double max_err = 0.0;
   for (int y = 0; y < n; ++y)
     for (int k = 0; k < n; ++k)
       max_err = std::max(
-          max_err, std::fabs(g.voltage(k, y) -
+          max_err, std::fabs(v[g.index(k, y)] -
                              (kV0 - kSink / (2.0 * kG) * k * (n - 1 - k))));
   return max_err;
 }
@@ -205,6 +211,8 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
 
   exec::set_shared_threads(1);
   ResistiveGrid mg_grid = make_plane(64);
+  const std::vector<double> mg_sink = plane_sinks(mg_grid);
+  std::vector<double> mg_v;
   const double mg_tol = 1e-7;
 
   std::printf("== multigrid solver (64x64 plane, 1 thread, tol %.0e) ==\n",
@@ -213,10 +221,7 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
   SolveStats mg_stats;
   const double mg_ms = json.measure(
       "pdn_solver_multigrid_64x64", 1,
-      [&] {
-        mg_grid.reset_voltages(0.0);
-        mg_stats = mg_grid.solve(mg_tol);
-      },
+      [&] { mg_stats = solve_cold(mg_grid, mg_sink, mg_v, mg_tol); },
       repeats, 1);
   // Cold start: grid construction plus hierarchy build plus the solve —
   // what a one-shot caller pays.
@@ -224,7 +229,8 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
       "pdn_solver_multigrid_cold_64x64", 1,
       [&] {
         ResistiveGrid g = make_plane(64);
-        benchmark::DoNotOptimize(g.solve(mg_tol).converged);
+        std::vector<double> v;
+        benchmark::DoNotOptimize(solve_cold(g, mg_sink, v, mg_tol).converged);
       },
       repeats, 1);
 
@@ -266,11 +272,10 @@ int run_multigrid_suite(bool quick, wsp::bench::JsonReporter& json) {
   std::vector<double> mg_baseline;
   for (const int threads : thread_counts) {
     exec::set_shared_threads(threads);
-    mg_grid.reset_voltages(0.0);
-    mg_grid.solve(mg_tol);
+    solve_cold(mg_grid, mg_sink, mg_v, mg_tol);
     if (threads == thread_counts.front()) {
-      mg_baseline = mg_grid.voltages();
-    } else if (mg_grid.voltages() != mg_baseline) {
+      mg_baseline = mg_v;
+    } else if (mg_v != mg_baseline) {
       std::fprintf(stderr,
                    "FAIL: multigrid solve at %d threads diverged from the "
                    "1-thread result\n",
@@ -301,7 +306,7 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
   // hotspot so no two maps share a solution.
   std::vector<std::vector<double>> sinks(kRhs);
   for (int m = 0; m < kRhs; ++m) {
-    sinks[m] = grid.current_sinks();
+    sinks[m] = plane_sinks(grid);
     const double scale = 0.5 + static_cast<double>(m) / kRhs;
     for (double& s : sinks[m]) s *= scale;
     const int hx = 8 + (m * 3) % 48;
@@ -314,12 +319,8 @@ int run_batch_suite(bool quick, wsp::bench::JsonReporter& json) {
   std::vector<std::vector<double>> seq_v(kRhs);
   const double seq_ms = wsp::bench::min_wall_ms(
       [&] {
-        for (int m = 0; m < kRhs; ++m) {
-          grid.set_current_sinks(sinks[m]);
-          grid.reset_voltages(0.0);
-          grid.solve();
-          seq_v[m] = grid.voltages();
-        }
+        for (int m = 0; m < kRhs; ++m)
+          solve_cold(grid, sinks[m], seq_v[m], 1e-7);
       },
       repeats, 1);
   {

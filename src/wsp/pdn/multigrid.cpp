@@ -31,10 +31,7 @@ std::int32_t intern_row(std::vector<double>& table,
   return static_cast<std::int32_t>(table.size() - row.size());
 }
 
-double series(double g1, double g2) {
-  const double sum = g1 + g2;
-  return sum > 0.0 ? g1 * g2 / sum : 0.0;
-}
+double series(double g1, double g2) { return g1 * g2 / (g1 + g2); }
 
 // Every level smooths V(1,1): one red-black sweep before the coarse-grid
 // correction and one after, over-relaxed by kSmoothOmega.  That schedule
@@ -120,7 +117,7 @@ void MultigridHierarchy::build_transfer_products(Level& c, int fine_width,
   }
 }
 
-void MultigridHierarchy::finish_level(Level& level, const double* shunt_v) {
+void MultigridHierarchy::finish_level(Level& level, double shunt_ref) {
   const int w = level.width;
   const auto nodes = static_cast<std::size_t>(w) * level.height;
   level.shunt_flow.assign(nodes, 0.0);
@@ -135,10 +132,8 @@ void MultigridHierarchy::finish_level(Level& level, const double* shunt_v) {
       level.diag[i] = (x > 0 ? level.g_east[i - 1] : 0.0) + level.g_east[i] +
                       (y > 0 ? level.g_north[i - w] : 0.0) +
                       level.g_north[i] + level.shunt_g[i];
-      if (shunt_v != nullptr)
-        level.shunt_flow[i] = level.shunt_g[i] * shunt_v[i];
-      // An isolated node has no equation: it keeps its value.
-      const bool active = !level.dirichlet[i] && level.diag[i] > 0.0;
+      level.shunt_flow[i] = level.shunt_g[i] * shunt_ref;
+      const bool active = !level.dirichlet[i];
       if (active) level.inv_diag[i] = 1.0 / level.diag[i];
       if (active && begin < 0) begin = x;
       if (!active && begin >= 0) {
@@ -176,9 +171,9 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
 
   // Coarse edges: the series combination of the (one or two) fine edges
   // along the path between the coarse nodes, scaled by the full-weighting
-  // strip mass of the perpendicular axis.  A fine Dirichlet node interior
-  // to the path pins the error to zero there, so the path contributes
-  // clamp shunts to its endpoints instead of a through-conductance.
+  // strip mass of the perpendicular axis.  A path's interior fine node is
+  // never Dirichlet unless the whole line is a powered edge, whose coarse
+  // nodes are Dirichlet too and read none of its edges.
   for (int Y = 0; Y < c.height; ++Y) {
     const int fy = fine_coord(Y, fine.height);
     const double mass = c.from_finer_y.mass[Y];
@@ -186,17 +181,9 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
       const int f0 = fine_coord(X, fine.width);
       const int f1 = fine_coord(X + 1, fine.width);
       const double g1 = fine.g_east[f_index(f0, fy)];
-      if (f1 == f0 + 1) {
-        c.g_east[c_index(X, Y)] = mass * g1;
-      } else {
-        const double g2 = fine.g_east[f_index(f0 + 1, fy)];
-        if (fine.dirichlet[f_index(f0 + 1, fy)]) {
-          c.shunt_g[c_index(X, Y)] += mass * g1;
-          c.shunt_g[c_index(X + 1, Y)] += mass * g2;
-        } else {
-          c.g_east[c_index(X, Y)] = mass * series(g1, g2);
-        }
-      }
+      c.g_east[c_index(X, Y)] =
+          mass * (f1 == f0 + 1 ? g1
+                               : series(g1, fine.g_east[f_index(f0 + 1, fy)]));
     }
   }
   for (int X = 0; X < c.width; ++X) {
@@ -206,23 +193,16 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
       const int f0 = fine_coord(Y, fine.height);
       const int f1 = fine_coord(Y + 1, fine.height);
       const double g1 = fine.g_north[f_index(fx, f0)];
-      if (f1 == f0 + 1) {
-        c.g_north[c_index(X, Y)] = mass * g1;
-      } else {
-        const double g2 = fine.g_north[f_index(fx, f0 + 1)];
-        if (fine.dirichlet[f_index(fx, f0 + 1)]) {
-          c.shunt_g[c_index(X, Y)] += mass * g1;
-          c.shunt_g[c_index(X, Y + 1)] += mass * g2;
-        } else {
-          c.g_north[c_index(X, Y)] = mass * series(g1, g2);
-        }
-      }
+      c.g_north[c_index(X, Y)] =
+          mass * (f1 == f0 + 1 ? g1
+                               : series(g1, fine.g_north[f_index(fx, f0 + 1)]));
     }
   }
 
   // Coarse shunts: full-weighting aggregation of the fine shunt
-  // conductances in each coarse control volume (fine Dirichlet nodes carry
-  // no error, so they contribute nothing).
+  // conductances in each free coarse node's control volume, which holds no
+  // fine Dirichlet node (only a powered edge does, and its coarse nodes
+  // are Dirichlet).
   const AxisMap& mx = c.from_finer_x;
   const AxisMap& my = c.from_finer_y;
   for (int Y = 0; Y < c.height; ++Y)
@@ -232,45 +212,37 @@ MultigridHierarchy::Level MultigridHierarchy::coarsen(const Level& fine) {
       for (int kx = 0; kx < mx.taps[X]; ++kx)
         for (int ky = 0; ky < my.taps[Y]; ++ky) {
           const std::size_t f = f_index(mx.first[X] + kx, my.first[Y] + ky);
-          if (fine.dirichlet[f]) continue;
           g += mx.w[kTaps * X + kx] * my.w[kTaps * Y + ky] * fine.shunt_g[f];
         }
-      c.shunt_g[c_index(X, Y)] += g;
+      c.shunt_g[c_index(X, Y)] = g;
     }
 
   build_transfer_products(c, fine.width, fine.height);
   // Coarse levels carry error equations: shunt references are 0 V.
-  finish_level(c, nullptr);
+  finish_level(c, 0.0);
   return c;
 }
 
-MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine) {
+MultigridHierarchy::MultigridHierarchy(const GridSheet& sheet) {
   WSP_TRACE_SPAN("pdn.mg.build");
   Level l0;
-  l0.width = fine.width();
-  l0.height = fine.height();
-  const auto nodes = fine.node_count();
+  l0.width = sheet.width;
+  l0.height = sheet.height;
+  const auto nodes = static_cast<std::size_t>(l0.width) * l0.height;
   l0.g_east.assign(nodes, 0.0);
   l0.g_north.assign(nodes, 0.0);
-  // A region no Dirichlet node or shunt reaches has no unique solution
-  // (its level floats).  Cutting its edges gives its nodes a zero diagonal
-  // on every level, so like an isolated node it stays out of the solve and
-  // keeps its values.  An edge from a grounded node to a floating one is
-  // already 0, or the flood fill would have crossed it.
-  const std::vector<char> grounded = fine.grounded_nodes();
+  l0.shunt_g.assign(nodes, sheet.shunt_g);
+  l0.dirichlet.assign(nodes, 0);
   for (int y = 0; y < l0.height; ++y)
     for (int x = 0; x < l0.width; ++x) {
-      const std::size_t i = fine.index(x, y);
-      if (!grounded[i]) continue;
-      if (x < l0.width - 1) l0.g_east[i] = fine.g_east_[fine.east_index(x, y)];
-      if (y < l0.height - 1)
-        l0.g_north[i] = fine.g_north_[fine.north_index(x, y)];
+      const std::size_t i = static_cast<std::size_t>(y) * l0.width + x;
+      if (x < l0.width - 1) l0.g_east[i] = sheet.gx;
+      if (y < l0.height - 1) l0.g_north[i] = sheet.gy;
+      l0.dirichlet[i] = sheet.is_dirichlet(x, y);
     }
-  l0.shunt_g = fine.shunt_g_;
-  l0.dirichlet = fine.dirichlet_;
   // The fine level relaxes the original equation: its shunts keep their
-  // configured references.
-  finish_level(l0, fine.shunt_v_.data());
+  // reference.
+  finish_level(l0, sheet.shunt_ref);
   levels_.push_back(std::move(l0));
 
   while (true) {
@@ -302,9 +274,8 @@ MultigridHierarchy::MultigridHierarchy(const ResistiveGrid& fine) {
 void MultigridHierarchy::build_direct_solver() {
   // Dense Cholesky of the coarsest level's error operator over its active
   // nodes.  The operator is a grounded resistor network's conductance
-  // matrix: symmetric, diagonally dominant, positive definite as long as
-  // every active component reaches a Dirichlet node or shunt — exactly the
-  // condition for the nodal system to have a unique solution at all.
+  // matrix: symmetric, diagonally dominant and positive definite, since a
+  // sheet always reaches a powered edge or a shunt.
   const Level& bottom = levels_.back();
   const int w = bottom.width;
   direct_index_.assign(static_cast<std::size_t>(w) * bottom.height, -1);
@@ -328,7 +299,7 @@ void MultigridHierarchy::build_direct_solver() {
       // Edges to Dirichlet neighbours stay in the diagonal only: the error
       // there is pinned to zero.
       const auto couple = [&](std::size_t j, double g) {
-        if (g > 0.0 && direct_index_[j] >= 0)
+        if (direct_index_[j] >= 0)
           a[row * n + static_cast<std::size_t>(direct_index_[j])] -= g;
       };
       if (x > 0) couple(i - 1, bottom.g_east[i - 1]);
@@ -341,9 +312,7 @@ void MultigridHierarchy::build_direct_solver() {
   for (std::size_t j = 0; j < n; ++j) {
     double d = a[j * n + j];
     for (std::size_t k = 0; k < j; ++k) d -= a[j * n + k] * a[j * n + k];
-    require(d > 0.0,
-            "multigrid coarsest operator is not positive definite — the "
-            "grid has a floating region no Dirichlet node or shunt grounds");
+    require(d > 0.0, "multigrid coarsest operator is not positive definite");
     const double ljj = std::sqrt(d);
     a[j * n + j] = ljj;
     for (std::size_t i = j + 1; i < n; ++i) {
@@ -436,8 +405,8 @@ double MultigridHierarchy::smooth(const Level& level, double* v,
 void MultigridHierarchy::residual(const Level& level, int color,
                                   const double* v, const double* sink,
                                   double* r) {
-  // Only active nodes are written: Dirichlet/isolated entries keep the
-  // scratch's zero initialization, which no path ever dirties.
+  // Only active nodes are written: Dirichlet entries keep the scratch's
+  // zero initialization, which no path ever dirties.
   const double* diag = level.diag.data();
   for_each_flow(level, color, v, [=](std::size_t i, double flow) {
     r[i] = flow - diag[i] * v[i] - sink[i];
@@ -499,9 +468,8 @@ double MultigridHierarchy::prolong_correct(const Level& coarse,
                                            const double* coarse_v,
                                            double* fine_v) {
   // Bilinear interpolation of the coarse error into the fine level's
-  // active nodes only — isolated fine nodes keep their untouched values,
-  // exactly as the smoother leaves them.  All four terms are summed, the
-  // zero-weight ones included.
+  // active nodes only — Dirichlet nodes keep their fixed values.  All four
+  // terms are summed, the zero-weight ones included.
   const AxisMap& mx = coarse.from_finer_x;
   const AxisMap& my = coarse.from_finer_y;
   double max_c = 0.0;

@@ -11,11 +11,11 @@
 // grid-size-independent (~0.05-0.1 contraction), so a converged solve costs
 // a constant ~25-35 fine-sweep equivalents at any resolution.
 //
-// Construction is purely topological — conductances, shunts and the
-// Dirichlet set — so ResistiveGrid caches the hierarchy: invalidated on
-// topology edits, preserved across sink updates.  That makes the
-// factorize-once/solve-many shape explicit: brownout re-solves, thermal
-// extractions and DSE sweep points all reuse one hierarchy, and
+// Construction reads only the sheet description — conductances, shunt and
+// powered edges, all fixed for a grid's lifetime — so ResistiveGrid builds
+// the hierarchy on its first solve and keeps it.  That makes the
+// factorize-once/solve-many shape explicit: epoch re-solves, brownout
+// re-solves and thermal extractions all reuse one hierarchy, and
 // solve_batch() runs its right-hand sides one after another against it,
 // through the one scratch workspace the hierarchy owns.
 //
@@ -29,15 +29,18 @@
 // order (W, E, S, N, shunt) wherever the node sits.
 //
 // Coarsening: every other node per axis, both boundary lines always kept
-// (arbitrary grid sizes, no 2^k+1 requirement).  A coarse edge is the
-// series combination of the fine edges along its path, scaled by the
-// full-weighting row mass it represents; a fine Dirichlet node interior to
-// a path clamps the path into shunts-to-zero on its endpoints (the coarse
-// equations are error equations, and error is pinned to zero at Dirichlet
-// nodes).  Restriction is full weighting (the transpose of bilinear
-// prolongation), which for a resistor network is just aggregating nodal
-// current mismatch — an extensive quantity — into the coarse control
-// volume, so the coarse problem is again a well-posed resistor grid.
+// (arbitrary grid sizes, no 2^k+1 requirement), so a powered edge is a
+// Dirichlet line on every level and the coarse equations — error
+// equations, with error pinned to zero there — keep the sheet's form.  A
+// coarse edge is the series combination of the fine edges along its path,
+// scaled by the full-weighting row mass it represents, and a coarse shunt
+// aggregates the fine shunts of its control volume.  Only free nodes ever
+// read an edge or shunt, and a free coarse node's paths and control volume
+// hold no fine Dirichlet node.  Restriction is full weighting (the
+// transpose of bilinear prolongation), which for a resistor network is
+// just aggregating nodal current mismatch — an extensive quantity — into
+// the coarse control volume, so the coarse problem is again a well-posed
+// resistor grid.
 //
 // Determinism: a V-cycle runs serially on the calling thread — the
 // smoother, residual, transfer and coarsest-solve passes are plain loops —
@@ -58,18 +61,14 @@
 namespace wsp::pdn {
 
 /// The per-level plane operators, the inter-level transfer maps and the
-/// solve scratch for one grid topology.  The operators are immutable after
+/// solve scratch for one sheet.  The operators are immutable after
 /// construction; the scratch is reused by every solve, one at a time.
 class MultigridHierarchy {
  public:
-  /// Captures the operators for `fine`'s current topology.  The fine grid
-  /// must not change topology while the hierarchy is in use (ResistiveGrid
-  /// enforces this by resetting its cached hierarchy on every topology
-  /// edit).  Coarsening stops at a level of at most kCoarsestNodes nodes.
-  /// Throws wsp::Error if the coarsest operator is not positive definite
-  /// (an ungrounded grid — no Dirichlet node or shunt reaches it), whose
-  /// nodal system has no unique solution.
-  explicit MultigridHierarchy(const ResistiveGrid& fine);
+  /// Builds the operators for `sheet`, which ResistiveGrid has validated
+  /// (gx, gy > 0; a powered edge or a shunt grounds it).  Coarsening stops
+  /// at a level of at most kCoarsestNodes nodes.
+  explicit MultigridHierarchy(const GridSheet& sheet);
 
   /// Coarsening stops once a level has at most this many nodes, which are
   /// then solved by a dense Cholesky factorization.
@@ -146,7 +145,7 @@ class MultigridHierarchy {
     std::vector<double> shunt_flow;  // shunt_g * reference (0 V below level 0)
     std::vector<double> diag;        // W + E + S + N + shunt_g
     std::vector<double> inv_diag;
-    // Active nodes (not Dirichlet, non-zero diagonal), row by row.
+    // Active (non-Dirichlet) nodes, row by row.
     std::vector<Run> runs;
     AxisMap from_finer_x;  // empty on level 0
     AxisMap from_finer_y;
@@ -166,8 +165,8 @@ class MultigridHierarchy {
                                       int fine_height);
   static Level coarsen(const Level& fine);
   /// Derives the solve arrays and runs from the level's edges, shunts and
-  /// Dirichlet set; a null `shunt_v` puts every shunt reference at 0 V.
-  static void finish_level(Level& level, const double* shunt_v);
+  /// Dirichlet set, with every shunt to `shunt_ref`.
+  static void finish_level(Level& level, double shunt_ref);
   void build_direct_solver();
 
   // Kernels, each a loop over a level's rectangle.
@@ -195,8 +194,8 @@ class MultigridHierarchy {
 
   std::vector<Level> levels_;  // [0] is the fine grid's own equation
 
-  // Dense Cholesky of the coarsest level over its active (non-Dirichlet,
-  // connected) nodes: A = L L^T, factorized once at construction.
+  // Dense Cholesky of the coarsest level over its active (non-Dirichlet)
+  // nodes: A = L L^T, factorized once at construction.
   std::vector<std::int32_t> direct_index_;  // node -> unknown index or -1
   std::vector<std::int32_t> direct_node_;   // unknown index -> node
   std::vector<double> direct_l_;            // row-major lower triangle

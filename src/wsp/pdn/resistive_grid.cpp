@@ -5,122 +5,35 @@
 #include <cstdint>
 
 #include "wsp/common/error.hpp"
+#include "wsp/common/geometry.hpp"
 #include "wsp/obs/trace.hpp"
 #include "wsp/pdn/multigrid.hpp"
 
 namespace wsp::pdn {
 
-ResistiveGrid::ResistiveGrid(int width, int height)
-    : width_(width), height_(height) {
-  require(width >= 2 && height >= 2, "ResistiveGrid needs at least 2x2 nodes");
-  const auto nodes = static_cast<std::size_t>(width) * height;
-  g_east_.assign(static_cast<std::size_t>(width - 1) * height, 0.0);
-  g_north_.assign(static_cast<std::size_t>(width) * (height - 1), 0.0);
-  sink_.assign(nodes, 0.0);
-  shunt_g_.assign(nodes, 0.0);
-  shunt_v_.assign(nodes, 0.0);
-  dirichlet_.assign(nodes, 0);
-  v_.assign(nodes, 0.0);
+bool GridSheet::is_dirichlet(int x, int y) const {
+  const auto& pe = powered_edges;
+  return (pe[static_cast<int>(Direction::North)] && y == height - 1) ||
+         (pe[static_cast<int>(Direction::East)] && x == width - 1) ||
+         (pe[static_cast<int>(Direction::South)] && y == 0) ||
+         (pe[static_cast<int>(Direction::West)] && x == 0);
+}
+
+ResistiveGrid::ResistiveGrid(const GridSheet& sheet) : sheet_(sheet) {
+  require(sheet.width >= 2 && sheet.height >= 2,
+          "ResistiveGrid needs at least 2x2 nodes");
+  require(sheet.gx > 0.0 && sheet.gy > 0.0,
+          "sheet conductances must be positive");
+  require(sheet.shunt_g >= 0.0, "shunt conductance must be non-negative");
+  const auto& pe = sheet.powered_edges;
+  require(pe[0] || pe[1] || pe[2] || pe[3] || sheet.shunt_g > 0.0,
+          "a sheet needs a powered edge or a shunt to be grounded");
 }
 
 // Out-of-line where MultigridHierarchy is complete.
 ResistiveGrid::~ResistiveGrid() = default;
 ResistiveGrid::ResistiveGrid(ResistiveGrid&&) noexcept = default;
 ResistiveGrid& ResistiveGrid::operator=(ResistiveGrid&&) noexcept = default;
-
-void ResistiveGrid::set_conductance_east(int x, int y, double siemens) {
-  require(x >= 0 && x < width_ - 1 && y >= 0 && y < height_,
-          "east edge out of range");
-  require(siemens >= 0.0, "conductance must be non-negative");
-  g_east_[east_index(x, y)] = siemens;
-  invalidate_topology();
-}
-
-void ResistiveGrid::set_conductance_north(int x, int y, double siemens) {
-  require(x >= 0 && x < width_ && y >= 0 && y < height_ - 1,
-          "north edge out of range");
-  require(siemens >= 0.0, "conductance must be non-negative");
-  g_north_[north_index(x, y)] = siemens;
-  invalidate_topology();
-}
-
-void ResistiveGrid::fill_conductances(double gx, double gy) {
-  std::fill(g_east_.begin(), g_east_.end(), gx);
-  std::fill(g_north_.begin(), g_north_.end(), gy);
-  invalidate_topology();
-}
-
-void ResistiveGrid::set_dirichlet(int x, int y, double volts) {
-  const auto i = index(x, y);
-  dirichlet_[i] = 1;
-  v_[i] = volts;
-  invalidate_topology();
-}
-
-void ResistiveGrid::clear_dirichlet(int x, int y) {
-  dirichlet_[index(x, y)] = 0;
-  invalidate_topology();
-}
-
-void ResistiveGrid::set_current_sink(int x, int y, double amperes) {
-  // Sinks enter only the right-hand side (read live during sweeps), so the
-  // multigrid hierarchy survives per-solve load updates.
-  sink_[index(x, y)] = amperes;
-}
-
-void ResistiveGrid::set_current_sinks(const std::vector<double>& amperes) {
-  require(amperes.size() == sink_.size(),
-          "sink vector must cover every grid node");
-  sink_ = amperes;  // right-hand side only: the hierarchy survives
-}
-
-void ResistiveGrid::set_shunt(int x, int y, double siemens, double v_ref) {
-  require(siemens >= 0.0, "shunt conductance must be non-negative");
-  const auto i = index(x, y);
-  shunt_g_[i] = siemens;
-  shunt_v_[i] = v_ref;
-  invalidate_topology();
-}
-
-std::vector<char> ResistiveGrid::grounded_nodes() const {
-  // Flood fill over conducting edges from every Dirichlet or shunted node.
-  std::vector<char> grounded(node_count(), 0);
-  std::vector<std::size_t> stack;
-  for (std::size_t i = 0; i < grounded.size(); ++i)
-    if (dirichlet_[i] || shunt_g_[i] > 0.0) {
-      grounded[i] = 1;
-      stack.push_back(i);
-    }
-  const auto w = static_cast<std::size_t>(width_);
-  auto visit = [&](std::size_t j, double g) {
-    if (g > 0.0 && !grounded[j]) {
-      grounded[j] = 1;
-      stack.push_back(j);
-    }
-  };
-  while (!stack.empty()) {
-    const std::size_t i = stack.back();
-    stack.pop_back();
-    const int x = static_cast<int>(i % w);
-    const int y = static_cast<int>(i / w);
-    if (x > 0) visit(i - 1, g_east_[east_index(x - 1, y)]);
-    if (x < width_ - 1) visit(i + 1, g_east_[east_index(x, y)]);
-    if (y > 0) visit(i - w, g_north_[north_index(x, y - 1)]);
-    if (y < height_ - 1) visit(i + w, g_north_[north_index(x, y)]);
-  }
-  return grounded;
-}
-
-void ResistiveGrid::invalidate_topology() {
-  hierarchy_.reset();
-  seed_ = {};
-}
-
-void ResistiveGrid::prepare_solvers() {
-  if (hierarchy_ != nullptr) return;
-  hierarchy_ = std::make_unique<MultigridHierarchy>(*this);
-  seed_.resize(node_count());
-}
 
 void ResistiveGrid::bind_metrics(obs::MetricsRegistry* registry,
                                  const std::string& prefix) {
@@ -196,10 +109,11 @@ SolveStats ResistiveGrid::solve_on(std::span<double> v,
   return stats;
 }
 
-SolveStats ResistiveGrid::solve(double tol) {
-  prepare_solvers();
-  const SolveStats stats = solve_on(v_, sink_, tol);
-  record_solve(stats);
+SolveStats ResistiveGrid::solve(std::span<const double> sink,
+                                std::span<double> v, double tol) {
+  const RhsView rhs{sink, v};
+  SolveStats stats;
+  solve_batch(std::span(&rhs, 1), std::span(&stats, 1), tol);
   return stats;
 }
 
@@ -213,46 +127,51 @@ void ResistiveGrid::solve_batch(std::span<const RhsView> rhs,
     require(r.sink.size() == nodes && r.v.size() == nodes,
             "RhsView spans must cover every grid node");
   }
-  prepare_solvers();
-
-  // Reset the Dirichlet entries of every seed from the grid's fixed values
-  // up front — the solvers assume they hold and never write them.
-  for (const RhsView& r : rhs) {
-    for (std::size_t i = 0; i < nodes; ++i)
-      if (dirichlet_[i]) r.v[i] = v_[i];
+  if (hierarchy_ == nullptr) {
+    hierarchy_ = std::make_unique<MultigridHierarchy>(sheet_);
+    seed_.resize(nodes);
   }
 
-  // Serial per right-hand side: every solve shares the one prepared
-  // hierarchy and is bit-identical to a solve(tol) on that RHS.
+  // Reset the Dirichlet entries (the powered edges) of every seed to the
+  // edge voltage up front — the solvers assume they hold and never write
+  // them.
+  const auto& pe = sheet_.powered_edges;
+  const double edge_v = sheet_.edge_v;
+  for (const RhsView& r : rhs) {
+    for (int x = 0; x < width(); ++x) {
+      if (pe[static_cast<int>(Direction::North)])
+        r.v[index(x, height() - 1)] = edge_v;
+      if (pe[static_cast<int>(Direction::South)]) r.v[index(x, 0)] = edge_v;
+    }
+    for (int y = 0; y < height(); ++y) {
+      if (pe[static_cast<int>(Direction::East)])
+        r.v[index(width() - 1, y)] = edge_v;
+      if (pe[static_cast<int>(Direction::West)]) r.v[index(0, y)] = edge_v;
+    }
+  }
+
+  // Serial per right-hand side: every solve shares the one hierarchy.
   for (std::size_t k = 0; k < rhs.size(); ++k)
     stats[k] = solve_on(rhs[k].v, rhs[k].sink, tol);
   for (const SolveStats& s : stats) record_solve(s);
 }
 
-void ResistiveGrid::reset_voltages(double volts) {
-  for (std::size_t i = 0; i < v_.size(); ++i)
-    if (!dirichlet_[i]) v_[i] = volts;
-}
-
 double ResistiveGrid::total_supply_current(std::span<const double> v,
                                            std::span<const double> sink) const {
   // Current flowing out of every Dirichlet node into the grid.
+  const double gx = sheet_.gx;
+  const double gy = sheet_.gy;
+  const auto w = static_cast<std::size_t>(width());
   double total = 0.0;
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
+  for (int y = 0; y < height(); ++y) {
+    for (int x = 0; x < width(); ++x) {
+      if (!sheet_.is_dirichlet(x, y)) continue;
       const auto i = index(x, y);
-      if (!dirichlet_[i]) continue;
       double out = 0.0;
-      if (x > 0)
-        out += g_east_[east_index(x - 1, y)] * (v[i] - v[i - 1]);
-      if (x < width_ - 1)
-        out += g_east_[east_index(x, y)] * (v[i] - v[i + 1]);
-      if (y > 0)
-        out += g_north_[north_index(x, y - 1)] *
-               (v[i] - v[i - static_cast<std::size_t>(width_)]);
-      if (y < height_ - 1)
-        out += g_north_[north_index(x, y)] *
-               (v[i] - v[i + static_cast<std::size_t>(width_)]);
+      if (x > 0) out += gx * (v[i] - v[i - 1]);
+      if (x < width() - 1) out += gx * (v[i] - v[i + 1]);
+      if (y > 0) out += gy * (v[i] - v[i - w]);
+      if (y < height() - 1) out += gy * (v[i] - v[i + w]);
       // Subtract any sink placed directly on the Dirichlet node.
       total += out + sink[i];
     }
@@ -262,16 +181,16 @@ double ResistiveGrid::total_supply_current(std::span<const double> v,
 
 double ResistiveGrid::dissipated_power(std::span<const double> v) const {
   double p = 0.0;
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_ - 1; ++x) {
+  for (int y = 0; y < height(); ++y) {
+    for (int x = 0; x < width() - 1; ++x) {
       const double dv = v[index(x, y)] - v[index(x + 1, y)];
-      p += g_east_[east_index(x, y)] * dv * dv;
+      p += sheet_.gx * dv * dv;
     }
   }
-  for (int y = 0; y < height_ - 1; ++y) {
-    for (int x = 0; x < width_; ++x) {
+  for (int y = 0; y < height() - 1; ++y) {
+    for (int x = 0; x < width(); ++x) {
       const double dv = v[index(x, y)] - v[index(x, y + 1)];
-      p += g_north_[north_index(x, y)] * dv * dv;
+      p += sheet_.gy * dv * dv;
     }
   }
   return p;

@@ -9,34 +9,28 @@ namespace wsp::pdn {
 
 WaferThermal::WaferThermal(const SystemConfig& config,
                            const ThermalOptions& options)
-    : config_(config), options_(options), grid_(2, 2) {
-  config_.validate();
-  require(options.nodes_per_tile >= 1, "nodes_per_tile must be >= 1");
-  require(options.silicon_conductivity_w_mk > 0.0 &&
-              options.wafer_thickness_m > 0.0 && options.cooling_w_m2k > 0.0,
-          "thermal parameters must be positive");
-  grid_ = build_grid();
-}
+    : config_(config), options_(options), grid_(build_grid()) {}
 
 ResistiveGrid WaferThermal::build_grid() const {
+  config_.validate();
+  require(options_.nodes_per_tile >= 1, "nodes_per_tile must be >= 1");
+  require(options_.silicon_conductivity_w_mk > 0.0 &&
+              options_.wafer_thickness_m > 0.0 &&
+              options_.cooling_w_m2k > 0.0,
+          "thermal parameters must be positive");
   const int k = options_.nodes_per_tile;
-  const int nx = config_.array_width * k;
-  const int ny = config_.array_height * k;
-  ResistiveGrid grid(nx, ny);
-
-  // Lateral spreading: conductance of a silicon slab segment.
+  // Lateral spreading: conductance of a silicon slab segment.  Every node
+  // has the vertical path to the cold plate, a shunt to ambient.
   const double dx = config_.geometry.tile_pitch_x_m() / k;
   const double dy = config_.geometry.tile_pitch_y_m() / k;
   const double kt = options_.silicon_conductivity_w_mk *
                     options_.wafer_thickness_m;
-  grid.fill_conductances(kt * dy / dx, kt * dx / dy);
-
-  // Vertical path to the cold plate under every node.
-  const double g_vert = options_.cooling_w_m2k * dx * dy;
-  for (int y = 0; y < ny; ++y)
-    for (int x = 0; x < nx; ++x)
-      grid.set_shunt(x, y, g_vert, options_.ambient_c);
-  return grid;
+  return ResistiveGrid({.width = config_.array_width * k,
+                        .height = config_.array_height * k,
+                        .gx = kt * dy / dx,
+                        .gy = kt * dx / dy,
+                        .shunt_g = options_.cooling_w_m2k * dx * dy,
+                        .shunt_ref = options_.ambient_c});
 }
 
 ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
@@ -57,13 +51,9 @@ ThermalReport WaferThermal::solve(const std::vector<double>& tile_power_w) {
         sink[grid_.index(c.x * k + sx, c.y * k + sy)] = -per_node;
   }
 
-  // A one-RHS batch from a zero seed: results must not depend on solve
-  // history.
+  // A zero seed: results must not depend on solve history.
   std::vector<double> node_c(grid_.node_count(), 0.0);
-  const RhsView rhs{sink, node_c};
-  SolveStats stats;
-  grid_.solve_batch(std::span(&rhs, 1), std::span(&stats, 1),
-                    options_.solver_tol);
+  const SolveStats stats = grid_.solve(sink, node_c, options_.solver_tol);
 
   ThermalReport report;
   report.solver_converged = stats.converged;

@@ -60,10 +60,11 @@ class WaferThermal {
  private:
   SystemConfig config_;
   ThermalOptions options_;
-  // Cached duality grid: topology (slab conductances, cold-plate shunts)
-  // is fixed per WaferThermal, so the hierarchy setup is paid once.
+  // The duality grid: one uniform slab sheet with a cold-plate shunt at
+  // every node, so the hierarchy setup is paid once per WaferThermal.
   ResistiveGrid grid_;
 
+  /// Validates the config and options, then describes the slab sheet.
   ResistiveGrid build_grid() const;
 };
 

@@ -10,16 +10,8 @@
 namespace wsp::pdn {
 
 WaferPdn::WaferPdn(const SystemConfig& config, const WaferPdnOptions& options)
-    : config_(config), options_(options), ldo_(options.ldo), grid_(2, 2) {
-  config_.validate();
-  require(options.nodes_per_tile >= 1, "nodes_per_tile must be >= 1");
-  require(options.plane_slotting_factor >= 1.0,
-          "slotting can only increase sheet resistance");
-  require(options.powered_edges[0] || options.powered_edges[1] ||
-              options.powered_edges[2] || options.powered_edges[3],
-          "at least one wafer edge must be powered");
-  grid_ = build_grid();
-}
+    : config_(config), options_(options), ldo_(options.ldo),
+      grid_(build_grid()) {}
 
 double WaferPdn::loop_sheet_resistance() const {
   // VDD and ground planes in series for the current loop, each slotted.
@@ -29,31 +21,24 @@ double WaferPdn::loop_sheet_resistance() const {
 }
 
 ResistiveGrid WaferPdn::build_grid() const {
+  config_.validate();
+  require(options_.nodes_per_tile >= 1, "nodes_per_tile must be >= 1");
+  require(options_.plane_slotting_factor >= 1.0,
+          "slotting can only increase sheet resistance");
   const int k = options_.nodes_per_tile;
-  const int nx = config_.array_width * k;
-  const int ny = config_.array_height * k;
-  ResistiveGrid grid(nx, ny);
-
   // Plane discretisation: node spacing dx x dy; the conductance of an edge
-  // spanning dx with strip width dy is (1/Rs) * dy / dx.
+  // spanning dx with strip width dy is (1/Rs) * dy / dx.  The powered
+  // edges are held at the edge supply voltage (connectors are modelled as
+  // ideal; connector resistance would simply shift the whole profile).
   const double dx = config_.geometry.tile_pitch_x_m() / k;
   const double dy = config_.geometry.tile_pitch_y_m() / k;
   const double rs = loop_sheet_resistance();
-  grid.fill_conductances((1.0 / rs) * (dy / dx), (1.0 / rs) * (dx / dy));
-
-  // Powered edges held at the edge supply voltage (connectors are modelled
-  // as ideal; connector resistance would simply shift the whole profile).
-  const auto& pe = options_.powered_edges;
-  const double v_edge = config_.edge_supply_voltage_v;
-  for (int x = 0; x < nx; ++x) {
-    if (pe[static_cast<int>(Direction::North)]) grid.set_dirichlet(x, ny - 1, v_edge);
-    if (pe[static_cast<int>(Direction::South)]) grid.set_dirichlet(x, 0, v_edge);
-  }
-  for (int y = 0; y < ny; ++y) {
-    if (pe[static_cast<int>(Direction::East)]) grid.set_dirichlet(nx - 1, y, v_edge);
-    if (pe[static_cast<int>(Direction::West)]) grid.set_dirichlet(0, y, v_edge);
-  }
-  return grid;
+  return ResistiveGrid({.width = config_.array_width * k,
+                        .height = config_.array_height * k,
+                        .gx = (1.0 / rs) * (dy / dx),
+                        .gy = (1.0 / rs) * (dx / dy),
+                        .powered_edges = options_.powered_edges,
+                        .edge_v = config_.edge_supply_voltage_v});
 }
 
 namespace {

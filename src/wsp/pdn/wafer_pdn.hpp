@@ -37,8 +37,8 @@ struct WaferPdnOptions {
   LdoParams ldo{};
   /// Plane-solve tolerance on the max per-node update, volts (see
   /// ResistiveGrid::solve).  The grid topology is fixed per WaferPdn, so
-  /// the multigrid hierarchy is built once and amortized over every solve
-  /// / batch / brownout re-solve.
+  /// the multigrid hierarchy is built on the first solve and amortized
+  /// over every later solve / batch / brownout re-solve.
   double solver_tol = 1e-7;
 };
 
@@ -150,13 +150,13 @@ class WaferPdn {
   WaferPdnOptions options_;
   Ldo ldo_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  // The plane model, built once: topology (conductances, Dirichlet edges)
-  // never changes after construction, so the cached multigrid hierarchy
-  // survives for the WaferPdn's whole lifetime.  Every solve is a
-  // solve_batch_warm() call into caller-owned voltage buffers, so the
-  // grid's own solution vector and sinks are never written.
+  // The plane model: one uniform sheet fed at the powered edges.  It holds
+  // no solution; every solve is a solve_batch_warm() call into
+  // caller-owned voltage buffers, and the multigrid hierarchy the first
+  // one builds serves the WaferPdn's whole lifetime.
   ResistiveGrid grid_;
 
+  /// Validates the config and options, then describes the plane sheet.
   ResistiveGrid build_grid() const;
   /// A tile's LDO load current at `tile_power_w`: pass-through, P / V_ff
   /// (quiescent draw excluded).

@@ -49,17 +49,16 @@ auto at_thread_counts(F&& fn) {
 
 TEST(ParallelInvariance, RedBlackSolveVoltagesBitIdentical) {
   const auto runs = at_thread_counts([] {
-    pdn::ResistiveGrid g(64, 64);
-    g.fill_conductances(3.0, 2.0);
-    for (int x = 0; x < 64; ++x) {
-      g.set_dirichlet(x, 0, 2.5);
-      g.set_dirichlet(x, 63, 2.5);
-    }
+    pdn::ResistiveGrid g({.width = 64, .height = 64, .gx = 3.0, .gy = 2.0,
+                          .powered_edges = {true, false, true, false},
+                          .edge_v = 2.5});
+    std::vector<double> sink(g.node_count(), 0.0);
     for (int y = 8; y < 56; ++y)
-      for (int x = 4; x < 60; ++x) g.set_current_sink(x, y, 0.003);
-    const pdn::SolveStats stats = g.solve(1e-9);
+      for (int x = 4; x < 60; ++x) sink[g.index(x, y)] = 0.003;
+    std::vector<double> v(g.node_count(), 0.0);
+    const pdn::SolveStats stats = g.solve(sink, v, 1e-9);
     EXPECT_TRUE(stats.converged);
-    return g.voltages();  // compared bit-for-bit via operator==
+    return v;  // compared bit-for-bit via operator==
   });
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
@@ -67,12 +66,14 @@ TEST(ParallelInvariance, RedBlackSolveVoltagesBitIdentical) {
 
 TEST(ParallelInvariance, SolveStatsBitIdentical) {
   const auto runs = at_thread_counts([] {
-    pdn::ResistiveGrid g(32, 48);
-    g.fill_conductances(1.0, 1.5);
-    for (int y = 0; y < 48; ++y) g.set_dirichlet(0, y, 1.0);
+    pdn::ResistiveGrid g({.width = 32, .height = 48, .gx = 1.0, .gy = 1.5,
+                          .powered_edges = {false, false, false, true},
+                          .edge_v = 1.0});
+    std::vector<double> sink(g.node_count(), 0.0);
     for (int x = 1; x < 32; ++x)
-      for (int y = 0; y < 48; ++y) g.set_current_sink(x, y, 1e-4);
-    const pdn::SolveStats s = g.solve(1e-10);
+      for (int y = 0; y < 48; ++y) sink[g.index(x, y)] = 1e-4;
+    std::vector<double> v(g.node_count(), 0.0);
+    const pdn::SolveStats s = g.solve(sink, v, 1e-10);
     return std::tuple{s.iterations, s.residual, s.max_delta_v, s.converged};
   });
   EXPECT_EQ(runs[0], runs[1]);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "wsp/common/error.hpp"
+#include "wsp/pdn/resistive_grid.hpp"
 #include "wsp/pdn/thermal.hpp"
 #include "wsp/pdn/wafer_pdn.hpp"
 
@@ -14,22 +16,30 @@ namespace {
 
 SystemConfig cfg() { return SystemConfig::paper_prototype(); }
 
+/// A shunt-only sheet fed the same current at every node carries none
+/// laterally, so every node sits at exactly v_ref + I/g.
+std::vector<double> uniform_injection(double shunt_g, double shunt_ref,
+                                      double amperes) {
+  ResistiveGrid g({.width = 7, .height = 5, .gx = 1.3, .gy = 0.4,
+                   .shunt_g = shunt_g, .shunt_ref = shunt_ref});
+  const std::vector<double> sink(g.node_count(), -amperes);  // inject
+  std::vector<double> v(g.node_count(), 0.0);
+  EXPECT_TRUE(g.solve(sink, v, 1e-12).converged);
+  return v;
+}
+
 TEST(ResistiveGridShunt, DividerAgainstReference) {
-  // Node fed 1 A with a 2 S shunt to 0 V: V = I/G = 0.5.
-  ResistiveGrid g(2, 2);
-  g.set_shunt(0, 0, 2.0, 0.0);
-  g.set_current_sink(0, 0, -1.0);  // inject
-  ASSERT_TRUE(g.solve(1e-12).converged);
-  EXPECT_NEAR(g.voltage(0, 0), 0.5, 1e-9);
+  // Every node fed 1 A with a 2 S shunt to 0 V: V = I/G = 0.5.
+  for (const double v : uniform_injection(2.0, 0.0, 1.0))
+    EXPECT_NEAR(v, 0.5, 1e-9);
 }
 
 TEST(ResistiveGridShunt, ReferenceOffsetRespected) {
-  ResistiveGrid g(2, 2);
-  g.set_shunt(1, 1, 1.0, 25.0);
-  g.set_current_sink(1, 1, -10.0);
-  ASSERT_TRUE(g.solve(1e-12).converged);
-  EXPECT_NEAR(g.voltage(1, 1), 35.0, 1e-8);
-  EXPECT_THROW(g.set_shunt(0, 0, -1.0, 0.0), Error);
+  for (const double v : uniform_injection(1.0, 25.0, 10.0))
+    EXPECT_NEAR(v, 35.0, 1e-8);
+  EXPECT_THROW(ResistiveGrid({.width = 2, .height = 2, .gx = 1.0, .gy = 1.0,
+                              .shunt_g = -1.0}),
+               Error);
 }
 
 TEST(WaferThermal, UniformPeakIsWarmButSafe) {
