@@ -1,11 +1,11 @@
-// PDN<->NoC co-simulation benches: wall time and thread-count bit-identity
+// PDN<->NoC co-simulation benches: wall time and run-to-run bit-identity
 // of the coupled epoch loop on a 32x32 wafer section, and the price of the
 // per-epoch PDN re-solve — warm-started batched multigrid vs cold starts —
 // that makes coupling affordable next to a static campaign.
 //
-// Exit code is non-zero when a threaded coupled run diverges from the
-// serial baseline, or when the warm-started epoch re-solves cost more than
-// 2x their cold-start equivalents (the warm start is the whole point).
+// Exit code is non-zero when a repeated coupled run diverges from the
+// first, or when the warm-started epoch re-solves cost more than 2x their
+// cold-start equivalents (the warm start is the whole point).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -39,66 +39,42 @@ cosim::CosimOptions coupled_options(int n) {
   return o;
 }
 
-/// Coupled 32x32 loop at 1/2/8 threads: wall time plus the bit-identity
-/// gate (state fingerprint and report bytes must match the serial run).
-/// The coupled loop never touches the exec pool, so the sweep times one
-/// pool-free path; the gate keeps it deterministic if that ever changes.
-int run_coupled_scaling(bool quick, wsp::bench::JsonReporter& json) {
+/// Coupled 32x32 loop at 1 thread: wall time plus a repeat gate (every
+/// run's state fingerprint and report bytes must match the first).  The
+/// loop never touches the exec pool, so no other thread count is timed.
+int run_coupled_loop(bool quick, wsp::bench::JsonReporter& json) {
   const int repeats = quick ? 2 : 3;
   const std::uint64_t epochs = quick ? 4 : 8;
   const cosim::CosimOptions o = coupled_options(32);
 
-  std::printf("== coupled PDN<->NoC loop scaling (32x32, hotspot, %llu "
-              "epochs x %llu cycles) ==\n",
-              static_cast<unsigned long long>(epochs),
-              static_cast<unsigned long long>(o.epoch_cycles));
-  std::printf("%8s %12s %10s %12s\n", "threads", "wall ms", "speedup",
-              "identical");
-
-  const std::vector<int> thread_counts =
-      quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
+  exec::set_shared_threads(1);
   std::uint32_t base_fp = 0;
   std::vector<std::uint8_t> base_report;
-  double serial_ms = 0.0;
-  int rc = 0;
-  for (const int threads : thread_counts) {
-    exec::set_shared_threads(threads);
-    std::uint32_t fp = 0;
-    std::vector<std::uint8_t> report;
-    const double ms = wsp::bench::min_wall_ms(
-        [&] {
-          cosim::CosimLoop loop(o);
-          loop.run_epochs(epochs);
-          fp = loop.state_fingerprint();
-          report = cosim::serialize_report(loop.report());
-        },
-        repeats, 1);
-    if (threads == 1) {
-      serial_ms = ms;
-      base_fp = fp;
-      base_report = report;
-    }
-    const bool identical = fp == base_fp && report == base_report;
-    if (!identical) rc = 1;
-    std::printf("%8d %12.2f %9.2fx %12s\n", threads, ms,
-                serial_ms > 0 ? serial_ms / ms : 0.0,
-                identical ? "yes" : "NO — DIVERGED");
-
-    wsp::bench::Measurement m;
-    m.name = "cosim_loop_32x32";
-    m.wall_ms = ms;
-    m.iterations = static_cast<int>(epochs);
-    m.threads = threads;
-    m.speedup_vs_serial = serial_ms > 0 ? serial_ms / ms : 0.0;
-    json.add(m);
-  }
+  bool identical = true;
+  const double ms = json.measure(
+      "cosim_loop_32x32", 1,
+      [&] {
+        cosim::CosimLoop loop(o);
+        loop.run_epochs(epochs);
+        const std::uint32_t fp = loop.state_fingerprint();
+        const std::vector<std::uint8_t> report =
+            cosim::serialize_report(loop.report());
+        if (base_report.empty()) {
+          base_fp = fp;
+          base_report = report;
+        }
+        identical &= fp == base_fp && report == base_report;
+      },
+      repeats, 1, static_cast<int>(epochs));
   exec::set_shared_threads(0);
-  if (rc != 0)
-    std::fprintf(stderr,
-                 "FAIL: threaded coupled run diverged from the serial "
-                 "baseline\n");
-  std::printf("\n");
-  return rc;
+  std::printf("== coupled PDN<->NoC loop (32x32, hotspot, %llu epochs x "
+              "%llu cycles) ==\n%.2f ms | repeats %s\n\n",
+              static_cast<unsigned long long>(epochs),
+              static_cast<unsigned long long>(o.epoch_cycles), ms,
+              identical ? "identical" : "DIVERGED");
+  if (!identical)
+    std::fprintf(stderr, "FAIL: a repeated coupled run diverged\n");
+  return identical ? 0 : 1;
 }
 
 /// The per-epoch re-solve price: the same drifting power-map sequence an
@@ -223,7 +199,7 @@ int main(int argc, char** argv) {
   const bool quick = wsp::bench::consume_quick_flag(&argc, argv);
   wsp::bench::JsonReporter json("cosim");
   if (!quick) print_coupled_trace();
-  int rc = run_coupled_scaling(quick, json);
+  int rc = run_coupled_loop(quick, json);
   rc |= run_warm_vs_cold(quick, json);
   json.write();
   if (!quick) {

@@ -250,7 +250,8 @@ constexpr std::uint32_t kCosimKind = ckpt::fourcc("COSM");
 //     the NoC block is NOCS v6.
 // v9: the CLOP option block lost the PDN load-model byte (constant current
 //     is the only load law).
-constexpr std::uint32_t kCosimStateVersion = 9;
+// v10: the NoC block is NOCS v7 (the fault state and BER map once).
+constexpr std::uint32_t kCosimStateVersion = 10;
 }  // namespace
 
 void CosimLoop::save_state(ckpt::Writer& w) const {

@@ -35,9 +35,7 @@ double channel_uniform(std::uint64_t seed, std::size_t link,
 MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
                          const MeshOptions& options,
                          obs::MetricsRegistry* metrics)
-    : faults_(faults),
-      link_faults_(faults.grid()),
-      grid_(faults.grid()),
+    : grid_(faults.grid()),
       kind_(kind),
       options_(options),
       cap_(static_cast<std::size_t>(options.input_queue_capacity)),
@@ -99,20 +97,21 @@ MeshNetwork::MeshNetwork(const FaultMap& faults, NetworkKind kind,
     link_errors_.assign(n * 4, 0);
     rx_seq_.assign(n * 4, 0);
   }
-  rebuild_topology();
+  rebuild_topology(faults, LinkFaultSet(grid_));
 }
 
-void MeshNetwork::rebuild_topology() {
+void MeshNetwork::rebuild_topology(const FaultMap& faults,
+                                   const LinkFaultSet& links) {
   const std::size_t n = grid_.tile_count();
   for (std::size_t t = 0; t < n; ++t)
-    tile_faulty_[t] = faults_.is_faulty(grid_.coord_of(t)) ? 1 : 0;
+    tile_faulty_[t] = faults.is_faulty(grid_.coord_of(t)) ? 1 : 0;
   for (std::size_t t = 0; t < n; ++t) {
     const TileCoord c = grid_.coord_of(t);
     for (std::size_t d = 0; d < 4; ++d) {
       const std::int32_t nb = neighbor_[t * 4 + d];
       link_ok_[t * 4 + d] =
           (nb >= 0 && !tile_faulty_[static_cast<std::size_t>(nb)] &&
-           !link_faults_.is_failed(c, static_cast<Direction>(d)))
+           !links.is_failed(c, static_cast<Direction>(d)))
               ? 1
               : 0;
     }
@@ -446,9 +445,7 @@ void MeshNetwork::apply_fault_state(const FaultMap& faults,
   require(faults.grid().width() == grid_.width() &&
               faults.grid().height() == grid_.height(),
           "apply_fault_state: fault map grid mismatch");
-  faults_ = faults;
-  link_faults_ = links;
-  rebuild_topology();
+  rebuild_topology(faults, links);
 
   // Packets buffered inside a router that just died are gone: the tile no
   // longer arbitrates, so they would otherwise sit in its queues forever.
@@ -524,25 +521,6 @@ void expect_in_grid(const Packet& p, const TileGrid& grid) {
 
 namespace {
 
-void save_ber_map(ckpt::Writer& w, const LinkBerMap& ber) {
-  w.tag(ckpt::fourcc("BERM"));
-  w.i32(ber.grid().width());
-  w.i32(ber.grid().height());
-  ckpt::save_each(w, ber.bers());
-}
-
-LinkBerMap load_ber_map(ckpt::Reader& r, const TileGrid& expected) {
-  r.expect_tag(ckpt::fourcc("BERM"), "LinkBerMap");
-  const int w = r.i32();
-  const int h = r.i32();
-  if (w != expected.width() || h != expected.height())
-    throw ckpt::Error(ckpt::ErrorKind::TopologyMismatch,
-                      "BER map grid does not match live topology");
-  std::vector<double> bers(expected.tile_count() * 4);
-  ckpt::load_each(r, bers);
-  return LinkBerMap::from_bers(expected, bers);
-}
-
 constexpr std::uint32_t kMeshTag = ckpt::fourcc("MESH");
 // v2: per-tile activity totals ("TACT" block) for epoch co-simulation.
 // v3: canonical and live-only — queued packets and in-flight frames in
@@ -551,7 +529,8 @@ constexpr std::uint32_t kMeshTag = ckpt::fourcc("MESH");
 //     and the BER params no mesh reads.
 // v5: counter-based channel draws, so no per-link RNG states; INTG lists
 //     only the links with detected errors or a live watermark.
-constexpr std::uint32_t kMeshStateVersion = 5;
+// v6: no FMAP, LFLT or BERM: the owner saves them once and restores them.
+constexpr std::uint32_t kMeshStateVersion = 6;
 
 [[noreturn]] void reject(const char* what) {
   throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
@@ -600,10 +579,6 @@ void MeshNetwork::save_state(ckpt::Writer& w) const {
   // queue capacities or a different channel model would not reproduce the
   // saver's future.
   ckpt::save_fields(w, options_);
-
-  ckpt::save_fault_map(w, faults_);
-  ckpt::save_link_faults(w, link_faults_);
-  save_ber_map(w, ber_);
 
   // Per tile: the rotating priorities, a mask of the non-empty FIFOs, then
   // each of those FIFOs' packets from the head.
@@ -677,10 +652,6 @@ void MeshNetwork::load_state(ckpt::Reader& r, std::uint64_t id_limit) {
     reject("mesh snapshot is for the other DoR network");
   ckpt::expect_fields(r, options_, "mesh behavioural options");
 
-  faults_ = ckpt::load_fault_map(r, &grid_);
-  link_faults_ = ckpt::load_link_faults(r, &grid_);
-  ber_ = load_ber_map(r, grid_);
-
   // Storage is rebuilt densely: every pool slot live, every FIFO and ring
   // starting at slot 0.
   const auto load_packet = [&] {
@@ -701,6 +672,9 @@ void MeshNetwork::load_state(ckpt::Reader& r, std::uint64_t id_limit) {
       if (rr >= kPortCount) reject("rotating priority out of range");
     const std::uint8_t mask = r.u8();
     if (mask >> kPortCount) reject("input FIFO mask names a missing port");
+    // A dead tile never routes, so its packets would stay in flight forever
+    // (apply_fault_state purges exactly these).
+    if (mask != 0 && tile_faulty_[t]) reject("input FIFO at a faulty tile");
     ts.q_head = {};
     ts.q_size = {};
     ts.busy = 0;
@@ -758,12 +732,9 @@ void MeshNetwork::load_state(ckpt::Reader& r, std::uint64_t id_limit) {
     load_sparse(r, link_field(link_, &LinkState::next_free));
   }
 
-  // Derived tables (tile_faulty_, link_ok_, route9) come from the fault
-  // state just restored; apply_fault_state is wrong here — its purge side
-  // effects belong to fault *transitions*, not to state restoration.  The
+  // The routing tables already hold the owner's restored fault state.  The
   // credit snapshots and the wheel come from the FIFOs and rings, filed
   // against the cycle counter just read.
-  rebuild_topology();
   resync();
   if (!conservation_holds())
     reject("restored mesh fails packet conservation");

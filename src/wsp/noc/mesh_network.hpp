@@ -192,9 +192,6 @@ class MeshNetwork {
   /// dead tile are dropped on arrival.  The grids must match.
   void apply_fault_state(const FaultMap& faults, const LinkFaultSet& links);
 
-  const FaultMap& faults() const { return faults_; }
-  const LinkFaultSet& link_faults() const { return link_faults_; }
-
   /// Transient-fault model: corrupts (drops) the oldest packet buffered at
   /// `tile`, scanning input ports in fixed order.  Returns the id of the
   /// killed packet, or nullopt when nothing is buffered there.  The lost
@@ -231,25 +228,29 @@ class MeshNetwork {
                in_flight_;
   }
 
-  /// Checkpoint hooks (wsp::ckpt).  The snapshot captures the complete
-  /// mutable state — the rotating priorities, the packets of every
+  /// Checkpoint hooks (wsp::ckpt).  The snapshot captures the state the
+  /// mesh evolves — the rotating priorities, the packets of every
   /// non-empty input FIFO and link ring in queue order, retransmit
-  /// protocol state, BER map, fault state and counters — so a load
-  /// followed by step() is bit-identical to never having stopped.  The
-  /// channel draws need no state of their own: each is a pure function of
-  /// the link id and its traversal count.  The snapshot is canonical and
-  /// live-only: no free slot, ring head or pool index is written, error
-  /// counts and retransmit watermarks only where they are non-zero and
-  /// live, so a loaded mesh re-saves byte-identically.
+  /// protocol state and counters — so a load followed by step() is
+  /// bit-identical to never having stopped.  The channel draws need no
+  /// state of their own: each is a pure function of the link id and its
+  /// traversal count.  The snapshot is canonical and live-only: no free
+  /// slot, ring head or pool index is written, error counts and retransmit
+  /// watermarks only where they are non-zero and live, so a loaded mesh
+  /// re-saves byte-identically.
   /// Storage (pool, free list, FIFO and ring heads, the occupied-tile
   /// bitset and busy-port masks, the arrival wheel) and derived tables
   /// (route9, link_ok_, neighbour maps, the credit snapshots) are rebuilt,
   /// not stored.
+  /// The fault state and the BER map are not in the snapshot: the owner
+  /// saves them (NocSystem writes each once) and must give this mesh the
+  /// saver's, through apply_fault_state and set_link_ber, before
+  /// load_state, which routes by the tables they built.
   /// load_state targets a mesh constructed over the same grid, kind and
   /// behavioural options as the saver; anything else, a ring holding more
-  /// frames than its downstream FIFO has room for, or a packet id at or
-  /// above `id_limit` (the owner's next id) throws ckpt::Error
-  /// (TopologyMismatch / SchemaMismatch).
+  /// frames than its downstream FIFO has room for, an input-FIFO packet at
+  /// a faulty tile, or a packet id at or above `id_limit` (the owner's
+  /// next id) throws ckpt::Error (TopologyMismatch / SchemaMismatch).
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r,
                   std::uint64_t id_limit = ~std::uint64_t{0});
@@ -298,8 +299,6 @@ class MeshNetwork {
   static constexpr std::uint8_t kRouteEject = 4;
   static constexpr std::uint8_t kRouteDrop = 5;
 
-  FaultMap faults_;
-  LinkFaultSet link_faults_;
   TileGrid grid_;
   NetworkKind kind_;
   MeshOptions options_;
@@ -496,7 +495,9 @@ class MeshNetwork {
     wheel_[due % kWheel].push_back(static_cast<std::uint32_t>(link));
   }
 
-  void rebuild_topology();
+  /// Fills tile_faulty_, link_ok_ and route9 from a fault state; the mesh
+  /// keeps these tables, not the maps.
+  void rebuild_topology(const FaultMap& faults, const LinkFaultSet& links);
   /// Recomputes every credit snapshot and the wheel from the FIFOs and
   /// rings, dropping the queued credit returns.
   void resync();

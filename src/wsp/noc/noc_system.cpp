@@ -21,7 +21,27 @@ constexpr std::uint32_t kNocTag = ckpt::fourcc("NOCS");
 //     mesh options' retransmit budget and BER params.
 // v6: no SBER block: set_link_ber hands the map to both meshes at once, so
 //     their BERM blocks hold it.
-constexpr std::uint32_t kNocStateVersion = 6;
+// v7: one FMAP, LFLT and BERM at the head; MESH v6 sections hold neither.
+constexpr std::uint32_t kNocStateVersion = 7;
+
+void save_ber_map(ckpt::Writer& w, const LinkBerMap& ber) {
+  w.tag(ckpt::fourcc("BERM"));
+  w.i32(ber.grid().width());
+  w.i32(ber.grid().height());
+  ckpt::save_each(w, ber.bers());
+}
+
+LinkBerMap load_ber_map(ckpt::Reader& r, const TileGrid& expected) {
+  r.expect_tag(ckpt::fourcc("BERM"), "LinkBerMap");
+  const int w = r.i32();
+  const int h = r.i32();
+  if (w != expected.width() || h != expected.height())
+    throw ckpt::Error(ckpt::ErrorKind::TopologyMismatch,
+                      "BER map grid does not match live topology");
+  std::vector<double> bers(expected.tile_count() * 4);
+  ckpt::load_each(r, bers);
+  return LinkBerMap::from_bers(expected, bers);
+}
 
 // A copy of a heap, popped: comparator order, a total order here
 // (Deadline keys (due_cycle, id) and PendingInjection keys (due_cycle,
@@ -444,6 +464,7 @@ void NocSystem::save_state(ckpt::Writer& w) const {
 
   ckpt::save_fault_map(w, faults_);
   ckpt::save_link_faults(w, links_);
+  save_ber_map(w, link_ber());
   ckpt::save_fields(w, std::tie(cycle_, next_id_, pending_seq_));
 
   // LIVE by id, DDLN and PEND in pop order, REDY per network by tile.
@@ -506,8 +527,12 @@ void NocSystem::load_state(ckpt::Reader& r) {
     throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch, what);
   };
 
-  faults_ = ckpt::load_fault_map(r, &grid);
-  links_ = ckpt::load_link_faults(r, &grid);
+  // Plans and the meshes' routing tables are a pure function of the fault
+  // state, so applying the restored maps restores them exactly.  The purge
+  // and counters this leaves behind are overwritten by the sections below.
+  const FaultMap faults = ckpt::load_fault_map(r, &grid);
+  apply_fault_state(faults, ckpt::load_link_faults(r, &grid));
+  set_link_ber(load_ber_map(r, grid));
   ckpt::load_fields(r, std::tie(cycle_, next_id_, pending_seq_));
 
   r.expect_tag(ckpt::fourcc("LIVE"), "live transactions");
@@ -571,6 +596,9 @@ void NocSystem::load_state(ckpt::Reader& r) {
         reject("ready-queue tile index out of range");
       if (ready_head_[ready_key(n, tile)] != kNone)
         reject("duplicate ready-queue tile");
+      // inject() refuses a faulty source: its queue would never drain.
+      if (faults_.is_faulty(grid.coord_of(tile)))
+        reject("ready queue at a faulty source tile");
       for (const Packet& p : q) {
         expect_issued(p);
         push_ready(ready_key(n, tile), store_packet(p));
@@ -583,17 +611,6 @@ void NocSystem::load_state(ckpt::Reader& r) {
 
   xy_.load_state(r, next_id_);
   yx_.load_state(r, next_id_);
-  // Each mesh keeps its own copy of the fault state and the BER map so a
-  // standalone mesh frame is whole; in a system frame the copies agree.
-  for (const MeshNetwork* m : {&xy_, &yx_})
-    if (!(m->faults() == faults_) || !(m->link_faults() == links_))
-      reject("mesh fault state disagrees with the system's");
-  if (xy_.link_ber().bers() != yx_.link_ber().bers())
-    reject("the two meshes' BER maps disagree");
-
-  // Plans are a pure function of the fault state, so a selector built
-  // from the restored maps restores them exactly.
-  selector_ = NetworkSelector(faults_, links_);
   eject_scratch_.clear();
 }
 

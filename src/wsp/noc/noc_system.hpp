@@ -214,16 +214,18 @@ class NocSystem {
     return xy_.conservation_holds() && yx_.conservation_holds();
   }
 
-  /// Checkpoint hooks (wsp::ckpt).  Captures the full transaction layer —
-  /// live transactions, timeout deadlines, deferred and ready injections,
-  /// id/sequence allocators, counters and the latency histogram — plus
-  /// both meshes via their own hooks, so load + step is bit-identical to
-  /// never having stopped.  The delivery listener is NOT captured (it is
-  /// an arbitrary std::function); the owner re-attaches it after loading.
+  /// Checkpoint hooks (wsp::ckpt).  Captures the fault state and the BER
+  /// map once, the full transaction layer — live transactions, timeout
+  /// deadlines, deferred and ready injections, id/sequence allocators,
+  /// counters and the latency histogram — and both meshes via their own
+  /// hooks, so load + step is bit-identical to never having stopped.
+  /// load_state hands the restored maps to both meshes before loading
+  /// their sections.  The delivery listener is NOT captured (it is an
+  /// arbitrary std::function); the owner re-attaches it after loading.
   /// load_state targets a system constructed over the same grid and
   /// options; mismatches throw ckpt::Error, as does a frame holding an id
-  /// at or above its next id, or meshes whose fault state or BER map
-  /// disagree with the system's or with each other.
+  /// at or above its next id, or packets queued at a faulty tile (a ready
+  /// queue or a mesh input FIFO there would never drain).
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 

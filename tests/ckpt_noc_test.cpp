@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -272,8 +271,8 @@ TEST(MeshCkpt, FrameBytesArePinned) {
   ckpt::Writer w;
   mesh.save_state(w);
   const std::uint32_t crc = ckpt::crc32(w.bytes().data(), w.size());
-  EXPECT_EQ(w.size(), 7061u);
-  EXPECT_EQ(crc, 0x68b6a18du) << "actual 0x" << std::hex << crc;
+  EXPECT_EQ(w.size(), 4657u);
+  EXPECT_EQ(crc, 0xbc98aebau) << "actual 0x" << std::hex << crc;
 
   noc::MeshNetwork same(faults, noc::NetworkKind::YX, opt);
   ckpt::Reader r(w.bytes());
@@ -324,15 +323,19 @@ void erase(std::vector<std::uint8_t>& b, std::size_t at, std::size_t n) {
           b.begin() + static_cast<std::ptrdiff_t>(at + n));
 }
 
+// `why`, when given, must appear in the message, so a test can tell which
+// loader check fired.
 template <class Load>
 void expect_schema_mismatch(const std::vector<std::uint8_t>& bytes,
-                            Load&& load) {
+                            Load&& load, const std::string& why = "") {
   ckpt::Reader r(bytes);
   try {
     load(r);
     FAIL() << "tampered snapshot loaded";
   } catch (const ckpt::Error& e) {
     EXPECT_EQ(e.kind(), ckpt::ErrorKind::SchemaMismatch) << e.what();
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
   }
 }
 
@@ -345,53 +348,63 @@ void expect_pinned(const std::vector<std::uint8_t>& bytes, std::size_t size,
   EXPECT_EQ(got, crc) << "actual 0x" << std::hex << got;
 }
 
+// The mid-traffic system of MidTrafficFrameBytesArePinned: an 8x8 wafer
+// with tiles (2,0) and (1,2) dead, the timeout armed and integrity on.
+struct MidTraffic {
+  TileGrid grid{8, 8};
+  FaultMap faults{grid};
+  noc::NocOptions opt;
+  noc::LinkBerMap ber{grid};
+
+  MidTraffic() {
+    faults.set_faulty({2, 0}, true);
+    faults.set_faulty({1, 2}, true);
+    opt.response_timeout = 300;
+    opt.mesh.integrity.enabled = true;
+    ber.set_ber({3, 3}, Direction::East, 1e-3);
+    ber.set_ber({4, 1}, Direction::North, 2e-4);
+  }
+
+  /// Traffic for 41 cycles, a relayed read issued at cycle 40, 12 writes
+  /// from (5,5) queued behind its full local FIFO, then the BER map set
+  /// just before the save.
+  std::vector<std::uint8_t> frame() const {
+    noc::NocSystem noc(faults, opt);
+    EXPECT_TRUE(noc.selector().plan({0, 0}, {2, 2}).relayed);
+    const auto gen = uniform_traffic(faults, 0.05, 7);
+    workloads::TrafficDriver driver(noc, *gen);
+    for (int c = 0; c < 40; ++c) driver.step();
+    EXPECT_TRUE(noc.issue({0, 0}, {2, 2}, noc::PacketType::ReadRequest));
+    for (std::uint64_t i = 0; i < 12; ++i)
+      EXPECT_TRUE(noc.issue({5, 5}, {1, 6}, noc::PacketType::WriteRequest, i));
+    driver.step();
+    noc.set_link_ber(ber);
+    return noc_bytes(noc);
+  }
+};
+
 TEST(NocCkpt, MidTrafficFrameBytesArePinned) {
   // Every transaction-layer section populated: live transactions (one on a
   // relayed plan) with armed deadlines, pending responses, a ready backlog
   // behind a full local FIFO, and a BER map set just before the save — so
   // the pin covers the Packet encoding in the PEND/REDY queues and the mesh
   // pools.
-  const TileGrid grid(8, 8);
-  FaultMap faults(grid);
-  faults.set_faulty({2, 0}, true);
-  faults.set_faulty({1, 2}, true);
-  noc::NocOptions opt;
-  opt.response_timeout = 300;
-  opt.mesh.integrity.enabled = true;
-  noc::NocSystem noc(faults, opt);
-  ASSERT_TRUE(noc.selector().plan({0, 0}, {2, 2}).relayed);
-
-  const auto gen = uniform_traffic(faults, 0.05, 7);
-  workloads::TrafficDriver driver(noc, *gen);
-  for (int c = 0; c < 40; ++c) driver.step();
-  ASSERT_TRUE(noc.issue({0, 0}, {2, 2}, noc::PacketType::ReadRequest));
-  for (std::uint64_t i = 0; i < 12; ++i)
-    ASSERT_TRUE(noc.issue({5, 5}, {1, 6}, noc::PacketType::WriteRequest, i));
-  driver.step();
-  noc::LinkBerMap ber(grid);
-  ber.set_ber({3, 3}, Direction::East, 1e-3);
-  ber.set_ber({4, 1}, Direction::North, 2e-4);
-  noc.set_link_ber(ber);
-
-  const std::vector<std::uint8_t> bytes = noc_bytes(noc);
-  expect_pinned(bytes, 32050, 0x408fd838u);
+  const MidTraffic mid;
+  const std::vector<std::uint8_t> bytes = mid.frame();
+  expect_pinned(bytes, 29302, 0x0e8a4a5cu);
   for (const char* section : {"LIVE", "DDLN", "PEND"})
     EXPECT_GT(get_u64(bytes, find_tag(bytes, section) + 4), 0u) << section;
   // REDY holds the XY then the YX queues; the backlog rides one of them.
   const std::size_t redy = find_tag(bytes, "REDY") + 4;
   EXPECT_TRUE(get_u64(bytes, redy) > 0 || get_u64(bytes, redy + 8) > 0);
-  // Both meshes' BERM blocks (tag, width, height, the BERs) hold the map.
+  // The one BERM block (tag, width, height, the BERs) holds the map.
   ckpt::Writer map;
-  ckpt::save_each(map, ber.bers());
-  std::size_t at = 0;
-  for (int k = 0; k < 2; ++k) {
-    at = find_tag(bytes, "BERM", at) + 12;
-    const auto bers = bytes.begin() + static_cast<std::ptrdiff_t>(at);
-    EXPECT_TRUE(std::equal(map.bytes().begin(), map.bytes().end(), bers))
-        << "mesh " << k;
-  }
+  ckpt::save_each(map, mid.ber.bers());
+  const auto bers = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                        find_tag(bytes, "BERM") + 12);
+  EXPECT_TRUE(std::equal(map.bytes().begin(), map.bytes().end(), bers));
 
-  noc::NocSystem same(faults, opt);
+  noc::NocSystem same(mid.faults, mid.opt);
   ckpt::Reader r(bytes);
   same.load_state(r);
   EXPECT_TRUE(r.done());
@@ -449,7 +462,7 @@ TEST(NocCkpt, RetryFrameBytesArePinned) {
   traffic_cycle();
 
   const std::vector<std::uint8_t> mid = noc_bytes(noc);
-  expect_pinned(mid, 47222, 0xcf4021c1u);
+  expect_pinned(mid, 41114, 0x333a6a9au);
   // DDLN: a count, then (u64 due, u64 id, u32 attempt) in pop order.  A
   // first-attempt deadline follows both an attempt-1 and an attempt-2 one.
   const std::size_t ddln = find_tag(mid, "DDLN") + 4;
@@ -472,7 +485,7 @@ TEST(NocCkpt, RetryFrameBytesArePinned) {
   while (noc.now() < 180) traffic_cycle();
   ASSERT_TRUE(noc.drain(done, 20'000));
   const std::vector<std::uint8_t> drained = noc_bytes(noc);
-  expect_pinned(drained, 21411, 0xe3f8416fu);
+  expect_pinned(drained, 15303, 0x83aa62c3u);
 
   EXPECT_EQ(done.size(), 513u);
   EXPECT_EQ(completion_crc(done), 0x6074b8e4u)
@@ -513,7 +526,7 @@ TEST(CosimCkpt, SpikingFrameBytesArePinned) {
 
   ckpt::Writer w;
   loop.save_state(w);
-  expect_pinned(w.bytes(), 29287, 0x3a9dfecfu);
+  expect_pinned(w.bytes(), 26539, 0x6104fc74u);
 
   cosim::CosimLoop same(o);
   ckpt::Reader r(w.bytes());
@@ -706,42 +719,142 @@ TEST(NocCkpt, RestoredIdAtOrAboveNextIdIsRejected) {
   expect_schema_mismatch(bytes, load);
 }
 
-TEST(NocCkpt, MeshCopiesThatDisagreeAreRejected) {
-  // Each mesh block repeats the system's fault map and link faults, and
-  // the two meshes each hold the BER map.  A frame whose copies differ
-  // would have the selector plan against one fault state while a mesh
-  // routes against another.
+TEST(NocCkpt, BerMapOfAnotherGridIsTopologyMismatch) {
+  // The frame's one BERM block swapped for a 6x6 map.
   const TileGrid grid(8, 8);
-  noc::NocOptions opt;
-  opt.mesh.integrity.enabled = true;
-  noc::NocSystem noc(FaultMap(grid), opt);
-  noc.set_link_ber(noc::LinkBerMap::uniform(grid, 1e-4));
-  ASSERT_TRUE(noc.issue({1, 1}, {6, 5}, noc::PacketType::ReadRequest));
-  const std::vector<std::uint8_t> frame = noc_bytes(noc);
-  const auto load = [&](ckpt::Reader& r) {
-    noc::NocSystem target(FaultMap(grid), opt);
+  noc::NocSystem source{FaultMap(grid)};
+  std::vector<std::uint8_t> bytes = noc_bytes(source);
+  const std::size_t at = find_tag(bytes, "BERM");
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+              bytes.begin() + static_cast<std::ptrdiff_t>(
+                                  at + 12 + grid.tile_count() * 4 * 8));
+  const TileGrid other(6, 6);
+  ckpt::Writer berm;
+  berm.tag(ckpt::fourcc("BERM"));
+  berm.i32(other.width());
+  berm.i32(other.height());
+  ckpt::save_each(berm, noc::LinkBerMap::uniform(other, 1e-4).bers());
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+               berm.bytes().begin(), berm.bytes().end());
+  noc::NocSystem target{FaultMap(grid)};
+  ckpt::Reader r(bytes);
+  try {
     target.load_state(r);
+    FAIL() << "expected ckpt::Error";
+  } catch (const ckpt::Error& e) {
+    EXPECT_EQ(e.kind(), ckpt::ErrorKind::TopologyMismatch) << e.what();
+  }
+}
+
+TEST(NocCkpt, StrandedPacketsAtADeadTileAreRejected) {
+  // A dead tile neither injects nor routes, so a ready queue or an input
+  // FIFO there would never drain: drain() would spin to max_cycles.  Mark
+  // the tile of MidTraffic's (5,5) backlog faulty in the frame's one FMAP.
+  const MidTraffic mid;
+  std::vector<std::uint8_t> bytes = mid.frame();
+  // FMAP: tag, width, height, then a byte per tile by index.
+  bytes[find_tag(bytes, "FMAP") + 12 + mid.grid.index_of({5, 5})] = 1;
+  expect_schema_mismatch(
+      bytes,
+      [&](ckpt::Reader& r) {
+        noc::NocSystem target(mid.faults, mid.opt);
+        target.load_state(r);
+      },
+      "ready queue at a faulty source tile");
+
+  // A mesh FIFO: one packet waits in the Local FIFO of (1,1); a cycle later
+  // it is on the wire toward (2,1).  A frame bound for a dead tile drops
+  // on arrival, so that snapshot stays legal.
+  const TileGrid grid(8, 8);
+  noc::MeshNetwork mesh(FaultMap(grid), noc::NetworkKind::XY);
+  noc::Packet p;
+  p.src = {1, 1};
+  p.dst = {5, 6};
+  ASSERT_TRUE(mesh.inject(p));
+  const auto load_with_dead = [&](TileCoord dead) {
+    return [&grid, dead](ckpt::Reader& r) {
+      FaultMap faults(grid);
+      faults.set_faulty(dead);
+      noc::MeshNetwork target(faults, noc::NetworkKind::XY);
+      target.load_state(r);
+      EXPECT_EQ(target.in_flight(), 1u);
+    };
   };
-  const std::size_t xy = find_tag(frame, "MESH");
-  const std::size_t yx = find_tag(frame, "MESH", xy + 4);
-  // FMAP and LFLT: tag, width, height, then a byte per tile or link.
-  std::vector<std::uint8_t> bytes = frame;
-  bytes[find_tag(bytes, "FMAP", yx) + 12] = 1;  // tile (0,0) faulty
-  expect_schema_mismatch(bytes, load);
-  bytes = frame;
-  bytes[find_tag(bytes, "LFLT", xy) + 12 + 1] = 1;  // (0,0) East failed
-  expect_schema_mismatch(bytes, load);
-  // BERM: tag, width, height, then a double per link; (0,0) East is one.
-  bytes = frame;
-  std::vector<std::uint8_t> ber(8);
-  put_u64(ber, 0, std::bit_cast<std::uint64_t>(2e-4));
-  std::ranges::copy(ber, bytes.begin() + static_cast<std::ptrdiff_t>(
-                                             find_tag(bytes, "BERM", xy) + 20));
-  expect_schema_mismatch(bytes, load);
-  // The frame as saved loads.
-  ckpt::Reader r(frame);
-  load(r);
+  ckpt::Writer queued;
+  mesh.save_state(queued);
+  expect_schema_mismatch(queued.bytes(), load_with_dead({1, 1}),
+                         "input FIFO at a faulty tile");
+  std::vector<noc::Packet> ejected;
+  mesh.step(ejected);
+  ckpt::Writer on_wire;
+  mesh.save_state(on_wire);
+  ckpt::Reader r(on_wire.bytes());
+  load_with_dead({2, 1})(r);
   EXPECT_TRUE(r.done());
+}
+
+TEST(NocCkpt, FrameHoldsEachFactOnce) {
+  // The fault state and the BER map ride the NOCS head once; the MESH
+  // sections hold only what the meshes evolve.  A fresh system built on a
+  // healthy wafer takes all three from the frame: it re-saves the same
+  // bytes, both meshes sample the saved map, and 300 more cycles match
+  // the system that never stopped.  The snapshot follows a tile death and
+  // a link retirement under traffic, so packets still in flight toward
+  // both drop only if the meshes route by the restored state.
+  const TileGrid grid(12, 12);
+  FaultMap faults(grid);
+  faults.set_faulty({7, 4}, true);
+  noc::NocOptions opt;
+  opt.response_timeout = 200;
+  opt.mesh.integrity.enabled = true;
+  noc::NocSystem noc(faults, opt);
+  noc::LinkBerMap ber(grid);
+  ber.set_ber({2, 2}, Direction::East, 3e-3);
+  ber.set_ber({9, 10}, Direction::South, 5e-4);
+  ber.set_ber({6, 6}, Direction::West, 1e-3);
+  noc.set_link_ber(ber);
+  const auto gen = uniform_traffic(faults, 0.05, 3);
+  workloads::TrafficDriver driver(noc, *gen);
+  for (int c = 0; c < 150; ++c) driver.step();
+  faults.set_faulty({5, 6}, true);
+  noc.apply_fault_state(faults);
+  gen->apply_fault_state(faults);
+  ASSERT_TRUE(noc.retire_link({3, 5}, Direction::North));
+  const std::vector<std::uint8_t> bytes = noc_bytes(noc);
+  ckpt::Writer gen_bytes;
+  gen->save_state(gen_bytes);
+
+  for (const char* tag : {"FMAP", "LFLT", "BERM"}) {
+    std::size_t n = 0;
+    for (auto at = bytes.begin();
+         (at = std::search(at, bytes.end(), tag, tag + 4)) != bytes.end();
+         ++at)
+      ++n;
+    EXPECT_EQ(n, 1u) << tag;
+  }
+
+  noc::NocSystem same(FaultMap(grid), opt);
+  ckpt::Reader r(bytes);
+  same.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(noc_bytes(same), bytes);
+  EXPECT_EQ(same.faults(), faults);
+  for (const noc::NetworkKind k : {noc::NetworkKind::XY, noc::NetworkKind::YX})
+    EXPECT_EQ(same.network(k).link_ber().bers(), ber.bers());
+
+  const auto same_gen = uniform_traffic(faults, 0.05, 1);
+  ckpt::Reader gr(gen_bytes.bytes());
+  same_gen->load_state(gr);
+  workloads::TrafficDriver same_driver(same, *same_gen);
+  for (int c = 0; c < 300; ++c) {
+    driver.step();
+    same_driver.step();
+  }
+  EXPECT_GT(noc.stats().link_retransmits, 0u);
+  EXPECT_GT(noc.network(noc::NetworkKind::XY).stats().dropped_at_fault +
+                noc.network(noc::NetworkKind::YX).stats().dropped_at_fault,
+            0u);
+  EXPECT_EQ(noc_bytes(same), noc_bytes(noc));
 }
 
 TEST(NocCkpt, FarNextIdLoadsInMemoryOfTheLiveCount) {
@@ -904,14 +1017,14 @@ std::vector<std::uint8_t> cosim_after_one_epoch(const cosim::CosimOptions& o) {
 
 TEST(MeshCkpt, VersionTwoFrameIsVersionMismatch) {
   // MESH v3 dropped every storage index from the wire, v4 shrank the
-  // option block and v5 dropped the per-link RNG states.  A v2, v3 or v4
-  // MESH section, alone or inside a NOCS or COSM payload, is refused at its
-  // version word.
+  // option block, v5 dropped the per-link RNG states and v6 the fault
+  // state and BER map.  A v2 to v5 MESH section, alone or inside a NOCS or
+  // COSM payload, is refused at its version word.
   const auto expect_version_mismatch = [](std::vector<std::uint8_t> bytes,
                                           auto&& load) {
     const std::size_t at = find_tag(bytes, "MESH") + 4;
-    ASSERT_EQ(bytes[at], 5u);
-    for (const std::uint8_t old : {2, 3, 4}) {
+    ASSERT_EQ(bytes[at], 6u);
+    for (const std::uint8_t old : {2, 3, 4, 5}) {
       bytes[at] = old;
       ckpt::Reader r(bytes);
       try {
@@ -1079,15 +1192,15 @@ TEST(ObsCkpt, HistogramCountOverflowIsRejected) {
 
 TEST(NocCkpt, VersionThreeFrameIsVersionMismatch) {
   // NOCS v4 carries the latency histogram as its run list, v5 a smaller
-  // option block and v6 no staged BER map; a v3, v4 or v5 section is
-  // refused at its version word.
+  // option block, v6 no staged BER map and v7 the fault state and BER map
+  // once; a v3 to v6 section is refused at its version word.
   const TileGrid grid(6, 6);
   const FaultMap faults(grid);
   noc::NocSystem noc{faults};
   std::vector<std::uint8_t> bytes = noc_bytes(noc);
   const std::size_t at = find_tag(bytes, "NOCS") + 4;
-  ASSERT_EQ(bytes[at], 6u);
-  for (const std::uint8_t old : {3, 4, 5}) {
+  ASSERT_EQ(bytes[at], 7u);
+  for (const std::uint8_t old : {3, 4, 5, 6}) {
     bytes[at] = old;
     noc::NocSystem target{faults};
     ckpt::Reader r(bytes);

@@ -689,14 +689,15 @@ TEST(CosimLoop, CheckpointRejectsStateVersion2) {
   // Version 2 carried the raw latency vector where version 3 carries the
   // traffic driver's histogram frame, version 3 lacks the option block
   // version 4 leads with, and version 4's histograms retain raw samples
-  // where version 5's hold (value, count) runs: older COSM frames are
-  // refused by their header, before any payload byte is interpreted.
+  // where version 5's hold (value, count) runs, and version 9 holds NOCS
+  // v6: older COSM frames are refused by their header, before any payload
+  // byte is interpreted.
   TempFile file("cosim_v2_test.ckpt");
   CosimLoop source(small_options());
   source.run(40);
   ckpt::Writer w;
   source.save_state(w);
-  for (const std::uint32_t version : {2u, 3u, 4u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u, 9u}) {
     ckpt::save_frame_file(file.path(), ckpt::fourcc("COSM"), version, w);
     CosimLoop loop(small_options());
     try {

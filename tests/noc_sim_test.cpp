@@ -230,19 +230,22 @@ EdgeRun run_edge_case(NetworkKind kind, const MeshOptions& opt, double ber,
   EdgeRun run;
   std::vector<Packet> out;
   std::uint64_t id = 1;
+  FaultMap faults(grid);
+  LinkFaultSet links(grid);
   for (std::uint64_t cycle = 0; cycle < 20000; ++cycle) {
     if (cycle >= 160 && mesh->in_flight() == 0) break;
     if (cycle == 60 || cycle == 80) {
-      FaultMap faults(grid);
-      if (cycle == 60) faults.set_faulty({3, 3});
-      LinkFaultSet links(grid);
+      faults.set_faulty({3, 3}, cycle == 60);
       links.set_failed({5, 5}, Direction::East);
       mesh->apply_fault_state(faults, links);
     }
     if (cycle == 100) {
       ckpt::Writer w;
       mesh->save_state(w);
-      auto fresh = std::make_unique<MeshNetwork>(FaultMap(grid), kind, opt);
+      // The snapshot holds no fault state or BER map: restore them first.
+      auto fresh = std::make_unique<MeshNetwork>(faults, kind, opt);
+      fresh->apply_fault_state(faults, links);
+      fresh->set_link_ber(mesh->link_ber());
       ckpt::Reader r(w.bytes());
       fresh->load_state(r);
       mesh = std::move(fresh);

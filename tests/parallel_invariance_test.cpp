@@ -490,7 +490,7 @@ TEST(NocStepper, ConservationHoldsAcrossRuntimeFaults) {
       const TileCoord victim{static_cast<int>(rng.below(12)),
                              static_cast<int>(rng.below(12))};
       faults.set_faulty(victim);
-      mesh.apply_fault_state(faults, mesh.link_faults());
+      mesh.apply_fault_state(faults, LinkFaultSet(grid));
       EXPECT_EQ(mesh.in_flight(), mesh.recount_in_flight())
           << "after killing tile at cycle " << cycle;
       EXPECT_TRUE(mesh.conservation_holds()) << "cycle " << cycle;
@@ -523,8 +523,10 @@ TEST(NocStepper, SparseBurstsMatchGolden) {
     for (int k = 0; k < 2; ++k) {
       ckpt::Writer w;
       mesh[k]->save_state(w);
-      auto fresh =
-          std::make_unique<noc::MeshNetwork>(FaultMap(grid), kinds[k], opt);
+      // The snapshot holds no fault state or BER map: restore them first.
+      auto fresh = std::make_unique<noc::MeshNetwork>(faults, kinds[k], opt);
+      fresh->apply_fault_state(faults, links);
+      fresh->set_link_ber(mesh[k]->link_ber());
       ckpt::Reader r(w.bytes());
       fresh->load_state(r);
       EXPECT_TRUE(r.done());
